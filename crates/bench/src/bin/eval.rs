@@ -66,7 +66,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Kernel indices admitted for one clip, mirroring the topology/density
-/// admission of `hotspot_core::feedback::flagging_kernels` (which both
+/// admission of `hotspot_core::EvalEngine::flagging_kernels` (which both
 /// engines share unchanged — it is set-up here, not measurement).
 fn admitted_kernels(detector: &HotspotDetector, clip: &Pattern) -> Vec<usize> {
     let config = detector.config();

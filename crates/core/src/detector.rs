@@ -64,10 +64,6 @@ pub enum DetectError {
     Internal(String),
 }
 
-/// Former name of [`DetectError`].
-#[deprecated(since = "0.2.0", note = "renamed to `DetectError`")]
-pub type TrainPipelineError = DetectError;
-
 impl fmt::Display for DetectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -460,19 +456,6 @@ impl HotspotDetector {
         self
     }
 
-    /// Former boolean engine toggle.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `with_eval_mode(EvalMode::Reference)` / `with_eval_mode(EvalMode::Compiled)`"
-    )]
-    pub fn with_reference_eval(self, reference: bool) -> Self {
-        self.with_eval_mode(if reference {
-            EvalMode::Reference
-        } else {
-            EvalMode::Compiled
-        })
-    }
-
     /// An evaluation handle at the configured
     /// [`decision_threshold`](DetectorConfig::decision_threshold), with
     /// the engines selected by the configured [`EvalMode`]. The handle
@@ -710,7 +693,10 @@ impl HotspotDetector {
             Some(&exec_stats),
             eval_batches,
         );
-        recorder.record_admissions(StageId::KernelEvaluation, admissions, admission_skips);
+        recorder.update(StageId::KernelEvaluation, |s| {
+            s.admissions += admissions;
+            s.admission_skips += admission_skips;
+        });
         if let Some(hub) = &self.obs {
             let counters = hub.counters();
             counters.add(Counter::ClipsFlagged, clips_flagged as u64);

@@ -100,11 +100,6 @@ pub struct StageRecorder {
     threads: usize,
     stages: Vec<(StageId, StageTelemetry)>,
     started: Instant,
-    resumed_tiles: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    recomputed_tiles: usize,
-    timed_out: usize,
     aborted_reason: Option<String>,
     obs_sinks: Vec<String>,
 }
@@ -118,11 +113,6 @@ impl StageRecorder {
             threads,
             stages: Vec::new(),
             started: Instant::now(),
-            resumed_tiles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            recomputed_tiles: 0,
-            timed_out: 0,
             aborted_reason: None,
             obs_sinks: Vec::new(),
         }
@@ -179,74 +169,22 @@ impl StageRecorder {
             admission_skips: 0,
             timeouts: 0,
         };
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.wall_ms += entry.wall_ms;
-                existing.items_in += entry.items_in;
-                existing.items_out += entry.items_out;
-                existing.threads_used = existing.threads_used.max(entry.threads_used);
-                existing.tasks_executed += entry.tasks_executed;
-                existing.tasks_stolen += entry.tasks_stolen;
-                existing.batches += entry.batches;
-                existing.failures += entry.failures;
-                existing.retries += entry.retries;
-            }
-            None => self.stages.push((stage, entry)),
-        }
+        self.update(stage, |existing| existing.absorb(&entry));
     }
 
-    /// Folds admission counters into `stage`: `admissions` clip-kernel
-    /// pairs admitted to SVM evaluation and `admission_skips`
-    /// centroid-orientation rows the compiled router pruned (schema v5).
-    /// Creates a zero-time entry when the stage has not been recorded yet.
-    pub fn record_admissions(&mut self, stage: StageId, admissions: u64, admission_skips: u64) {
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.admissions += admissions;
-                existing.admission_skips += admission_skips;
-            }
+    /// Applies `f` to `stage`'s entry, creating a zero-time entry when the
+    /// stage has not been recorded yet — for the counters beyond the item
+    /// flow: admissions (schema v5), failures and retries (v4), timeouts
+    /// (v8).
+    pub fn update(&mut self, stage: StageId, f: impl FnOnce(&mut StageTelemetry)) {
+        let pos = match self.stages.iter().position(|(id, _)| *id == stage) {
+            Some(pos) => pos,
             None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.admissions = admissions;
-                entry.admission_skips = admission_skips;
-                self.stages.push((stage, entry));
+                self.stages.push((stage, StageTelemetry::empty(stage)));
+                self.stages.len() - 1
             }
-        }
-    }
-
-    /// Folds fault-tolerance counters into `stage`: `failures` panicking
-    /// task attempts and `retries` re-attempts (schema v4). Creates a
-    /// zero-time entry when the stage has not been recorded yet.
-    pub fn record_faults(&mut self, stage: StageId, failures: usize, retries: usize) {
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.failures += failures;
-                existing.retries += retries;
-            }
-            None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.failures = failures;
-                entry.retries = retries;
-                self.stages.push((stage, entry));
-            }
-        }
-    }
-
-    /// Folds soft-budget timeouts into `stage` (schema v8): `timeouts`
-    /// tasks quarantined for exceeding
-    /// [`ScanConfig::tile_timeout`](crate::ScanConfig::tile_timeout). Also
-    /// added to the run-level `timed_out` total. Creates a zero-time entry
-    /// when the stage has not been recorded yet.
-    pub fn record_timeouts(&mut self, stage: StageId, timeouts: usize) {
-        self.timed_out += timeouts;
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => existing.timeouts += timeouts,
-            None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.timeouts = timeouts;
-                self.stages.push((stage, entry));
-            }
-        }
+        };
+        f(&mut self.stages[pos].1);
     }
 
     /// Records that the run stopped early, with the stable
@@ -256,21 +194,6 @@ impl StageRecorder {
         if self.aborted_reason.is_none() {
             self.aborted_reason = Some(reason.to_string());
         }
-    }
-
-    /// Adds tiles replayed from a scan journal to the run-level resume
-    /// counter (schema v4).
-    pub fn add_resumed_tiles(&mut self, tiles: usize) {
-        self.resumed_tiles += tiles;
-    }
-
-    /// Adds one batch's tile-cache traffic to the run-level cache counters
-    /// (schema v7): `hits` cache-served tiles, `misses` the cache could
-    /// not serve, and `recomputed` tiles that ran the full pipeline.
-    pub fn add_cache_stats(&mut self, hits: usize, misses: usize, recomputed: usize) {
-        self.cache_hits += hits;
-        self.cache_misses += misses;
-        self.recomputed_tiles += recomputed;
     }
 
     /// Times `f` as one execution of `stage`; the closure returns its value
@@ -297,11 +220,6 @@ impl StageRecorder {
             threads: self.threads,
             stages: self.stages.into_iter().map(|(_, s)| s).collect(),
             total_wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            resumed_tiles: self.resumed_tiles,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            recomputed_tiles: self.recomputed_tiles,
-            timed_out: self.timed_out,
             aborted_reason: self.aborted_reason,
             obs_sinks: self.obs_sinks,
         }
@@ -381,62 +299,23 @@ mod tests {
     }
 
     #[test]
-    fn record_faults_folds_into_existing_or_new_entries() {
+    fn update_folds_into_existing_or_new_entries() {
         let mut rec = StageRecorder::new("scan", 2);
         rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.record_faults(StageId::KernelEvaluation, 3, 2);
-        rec.record_faults(StageId::DensityPrefilter, 1, 0);
-        rec.add_resumed_tiles(4);
-        rec.add_resumed_tiles(1);
-        let t = rec.finish();
-        let eval = t.stage(StageId::KernelEvaluation).unwrap();
-        assert_eq!(eval.failures, 3);
-        assert_eq!(eval.retries, 2);
-        let pre = t.stage(StageId::DensityPrefilter).unwrap();
-        assert_eq!(pre.failures, 1);
-        assert_eq!(pre.wall_ms, 0.0);
-        assert_eq!(t.resumed_tiles, 5);
-    }
-
-    #[test]
-    fn record_admissions_folds_into_existing_or_new_entries() {
-        let mut rec = StageRecorder::new("detection", 2);
-        rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.record_admissions(StageId::KernelEvaluation, 7, 120);
-        rec.record_admissions(StageId::KernelEvaluation, 3, 30);
-        rec.record_admissions(StageId::DensityPrefilter, 1, 0);
-        let t = rec.finish();
-        let eval = t.stage(StageId::KernelEvaluation).unwrap();
-        assert_eq!(eval.admissions, 10);
-        assert_eq!(eval.admission_skips, 150);
-        let pre = t.stage(StageId::DensityPrefilter).unwrap();
-        assert_eq!(pre.admissions, 1);
-        assert_eq!(pre.wall_ms, 0.0);
-    }
-
-    #[test]
-    fn record_timeouts_folds_per_stage_and_run_level() {
-        let mut rec = StageRecorder::new("scan", 2);
-        rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.record_timeouts(StageId::KernelEvaluation, 2);
-        rec.record_timeouts(StageId::KernelEvaluation, 1);
+        rec.update(StageId::KernelEvaluation, |s| s.admissions += 7);
+        rec.update(StageId::KernelEvaluation, |s| s.admissions += 3);
+        rec.update(StageId::DensityPrefilter, |s| s.failures += 1);
         rec.set_aborted("deadline_exceeded");
         rec.set_aborted("interrupted"); // first reason wins
         let t = rec.finish();
-        assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().timeouts, 3);
-        assert_eq!(t.timed_out, 3);
+        let eval = t.stage(StageId::KernelEvaluation).unwrap();
+        assert_eq!(eval.admissions, 10);
+        assert_eq!(eval.items_in, 10);
+        let pre = t.stage(StageId::DensityPrefilter).unwrap();
+        assert_eq!(pre.failures, 1);
+        assert_eq!(pre.wall_ms, 0.0);
+        assert_eq!(pre.tasks_executed, 0);
         assert_eq!(t.aborted_reason.as_deref(), Some("deadline_exceeded"));
-    }
-
-    #[test]
-    fn add_cache_stats_accumulates_run_level_counters() {
-        let mut rec = StageRecorder::new("scan", 2);
-        rec.add_cache_stats(3, 1, 1);
-        rec.add_cache_stats(0, 4, 4);
-        let t = rec.finish();
-        assert_eq!(t.cache_hits, 3);
-        assert_eq!(t.cache_misses, 5);
-        assert_eq!(t.recomputed_tiles, 5);
     }
 
     #[test]

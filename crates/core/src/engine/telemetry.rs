@@ -21,8 +21,8 @@ use std::time::Duration;
 /// v4 added the fault-tolerance counters: per-stage `failures` (task
 /// attempts that panicked and were isolated) and `retries` (failed tasks
 /// re-attempted before quarantine), plus the run-level `resumed_tiles`
-/// (tiles replayed from a scan journal instead of recomputed). All three
-/// deserialise as 0 from older records via `#[serde(default)]`.
+/// (removed in v9). Both deserialise as 0 from older records via
+/// `#[serde(default)]`.
 /// v5 added the admission counters: per-stage `admissions` (clip-kernel
 /// pairs admitted to SVM evaluation by topology or density) and
 /// `admission_skips` (centroid-orientation rows the compiled admission
@@ -33,18 +33,20 @@ use std::time::Duration;
 /// sinks and endpoints active during the run (empty when the pipeline ran
 /// unobserved). Deserialises as empty from v5 and older records via
 /// `#[serde(default)]`.
-/// v7 added the tile-cache counters: run-level `cache_hits` (tiles served
-/// from the content-addressed result cache), `cache_misses` (tiles the
-/// cache could not serve), and `recomputed_tiles` (tiles that actually ran
-/// the prefilter/extraction/evaluation pipeline this run). All three
-/// deserialise as 0 from v6 and older records via `#[serde(default)]`.
+/// v7 added the run-level tile-cache counters `cache_hits`,
+/// `cache_misses` and `recomputed_tiles` (removed in v9).
 /// v8 added the deadline counters: per-stage `timeouts` (tasks quarantined
 /// for exceeding the soft per-tile budget), the run-level `timed_out`
-/// total, and `aborted_reason` (the stable [`crate::AbortReason::name`]
-/// string when the run stopped early; `null` for runs that completed).
-/// All deserialise as 0 / `None` from v7 and older records via
-/// `#[serde(default)]`.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 8;
+/// total (removed in v9), and `aborted_reason` (the stable
+/// [`crate::AbortReason::name`] string when the run stopped early; `null`
+/// for runs that completed). Both deserialise as 0 / `None` from v7 and
+/// older records via `#[serde(default)]`.
+/// v9 removed the run-level `resumed_tiles`, `cache_hits`, `cache_misses`,
+/// `recomputed_tiles` and `timed_out`: they only repeated the
+/// [`crate::ScanReport`] fields of the same names, or the sum of the
+/// per-stage `timeouts`. Older records still parse; the removed keys are
+/// ignored.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 9;
 
 /// Telemetry of one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,7 +123,7 @@ impl StageTelemetry {
     }
 
     /// Accumulates another record of the same stage into this one.
-    fn absorb(&mut self, other: &StageTelemetry) {
+    pub(crate) fn absorb(&mut self, other: &StageTelemetry) {
         self.wall_ms += other.wall_ms;
         self.items_in += other.items_in;
         self.items_out += other.items_out;
@@ -152,29 +154,6 @@ pub struct PipelineTelemetry {
     pub stages: Vec<StageTelemetry>,
     /// Total wall-clock time of the phase, in milliseconds.
     pub total_wall_ms: f64,
-    /// Tiles replayed from a scan journal instead of recomputed (resume).
-    /// Absent in pre-v4 records, which deserialise with 0.
-    #[serde(default)]
-    pub resumed_tiles: usize,
-    /// Tiles served from the content-addressed result cache (schema v7).
-    /// Absent in pre-v7 records, which deserialise with 0.
-    #[serde(default)]
-    pub cache_hits: usize,
-    /// Tiles the result cache could not serve (schema v7). Absent in
-    /// pre-v7 records, which deserialise with 0.
-    #[serde(default)]
-    pub cache_misses: usize,
-    /// Tiles that actually ran the prefilter/extraction/evaluation
-    /// pipeline this run — neither journal-replayed nor cache-served
-    /// (schema v7). Absent in pre-v7 records, which deserialise with 0.
-    #[serde(default)]
-    pub recomputed_tiles: usize,
-    /// Tiles quarantined for exceeding the soft per-tile budget across the
-    /// whole run (schema v8) — the run-level sum of the per-stage
-    /// `timeouts` counters. Absent in pre-v8 records, which deserialise
-    /// with 0.
-    #[serde(default)]
-    pub timed_out: usize,
     /// Why the run stopped early, as the stable
     /// [`crate::AbortReason::name`] string (`"deadline_exceeded"` or
     /// `"interrupted"`), or `None` for runs that completed (schema v8).
@@ -197,11 +176,6 @@ impl Default for PipelineTelemetry {
             threads: 0,
             stages: Vec::new(),
             total_wall_ms: 0.0,
-            resumed_tiles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            recomputed_tiles: 0,
-            timed_out: 0,
             aborted_reason: None,
             obs_sinks: Vec::new(),
         }
@@ -247,11 +221,6 @@ impl PipelineTelemetry {
             threads: self.threads.max(other.threads),
             stages,
             total_wall_ms: self.total_wall_ms + other.total_wall_ms,
-            resumed_tiles: self.resumed_tiles + other.resumed_tiles,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            recomputed_tiles: self.recomputed_tiles + other.recomputed_tiles,
-            timed_out: self.timed_out + other.timed_out,
             aborted_reason: self
                 .aborted_reason
                 .clone()
@@ -268,8 +237,8 @@ impl PipelineTelemetry {
     /// including the v5 admission columns — stay aligned by construction.
     pub fn breakdown(&self) -> String {
         let mut out = format!(
-            "pipeline telemetry (schema v{}, phase {}, {} thread(s), total {:.2} ms, {} resumed tile(s))\n",
-            self.schema_version, self.phase, self.threads, self.total_wall_ms, self.resumed_tiles
+            "pipeline telemetry (schema v{}, phase {}, {} thread(s), total {:.2} ms)\n",
+            self.schema_version, self.phase, self.threads, self.total_wall_ms
         );
         let header: Vec<String> = BREAKDOWN_COLUMNS
             .iter()
@@ -367,18 +336,22 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: PipelineTelemetry = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
-        assert!(json.contains("\"schema_version\":8"), "{json}");
+        assert!(json.contains("\"schema_version\":9"), "{json}");
         assert!(json.contains("\"obs_sinks\":[]"), "{json}");
         assert!(json.contains("\"timeouts\""), "{json}");
-        assert!(json.contains("\"timed_out\""), "{json}");
         assert!(json.contains("\"aborted_reason\":null"), "{json}");
-        assert!(json.contains("\"cache_hits\""), "{json}");
-        assert!(json.contains("\"cache_misses\""), "{json}");
-        assert!(json.contains("\"recomputed_tiles\""), "{json}");
         assert!(json.contains("\"batches\""), "{json}");
         assert!(json.contains("\"failures\""), "{json}");
         assert!(json.contains("\"retries\""), "{json}");
-        assert!(json.contains("\"resumed_tiles\""), "{json}");
+        for removed in [
+            "resumed_tiles",
+            "cache_hits",
+            "cache_misses",
+            "recomputed_tiles",
+            "timed_out",
+        ] {
+            assert!(!json.contains(removed), "{removed} in {json}");
+        }
         assert!(json.contains("\"admissions\""), "{json}");
         assert!(json.contains("\"admission_skips\""), "{json}");
         assert!(json.contains("population_balancing"), "{json}");
@@ -393,11 +366,11 @@ mod tests {
         assert_eq!(s.batches, 0);
         assert_eq!(s.failures, 0);
         assert_eq!(s.retries, 0);
-        // A v3-era pipeline record: no resumed_tiles.
+        // A v3-era pipeline record.
         let json = r#"{"schema_version":3,"phase":"scan","threads":2,
             "stages":[],"total_wall_ms":1.0}"#;
         let t: PipelineTelemetry = serde_json::from_str(json).unwrap();
-        assert_eq!(t.resumed_tiles, 0);
+        assert_eq!(t.phase, "scan");
     }
 
     #[test]
@@ -443,18 +416,20 @@ mod tests {
     }
 
     #[test]
-    fn v6_records_deserialise_without_cache_counters() {
-        // A full v6 pipeline record: obs_sinks present, no cache counters.
-        let json = r#"{"schema_version":6,"phase":"scan","threads":2,
-            "stages":[],"total_wall_ms":1.0,"resumed_tiles":3,
-            "obs_sinks":["ndjson"]}"#;
+    fn v8_records_with_removed_run_level_counters_still_parse() {
+        let json = r#"{"schema_version":8,"phase":"scan","threads":2,
+            "stages":[{"stage":"kernel_evaluation","wall_ms":1.0,"items_in":2,
+            "items_out":1,"threads_used":1,"tasks_executed":1,"tasks_stolen":0,
+            "batches":1,"failures":1,"retries":1,"admissions":4,
+            "admission_skips":12,"timeouts":1}],
+            "total_wall_ms":1.0,"resumed_tiles":3,"cache_hits":3,
+            "cache_misses":1,"recomputed_tiles":1,"timed_out":1,
+            "aborted_reason":null,"obs_sinks":["ndjson"]}"#;
         let t: PipelineTelemetry = serde_json::from_str(json).unwrap();
-        assert_eq!(t.cache_hits, 0);
-        assert_eq!(t.cache_misses, 0);
-        assert_eq!(t.recomputed_tiles, 0);
+        assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().timeouts, 1);
+        assert_eq!(t.obs_sinks, vec!["ndjson"]);
         let merged = t.merge(&PipelineTelemetry::default());
         assert_eq!(merged.schema_version, TELEMETRY_SCHEMA_VERSION);
-        assert_eq!(merged.resumed_tiles, 3);
     }
 
     #[test]
@@ -469,30 +444,25 @@ mod tests {
             "total_wall_ms":1.0,"resumed_tiles":0,"cache_hits":3,
             "cache_misses":1,"recomputed_tiles":1,"obs_sinks":["ndjson"]}"#;
         let t: PipelineTelemetry = serde_json::from_str(json).unwrap();
-        assert_eq!(t.timed_out, 0);
         assert_eq!(t.aborted_reason, None);
         assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().timeouts, 0);
         let merged = t.merge(&PipelineTelemetry::default());
         assert_eq!(merged.schema_version, TELEMETRY_SCHEMA_VERSION);
-        assert_eq!(merged.timed_out, 0);
     }
 
     #[test]
-    fn merge_sums_timeouts_and_keeps_first_abort_reason() {
+    fn merge_keeps_first_abort_reason() {
         let a = PipelineTelemetry {
             phase: "scan".to_string(),
-            timed_out: 2,
             aborted_reason: None,
             ..PipelineTelemetry::default()
         };
         let b = PipelineTelemetry {
             phase: "scan".to_string(),
-            timed_out: 1,
             aborted_reason: Some("deadline_exceeded".to_string()),
             ..PipelineTelemetry::default()
         };
         let merged = a.merge(&b);
-        assert_eq!(merged.timed_out, 3);
         assert_eq!(merged.aborted_reason.as_deref(), Some("deadline_exceeded"));
         // When both halves aborted, the left-hand reason wins.
         let c = PipelineTelemetry {
@@ -500,28 +470,6 @@ mod tests {
             ..a
         };
         assert_eq!(c.merge(&b).aborted_reason.as_deref(), Some("interrupted"));
-    }
-
-    #[test]
-    fn merge_sums_cache_counters() {
-        let a = PipelineTelemetry {
-            phase: "scan".to_string(),
-            cache_hits: 5,
-            cache_misses: 2,
-            recomputed_tiles: 2,
-            ..PipelineTelemetry::default()
-        };
-        let b = PipelineTelemetry {
-            phase: "scan".to_string(),
-            cache_hits: 1,
-            cache_misses: 4,
-            recomputed_tiles: 4,
-            ..PipelineTelemetry::default()
-        };
-        let merged = a.merge(&b);
-        assert_eq!(merged.cache_hits, 6);
-        assert_eq!(merged.cache_misses, 6);
-        assert_eq!(merged.recomputed_tiles, 6);
     }
 
     #[test]
@@ -567,7 +515,7 @@ mod tests {
         removal.tasks_executed = 1;
         t.stages = vec![eval, removal];
         let expected = "\
-pipeline telemetry (schema v8, phase detection, 2 thread(s), total 12.50 ms, 0 resumed tile(s))
+pipeline telemetry (schema v9, phase detection, 2 thread(s), total 12.50 ms)
   stage                           wall (ms)        in       out  threads   tasks  stolen batches failed retried  admitted  adm-skips  timeouts
   kernel_evaluation                   3.250       128         5        2       2       0       2      1       0        96       1024         1
   clip_removal                        0.500         5         3        1       1       0       0      0       0         0          0         0

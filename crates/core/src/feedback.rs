@@ -108,8 +108,7 @@ impl EvalScratch {
 
 /// A borrowing evaluation handle: kernels, admission parameters, and the
 /// decision threshold bound together so callers cannot mix mismatched
-/// config + threshold pairs (the failure mode of the old free-function
-/// `flagging_kernels(kernels, pattern, config, threshold)` signature).
+/// config + threshold pairs.
 ///
 /// Obtain one from [`crate::HotspotDetector::eval_engine`] (which attaches
 /// the compiled router and flattened SVM models under
@@ -318,24 +317,6 @@ impl<'d> EvalEngine<'d> {
             None => fb.confirms(pattern, self.config),
         })
     }
-}
-
-/// Former free-function admission + flagging entry point.
-///
-/// The `config` + `threshold` pair travels together on the engine handle
-/// now; this wrapper evaluates through the reference engine.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `HotspotDetector::eval_engine()` or `EvalEngine::reference(kernels, config, threshold).flagging_kernels(pattern, &mut EvalScratch::new())`"
-)]
-pub fn flagging_kernels(
-    kernels: &[ClusterKernel],
-    pattern: &Pattern,
-    config: &DetectorConfig,
-    threshold: f64,
-) -> Vec<usize> {
-    EvalEngine::reference(kernels, config, threshold)
-        .flagging_kernels(pattern, &mut EvalScratch::new())
 }
 
 /// The trained feedback kernel.
@@ -559,18 +540,6 @@ mod tests {
         let flags = EvalEngine::reference(&kernels, &cfg, 0.0)
             .flagging_kernels(&safe, &mut EvalScratch::new());
         assert!(flags.is_empty(), "safe clip should pass, got {flags:?}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flagging_kernels_shim_forwards() {
-        let (_, _, kernels, _, _) = trained_world();
-        let hs = pattern(&hotspot_core(70));
-        let cfg = config();
-        let via_shim = flagging_kernels(&kernels, &hs, &cfg, 0.0);
-        let via_engine = EvalEngine::reference(&kernels, &cfg, 0.0)
-            .flagging_kernels(&hs, &mut EvalScratch::new());
-        assert_eq!(via_shim, via_engine);
     }
 
     #[test]

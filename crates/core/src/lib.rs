@@ -67,8 +67,6 @@ pub mod training;
 
 pub use cancel::{AbortReason, CancelToken};
 pub use config::{AblationSwitches, AdmissionParams, DetectorConfig, DistributionFilter, EvalMode};
-#[allow(deprecated)]
-pub use detector::TrainPipelineError;
 pub use detector::{DetectError, DetectionReport, DetectorBuilder, HotspotDetector};
 pub use engine::{
     FaultPlan, FaultSite, PipelineTelemetry, StageTelemetry, TaskFailure, TELEMETRY_SCHEMA_VERSION,

@@ -79,7 +79,9 @@ pub enum Counter {
     ClipsEvaluated,
     /// Flagged clips reclaimed by the feedback kernel.
     ClipsReclaimed,
-    /// 64-clip SVM inference batches executed.
+    /// Clip batches evaluated: 64-clip chunks in `detect`, and in a scan
+    /// one per tile with at least one clip, as
+    /// [`crate::ScanReport::eval_batches`] counts them.
     EvalBatches,
     /// Failed tile tasks re-attempted once before quarantine.
     TaskRetries,
@@ -271,7 +273,7 @@ pub struct CounterSnapshot {
     pub clips_evaluated: u64,
     /// Flagged clips reclaimed by the feedback kernel.
     pub clips_reclaimed: u64,
-    /// 64-clip SVM inference batches executed.
+    /// Clip batches evaluated ([`Counter::EvalBatches`]).
     pub eval_batches: u64,
     /// Failed tile tasks re-attempted before quarantine.
     pub task_retries: u64,
@@ -782,7 +784,7 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_eval_batches_total",
-            "64-clip SVM inference batches executed.",
+            "Clip batches evaluated (one per tile with clips in a scan).",
             snapshot.eval_batches,
         ),
         (

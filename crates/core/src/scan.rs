@@ -132,8 +132,9 @@ use hotspot_layout::{ClipWindow, LayerId, Layout};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -318,7 +319,7 @@ impl ScanConfig {
 }
 
 /// Outcome of a streaming layout scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScanReport {
     /// The reported hotspot clips (after removal, when enabled) — the same
     /// set [`HotspotDetector::detect`] reports when the aggressive
@@ -430,13 +431,27 @@ impl ScanReport {
     }
 }
 
-/// Everything one tile contributes, gathered on a worker thread.
+/// What one tile produced: the canonical record the journal and the cache
+/// store, plus the work it took — provenance that is never stored, so
+/// replayed tiles carry none.
 struct TileOutcome {
-    prefiltered: bool,
-    clips: usize,
-    flagged: usize,
-    reclaimed: usize,
-    flagged_cores: Vec<Rect>,
+    record: TileOutcomeRecord,
+    work: TileWork,
+}
+
+impl TileOutcome {
+    /// A stored outcome replayed without recomputation.
+    fn replayed(record: TileOutcomeRecord) -> TileOutcome {
+        TileOutcome {
+            record,
+            work: TileWork::default(),
+        }
+    }
+}
+
+/// Admission counters and per-stage wall times of one tile computation.
+#[derive(Default)]
+struct TileWork {
     /// Clip-kernel pairs admitted to SVM evaluation on this tile.
     admissions: u64,
     /// Centroid-orientation rows the admission router pruned on this tile.
@@ -446,54 +461,43 @@ struct TileOutcome {
     eval_time: Duration,
 }
 
-impl TileOutcome {
-    /// The canonical journal record of this outcome (wall times are
-    /// provenance, not content, and are not journaled).
-    fn to_record(&self) -> TileOutcomeRecord {
-        if self.prefiltered {
-            TileOutcomeRecord::Prefiltered
-        } else {
-            TileOutcomeRecord::Evaluated {
-                clips: self.clips,
-                flagged: self.flagged,
-                reclaimed: self.reclaimed,
-                flagged_cores: self.flagged_cores.clone(),
-            }
-        }
-    }
+/// Where a batch tile's outcome comes from.
+enum Origin {
+    /// Replayed from [`ScanConfig::resume_from`].
+    Journal,
+    /// Served from the tile cache by content fingerprint.
+    CacheHit,
+    /// A cache hit recomputed under [`ScanConfig::cache_verify`]; the
+    /// recompute must reproduce this stored record.
+    VerifiedHit(TileOutcomeRecord),
+    /// Run because the cache held no matching entry; `stale` when it held
+    /// one under an outdated fingerprint.
+    CacheMiss { stale: bool },
+    /// Run with caching off.
+    Uncached,
+}
 
-    /// Rebuilds the outcome a journaled tile contributed, with zero wall
-    /// time and zero admission counters (the work already happened in the
-    /// journaled run; the counters are provenance, not content).
-    fn from_record(record: &TileOutcomeRecord) -> TileOutcome {
-        let mut outcome = TileOutcome {
-            prefiltered: false,
-            clips: 0,
-            flagged: 0,
-            reclaimed: 0,
-            flagged_cores: Vec::new(),
-            admissions: 0,
-            admission_skips: 0,
-            prefilter_time: Duration::ZERO,
-            extract_time: Duration::ZERO,
-            eval_time: Duration::ZERO,
-        };
-        match record {
-            TileOutcomeRecord::Prefiltered => outcome.prefiltered = true,
-            TileOutcomeRecord::Evaluated {
-                clips,
-                flagged,
-                reclaimed,
-                flagged_cores,
-            } => {
-                outcome.clips = *clips;
-                outcome.flagged = *flagged;
-                outcome.reclaimed = *reclaimed;
-                outcome.flagged_cores = flagged_cores.clone();
-            }
-        }
-        outcome
-    }
+/// How far a batch tile got.
+enum TileState {
+    /// Not computed — before the runner, or after it when the scan is
+    /// stopping (a resumed scan computes it).
+    Pending,
+    Done(TileOutcome),
+    Quarantined(QuarantinedTile),
+}
+
+/// One tile of the in-flight batch, carried from the source through the
+/// runner and the sink into the tally.
+struct Slot {
+    tile: Tile,
+    /// Stable tile id (`iy × grid_cols + ix`), thread-count-invariant.
+    id: usize,
+    /// Content fingerprint; 0 when caching is off.
+    fingerprint: u64,
+    origin: Origin,
+    state: TileState,
+    /// Whether the first attempt failed and the tile ran once more.
+    retried: bool,
 }
 
 /// Decrements the in-flight counter on drop, so the count stays balanced
@@ -526,13 +530,20 @@ impl Watchdog {
     /// A heartbeat event is emitted every `HEARTBEAT`-th tick.
     const HEARTBEAT: u32 = 10;
 
-    fn spawn(
-        trip: CancelToken,
-        external: Option<CancelToken>,
+    /// Spawns the watchdog when the scan has a deadline, a soft tile
+    /// budget, or an external token to watch; `None` otherwise.
+    fn arm(
+        scan: &ScanConfig,
         deadline_at: Option<Instant>,
-        in_flight: Arc<AtomicUsize>,
-        obs: Option<Arc<ObsHub>>,
-    ) -> std::io::Result<Watchdog> {
+        trip: &CancelToken,
+        in_flight: &Arc<AtomicUsize>,
+        obs: Option<&Arc<ObsHub>>,
+    ) -> Result<Option<Watchdog>, DetectError> {
+        if deadline_at.is_none() && scan.cancel.is_none() && scan.tile_timeout.is_none() {
+            return Ok(None);
+        }
+        let (trip, external) = (trip.clone(), scan.cancel.clone());
+        let (in_flight, obs) = (Arc::clone(in_flight), obs.map(Arc::clone));
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
@@ -566,11 +577,12 @@ impl Watchdog {
                     }
                     std::thread::park_timeout(Self::TICK);
                 }
-            })?;
-        Ok(Watchdog {
+            })
+            .map_err(|e| DetectError::Internal(format!("failed to spawn scan watchdog: {e}")))?;
+        Ok(Some(Watchdog {
             stop,
             handle: Some(handle),
-        })
+        }))
     }
 }
 
@@ -585,7 +597,7 @@ impl Drop for Watchdog {
 }
 
 /// Per-worker scratch reused across tiles, like [`EvalScratch`] but for
-/// the whole of `process_tile`: the split-piece buffer, the anchor-dedup
+/// the whole of `process_tile_with`: the split-piece buffer, the anchor-dedup
 /// set, the extracted patterns, and the evaluation scratch itself. Buffers
 /// grow to their high-water marks once and are cleared — not freed — at
 /// the start of every tile, so outcomes never depend on what ran before.
@@ -700,6 +712,7 @@ impl HotspotDetector {
         let window_cap = scan.effective_in_flight(threads);
         let started = Instant::now();
         let mut recorder = StageRecorder::new("scan", threads);
+        let obs = self.obs().map(Arc::as_ref);
 
         // The global rectangle index: patterns are built from the same
         // index queries `detect` issues, so clip features are bit-identical
@@ -710,10 +723,8 @@ impl HotspotDetector {
             shape.ambit() + shape.core_side(),
         )
         .map_err(|e| DetectError::Config(e.to_string()))?;
-        let mut scanner = TileScanner::from_rects(index.rects().to_vec(), spec);
+        let scanner = TileScanner::from_rects(index.rects().to_vec(), spec);
         let tiles_total = scanner.grid().tile_count();
-        let grid_cols = scanner.grid().cols();
-        let obs = self.obs();
         if let Some(hub) = obs {
             hub.emit(|| ObsEvent::ScanStarted {
                 tiles_total,
@@ -722,524 +733,61 @@ impl HotspotDetector {
             });
         }
 
-        // Resume: replay the valid prefix of an earlier journal, and open
-        // the journal writer (appending in place when resuming the same
-        // file, creating afresh otherwise).
         let header = JournalHeader::new(tiles_total, scan.tile_cores, layer, threshold);
-        let mut replayed: HashMap<usize, TileOutcomeRecord> = HashMap::new();
-        let mut journal_writer: Option<JournalWriter> = None;
-        if let Some(resume_path) = &scan.resume_from {
-            let contents = read_journal(resume_path)
-                .map_err(|e| DetectError::Journal(format!("{}: {e}", resume_path.display())))?;
-            if contents.header != header {
-                return Err(DetectError::Journal(format!(
-                    "{}: journal belongs to a different scan (grid, layer, or threshold differ)",
-                    resume_path.display()
-                )));
-            }
-            if scan.journal.as_deref() == Some(resume_path.as_path()) {
-                let writer = JournalWriter::resume(resume_path, contents.valid_len)
-                    .map_err(|e| DetectError::Journal(format!("{}: {e}", resume_path.display())))?;
-                journal_writer = Some(writer);
-            }
-            replayed = contents.records;
-        }
-        if journal_writer.is_none() {
-            if let Some(journal_path) = &scan.journal {
-                let mut writer = JournalWriter::create(journal_path, &header).map_err(|e| {
-                    DetectError::Journal(format!("{}: {e}", journal_path.display()))
-                })?;
-                // Carry replayed tiles into the fresh journal so it stays a
-                // complete record of the scan. Replays bypass injection.
-                let mut ids: Vec<usize> = replayed.keys().copied().collect();
-                ids.sort_unstable();
-                let no_faults = FaultPlan::default();
-                for id in ids {
-                    let record = TileRecord {
-                        tile: id,
-                        outcome: replayed[&id].clone(),
-                    };
-                    writer.append(&record, &no_faults).map_err(|e| {
-                        DetectError::Journal(format!("{}: {e}", journal_path.display()))
-                    })?;
-                }
-                writer.sync().map_err(|e| {
-                    DetectError::Journal(format!("{}: {e}", journal_path.display()))
-                })?;
-                journal_writer = Some(writer);
-            }
-        }
-
-        if let (Some(writer), Some(hub)) = (journal_writer.as_mut(), obs) {
+        let (replayed, mut journal) = open_journal(scan, &header)?;
+        if let (Some(writer), Some(hub)) = (journal.as_mut(), self.obs()) {
             writer.set_obs(Arc::clone(hub));
         }
-
-        // Content-addressed tile result cache: open (never fails — a
-        // corrupt or mismatched store is discarded, not trusted) and look
-        // tiles up by content fingerprint as they stream past.
-        let mut cache: Option<TileCache> = None;
-        if let Some(cache_path) = &scan.cache {
-            let cache_header = CacheHeader::new(
-                self.model_fingerprint(),
-                scan.tile_cores,
-                layer,
-                threshold,
-                scan.tile_density,
-            );
-            let opened = TileCache::open(cache_path, cache_header);
-            if let Some(hub) = obs {
-                let stats = opened.load_stats();
-                if stats.discarded || stats.rejected > 0 {
-                    hub.counters().add(
-                        Counter::CacheInvalidated,
-                        if stats.discarded {
-                            1
-                        } else {
-                            stats.rejected as u64
-                        },
-                    );
-                    hub.emit(|| ObsEvent::CacheInvalidated {
-                        entries: if stats.discarded { 0 } else { stats.loaded },
-                        rejected: stats.rejected,
-                        discarded: stats.discarded,
-                    });
-                }
-            }
-            cache = Some(opened);
-        }
-        let mut cache_hits_total = 0usize;
-        let mut cache_misses_total = 0usize;
-
-        let mut executor = Executor::new(threads);
-        if let Some(hub) = obs {
-            executor = executor.with_obs(Arc::clone(hub));
-        }
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let peak = AtomicUsize::new(0);
-
-        // Cooperative stop machinery. `trip` is the scan's internal token:
-        // the executor polls it per task and `process_tile` polls it at
-        // stage boundaries. The watchdog forwards the external token and
-        // an expired deadline into it, so one flag stops everything; the
-        // admission loop below re-derives the *reason* from the sources
-        // directly (external cancel wins over the deadline).
+        let mut source = TileSource {
+            grid_cols: scanner.grid().cols(),
+            scanner,
+            replayed,
+            cache_verify: scan.cache_verify,
+        };
+        let mut sink = TileSink {
+            journal,
+            cache: self.open_cache(scan, layer, threshold),
+            scan,
+        };
+        // `trip` is the scan's internal stop token: the executor polls it
+        // per task and the tile body at stage boundaries. The watchdog
+        // forwards the external token and an expired deadline into it, so
+        // one flag stops everything; the loop below re-derives the *reason*
+        // from the sources directly (external cancel wins over the
+        // deadline).
+        let runner = TileRunner::new(self, &index, scan, threshold, threads);
         let deadline_at = scan.deadline.and_then(|d| started.checked_add(d));
-        let trip = CancelToken::new();
-        let mut aborted: Option<AbortReason> = None;
-        let watchdog = if deadline_at.is_some()
-            || scan.cancel.is_some()
-            || scan.tile_timeout.is_some()
-        {
-            let guard = Watchdog::spawn(
-                trip.clone(),
-                scan.cancel.clone(),
-                deadline_at,
-                Arc::clone(&in_flight),
-                obs.map(Arc::clone),
-            )
-            .map_err(|e| DetectError::Internal(format!("failed to spawn scan watchdog: {e}")))?;
-            Some(guard)
-        } else {
-            None
+        let watchdog = Watchdog::arm(
+            scan,
+            deadline_at,
+            &runner.trip,
+            &runner.in_flight,
+            self.obs(),
+        )?;
+
+        let mut tally = ScanTally::default();
+        let aborted = loop {
+            // Abort point: stop admitting tiles at the batch boundary. The
+            // journal already holds every completed batch (fsync'd by the
+            // sink), so everything up to here is resumable.
+            if scan.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                break Some(AbortReason::Interrupted);
+            }
+            if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                break Some(AbortReason::DeadlineExceeded);
+            }
+            // Backpressure: pull at most one window's worth of tiles, run
+            // them, then drain before pulling more.
+            let mut slots = source.next_batch(window_cap, sink.cache.as_ref(), obs);
+            if slots.is_empty() {
+                break None;
+            }
+            let stats = runner.run(&mut slots, tally.report.failed_tiles.len())?;
+            sink.write_batch(&slots)?;
+            tally.fold(slots, &stats, &mut recorder, obs);
         };
 
-        let mut tiles_scanned = 0usize;
-        let mut tiles_prefiltered = 0usize;
-        let mut clips_extracted = 0usize;
-        let mut clips_flagged = 0usize;
-        let mut feedback_reclaimed = 0usize;
-        let mut eval_batches = 0usize;
-        let mut retries_total = 0usize;
-        let mut resumed_total = 0usize;
-        let mut failed_tiles: Vec<QuarantinedTile> = Vec::new();
-        let mut flagged_cores: Vec<Rect> = Vec::new();
-
-        loop {
-            // Abort point: stop admitting tiles at the batch boundary when
-            // the external token tripped or the deadline expired. The
-            // journal already holds every completed batch (fsync'd below),
-            // so everything up to here is resumable.
-            if scan.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                aborted = Some(AbortReason::Interrupted);
-            } else if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                aborted = Some(AbortReason::DeadlineExceeded);
-            }
-            if aborted.is_some() {
-                break;
-            }
-            // Backpressure: pull at most one window's worth of tiles, fan
-            // them out, then drain before pulling more.
-            let batch: Vec<Tile> = scanner.by_ref().take(window_cap).collect();
-            if batch.is_empty() {
-                break;
-            }
-
-            // Partition the batch in order: journaled tiles replay, cached
-            // tiles replay by content fingerprint, the rest run fresh.
-            // Slots keep batch positions, so the final aggregation order —
-            // and with it the report content — is the same as an
-            // uninterrupted, uncached run's.
-            let mut slots: Vec<Option<TileOutcome>> = Vec::with_capacity(batch.len());
-            let mut fresh_tasks: Vec<(usize, usize)> = Vec::new(); // (batch pos, tile id)
-                                                                   // Content fingerprints, parallel to `batch` (0 when uncached).
-            let mut fingerprints: Vec<u64> = vec![0; batch.len()];
-            // Verified hits: tile id → the stored outcome a fresh
-            // recompute must reproduce under `cache_verify`.
-            let mut verify_expected: HashMap<usize, TileOutcomeRecord> = HashMap::new();
-            let mut batch_resumed = 0usize;
-            let mut batch_hits = 0usize;
-            let mut batch_misses = 0usize;
-            let mut batch_stale = 0usize;
-            for (pos, tile) in batch.iter().enumerate() {
-                let id = (tile.iy * grid_cols + tile.ix) as usize;
-                if let Some(record) = replayed.get(&id) {
-                    // Journal replay wins over the cache: it is this very
-                    // scan's own prior progress. Feed it back into the
-                    // cache so resume and caching compose.
-                    slots.push(Some(TileOutcome::from_record(record)));
-                    batch_resumed += 1;
-                    if let Some(c) = cache.as_mut() {
-                        let fp = tile.content_fingerprint();
-                        fingerprints[pos] = fp;
-                        c.record(
-                            id,
-                            fp,
-                            tile_cache::translate_record(record, -tile.window.min()),
-                        );
-                    }
-                    continue;
-                }
-                if let Some(c) = cache.as_mut() {
-                    let fp = tile.content_fingerprint();
-                    fingerprints[pos] = fp;
-                    if let Some(local) = c.lookup(id, fp).cloned() {
-                        batch_hits += 1;
-                        if let Some(hub) = obs {
-                            hub.emit(|| ObsEvent::CacheHit { tile: id as u64 });
-                        }
-                        if scan.cache_verify {
-                            // Paranoid mode: recompute the hit and compare.
-                            verify_expected.insert(
-                                id,
-                                tile_cache::translate_record(&local, tile.window.min()),
-                            );
-                        } else {
-                            let global = tile_cache::translate_record(&local, tile.window.min());
-                            slots.push(Some(TileOutcome::from_record(&global)));
-                            c.record(id, fp, local);
-                            continue;
-                        }
-                    } else {
-                        batch_misses += 1;
-                        let stale = c.is_stale(id, fp);
-                        batch_stale += stale as usize;
-                        if let Some(hub) = obs {
-                            hub.emit(|| ObsEvent::CacheMiss {
-                                tile: id as u64,
-                                invalidated: stale,
-                            });
-                        }
-                    }
-                }
-                slots.push(None);
-                fresh_tasks.push((pos, id));
-            }
-            resumed_total += batch_resumed;
-            recorder.add_resumed_tiles(batch_resumed);
-            cache_hits_total += batch_hits;
-            cache_misses_total += batch_misses;
-            recorder.add_cache_stats(batch_hits, batch_misses, fresh_tasks.len());
-
-            let (results, stats) = if fresh_tasks.is_empty() {
-                (
-                    Vec::new(),
-                    ExecutorStats {
-                        threads_used: 0,
-                        tasks_executed: 0,
-                        tasks_stolen: 0,
-                        tasks_failed: 0,
-                        tasks_skipped: 0,
-                    },
-                )
-            } else {
-                executor.try_map_with_cancel(
-                    "scan_tile",
-                    &fresh_tasks,
-                    |_, &(pos, id)| {
-                        let current = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                        let _guard = InFlightGuard(&in_flight);
-                        peak.fetch_max(current, Ordering::SeqCst);
-                        // Worker-side progress: one relaxed add per transition,
-                        // recorded into the worker's own counter shard.
-                        if let Some(hub) = obs {
-                            hub.counters().add(Counter::TilesStarted, 1);
-                        }
-                        let outcome = self.process_tile(
-                            &batch[pos],
-                            &index,
-                            config,
-                            scan,
-                            threshold,
-                            id,
-                            0,
-                            &trip,
-                        );
-                        if let Some(hub) = obs {
-                            hub.counters().add(Counter::TilesDone, 1);
-                        }
-                        outcome
-                    },
-                    Some(&trip),
-                )
-            };
-
-            // Retry failed tiles once, sequentially, then apply the
-            // failure policy to any that fail again.
-            let mut retry_failures = 0usize;
-            let mut batch_retries = 0usize;
-            let mut batch_timeouts = 0usize;
-            let mut batch_quarantined = 0usize;
-            for (result, &(pos, id)) in results.into_iter().zip(&fresh_tasks) {
-                match result {
-                    TaskResult::Done(outcome) => slots[pos] = Some(outcome),
-                    // Skipped by the cooperative stop: the tile was never
-                    // computed. Its slot stays empty — an aborted scan's
-                    // journal simply lacks the record, and the resumed
-                    // scan recomputes it.
-                    TaskResult::Skipped => {}
-                    TaskResult::Failed(failure) => {
-                        if trip.is_cancelled() {
-                            // The scan is stopping: don't burn wall time on
-                            // a mid-abort retry. The tile is recomputed on
-                            // resume instead.
-                            continue;
-                        }
-                        batch_retries += 1;
-                        if let Some(hub) = obs {
-                            hub.counters().add(Counter::TaskRetries, 1);
-                        }
-                        let retry = catch_unwind(AssertUnwindSafe(|| {
-                            self.process_tile(
-                                &batch[pos],
-                                &index,
-                                config,
-                                scan,
-                                threshold,
-                                id,
-                                1,
-                                &trip,
-                            )
-                        }));
-                        match retry {
-                            Ok(outcome) => {
-                                if let Some(hub) = obs {
-                                    hub.counters().add(Counter::TilesDone, 1);
-                                }
-                                slots[pos] = Some(outcome);
-                            }
-                            // The retry observed the cooperative stop
-                            // mid-tile: an abort, not a failure. The slot
-                            // stays empty for resume.
-                            Err(payload) if payload.downcast_ref::<CancelPanic>().is_some() => {}
-                            Err(payload) => {
-                                retry_failures += 1;
-                                let timed_out = payload.downcast_ref::<TimeoutPanic>().is_some();
-                                let kind = if timed_out {
-                                    FailureKind::TimedOut
-                                } else {
-                                    FailureKind::Panicked
-                                };
-                                if timed_out {
-                                    batch_timeouts += 1;
-                                }
-                                let reason = panic_payload_to_string(payload.as_ref());
-                                if let Some(hub) = obs {
-                                    hub.counters().add(Counter::TilesQuarantined, 1);
-                                    if timed_out {
-                                        hub.counters().add(Counter::TilesTimedOut, 1);
-                                        hub.emit(|| ObsEvent::TileTimedOut {
-                                            tile: id as u64,
-                                            budget_ms: scan
-                                                .tile_timeout
-                                                .map_or(0, |t| t.as_millis() as u64),
-                                        });
-                                    } else {
-                                        hub.emit(|| ObsEvent::TileQuarantined {
-                                            tile: id as u64,
-                                            stage: failure.stage.clone(),
-                                        });
-                                    }
-                                }
-                                match scan.failure_policy {
-                                    FailurePolicy::Abort => {
-                                        return Err(DetectError::TaskPanicked(TaskFailure {
-                                            stage: failure.stage,
-                                            index: id,
-                                            payload: reason,
-                                        }));
-                                    }
-                                    FailurePolicy::SkipAndRecord { max_failed_tiles } => {
-                                        batch_quarantined += 1;
-                                        failed_tiles.push(QuarantinedTile {
-                                            tile: id,
-                                            kind,
-                                            reason,
-                                        });
-                                        if failed_tiles.len() > max_failed_tiles {
-                                            return Err(DetectError::TooManyFailures {
-                                                failed: failed_tiles.len(),
-                                                max: max_failed_tiles,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            retries_total += batch_retries;
-            // Tiles actually processed this batch: replayed, cache-served,
-            // freshly computed, or quarantined — but *not* those skipped by
-            // a mid-batch abort, which the resumed scan will process. On an
-            // uninterrupted scan this equals the batch length.
-            tiles_scanned += slots.iter().filter(|s| s.is_some()).count() + batch_quarantined;
-
-            // Paranoid cache verification: every hit was recomputed above;
-            // the fresh outcome must reproduce the stored record exactly.
-            if !verify_expected.is_empty() {
-                for &(pos, id) in &fresh_tasks {
-                    let (Some(outcome), Some(expected)) = (&slots[pos], verify_expected.get(&id))
-                    else {
-                        continue;
-                    };
-                    if &outcome.to_record() != expected {
-                        return Err(DetectError::Cache(format!(
-                            "cache_verify: tile {id} recompute disagrees with stored entry"
-                        )));
-                    }
-                }
-            }
-
-            // Record this batch's fresh completions into the cache, keyed
-            // by content fingerprint in tile-local coordinates. Quarantined
-            // tiles left their slot empty and are never cached as
-            // successes.
-            if let Some(c) = cache.as_mut() {
-                for &(pos, id) in &fresh_tasks {
-                    if let Some(outcome) = &slots[pos] {
-                        c.record(
-                            id,
-                            fingerprints[pos],
-                            tile_cache::translate_record(
-                                &outcome.to_record(),
-                                -batch[pos].window.min(),
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // Append this batch's fresh completions to the journal, then
-            // make them durable in one fsync.
-            if let Some(writer) = journal_writer.as_mut() {
-                for &(pos, id) in &fresh_tasks {
-                    if let Some(outcome) = &slots[pos] {
-                        let record = TileRecord {
-                            tile: id,
-                            outcome: outcome.to_record(),
-                        };
-                        writer.append(&record, &scan.fault_plan).map_err(|e| {
-                            DetectError::Journal(format!("append of tile {id} failed: {e}"))
-                        })?;
-                    }
-                }
-                writer
-                    .sync()
-                    .map_err(|e| DetectError::Journal(format!("journal sync failed: {e}")))?;
-            }
-
-            let outcomes: Vec<&TileOutcome> = slots.iter().flatten().collect();
-            let survivors = outcomes.iter().filter(|o| !o.prefiltered).count();
-            let prefiltered = outcomes.iter().filter(|o| o.prefiltered).count();
-            let batch_clips: usize = outcomes.iter().map(|o| o.clips).sum();
-            let batch_flagged: usize = outcomes.iter().map(|o| o.flagged).sum();
-            // Each tile with clips to evaluate was one batch on its own
-            // `BatchEvaluator` scratch.
-            let batch_evals = outcomes.iter().filter(|o| o.clips > 0).count();
-            recorder.record(
-                StageId::DensityPrefilter,
-                batch.len(),
-                survivors,
-                outcomes.iter().map(|o| o.prefilter_time).sum(),
-                None,
-            );
-            recorder.record(
-                StageId::ClipExtraction,
-                survivors,
-                batch_clips,
-                outcomes.iter().map(|o| o.extract_time).sum(),
-                None,
-            );
-            recorder.record_batched(
-                StageId::KernelEvaluation,
-                batch_clips,
-                batch_flagged,
-                outcomes.iter().map(|o| o.eval_time).sum(),
-                Some(&stats),
-                batch_evals,
-            );
-            let batch_admissions: u64 = outcomes.iter().map(|o| o.admissions).sum();
-            let batch_admission_skips: u64 = outcomes.iter().map(|o| o.admission_skips).sum();
-            recorder.record_admissions(
-                StageId::KernelEvaluation,
-                batch_admissions,
-                batch_admission_skips,
-            );
-            // First-attempt failures came in through the executor stats;
-            // fold in the sequential retries and their failures.
-            if batch_retries > 0 {
-                recorder.record_faults(StageId::KernelEvaluation, retry_failures, batch_retries);
-            }
-            if batch_timeouts > 0 {
-                recorder.record_timeouts(StageId::KernelEvaluation, batch_timeouts);
-            }
-            tiles_prefiltered += prefiltered;
-            clips_extracted += batch_clips;
-            clips_flagged += batch_flagged;
-            eval_batches += batch_evals;
-            let mut batch_reclaimed = 0usize;
-            for mut o in slots.into_iter().flatten() {
-                batch_reclaimed += o.reclaimed;
-                flagged_cores.append(&mut o.flagged_cores);
-            }
-            feedback_reclaimed += batch_reclaimed;
-            if let Some(hub) = obs {
-                let counters = hub.counters();
-                // Replayed and cache-served tiles count as started+done so
-                // live progress reaches 100% without recompute (verify-mode
-                // hits ran fresh and were counted by their workers).
-                let served = if scan.cache_verify { 0 } else { batch_hits };
-                counters.add(Counter::TilesStarted, (batch_resumed + served) as u64);
-                counters.add(Counter::TilesDone, (batch_resumed + served) as u64);
-                counters.add(Counter::CacheHits, batch_hits as u64);
-                counters.add(Counter::CacheMisses, batch_misses as u64);
-                counters.add(Counter::CacheInvalidated, batch_stale as u64);
-                counters.add(Counter::TilesPrefiltered, prefiltered as u64);
-                counters.add(Counter::ClipsExtracted, batch_clips as u64);
-                counters.add(Counter::ClipsFlagged, batch_flagged as u64);
-                counters.add(Counter::ClipsReclaimed, batch_reclaimed as u64);
-                counters.add(Counter::EvalBatches, batch_evals as u64);
-                hub.emit(|| ObsEvent::BatchCompleted {
-                    tiles: batch.len(),
-                    clips: batch_clips,
-                    flagged: batch_flagged,
-                    admissions: batch_admissions,
-                    admission_skips: batch_admission_skips,
-                });
-            }
-        }
-
+        let flagged_cores = std::mem::take(&mut tally.flagged_cores);
         let flagged_count = flagged_cores.len();
         let t_removal = Instant::now();
         let reported = if config.ablation.removal {
@@ -1260,19 +808,7 @@ impl HotspotDetector {
             t_removal.elapsed(),
             None,
         );
-
-        // Rewrite the cache with this scan's results: only tiles recorded
-        // this run survive, so entries for deleted tiles don't accumulate.
-        // An aborted scan writes back too — partial progress is exactly
-        // what the cache is for.
-        if let Some(c) = &cache {
-            let path = scan.cache.as_deref().ok_or_else(|| {
-                DetectError::Internal("tile cache open without a configured cache path".into())
-            })?;
-            c.store().map_err(|e| {
-                DetectError::Cache(format!("{}: write-back failed: {e}", path.display()))
-            })?;
-        }
+        sink.finish()?;
 
         // Stop the watchdog before the terminal event, so no heartbeat can
         // trail a ScanAborted/ScanCompleted in the event stream.
@@ -1282,6 +818,7 @@ impl HotspotDetector {
         }
         if let Some(hub) = obs {
             hub.clear_deadline_remaining();
+            let tiles_scanned = tally.report.tiles_scanned;
             match aborted {
                 Some(reason) => hub.emit(|| ObsEvent::ScanAborted {
                     reason: reason.name().to_string(),
@@ -1290,7 +827,7 @@ impl HotspotDetector {
                 None => hub.emit(|| ObsEvent::ScanCompleted {
                     tiles_scanned,
                     reported: reported.len(),
-                    quarantined: failed_tiles.len(),
+                    quarantined: tally.report.failed_tiles.len(),
                 }),
             }
             recorder.set_obs_sinks(hub.sink_names());
@@ -1298,21 +835,11 @@ impl HotspotDetector {
         Ok(ScanReport {
             reported,
             tiles_total,
-            tiles_scanned,
-            tiles_prefiltered,
-            clips_extracted,
-            clips_flagged,
-            feedback_reclaimed,
-            eval_batches,
-            failed_tiles,
-            retries: retries_total,
-            resumed_tiles: resumed_total,
-            cache_hits: cache_hits_total,
-            cache_misses: cache_misses_total,
             aborted,
-            peak_in_flight: peak.load(Ordering::SeqCst),
+            peak_in_flight: runner.peak.load(Ordering::SeqCst),
             telemetry: recorder.finish(),
             scan_time: started.elapsed(),
+            ..tally.report
         })
     }
 
@@ -1322,36 +849,8 @@ impl HotspotDetector {
     /// (0 = first, 1 = retry); both exist only to key the deterministic
     /// fault-injection hooks, which compile down to an `is_empty` check on
     /// production scans. `trip` is the scan's internal stop token, polled
-    /// at stage boundaries together with the soft tile budget.
-    #[allow(clippy::too_many_arguments)]
-    fn process_tile(
-        &self,
-        tile: &Tile,
-        index: &RectIndex,
-        config: &DetectorConfig,
-        scan: &ScanConfig,
-        threshold: f64,
-        tile_id: usize,
-        attempt: u32,
-        trip: &CancelToken,
-    ) -> TileOutcome {
-        TILE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            self.process_tile_with(
-                tile,
-                index,
-                config,
-                scan,
-                threshold,
-                tile_id,
-                attempt,
-                trip,
-                &mut scratch,
-            )
-        })
-    }
-
-    /// [`process_tile`](Self::process_tile) on explicit scratch.
+    /// at stage boundaries together with the soft tile budget. `scratch` is
+    /// the worker's reusable buffers.
     #[allow(clippy::too_many_arguments)]
     fn process_tile_with(
         &self,
@@ -1369,39 +868,8 @@ impl HotspotDetector {
         let fault = &scan.fault_plan;
         let budget = scan.tile_timeout;
         let tile_started = Instant::now();
-        // The cooperative stop/budget poll, called at every stage boundary
-        // and per evaluated clip. Cancellation wins over the budget so an
-        // aborting scan never mislabels in-flight tiles as timed out. Both
-        // outcomes unwind with typed markers the executor and the retry
-        // loop downcast; the timeout marker carries only the configured
-        // budget — never the measured elapsed time — so quarantine reasons
-        // (digest content) stay deterministic across machines, runs, and
-        // thread counts. The panic releases the scratch borrow on unwind,
-        // like any other tile panic.
-        let checkpoint = || {
-            if trip.is_cancelled() {
-                panic_any(CancelPanic);
-            }
-            if let Some(b) = budget {
-                if tile_started.elapsed() > b {
-                    panic_any(TimeoutPanic {
-                        budget_ms: b.as_millis() as u64,
-                    });
-                }
-            }
-        };
-        let mut outcome = TileOutcome {
-            prefiltered: false,
-            clips: 0,
-            flagged: 0,
-            reclaimed: 0,
-            flagged_cores: Vec::new(),
-            admissions: 0,
-            admission_skips: 0,
-            prefilter_time: Duration::ZERO,
-            extract_time: Duration::ZERO,
-            eval_time: Duration::ZERO,
-        };
+        let checkpoint = || poll_stop(trip, budget, tile_started);
+        let mut work = TileWork::default();
 
         // Density prefilter. `covered` double-counts overlapping pattern
         // rectangles, so it upper-bounds the pattern area over any core the
@@ -1426,10 +894,12 @@ impl HotspotDetector {
         let aggressive_cut = scan
             .tile_density
             .is_some_and(|min_cov| (covered as f64) < min_cov * tile.window.area() as f64);
-        outcome.prefilter_time = t0.elapsed();
+        work.prefilter_time = t0.elapsed();
         if conservative_cut || aggressive_cut {
-            outcome.prefiltered = true;
-            return outcome;
+            return TileOutcome {
+                record: TileOutcomeRecord::Prefiltered,
+                work,
+            };
         }
 
         // Clip extraction, restricted to the anchors this tile owns. Tile
@@ -1461,8 +931,7 @@ impl HotspotDetector {
                 patterns.push(pattern);
             }
         }
-        outcome.clips = patterns.len();
-        outcome.extract_time = t1.elapsed();
+        work.extract_time = t1.elapsed();
 
         // Multiple-kernel (and feedback) evaluation: the tile's clips form
         // one batch sharing the worker's `EvalScratch` buffers; only its
@@ -1494,22 +963,58 @@ impl HotspotDetector {
         }
         let engine = self.eval_engine_with_threshold(threshold);
         eval.reset_counters();
+        let (mut flagged, mut reclaimed, mut flagged_cores) = (0, 0, Vec::new());
         for pattern in patterns.iter() {
             checkpoint();
-            let (flagged, reclaimed) = Self::flag_with_engine(&engine, pattern, eval);
-            if flagged {
-                outcome.flagged += 1;
-                if reclaimed {
-                    outcome.reclaimed += 1;
+            let (flag, reclaim) = Self::flag_with_engine(&engine, pattern, eval);
+            if flag {
+                flagged += 1;
+                if reclaim {
+                    reclaimed += 1;
                 } else {
-                    outcome.flagged_cores.push(pattern.window.core);
+                    flagged_cores.push(pattern.window.core);
                 }
             }
         }
-        outcome.admissions = eval.admissions();
-        outcome.admission_skips = eval.admission_skips();
-        outcome.eval_time = t2.elapsed();
-        outcome
+        work.admissions = eval.admissions();
+        work.admission_skips = eval.admission_skips();
+        work.eval_time = t2.elapsed();
+        TileOutcome {
+            record: TileOutcomeRecord::Evaluated {
+                clips: patterns.len(),
+                flagged,
+                reclaimed,
+                flagged_cores,
+            },
+            work,
+        }
+    }
+
+    /// Opens the scan's tile cache, when one is configured. Opening never
+    /// fails: a corrupt or mismatched store is discarded, not trusted, and
+    /// the hub hears what was thrown away.
+    fn open_cache(&self, scan: &ScanConfig, layer: LayerId, threshold: f64) -> Option<TileCache> {
+        let path = scan.cache.as_deref()?;
+        let header = CacheHeader::new(
+            self.model_fingerprint(),
+            scan.tile_cores,
+            layer,
+            threshold,
+            scan.tile_density,
+        );
+        let cache = TileCache::open(path, header);
+        let stats = cache.load_stats();
+        if let (Some(hub), true) = (self.obs(), stats.discarded || stats.rejected > 0) {
+            let invalidated = if stats.discarded { 1 } else { stats.rejected };
+            hub.counters()
+                .add(Counter::CacheInvalidated, invalidated as u64);
+            hub.emit(|| ObsEvent::CacheInvalidated {
+                entries: if stats.discarded { 0 } else { stats.loaded },
+                rejected: stats.rejected,
+                discarded: stats.discarded,
+            });
+        }
+        Some(cache)
     }
 
     /// FNV-1a fingerprint of this trained model's evaluation identity —
@@ -1527,6 +1032,558 @@ impl HotspotDetector {
         config.threads = 0;
         let config = serde_json::to_string(&config).expect("config serialises");
         tile_cache::model_fingerprint(&kernels, &feedback, &config)
+    }
+}
+
+/// The cooperative stop/budget poll of a tile that started at
+/// `tile_started`, called at every stage boundary and per evaluated clip.
+/// Cancellation wins over the budget so an aborting scan never mislabels
+/// in-flight tiles as timed out. Both outcomes unwind with typed markers
+/// the executor and the retry loop downcast; the timeout marker carries
+/// only the configured budget — never the measured elapsed time — so
+/// quarantine reasons (digest content) stay deterministic across machines,
+/// runs, and thread counts. The panic releases the scratch borrow on
+/// unwind, like any other tile panic.
+fn poll_stop(trip: &CancelToken, budget: Option<Duration>, tile_started: Instant) {
+    if trip.is_cancelled() {
+        panic_any(CancelPanic);
+    }
+    if let Some(b) = budget {
+        if tile_started.elapsed() > b {
+            panic_any(TimeoutPanic {
+                budget_ms: b.as_millis() as u64,
+            });
+        }
+    }
+}
+
+/// Opens the scan's journal side: the records replayed from
+/// [`ScanConfig::resume_from`] and the writer for [`ScanConfig::journal`].
+/// The writer appends in place when it is the resumed file; otherwise it
+/// is created afresh with the replayed tiles carried over, so it stays a
+/// complete record of the scan.
+fn open_journal(
+    scan: &ScanConfig,
+    header: &JournalHeader,
+) -> Result<(HashMap<usize, TileOutcomeRecord>, Option<JournalWriter>), DetectError> {
+    let journal_error = |path: &Path, e: &dyn fmt::Display| {
+        DetectError::Journal(format!("{}: {e}", path.display()))
+    };
+    let mut replayed = HashMap::new();
+    if let Some(path) = &scan.resume_from {
+        let contents = read_journal(path).map_err(|e| journal_error(path, &e))?;
+        if contents.header != *header {
+            return Err(journal_error(
+                path,
+                &"journal belongs to a different scan (grid, layer, or threshold differ)",
+            ));
+        }
+        if scan.journal.as_deref() == Some(path.as_path()) {
+            let writer = JournalWriter::resume(path, contents.valid_len)
+                .map_err(|e| journal_error(path, &e))?;
+            return Ok((contents.records, Some(writer)));
+        }
+        replayed = contents.records;
+    }
+    let Some(path) = &scan.journal else {
+        return Ok((replayed, None));
+    };
+    let mut writer = JournalWriter::create(path, header).map_err(|e| journal_error(path, &e))?;
+    let mut ids: Vec<usize> = replayed.keys().copied().collect();
+    ids.sort_unstable();
+    for id in ids {
+        let record = TileRecord {
+            tile: id,
+            outcome: replayed[&id].clone(),
+        };
+        // Replays bypass fault injection.
+        writer
+            .append(&record, &FaultPlan::default())
+            .map_err(|e| journal_error(path, &e))?;
+    }
+    writer.sync().map_err(|e| journal_error(path, &e))?;
+    Ok((replayed, Some(writer)))
+}
+
+/// The tile source: walks the grid one window of tiles at a time and
+/// resolves each tile from the resume journal, then from the cache by
+/// content fingerprint, leaving the rest pending for the runner.
+struct TileSource {
+    scanner: TileScanner,
+    grid_cols: i64,
+    /// Journal records of an earlier run, removed as they are replayed.
+    replayed: HashMap<usize, TileOutcomeRecord>,
+    cache_verify: bool,
+}
+
+impl TileSource {
+    /// The next batch of at most `window` tiles, in grid order — empty once
+    /// the grid is exhausted.
+    fn next_batch(
+        &mut self,
+        window: usize,
+        cache: Option<&TileCache>,
+        obs: Option<&ObsHub>,
+    ) -> Vec<Slot> {
+        let mut slots = Vec::with_capacity(window);
+        for tile in self.scanner.by_ref().take(window) {
+            let id = (tile.iy * self.grid_cols + tile.ix) as usize;
+            // Replayed tiles are fingerprinted too: the sink feeds them back
+            // into the cache, so resume and caching compose.
+            let fingerprint = cache.map_or(0, |_| tile.content_fingerprint());
+            // Journal replay wins over the cache: it is this very scan's own
+            // prior progress.
+            let (origin, state) = if let Some(record) = self.replayed.remove(&id) {
+                (
+                    Origin::Journal,
+                    TileState::Done(TileOutcome::replayed(record)),
+                )
+            } else if let Some(cache) = cache {
+                match cache.lookup(id, fingerprint) {
+                    Some(local) => {
+                        if let Some(hub) = obs {
+                            hub.emit(|| ObsEvent::CacheHit { tile: id as u64 });
+                        }
+                        let global = tile_cache::translate_record(local, tile.window.min());
+                        if self.cache_verify {
+                            (Origin::VerifiedHit(global), TileState::Pending)
+                        } else {
+                            let outcome = TileOutcome::replayed(global);
+                            (Origin::CacheHit, TileState::Done(outcome))
+                        }
+                    }
+                    None => {
+                        let stale = cache.is_stale(id, fingerprint);
+                        if let Some(hub) = obs {
+                            hub.emit(|| ObsEvent::CacheMiss {
+                                tile: id as u64,
+                                invalidated: stale,
+                            });
+                        }
+                        (Origin::CacheMiss { stale }, TileState::Pending)
+                    }
+                }
+            } else {
+                (Origin::Uncached, TileState::Pending)
+            };
+            slots.push(Slot {
+                tile,
+                id,
+                fingerprint,
+                origin,
+                state,
+                retried: false,
+            });
+        }
+        slots
+    }
+}
+
+/// The tile runner: computes pending tiles on the executor under the
+/// scan's stop token and soft tile budget, retries each failure once on
+/// the calling thread, and applies [`ScanConfig::failure_policy`].
+struct TileRunner<'a> {
+    detector: &'a HotspotDetector,
+    index: &'a RectIndex,
+    scan: &'a ScanConfig,
+    threshold: f64,
+    executor: Executor,
+    trip: CancelToken,
+    in_flight: Arc<AtomicUsize>,
+    peak: AtomicUsize,
+    obs: Option<&'a ObsHub>,
+}
+
+impl<'a> TileRunner<'a> {
+    fn new(
+        detector: &'a HotspotDetector,
+        index: &'a RectIndex,
+        scan: &'a ScanConfig,
+        threshold: f64,
+        threads: usize,
+    ) -> Self {
+        let mut executor = Executor::new(threads);
+        if let Some(hub) = detector.obs() {
+            executor = executor.with_obs(Arc::clone(hub));
+        }
+        TileRunner {
+            detector,
+            index,
+            scan,
+            threshold,
+            executor,
+            trip: CancelToken::new(),
+            in_flight: Arc::new(AtomicUsize::new(0)),
+            peak: AtomicUsize::new(0),
+            obs: detector.obs().map(Arc::as_ref),
+        }
+    }
+
+    /// Runs the batch's pending tiles, leaving each one `Done`,
+    /// `Quarantined`, or — when the scan is stopping — `Pending`.
+    /// `quarantined` counts the tiles earlier batches quarantined, for the
+    /// failure bound.
+    fn run(&self, slots: &mut [Slot], quarantined: usize) -> Result<ExecutorStats, DetectError> {
+        let pending: Vec<usize> = (0..slots.len())
+            .filter(|&pos| matches!(slots[pos].state, TileState::Pending))
+            .collect();
+        if pending.is_empty() {
+            return Ok(ExecutorStats::default());
+        }
+        let batch: &[Slot] = slots;
+        let (results, stats) = self.executor.try_map_with_cancel(
+            "scan_tile",
+            &pending,
+            |_, &pos| {
+                let current = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                let _guard = InFlightGuard(&self.in_flight);
+                self.peak.fetch_max(current, Ordering::SeqCst);
+                self.progress(Counter::TilesStarted);
+                let outcome = self.process(&batch[pos], 0);
+                self.progress(Counter::TilesDone);
+                outcome
+            },
+            Some(&self.trip),
+        );
+        for (result, pos) in results.into_iter().zip(pending) {
+            let failure = match result {
+                TaskResult::Done(outcome) => {
+                    slots[pos].state = TileState::Done(outcome);
+                    continue;
+                }
+                // Skipped by the cooperative stop, or failed while the scan
+                // is stopping: no retry burns wall time mid-abort; the tile
+                // stays pending and a resumed scan computes it.
+                TaskResult::Skipped => continue,
+                TaskResult::Failed(_) if self.trip.is_cancelled() => continue,
+                TaskResult::Failed(failure) => failure,
+            };
+            let slot = &mut slots[pos];
+            slot.retried = true;
+            let payload = match catch_unwind(AssertUnwindSafe(|| self.process(slot, 1))) {
+                Ok(outcome) => {
+                    self.progress(Counter::TilesDone);
+                    slot.state = TileState::Done(outcome);
+                    continue;
+                }
+                // The retry observed the cooperative stop mid-tile: an
+                // abort, not a failure.
+                Err(payload) if payload.downcast_ref::<CancelPanic>().is_some() => continue,
+                Err(payload) => payload,
+            };
+            // Both attempts failed: the tile is finished, as a quarantine.
+            self.progress(Counter::TilesDone);
+            let kind = if payload.downcast_ref::<TimeoutPanic>().is_some() {
+                FailureKind::TimedOut
+            } else {
+                FailureKind::Panicked
+            };
+            let reason = panic_payload_to_string(payload.as_ref());
+            let tile = slot.id;
+            if let Some(hub) = self.obs {
+                match kind {
+                    FailureKind::TimedOut => hub.emit(|| ObsEvent::TileTimedOut {
+                        tile: tile as u64,
+                        budget_ms: self.scan.tile_timeout.map_or(0, |t| t.as_millis() as u64),
+                    }),
+                    FailureKind::Panicked => hub.emit(|| ObsEvent::TileQuarantined {
+                        tile: tile as u64,
+                        stage: failure.stage.clone(),
+                    }),
+                }
+            }
+            let FailurePolicy::SkipAndRecord { max_failed_tiles } = self.scan.failure_policy else {
+                return Err(DetectError::TaskPanicked(TaskFailure {
+                    stage: failure.stage,
+                    index: tile,
+                    payload: reason,
+                }));
+            };
+            slot.state = TileState::Quarantined(QuarantinedTile { tile, kind, reason });
+            let failed = quarantined
+                + slots
+                    .iter()
+                    .filter(|s| matches!(s.state, TileState::Quarantined(_)))
+                    .count();
+            if failed > max_failed_tiles {
+                return Err(DetectError::TooManyFailures {
+                    failed,
+                    max: max_failed_tiles,
+                });
+            }
+        }
+        Ok(stats)
+    }
+
+    /// One attempt (0 = first, 1 = retry) at a tile, on this worker's
+    /// scratch.
+    fn process(&self, slot: &Slot, attempt: u32) -> TileOutcome {
+        TILE_SCRATCH.with(|cell| {
+            self.detector.process_tile_with(
+                &slot.tile,
+                self.index,
+                self.detector.config(),
+                self.scan,
+                self.threshold,
+                slot.id,
+                attempt,
+                &self.trip,
+                &mut cell.borrow_mut(),
+            )
+        })
+    }
+
+    /// Worker-side progress: one relaxed add per transition, recorded into
+    /// the worker's own counter shard.
+    fn progress(&self, counter: Counter) {
+        if let Some(hub) = self.obs {
+            hub.counters().add(counter, 1);
+        }
+    }
+}
+
+/// The tile sink: records finished tiles into the cache, appends freshly
+/// computed ones to the journal with one fsync per batch, and writes the
+/// cache back when the scan ends.
+struct TileSink<'a> {
+    journal: Option<JournalWriter>,
+    cache: Option<TileCache>,
+    scan: &'a ScanConfig,
+}
+
+impl TileSink<'_> {
+    /// Records one finished batch. Quarantined and pending tiles are never
+    /// stored: a resumed or re-run scan computes them again.
+    fn write_batch(&mut self, slots: &[Slot]) -> Result<(), DetectError> {
+        for slot in slots {
+            let TileState::Done(outcome) = &slot.state else {
+                continue;
+            };
+            let record = &outcome.record;
+            if let Origin::VerifiedHit(expected) = &slot.origin {
+                if record != expected {
+                    return Err(DetectError::Cache(format!(
+                        "cache_verify: tile {} recompute disagrees with stored entry",
+                        slot.id
+                    )));
+                }
+            }
+            if let Some(cache) = self.cache.as_mut() {
+                let local = tile_cache::translate_record(record, -slot.tile.window.min());
+                cache.record(slot.id, slot.fingerprint, local);
+            }
+            // Replayed tiles are in the journal already; cache-served ones
+            // stay in the cache.
+            let served = matches!(slot.origin, Origin::Journal | Origin::CacheHit);
+            if let (Some(writer), false) = (self.journal.as_mut(), served) {
+                let line = TileRecord {
+                    tile: slot.id,
+                    outcome: record.clone(),
+                };
+                writer.append(&line, &self.scan.fault_plan).map_err(|e| {
+                    DetectError::Journal(format!("append of tile {} failed: {e}", slot.id))
+                })?;
+            }
+        }
+        if let Some(writer) = self.journal.as_mut() {
+            writer
+                .sync()
+                .map_err(|e| DetectError::Journal(format!("journal sync failed: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Rewrites the cache with this scan's results: only tiles recorded
+    /// this run survive, so entries for deleted tiles don't accumulate. An
+    /// aborted scan writes back too — partial progress is exactly what the
+    /// cache is for.
+    fn finish(&self) -> Result<(), DetectError> {
+        if let (Some(cache), Some(path)) = (&self.cache, &self.scan.cache) {
+            cache.store().map_err(|e| {
+                DetectError::Cache(format!("{}: write-back failed: {e}", path.display()))
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// Counts of one batch.
+#[derive(Default)]
+struct Counts {
+    tiles_scanned: usize,
+    tiles_prefiltered: usize,
+    /// Tiles the prefilter kept, whose clips were extracted and evaluated.
+    tiles_evaluated: usize,
+    clips_extracted: usize,
+    clips_flagged: usize,
+    feedback_reclaimed: usize,
+    eval_batches: usize,
+    retries: usize,
+    quarantined: usize,
+    timed_out: usize,
+    resumed_tiles: usize,
+    /// Tiles replayed or cache-served: done without running.
+    served: usize,
+    cache_hits: usize,
+    cache_misses: usize,
+    /// Misses whose cache entry was outdated.
+    cache_stale: usize,
+    admissions: u64,
+    admission_skips: u64,
+    prefilter_time: Duration,
+    extract_time: Duration,
+    eval_time: Duration,
+}
+
+/// The scan's one set of counts. Every tile is folded here exactly once,
+/// and the report's count fields, the stage rows and the batch-level hub
+/// counters are all written from the same per-batch numbers, so they
+/// cannot disagree.
+#[derive(Default)]
+struct ScanTally {
+    /// The report under construction; only its count fields and
+    /// `failed_tiles` are filled in here, and nothing else writes them.
+    report: ScanReport,
+    /// Surviving flags, in grid order — the order of an uninterrupted,
+    /// uncached run, so the report content never depends on where tiles
+    /// came from.
+    flagged_cores: Vec<Rect>,
+}
+
+impl ScanTally {
+    /// Folds one finished batch, in grid order.
+    fn fold(
+        &mut self,
+        slots: Vec<Slot>,
+        stats: &ExecutorStats,
+        recorder: &mut StageRecorder,
+        obs: Option<&ObsHub>,
+    ) {
+        let tiles = slots.len();
+        let mut b = Counts::default();
+        for slot in slots {
+            match slot.origin {
+                Origin::Journal => {
+                    b.resumed_tiles += 1;
+                    b.served += 1;
+                }
+                Origin::CacheHit => {
+                    b.cache_hits += 1;
+                    b.served += 1;
+                }
+                Origin::VerifiedHit(_) => b.cache_hits += 1,
+                Origin::CacheMiss { stale } => {
+                    b.cache_misses += 1;
+                    b.cache_stale += usize::from(stale);
+                }
+                Origin::Uncached => {}
+            }
+            b.retries += usize::from(slot.retried);
+            match slot.state {
+                TileState::Pending => {}
+                TileState::Quarantined(q) => {
+                    b.tiles_scanned += 1;
+                    b.quarantined += 1;
+                    b.timed_out += usize::from(q.kind == FailureKind::TimedOut);
+                    self.report.failed_tiles.push(q);
+                }
+                TileState::Done(TileOutcome { record, work }) => {
+                    b.tiles_scanned += 1;
+                    b.admissions += work.admissions;
+                    b.admission_skips += work.admission_skips;
+                    b.prefilter_time += work.prefilter_time;
+                    b.extract_time += work.extract_time;
+                    b.eval_time += work.eval_time;
+                    match record {
+                        TileOutcomeRecord::Prefiltered => b.tiles_prefiltered += 1,
+                        TileOutcomeRecord::Evaluated {
+                            clips,
+                            flagged,
+                            reclaimed,
+                            mut flagged_cores,
+                        } => {
+                            b.tiles_evaluated += 1;
+                            b.clips_extracted += clips;
+                            b.clips_flagged += flagged;
+                            b.feedback_reclaimed += reclaimed;
+                            // Each tile with clips to evaluate was one batch
+                            // on its own `BatchEvaluator` scratch.
+                            b.eval_batches += usize::from(clips > 0);
+                            self.flagged_cores.append(&mut flagged_cores);
+                        }
+                    }
+                }
+            }
+        }
+
+        recorder.record(
+            StageId::DensityPrefilter,
+            b.tiles_prefiltered + b.tiles_evaluated,
+            b.tiles_evaluated,
+            b.prefilter_time,
+            None,
+        );
+        recorder.record(
+            StageId::ClipExtraction,
+            b.tiles_evaluated,
+            b.clips_extracted,
+            b.extract_time,
+            None,
+        );
+        recorder.record_batched(
+            StageId::KernelEvaluation,
+            b.clips_extracted,
+            b.clips_flagged,
+            b.eval_time,
+            Some(stats),
+            b.eval_batches,
+        );
+        recorder.update(StageId::KernelEvaluation, |s| {
+            s.admissions += b.admissions;
+            s.admission_skips += b.admission_skips;
+            // First attempts failed through the executor stats; every
+            // failed retry quarantined its tile.
+            s.failures += b.quarantined;
+            s.retries += b.retries;
+            s.timeouts += b.timed_out;
+        });
+
+        if let Some(hub) = obs {
+            let counters = hub.counters();
+            // Served tiles count as started and done, so live progress
+            // reaches 100% without recompute.
+            counters.add(Counter::TilesStarted, b.served as u64);
+            counters.add(Counter::TilesDone, b.served as u64);
+            counters.add(Counter::CacheHits, b.cache_hits as u64);
+            counters.add(Counter::CacheMisses, b.cache_misses as u64);
+            counters.add(Counter::CacheInvalidated, b.cache_stale as u64);
+            counters.add(Counter::TilesPrefiltered, b.tiles_prefiltered as u64);
+            counters.add(Counter::ClipsExtracted, b.clips_extracted as u64);
+            counters.add(Counter::ClipsFlagged, b.clips_flagged as u64);
+            counters.add(Counter::ClipsReclaimed, b.feedback_reclaimed as u64);
+            counters.add(Counter::EvalBatches, b.eval_batches as u64);
+            counters.add(Counter::TaskRetries, b.retries as u64);
+            counters.add(Counter::TilesQuarantined, b.quarantined as u64);
+            counters.add(Counter::TilesTimedOut, b.timed_out as u64);
+            hub.emit(|| ObsEvent::BatchCompleted {
+                tiles,
+                clips: b.clips_extracted,
+                flagged: b.clips_flagged,
+                admissions: b.admissions,
+                admission_skips: b.admission_skips,
+            });
+        }
+        let r = &mut self.report;
+        r.tiles_scanned += b.tiles_scanned;
+        r.tiles_prefiltered += b.tiles_prefiltered;
+        r.clips_extracted += b.clips_extracted;
+        r.clips_flagged += b.clips_flagged;
+        r.feedback_reclaimed += b.feedback_reclaimed;
+        r.eval_batches += b.eval_batches;
+        r.retries += b.retries;
+        r.resumed_tiles += b.resumed_tiles;
+        r.cache_hits += b.cache_hits;
+        r.cache_misses += b.cache_misses;
     }
 }
 
@@ -1612,23 +1669,8 @@ mod tests {
 
     fn empty_report() -> ScanReport {
         ScanReport {
-            reported: Vec::new(),
-            tiles_total: 0,
-            tiles_scanned: 0,
-            tiles_prefiltered: 0,
             clips_extracted: 10,
-            clips_flagged: 0,
-            feedback_reclaimed: 0,
-            eval_batches: 0,
-            failed_tiles: Vec::new(),
-            retries: 0,
-            resumed_tiles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            aborted: None,
-            peak_in_flight: 0,
-            telemetry: PipelineTelemetry::default(),
-            scan_time: Duration::ZERO,
+            ..Default::default()
         }
     }
 

@@ -154,11 +154,9 @@ pub fn feature_vector_padded(
 ///
 /// Orientation and critical-feature extraction are the expensive half of
 /// clip evaluation, so a clip admitted by several kernels must pay them
-/// once, not once per kernel (as [`flagging_kernels`] originally did).
+/// once, not once per kernel (as per-kernel extraction originally did).
 /// Padding to each kernel's `feature_len` is cheap and cached by length,
 /// so kernels sharing a feature length share one padded vector.
-///
-/// [`flagging_kernels`]: crate::feedback::flagging_kernels
 pub struct FeatureMemo<'a> {
     pattern: &'a Pattern,
     region: Region,

@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> e2ebench build + tiny self-test"
+# The benchmark is its own workspace with path deps on the crates, so a
+# library change that breaks its build or its self-test fails here.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test --doc (project crates)"
 # Rustdoc examples on the public entry points are compiled and run.
 cargo test --doc -q \
@@ -233,12 +238,11 @@ for pass in cold warm; do
   cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
     scan --model "$CACHE_DIR/model.json" --layout "$CACHE_DIR/layout.gds" \
     --out "$CACHE_DIR/report_$pass.json" --threads 2 --tile-cores 2 \
-    --cache "$CACHE_DIR/tiles.cache" --telemetry "$CACHE_DIR/telemetry_$pass.json" \
-    > "$CACHE_DIR/out_$pass.txt"
+    --cache "$CACHE_DIR/tiles.cache" --json > "$CACHE_DIR/scan_$pass.json"
 done
 # The warm report is byte-identical to the cold one.
 cmp "$CACHE_DIR/report_cold.json" "$CACHE_DIR/report_warm.json"
-python3 - "$CACHE_DIR/telemetry_cold.json" "$CACHE_DIR/telemetry_warm.json" <<'EOF'
+python3 - "$CACHE_DIR/scan_cold.json" "$CACHE_DIR/scan_warm.json" <<'EOF'
 import json, sys
 cold, warm = (json.load(open(p)) for p in sys.argv[1:3])
 assert cold["cache_hits"] == 0, f"cold scan hit a fresh cache: {cold['cache_hits']}"
@@ -265,10 +269,9 @@ EOF
 cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
   scan --model "$CACHE_DIR/model.json" --layout "$CACHE_DIR/layout.gds" \
   --out "$CACHE_DIR/report_damaged.json" --threads 2 --tile-cores 2 \
-  --cache "$CACHE_DIR/tiles.cache" --telemetry "$CACHE_DIR/telemetry_damaged.json" \
-  > "$CACHE_DIR/out_damaged.txt"
+  --cache "$CACHE_DIR/tiles.cache" --json > "$CACHE_DIR/scan_damaged.json"
 cmp "$CACHE_DIR/report_cold.json" "$CACHE_DIR/report_damaged.json"
-python3 - "$CACHE_DIR/telemetry_damaged.json" <<'EOF'
+python3 - "$CACHE_DIR/scan_damaged.json" <<'EOF'
 import json, sys
 t = json.load(open(sys.argv[1]))
 assert t["cache_misses"] == 1, f"expected exactly 1 recompute, got {t['cache_misses']}"

@@ -11,6 +11,7 @@
 //! independent of thread count.
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
+use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::journal::read_journal;
 use hotspot_suite::core::{
     AbortReason, CancelToken, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector,
@@ -74,6 +75,15 @@ fn run(scan: &ScanConfig, threads: usize) -> ScanReport {
         .with_threads(threads)
         .scan_layout(&bm.layout, bm.layer, scan)
         .expect("scan")
+}
+
+/// Tiles the scan quarantined for blowing their soft budget, as the
+/// kernel-evaluation stage row counts them.
+fn eval_timeouts(report: &ScanReport) -> usize {
+    report
+        .telemetry
+        .stage(StageId::KernelEvaluation)
+        .map_or(0, |s| s.timeouts)
 }
 
 /// The clean (unbudgeted, uninterrupted) report every variant must match.
@@ -233,7 +243,7 @@ fn tile_timeout_quarantines_exactly_the_stalled_set_at_any_thread_count() {
         // Stalls fire on the retry too, so each stalled tile is retried
         // once and then quarantined — same semantics as a panicking tile.
         assert_eq!(report.retries, stalled.len());
-        assert_eq!(report.telemetry.timed_out, stalled.len());
+        assert_eq!(eval_timeouts(&report), stalled.len());
 
         // Timed-out tiles are never journaled.
         let contents = read_journal(&journal).expect("journal reads back");
@@ -287,7 +297,7 @@ fn generous_budgets_leave_the_scan_bit_identical() {
     let report = run(&scan, 2);
     assert_eq!(report.aborted, None);
     assert_eq!(report.retries, 0);
-    assert_eq!(report.telemetry.timed_out, 0);
+    assert_eq!(eval_timeouts(&report), 0);
     assert_eq!(report.telemetry.aborted_reason, None);
     assert_eq!(report.digest(), clean_report().digest());
 }

@@ -147,34 +147,6 @@ fn compiled_scan_matches_reference_engine() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_reference_eval_shim_still_routes() {
-    let bm = benchmark();
-    let detector = trained(bm);
-
-    // `with_reference_eval` is a deprecated forwarding shim; it must keep
-    // selecting the same engines as the `EvalMode` API it forwards to.
-    let via_shim = detector
-        .clone()
-        .with_reference_eval(true)
-        .detect(&bm.layout, bm.layer)
-        .expect("shim reference detect");
-    let via_mode = detector
-        .clone()
-        .with_eval_mode(EvalMode::Reference)
-        .detect(&bm.layout, bm.layer)
-        .expect("mode reference detect");
-    assert_eq!(via_shim.reported, via_mode.reported);
-
-    let back_to_compiled = detector
-        .clone()
-        .with_reference_eval(false)
-        .detect(&bm.layout, bm.layer)
-        .expect("shim compiled detect");
-    assert_eq!(back_to_compiled.reported, via_mode.reported);
-}
-
-#[test]
 fn classify_agrees_between_engines() {
     let bm = benchmark();
     let detector = trained(bm);

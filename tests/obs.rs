@@ -5,9 +5,11 @@
 //! schema-versioned reader.
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
+use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::obs::read_events;
 use hotspot_suite::core::{
-    HotspotDetector, MetricsServer, NdjsonSink, ObsEvent, ObsHub, ScanConfig, OBS_SCHEMA_VERSION,
+    FailureKind, FailurePolicy, FaultPlan, HotspotDetector, MetricsServer, NdjsonSink, ObsEvent,
+    ObsHub, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
 };
 use hotspot_suite::layout::ClipShape;
 use std::io::{Read, Write};
@@ -217,4 +219,133 @@ fn ndjson_event_log_round_trips_and_matches_report() {
     assert_eq!(batch_clips, report.clips_extracted);
     assert_eq!(batch_flagged, report.clips_flagged);
     std::fs::remove_file(&events).ok();
+}
+
+/// Scans with a fresh hub attached and checks that every count the report,
+/// the telemetry stage rows and the hub share agrees across all three.
+fn scan_and_check_agreement(
+    detector: &HotspotDetector,
+    scan: &ScanConfig,
+    case: &str,
+) -> ScanReport {
+    let bm = benchmark();
+    let hub = ObsHub::new();
+    let report = detector
+        .clone()
+        .with_obs(hub.clone())
+        .scan_layout(&bm.layout, bm.layer, scan)
+        .unwrap_or_else(|e| panic!("{case}: scan failed: {e}"));
+    let snap = hub.snapshot();
+    let t = &report.telemetry;
+    let prefilter = t.stage(StageId::DensityPrefilter).expect("prefilter row");
+    let extraction = t.stage(StageId::ClipExtraction).expect("extraction row");
+    let eval = t.stage(StageId::KernelEvaluation).expect("evaluation row");
+    let n = |v: usize| v as u64;
+
+    let prefiltered = n(report.tiles_prefiltered);
+    assert_eq!(snap.tiles_prefiltered, prefiltered, "{case}");
+    assert_eq!(
+        n(prefilter.items_in - prefilter.items_out),
+        prefiltered,
+        "{case}"
+    );
+    let clips = n(report.clips_extracted);
+    assert_eq!(snap.clips_extracted, clips, "{case}");
+    assert_eq!(n(extraction.items_out), clips, "{case}");
+    assert_eq!(n(eval.items_in), clips, "{case}");
+    assert_eq!(snap.clips_flagged, n(report.clips_flagged), "{case}");
+    assert_eq!(n(eval.items_out), n(report.clips_flagged), "{case}");
+    assert_eq!(snap.clips_reclaimed, n(report.feedback_reclaimed), "{case}");
+    assert_eq!(snap.eval_batches, n(report.eval_batches), "{case}");
+    assert_eq!(n(eval.batches), n(report.eval_batches), "{case}");
+    assert_eq!(snap.cache_hits, n(report.cache_hits), "{case}");
+    assert_eq!(snap.cache_misses, n(report.cache_misses), "{case}");
+    assert_eq!(snap.task_retries, n(report.retries), "{case}");
+    assert_eq!(n(eval.retries), n(report.retries), "{case}");
+    assert_eq!(
+        snap.tiles_quarantined,
+        n(report.failed_tiles.len()),
+        "{case}"
+    );
+    let timed_out = report
+        .failed_tiles
+        .iter()
+        .filter(|q| q.kind == FailureKind::TimedOut)
+        .count();
+    assert_eq!(snap.tiles_timed_out, n(timed_out), "{case}");
+    assert_eq!(n(eval.timeouts), n(timed_out), "{case}");
+    // Every scanned tile — evaluated, prefiltered, replayed, served or
+    // quarantined — is done, and none is left in flight.
+    assert_eq!(snap.tiles_done, n(report.tiles_scanned), "{case}");
+    assert_eq!(snap.tiles_in_flight(), 0, "{case}");
+    report
+}
+
+#[test]
+fn report_stage_rows_and_hub_agree_on_every_shared_count() {
+    let bm = benchmark();
+    let detector = trained(bm);
+    let dir = temp_path("agreement");
+    std::fs::create_dir_all(&dir).expect("work dir");
+    let base = ScanConfig {
+        tile_cores: 6,
+        max_in_flight: 3,
+        ..Default::default()
+    };
+
+    // Cold and warm through the tile cache.
+    let cached = ScanConfig {
+        cache: Some(dir.join("tiles.cache")),
+        ..base.clone()
+    };
+    let cold = scan_and_check_agreement(detector, &cached, "cold");
+    assert!(cold.cache_misses > 0 && cold.cache_hits == 0);
+    let warm = scan_and_check_agreement(detector, &cached, "warm");
+    assert!(warm.cache_hits > 0 && warm.cache_misses == 0);
+    assert_eq!(warm.digest(), cold.digest());
+
+    // Resumed from a journal cut to its header plus half of its records.
+    let journal = dir.join("scan.journal");
+    let journaled = ScanConfig {
+        journal: Some(journal.clone()),
+        ..base.clone()
+    };
+    detector
+        .scan_layout(&bm.layout, bm.layer, &journaled)
+        .expect("journaled scan");
+    let bytes = std::fs::read(&journal).expect("journal bytes");
+    let ends: Vec<usize> = bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert!(ends.len() > 2, "journal holds several records");
+    std::fs::write(&journal, &bytes[..ends[ends.len() / 2]]).expect("cut journal");
+    let resumed = ScanConfig {
+        resume_from: Some(journal.clone()),
+        ..journaled
+    };
+    let report = scan_and_check_agreement(detector, &resumed, "resumed");
+    assert!(report.resumed_tiles > 0);
+    assert_eq!(report.digest(), cold.digest());
+
+    // Degraded mode: injected panics quarantine tiles and the scan goes on.
+    let degraded = ScanConfig {
+        failure_policy: FailurePolicy::SkipAndRecord {
+            max_failed_tiles: usize::MAX,
+        },
+        fault_plan: FaultPlan {
+            seed: 7,
+            panic_per_mille: 300,
+            ..Default::default()
+        },
+        ..base
+    };
+    let report = scan_and_check_agreement(detector, &degraded, "skip-and-record");
+    assert!(
+        !report.failed_tiles.is_empty(),
+        "the plan quarantines tiles"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

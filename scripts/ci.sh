@@ -118,6 +118,32 @@ if [ "$t1" -eq 0 ] || [ "$t1" -ne "$t2" ]; then
 fi
 echo "deadline smoke: both runs timed out $t1 tile(s), reports completed"
 
+echo "==> hostile-JSON smoke (deep nesting, truncation: exit 4, no aborts)"
+JSON_DIR=target/json_smoke
+rm -rf "$JSON_DIR"
+mkdir -p "$JSON_DIR"
+head -c 1000000 /dev/zero | tr '\0' '[' > "$JSON_DIR/nested.json"
+head -c $(( $(wc -c < "$FAULT_DIR/model.json") / 2 )) "$FAULT_DIR/model.json" \
+  > "$JSON_DIR/truncated.json"
+# Runs the binary with the given arguments; it must fail with exit 4 (json).
+expect_json_error() {
+  set +e
+  "$BIN" "$@" > /dev/null 2> "$JSON_DIR/err.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 4 ]; then
+    echo "hostile-JSON smoke ($*): expected exit 4 (json), got $status"
+    cat "$JSON_DIR/err.txt"
+    exit 1
+  fi
+}
+expect_json_error scan --model "$JSON_DIR/nested.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$JSON_DIR/report.json"
+expect_json_error scan --model "$JSON_DIR/truncated.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$JSON_DIR/report.json"
+expect_json_error train --training "$JSON_DIR/nested.json" --out "$JSON_DIR/model.json"
+echo "hostile-JSON smoke: nested and truncated inputs exit 4"
+
 echo "==> SIGINT smoke (live scan interrupted: exit 8, valid journal, resume cmp-identical)"
 # Uninterrupted reference report for the byte-equality check.
 "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \

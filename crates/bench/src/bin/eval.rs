@@ -418,7 +418,7 @@ fn measure_suite(scale: SuiteScale) -> EvalSuiteBench {
         naive_report.reported, compiled_report.reported,
         "engines disagree on the reported hotspot set"
     );
-    let stage_ms = |r: &hotspot_core::DetectionReport| {
+    let stage_ms = |r: &hotspot_core::ScanReport| {
         r.telemetry
             .stage(StageId::KernelEvaluation)
             .map(|s| s.wall_ms)

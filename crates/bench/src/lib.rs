@@ -409,7 +409,8 @@ pub struct EvalSuiteBench {
     /// Kernel-evaluation stage wall of a full `detect` run on the
     /// compiled engine, in milliseconds.
     pub detect_eval_stage_compiled_ms: f64,
-    /// Clip batches the compiled `detect` run scheduled.
+    /// Evaluation batches (one per tile with clips) the compiled `detect`
+    /// run scheduled.
     pub eval_batches: usize,
     /// Whether the two `detect` runs reported the identical hotspot set
     /// (always `true`; the binary aborts otherwise).

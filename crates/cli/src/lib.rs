@@ -5,10 +5,10 @@
 //! - `generate` — build a synthetic benchmark and write its artifacts
 //!   (`layout.gds`, `training.json`, `actual.json`, `spec.json`),
 //! - `train` — train the framework on a training set and persist the model,
-//! - `detect` — run a trained model on a GDSII layout and write the report,
-//! - `scan` — stream a layout through the tiled, density-prefiltered scan,
-//!   optionally with live observability (`--progress`, `--metrics-addr`,
-//!   `--events`),
+//! - `scan` (also spelled `detect`) — run a trained model over a GDSII
+//!   layout through the tiled, density-prefiltered scan and write the
+//!   report, optionally with live observability (`--progress`,
+//!   `--metrics-addr`, `--events`),
 //! - `score` — score a report against ground truth,
 //! - `info` — print layout statistics,
 //! - `events` — validate and summarise an NDJSON observability event log.
@@ -107,11 +107,6 @@ USAGE:
   hotspot generate --name <benchmark> [--scale tiny|small|paper|huge] --out <dir>
   hotspot train    --training <training.json> --out <model.json> [--threads N]
                    [--telemetry <telemetry.json>]
-  hotspot detect   --model <model.json> --layout <layout.gds> --out <report.json>
-                   [--layer N] [--threshold X] [--threads N] [--json]
-                   [--eval-mode reference|compiled]
-                   [--raster-mode reference|sat]
-                   [--telemetry <telemetry.json>]
   hotspot scan     --model <model.json> --layout <layout.gds> --out <report.json>
                    [--layer N] [--threshold X] [--threads N] [--tile-cores N]
                    [--max-in-flight N] [--tile-density X] [--json]
@@ -136,8 +131,10 @@ USAGE:
                    [--report <report.json>] [--actual <actual.json>]
 
 Benchmarks: array_benchmark1..5, mx_blind_partial.
---threads 0 means one worker per core. `detect`/`scan` `--telemetry` merges
-the model's training telemetry with the run into an eight-stage record.
+`hotspot detect` is another name for `hotspot scan`: same flags, same
+report and summary.
+--threads 0 means one worker per core. `scan` `--telemetry` merges the
+model's training telemetry with the run into an eight-stage record.
 --eval-mode selects the kernel-evaluation engine: `compiled` (default)
 routes admission through the batched 8-orientation centroid router and
 the flattened SVM engine; `reference` keeps the naive per-kernel search
@@ -220,8 +217,7 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), CliError> {
     match command.as_str() {
         "generate" => cmd_generate(&opts).map(clean),
         "train" => cmd_train(&opts).map(clean),
-        "detect" => cmd_detect(&opts).map(clean),
-        "scan" => cmd_scan(&opts),
+        "detect" | "scan" => cmd_scan(&opts),
         "score" => cmd_score(&opts).map(clean),
         "info" => cmd_info(&opts).map(clean),
         "events" => cmd_events(&opts).map(clean),
@@ -421,47 +417,6 @@ fn parse_raster_mode(opts: &Opts) -> Result<Option<RasterMode>, CliError> {
             })
         })
         .transpose()
-}
-
-fn cmd_detect(opts: &Opts) -> Result<String, CliError> {
-    let mut detector: HotspotDetector = read_json(opts.require("model")?)?;
-    let layout = gdsii::read_file(opts.require("layout")?)?;
-    let out = PathBuf::from(opts.require("out")?);
-    let layer = LayerId::new(opts.parse("layer", 1u16)?);
-    let threshold = opts.parse("threshold", detector.config().decision_threshold)?;
-    if let Some(threads) = opts.get("threads") {
-        let threads: usize = threads
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid value `{threads}` for --threads")))?;
-        detector = detector.with_threads(threads);
-    }
-    if let Some(mode) = parse_eval_mode(opts)? {
-        detector = detector.with_eval_mode(mode);
-    }
-    if let Some(mode) = parse_raster_mode(opts)? {
-        detector = detector.with_raster_mode(mode);
-    }
-
-    let report = detector.detect_with_threshold(&layout, layer, threshold)?;
-    write_json(&out, &report.reported)?;
-    if let Some(path) = opts.get("telemetry") {
-        // Merge the model's persisted training telemetry with this run so
-        // the file covers all eight pipeline stages.
-        let merged = detector.summary().telemetry.merge(&report.telemetry);
-        write_json(path, &merged)?;
-    }
-    if opts.has("json") {
-        return Ok(serde_json::to_string_pretty(&report)?);
-    }
-    Ok(format!(
-        "evaluated {} clips in {} eval batches, flagged {}, reported {} hotspots in {:.2?}\nreport written to {}",
-        report.clips_extracted,
-        report.eval_batches,
-        report.clips_flagged,
-        report.reported.len(),
-        report.total_time(),
-        out.display(),
-    ))
 }
 
 fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
@@ -878,7 +833,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("reported"), "{out}");
 
-        // The streaming scan reports the same hotspot set through the CLI.
+        // `detect` is another name for `scan`: another tiling writes the
+        // same hotspot set.
         let scan_report = dir.join("scan_report.json");
         let out = run(&argv(&[
             "scan",
@@ -920,9 +876,8 @@ mod tests {
         assert!(out.contains("\"tiles_scanned\""), "{out}");
         assert!(out.contains("\"peak_in_flight\""), "{out}");
 
-        // The telemetry file is the merged training + detection record:
-        // valid JSON covering all eight pipeline stages (the density
-        // prefilter is zero-filled — it only does work in `scan`).
+        // The telemetry file is the merged training + scan record: valid
+        // JSON covering all eight pipeline stages.
         let t: hotspot_core::PipelineTelemetry =
             serde_json::from_str(&std::fs::read_to_string(&telemetry).unwrap()).unwrap();
         assert_eq!(t.schema_version, hotspot_core::TELEMETRY_SCHEMA_VERSION);

@@ -2,21 +2,17 @@
 
 use crate::balance::upsample_hotspots;
 use crate::config::{AdmissionParams, DetectorConfig, DistributionFilter, EvalMode};
-use crate::engine::{
-    Executor, FaultPlan, FaultSite, PipelineTelemetry, StageId, StageRecorder, TaskFailure,
-};
-use crate::extraction::{extract_clips_indexed, RectIndex};
+use crate::engine::{Executor, PipelineTelemetry, StageId, StageRecorder, TaskFailure};
 use crate::feedback::{train_feedback, EvalEngine, EvalScratch, FeedbackKernel};
-use crate::metrics::{score, Evaluation};
-use crate::obs::{Counter, ObsHub};
+use crate::obs::ObsHub;
 use crate::pattern::{Pattern, TrainingSet};
-use crate::removal::remove_redundant_clips;
+use crate::scan::{ScanConfig, ScanReport};
 use crate::training::{
     classify_patterns_mode, density_grid, train_cluster_kernels_with, ClusterKernel,
     PatternCluster, Region,
 };
 use hotspot_geom::RasterMode;
-use hotspot_layout::{ClipShape, ClipWindow, LayerId, Layout};
+use hotspot_layout::{ClipShape, LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
 use hotspot_topo::route::CentroidRouter;
 use hotspot_topo::TopoSignature;
@@ -24,10 +20,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Clips per evaluation batch in [`HotspotDetector::detect`]: one batch is
-/// one executor task whose clips share a [`BatchEvaluator`]'s scratch.
-pub(crate) const EVAL_BATCH: usize = 64;
 
 /// Error running the detector's training or evaluation pipeline.
 #[derive(Debug)]
@@ -105,57 +97,6 @@ impl From<TrainError> for DetectError {
     }
 }
 
-/// Outcome of evaluating one testing layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectionReport {
-    /// The reported hotspot clips (after removal, when enabled).
-    pub reported: Vec<ClipWindow>,
-    /// Candidate clips extracted from the layout.
-    pub clips_extracted: usize,
-    /// Clips flagged hotspot by the multiple kernels.
-    pub clips_flagged: usize,
-    /// Flags reclaimed to nonhotspot by the feedback kernel.
-    pub feedback_reclaimed: usize,
-    /// Clip batches scheduled through the batched SVM inference engine.
-    /// Absent in pre-batching reports, which deserialise with 0.
-    #[serde(default)]
-    pub eval_batches: usize,
-    /// Wall-clock time of clip extraction.
-    #[serde(skip)]
-    pub extraction_time: Duration,
-    /// Wall-clock time of kernel evaluation.
-    #[serde(skip)]
-    pub classification_time: Duration,
-    /// Wall-clock time of redundant clip removal.
-    #[serde(skip)]
-    pub removal_time: Duration,
-    /// Per-stage telemetry of the evaluation phase.
-    pub telemetry: PipelineTelemetry,
-}
-
-impl DetectionReport {
-    /// Total wall-clock time of the evaluation phase.
-    pub fn total_time(&self) -> Duration {
-        self.extraction_time + self.classification_time + self.removal_time
-    }
-
-    /// Scores this report against ground-truth hotspot windows.
-    pub fn score_against(
-        &self,
-        actual: &[ClipWindow],
-        min_clip_overlap: f64,
-        layout_area_um2: f64,
-    ) -> Evaluation {
-        score(
-            &self.reported,
-            actual,
-            min_clip_overlap,
-            layout_area_um2,
-            self.total_time(),
-        )
-    }
-}
-
 /// Summary of the training phase, for diagnostics and the experiment
 /// harness.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -228,8 +169,6 @@ pub struct HotspotDetector {
     summary: TrainingSummary,
     #[serde(skip)]
     compiled: CompiledCache,
-    #[serde(skip)]
-    fault_plan: FaultPlan,
     #[serde(skip)]
     obs: Option<Arc<ObsHub>>,
 }
@@ -406,7 +345,6 @@ impl HotspotDetector {
             config,
             summary,
             compiled: CompiledCache::default(),
-            fault_plan: FaultPlan::default(),
             obs: None,
         };
         // Compile the inference engine eagerly so evaluation never pays the
@@ -507,8 +445,8 @@ impl HotspotDetector {
     }
 
     /// Returns this detector with an observability hub attached:
-    /// [`detect`](Self::detect) and
-    /// [`scan_layout`](Self::scan_layout) emit span events and record
+    /// [`scan_layout`](Self::scan_layout) (and so
+    /// [`detect`](Self::detect)) emits span events and records
     /// lock-free progress counters into `hub`, and the run's telemetry
     /// lists the hub's sinks (schema v6). Observation only — reports,
     /// digests and telemetry contents are bit-identical with and without
@@ -522,18 +460,6 @@ impl HotspotDetector {
     /// [`with_obs`](Self::with_obs).
     pub fn obs(&self) -> Option<&Arc<ObsHub>> {
         self.obs.as_ref()
-    }
-
-    /// Returns this detector with a deterministic [`FaultPlan`] armed for
-    /// [`detect`](Self::detect): evaluation batches the plan marks as
-    /// failing panic, and the isolated panic surfaces as
-    /// [`DetectError::TaskPanicked`]. The fault-tolerance tests and the CI
-    /// smoke use this; the default (empty) plan injects nothing. Not
-    /// persisted with the model. For the streaming scan, arm
-    /// [`crate::ScanConfig::fault_plan`] instead.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
     }
 
     /// The trained per-cluster kernels.
@@ -584,163 +510,34 @@ impl HotspotDetector {
         flagged && !reclaimed
     }
 
-    /// Runs the full evaluation phase of Fig. 3 on a testing layout.
+    /// Runs the full evaluation phase of Fig. 3 on a testing layout: clip
+    /// extraction, multiple-kernel and feedback evaluation, then redundant
+    /// clip removal. This is [`scan_layout`](Self::scan_layout) at the
+    /// default [`ScanConfig`], whose conservative prefilter keeps every
+    /// clip whole-layout extraction would keep.
     ///
     /// # Errors
     ///
     /// Returns [`DetectError::EmptyLayer`] when the layout has no polygons
-    /// on `layer`.
-    pub fn detect(&self, layout: &Layout, layer: LayerId) -> Result<DetectionReport, DetectError> {
+    /// on `layer`, and otherwise fails as
+    /// [`scan_layout`](Self::scan_layout) does.
+    pub fn detect(&self, layout: &Layout, layer: LayerId) -> Result<ScanReport, DetectError> {
         self.detect_with_threshold(layout, layer, self.config.decision_threshold)
     }
 
-    /// Evaluation with an explicit decision threshold.
+    /// Evaluation with an explicit decision threshold: the streaming scan
+    /// at the default [`ScanConfig`].
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::EmptyLayer`] when the layout has no polygons
-    /// on `layer`.
+    /// Same as [`scan_layout`](Self::scan_layout).
     pub fn detect_with_threshold(
         &self,
         layout: &Layout,
         layer: LayerId,
         threshold: f64,
-    ) -> Result<DetectionReport, DetectError> {
-        let polygons = layout.polygons(layer);
-        if polygons.is_empty() {
-            return Err(DetectError::EmptyLayer(layer));
-        }
-        let polygon_count = polygons.len();
-        let threads = self.config.effective_threads().max(1);
-        let mut recorder = StageRecorder::new("detection", threads);
-
-        // 1. Clip extraction over a shared spatial index.
-        let t0 = Instant::now();
-        let index = RectIndex::from_layout(layout, layer, self.config.clip_shape.clip_side());
-        let clips =
-            extract_clips_indexed(&index, self.config.clip_shape, &self.config.distribution);
-        let extraction_time = t0.elapsed();
-        recorder.record(
-            StageId::ClipExtraction,
-            polygon_count,
-            clips.len(),
-            extraction_time,
-            None,
-        );
-        if let Some(hub) = &self.obs {
-            hub.counters()
-                .add(Counter::ClipsExtracted, clips.len() as u64);
-        }
-
-        // 2. Multiple-kernel (and feedback) evaluation. Clips are chunked
-        //    into batches — one executor task each, sharing one
-        //    `BatchEvaluator`'s scratch — and fanned over the work-stealing
-        //    executor. `try_map` preserves input order, so the flag list is
-        //    deterministic for every thread count — and isolates a
-        //    panicking batch as a typed failure instead of aborting.
-        let t1 = Instant::now();
-        let batches: Vec<&[Pattern]> = clips.chunks(EVAL_BATCH).collect();
-        let eval_batches = batches.len();
-        let mut executor = Executor::new(threads);
-        if let Some(hub) = &self.obs {
-            executor = executor.with_obs(Arc::clone(hub));
-        }
-        let (flag_results, exec_stats) =
-            executor.try_map("kernel_evaluation", &batches, |i, batch| {
-                if !self.fault_plan.is_empty() {
-                    self.fault_plan.inject(FaultSite::Evaluation, i, 0);
-                }
-                let engine = self.eval_engine_with_threshold(threshold);
-                let mut scratch = EvalScratch::new();
-                let flags: Vec<(bool, bool)> = batch
-                    .iter()
-                    .map(|c| Self::flag_with_engine(&engine, c, &mut scratch))
-                    .collect();
-                (flags, scratch.admissions(), scratch.admission_skips())
-            });
-        let mut flag_chunks = Vec::with_capacity(flag_results.len());
-        let mut admissions = 0u64;
-        let mut admission_skips = 0u64;
-        for result in flag_results {
-            match result {
-                Ok((chunk, admitted, skipped)) => {
-                    admissions += admitted;
-                    admission_skips += skipped;
-                    flag_chunks.push(chunk);
-                }
-                Err(failure) => return Err(DetectError::TaskPanicked(failure)),
-            }
-        }
-        let mut flagged_cores = Vec::new();
-        let mut clips_flagged = 0usize;
-        let mut feedback_reclaimed = 0usize;
-        for (clip, (flagged, reclaimed)) in clips.iter().zip(flag_chunks.iter().flatten()) {
-            if *flagged {
-                clips_flagged += 1;
-                if *reclaimed {
-                    feedback_reclaimed += 1;
-                } else {
-                    flagged_cores.push(clip.window.core);
-                }
-            }
-        }
-        let classification_time = t1.elapsed();
-        recorder.record_batched(
-            StageId::KernelEvaluation,
-            clips.len(),
-            clips_flagged,
-            classification_time,
-            Some(&exec_stats),
-            eval_batches,
-        );
-        recorder.update(StageId::KernelEvaluation, |s| {
-            s.admissions += admissions;
-            s.admission_skips += admission_skips;
-        });
-        if let Some(hub) = &self.obs {
-            let counters = hub.counters();
-            counters.add(Counter::ClipsFlagged, clips_flagged as u64);
-            counters.add(Counter::ClipsReclaimed, feedback_reclaimed as u64);
-            counters.add(Counter::EvalBatches, eval_batches as u64);
-        }
-
-        // 3. Redundant clip removal.
-        let t2 = Instant::now();
-        let flagged_count = flagged_cores.len();
-        let reported = if self.config.ablation.removal {
-            remove_redundant_clips(flagged_cores, self.config.clip_shape, &index, &self.config)
-        } else {
-            flagged_cores
-                .into_iter()
-                .map(|core| ClipWindow {
-                    core,
-                    clip: core.inflate(self.config.clip_shape.ambit()),
-                })
-                .collect()
-        };
-        let removal_time = t2.elapsed();
-        recorder.record(
-            StageId::ClipRemoval,
-            flagged_count,
-            reported.len(),
-            removal_time,
-            None,
-        );
-
-        if let Some(hub) = &self.obs {
-            recorder.set_obs_sinks(hub.sink_names());
-        }
-        Ok(DetectionReport {
-            reported,
-            clips_extracted: clips.len(),
-            clips_flagged,
-            feedback_reclaimed,
-            eval_batches,
-            extraction_time,
-            classification_time,
-            removal_time,
-            telemetry: recorder.finish(),
-        })
+    ) -> Result<ScanReport, DetectError> {
+        self.scan_layout_with_threshold(layout, layer, &ScanConfig::default(), threshold)
     }
 
     /// [`flag_with_engine`](Self::flag_with_engine) on throwaway scratch,
@@ -751,8 +548,8 @@ impl HotspotDetector {
     }
 
     /// `(flagged_by_kernels, reclaimed_by_feedback)` for one clip. Shared
-    /// by `detect` and the streaming `scan_layout`; `scratch` carries the
-    /// buffers one batch of clips reuses across calls.
+    /// by the single-clip entry points and the scan's tile loop; `scratch`
+    /// carries the buffers one tile's clips reuse across calls.
     pub(crate) fn flag_with_engine(
         engine: &EvalEngine<'_>,
         pattern: &Pattern,
@@ -1123,8 +920,9 @@ mod tests {
         }
         let report = det.detect(&layout, layer).unwrap();
         let d = &report.telemetry;
-        assert_eq!(d.phase, "detection");
+        assert_eq!(d.phase, "scan");
         for stage in [
+            StageId::DensityPrefilter,
             StageId::ClipExtraction,
             StageId::KernelEvaluation,
             StageId::ClipRemoval,

@@ -4,7 +4,7 @@
 //! fail and how: persistent panics (fail on every attempt), transient
 //! panics (fail on the first attempt only, succeeding when retried), and a
 //! simulated journal I/O error. Faults are keyed by a *stable task index*
-//! (the global tile id in `scan_layout`, the batch index in `detect`) and
+//! (the global tile id in `scan_layout`) and
 //! decided by a seeded hash — never by wall clock or scheduling — so an
 //! injected failure set is bit-identical across runs and thread counts,
 //! which is what lets the tests assert exact quarantine lists.
@@ -42,9 +42,8 @@ impl FaultSite {
 
 /// A seeded, deterministic fault-injection plan.
 ///
-/// Threaded through [`crate::ScanConfig`] (and
-/// [`crate::HotspotDetector::with_fault_plan`] for `detect`); the default
-/// plan injects nothing.
+/// Threaded through [`crate::ScanConfig::fault_plan`]; the default plan
+/// injects nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed mixed into every per-index fault decision.

@@ -18,8 +18,8 @@
 //! - [`PipelineTelemetry`] ([`telemetry`]) is the serialisable record the
 //!   two phases produce, carried on
 //!   [`crate::detector::TrainingSummary`] and
-//!   [`crate::detector::DetectionReport`] and merged by the CLI's
-//!   `detect --telemetry`.
+//!   [`crate::scan::ScanReport`] and merged by the CLI's
+//!   `scan --telemetry`.
 
 pub mod executor;
 pub mod fault;

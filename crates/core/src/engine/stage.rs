@@ -105,7 +105,7 @@ pub struct StageRecorder {
 }
 
 impl StageRecorder {
-    /// Starts recording a phase (`"training"` or `"detection"`) configured
+    /// Starts recording a phase (`"training"` or `"scan"`) configured
     /// with `threads` workers.
     pub fn new(phase: &str, threads: usize) -> Self {
         StageRecorder {

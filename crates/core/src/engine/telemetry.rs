@@ -145,8 +145,9 @@ impl StageTelemetry {
 pub struct PipelineTelemetry {
     /// Telemetry schema version ([`TELEMETRY_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Which phase this telemetry covers (`"training"`, `"detection"`, or
-    /// `"training+detection"` after merging).
+    /// Which phase this telemetry covers (`"training"`, `"scan"`, or
+    /// `"training+scan"` after merging; records written before `detect`
+    /// became the default-tiled scan say `"detection"`).
     pub phase: String,
     /// Worker threads configured for the run.
     pub threads: usize,

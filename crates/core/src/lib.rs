@@ -67,7 +67,7 @@ pub mod training;
 
 pub use cancel::{AbortReason, CancelToken};
 pub use config::{AblationSwitches, AdmissionParams, DetectorConfig, DistributionFilter, EvalMode};
-pub use detector::{DetectError, DetectionReport, DetectorBuilder, HotspotDetector};
+pub use detector::{DetectError, DetectorBuilder, HotspotDetector};
 pub use engine::{
     FaultPlan, FaultSite, PipelineTelemetry, StageTelemetry, TaskFailure, TELEMETRY_SCHEMA_VERSION,
 };

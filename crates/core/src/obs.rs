@@ -65,7 +65,13 @@ pub const OBS_SCHEMA_VERSION: u32 = 1;
 pub enum Counter {
     /// Tiles handed to a scan worker (prefilter + evaluation started).
     TilesStarted,
-    /// Tiles fully processed (evaluated, prefiltered away or quarantined).
+    /// Tiles the scan is done with: evaluated, prefiltered away,
+    /// quarantined, or served from the journal or cache. On a completed
+    /// scan this equals [`ScanReport::tiles_scanned`](crate::ScanReport).
+    /// On an aborted scan it also counts the tiles the stop dropped
+    /// mid-body, which have no outcome, so it can exceed `tiles_scanned`
+    /// by up to one in-flight window; either way no tile is left in flight
+    /// once the scan returns.
     TilesDone,
     /// Tiles skipped by the conservative density prefilter.
     TilesPrefiltered,
@@ -259,7 +265,7 @@ pub struct CounterSnapshot {
     pub uptime_ms: u64,
     /// Tiles handed to a scan worker.
     pub tiles_started: u64,
-    /// Tiles fully processed (evaluated, prefiltered or quarantined).
+    /// Tiles the scan is done with (see [`Counter::TilesDone`]).
     pub tiles_done: u64,
     /// Tiles skipped by the density prefilter.
     pub tiles_prefiltered: u64,
@@ -749,7 +755,7 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_tiles_done_total",
-            "Tiles fully processed (evaluated, prefiltered or quarantined).",
+            "Tiles done with: evaluated, prefiltered, quarantined, served, or dropped by an abort.",
             snapshot.tiles_done,
         ),
         (

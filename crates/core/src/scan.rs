@@ -1,10 +1,10 @@
 //! Streaming full-layout scan with density prefiltering (§IV-E) and
 //! fault tolerance.
 //!
-//! [`HotspotDetector::detect`] materialises every candidate clip of the
-//! layout before classifying — fine for benchmark clips, prohibitive for a
-//! production-scale layout. [`HotspotDetector::scan_layout`] instead walks
-//! the layout as overlapping tiles (a
+//! Materialising every candidate clip of a layout before classifying is
+//! fine for benchmark clips and prohibitive for a production-scale layout.
+//! [`HotspotDetector::scan_layout`] instead walks the layout as
+//! overlapping tiles (a
 //! [`TileScanner`]), discards tiles
 //! whose pattern density cannot pass the extraction filter (the *density
 //! prefilter*, a new [`StageId::DensityPrefilter`] pipeline stage), and
@@ -14,8 +14,10 @@
 //! The default prefilter is **conservative**: a tile is skipped only when
 //! the summed pattern area overlapping its window is below
 //! `min_core_density × core_area`, an upper bound on the core density of
-//! every clip the tile owns — so the scan reports *exactly* the hotspot
-//! set of [`HotspotDetector::detect`] (see `tests/scan.rs`). Setting
+//! every clip the tile owns — so every tiling reports *exactly* the
+//! hotspot set of sequential whole-layout evaluation (see `tests/scan.rs`).
+//! [`HotspotDetector::detect`] is this scan at [`ScanConfig::default`].
+//! Setting
 //! [`ScanConfig::tile_density`] adds an aggressive mean-coverage cut that
 //! trades recall for speed, as the paper's density filter does.
 //!
@@ -103,9 +105,10 @@
 //! let scan = ScanConfig { tile_cores: 4, max_in_flight: 2, ..Default::default() };
 //! let report = detector.scan_layout(&layout, LayerId::METAL1, &scan)?;
 //!
-//! // Identical hotspot set to whole-layout detection, bounded memory.
-//! let whole = detector.detect(&layout, LayerId::METAL1)?;
-//! assert_eq!(report.reported, whole.reported);
+//! // The default tiling (`detect`) reports the same set; memory stays
+//! // within the window.
+//! let default_tiling = detector.detect(&layout, LayerId::METAL1)?;
+//! assert_eq!(report.reported, default_tiling.reported);
 //! assert!(report.peak_in_flight <= 2);
 //! # Ok::<(), hotspot_core::DetectError>(())
 //! ```
@@ -121,6 +124,7 @@ use crate::engine::{
 use crate::extraction::{passes_filter, split_oversized_into, RectIndex};
 use crate::feedback::EvalScratch;
 use crate::journal::{read_journal, JournalHeader, JournalWriter, TileOutcomeRecord, TileRecord};
+use crate::metrics::{score, Evaluation};
 use crate::obs::{Counter, ObsEvent, ObsHub};
 use crate::pattern::Pattern;
 use crate::removal::remove_redundant_clips;
@@ -207,7 +211,7 @@ pub struct ScanConfig {
     /// coverage (overlapping pattern area / tile window area) is below this
     /// fraction. Unlike the default conservative prefilter this may drop
     /// true hotspots; `None` keeps the scan exactly equivalent to
-    /// [`HotspotDetector::detect`].
+    /// whole-layout evaluation.
     pub tile_density: Option<f64>,
     /// What to do when a tile fails both its attempt and its retry.
     #[serde(default)]
@@ -322,7 +326,7 @@ impl ScanConfig {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScanReport {
     /// The reported hotspot clips (after removal, when enabled) — the same
-    /// set [`HotspotDetector::detect`] reports when the aggressive
+    /// set at every tiling when the aggressive
     /// [`ScanConfig::tile_density`] cut is off.
     pub reported: Vec<ClipWindow>,
     /// Tiles in the scan grid, including empty ones.
@@ -392,6 +396,23 @@ impl ScanReport {
             return 0.0;
         }
         self.clips_extracted as f64 / secs
+    }
+
+    /// Scores the reported clips against ground-truth hotspot windows, with
+    /// [`scan_time`](Self::scan_time) as the runtime.
+    pub fn score_against(
+        &self,
+        actual: &[ClipWindow],
+        min_clip_overlap: f64,
+        layout_area_um2: f64,
+    ) -> Evaluation {
+        score(
+            &self.reported,
+            actual,
+            min_clip_overlap,
+            layout_area_um2,
+            self.scan_time,
+        )
     }
 
     /// Canonical JSON digest of the report's *deterministic* content: the
@@ -500,13 +521,20 @@ struct Slot {
     retried: bool,
 }
 
-/// Decrements the in-flight counter on drop, so the count stays balanced
-/// even when a tile task unwinds out of an injected panic.
-struct InFlightGuard<'a>(&'a AtomicUsize);
+/// Ends a worker's hold on a tile on drop: decrements the in-flight count
+/// and counts the tile done on the hub. Dropping also runs when the tile
+/// unwinds — out of a panic, a blown budget or the cooperative stop — so
+/// every tile a worker started is done once the worker lets go of it, and
+/// no tile stays in flight after the scan returns, aborted or not. A retry
+/// runs on the calling thread after this and counts nothing more.
+struct InFlightGuard<'a>(&'a AtomicUsize, Option<&'a ObsHub>);
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
+        if let Some(hub) = self.1 {
+            hub.counters().add(Counter::TilesDone, 1);
+        }
     }
 }
 
@@ -626,8 +654,9 @@ impl HotspotDetector {
     /// evaluation, with redundant clip removal over the accumulated flags.
     ///
     /// Memory is bounded by the in-flight tile window; results are
-    /// deterministic and — with the aggressive cut off — identical to
-    /// [`HotspotDetector::detect`] on the same layout. Tile panics are
+    /// deterministic and — with the aggressive cut off — independent of
+    /// the tiling. [`HotspotDetector::detect`] is this scan at
+    /// [`ScanConfig::default`]. Tile panics are
     /// isolated, retried once, and then handled per
     /// [`ScanConfig::failure_policy`]; see the [module docs](crate::scan)
     /// for the journal/resume machinery.
@@ -715,8 +744,8 @@ impl HotspotDetector {
         let obs = self.obs().map(Arc::as_ref);
 
         // The global rectangle index: patterns are built from the same
-        // index queries `detect` issues, so clip features are bit-identical
-        // between the two paths.
+        // index queries whole-layout extraction issues, so clip features do
+        // not depend on the tiling.
         let index = RectIndex::from_layout(layout, layer, shape.clip_side());
         let spec = TileSpec::new(
             shape.core_side() * scan.tile_cores as i64,
@@ -1236,12 +1265,10 @@ impl<'a> TileRunner<'a> {
             &pending,
             |_, &pos| {
                 let current = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                let _guard = InFlightGuard(&self.in_flight);
+                let _guard = InFlightGuard(&self.in_flight, self.obs);
                 self.peak.fetch_max(current, Ordering::SeqCst);
                 self.progress(Counter::TilesStarted);
-                let outcome = self.process(&batch[pos], 0);
-                self.progress(Counter::TilesDone);
-                outcome
+                self.process(&batch[pos], 0)
             },
             Some(&self.trip),
         );
@@ -1262,7 +1289,6 @@ impl<'a> TileRunner<'a> {
             slot.retried = true;
             let payload = match catch_unwind(AssertUnwindSafe(|| self.process(slot, 1))) {
                 Ok(outcome) => {
-                    self.progress(Counter::TilesDone);
                     slot.state = TileState::Done(outcome);
                     continue;
                 }
@@ -1271,8 +1297,6 @@ impl<'a> TileRunner<'a> {
                 Err(payload) if payload.downcast_ref::<CancelPanic>().is_some() => continue,
                 Err(payload) => payload,
             };
-            // Both attempts failed: the tile is finished, as a quarantine.
-            self.progress(Counter::TilesDone);
             let kind = if payload.downcast_ref::<TimeoutPanic>().is_some() {
                 FailureKind::TimedOut
             } else {

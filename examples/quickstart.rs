@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.clips_extracted,
         report.clips_flagged,
         report.reported.len(),
-        report.total_time()
+        report.scan_time
     );
 
     // The merged telemetry covers all eight pipeline stages.

@@ -63,6 +63,15 @@ cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
   generate --name array_benchmark1 --scale tiny --out "$FAULT_DIR"
 cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
   train --training "$FAULT_DIR/training.json" --out "$FAULT_DIR/model.json" --threads 2
+# `detect` is another name for `scan`; a finer tiling must not change the
+# report either.
+cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
+  detect --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$FAULT_DIR/report_detect.json" --threads 2
+cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
+  scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$FAULT_DIR/report_scan.json" --threads 2 --tile-cores 4 --max-in-flight 2
+cmp "$FAULT_DIR/report_detect.json" "$FAULT_DIR/report_scan.json"
 for run in 1 2; do
   set +e
   cargo run --release --quiet -p hotspot-cli --bin hotspot -- \

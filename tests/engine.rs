@@ -1,9 +1,12 @@
 //! Engine-level integration tests: training determinism across thread
 //! counts (the work-stealing executor and speculative `(C, γ)` rounds must
-//! not change the model) and telemetry serialisation.
+//! not change the model), detection against the whole-layout oracle in
+//! `support` at every thread count, and telemetry serialisation.
 
 use hotspot_suite::benchgen::{iccad_suite, Benchmark, SuiteScale};
 use hotspot_suite::core::{DetectorConfig, HotspotDetector, PipelineTelemetry};
+
+mod support;
 
 fn fixed_seed_benchmark() -> Benchmark {
     // Benchmark 2 of the tiny fixed-seed suite: enough clusters that
@@ -48,15 +51,15 @@ fn training_is_deterministic_across_thread_counts() {
 #[test]
 fn detection_reports_agree_across_thread_counts() {
     let bm = fixed_seed_benchmark();
-    let reference = train_at(&bm, 1)
-        .detect(&bm.layout, bm.layer)
-        .expect("evaluation");
+    let sequential = train_at(&bm, 1);
+    let oracle = support::whole_layout_reference(&sequential, &bm.layout, bm.layer);
+    let report = sequential.detect(&bm.layout, bm.layer).expect("evaluation");
+    oracle.assert_matches(&report, "1 thread");
     for threads in [2, 4] {
         let report = train_at(&bm, threads)
             .detect(&bm.layout, bm.layer)
             .expect("evaluation");
-        assert_eq!(report.reported, reference.reported, "{threads} threads");
-        assert_eq!(report.clips_flagged, reference.clips_flagged);
+        oracle.assert_matches(&report, &format!("{threads} threads"));
     }
 }
 

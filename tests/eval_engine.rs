@@ -2,13 +2,16 @@
 //! report exactly the hotspot set of the per-support-vector reference
 //! path, for `detect` and `scan_layout` alike, at any worker-thread
 //! count, and after a serde round trip (which drops the compiled cache
-//! and forces a lazy re-compile).
+//! and forces a lazy re-compile). `detect` is pinned to the sequential
+//! whole-layout oracle in `support` as well.
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::{EvalMode, HotspotDetector, ScanConfig};
 use hotspot_suite::layout::ClipShape;
 use std::sync::OnceLock;
+
+mod support;
 
 fn benchmark() -> &'static Benchmark {
     static BM: OnceLock<Benchmark> = OnceLock::new();
@@ -44,8 +47,8 @@ fn trained(bm: &Benchmark) -> &'static HotspotDetector {
 fn compiled_detect_matches_reference_across_thread_counts() {
     let bm = benchmark();
     let base = trained(bm);
+    let oracle = support::whole_layout_reference(base, &bm.layout, bm.layer);
 
-    let mut reported = None;
     for threads in [1, 2, 4] {
         let compiled = base
             .clone()
@@ -59,15 +62,10 @@ fn compiled_detect_matches_reference_across_thread_counts() {
             .detect(&bm.layout, bm.layer)
             .expect("reference detect");
 
-        assert_eq!(
-            compiled.reported, reference.reported,
-            "engines disagree at {threads} threads"
-        );
-        assert_eq!(compiled.clips_extracted, reference.clips_extracted);
-        assert_eq!(compiled.clips_flagged, reference.clips_flagged);
-        assert_eq!(compiled.feedback_reclaimed, reference.feedback_reclaimed);
+        oracle.assert_matches(&compiled, &format!("compiled, {threads} threads"));
+        oracle.assert_matches(&reference, &format!("reference, {threads} threads"));
 
-        // Every extracted clip went through the batched executor.
+        // Every tile with clips was evaluated as one batch.
         assert!(compiled.eval_batches >= 1, "no eval batches recorded");
         assert!(compiled.eval_batches <= compiled.clips_extracted);
         let stage = compiled
@@ -90,15 +88,6 @@ fn compiled_detect_matches_reference_across_thread_counts() {
             "every flag requires an admission"
         );
         assert_eq!(ref_stage.admission_skips, 0, "reference path never prunes");
-
-        // Thread count must not change the flagged set either.
-        match &reported {
-            None => reported = Some(compiled.reported.clone()),
-            Some(first) => assert_eq!(
-                &compiled.reported, first,
-                "flagged set changed between thread counts"
-            ),
-        }
     }
 }
 
@@ -172,7 +161,7 @@ fn classify_agrees_between_engines() {
 fn deserialised_detector_recompiles_and_matches() {
     let bm = benchmark();
     let detector = trained(bm);
-    let expected = detector.detect(&bm.layout, bm.layer).expect("detect");
+    let oracle = support::whole_layout_reference(detector, &bm.layout, bm.layer);
 
     // The compiled cache is #[serde(skip)]: a round-tripped detector must
     // rebuild it lazily and flag the identical set.
@@ -182,6 +171,5 @@ fn deserialised_detector_recompiles_and_matches() {
         .with_threads(2)
         .detect(&bm.layout, bm.layer)
         .expect("detect after round trip");
-    assert_eq!(report.reported, expected.reported);
-    assert_eq!(report.clips_flagged, expected.clips_flagged);
+    oracle.assert_matches(&report, "after a serde round trip");
 }

@@ -368,23 +368,3 @@ fn quarantine_bound_is_enforced() {
         "{err:?}"
     );
 }
-
-#[test]
-fn detect_surfaces_injected_panics_as_typed_failures() {
-    let bm = benchmark();
-    let detector = trained(bm).clone().with_fault_plan(FaultPlan {
-        panic_tasks: vec![0],
-        ..Default::default()
-    });
-    let err = detector
-        .detect(&bm.layout, bm.layer)
-        .expect_err("evaluation batch 0 must panic");
-    match err {
-        DetectError::TaskPanicked(failure) => {
-            assert_eq!(failure.stage, "kernel_evaluation");
-            assert_eq!(failure.index, 0);
-            assert!(failure.payload.contains("injected fault"), "{failure}");
-        }
-        other => panic!("expected TaskPanicked, got {other:?}"),
-    }
-}

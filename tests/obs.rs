@@ -8,14 +8,15 @@ use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::obs::read_events;
 use hotspot_suite::core::{
-    FailureKind, FailurePolicy, FaultPlan, HotspotDetector, MetricsServer, NdjsonSink, ObsEvent,
-    ObsHub, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
+    AbortReason, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, MetricsServer,
+    NdjsonSink, ObsEvent, ObsHub, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
 };
 use hotspot_suite::layout::ClipShape;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 fn benchmark() -> &'static Benchmark {
     static BM: OnceLock<Benchmark> = OnceLock::new();
@@ -275,8 +276,20 @@ fn scan_and_check_agreement(
     assert_eq!(snap.tiles_timed_out, n(timed_out), "{case}");
     assert_eq!(n(eval.timeouts), n(timed_out), "{case}");
     // Every scanned tile — evaluated, prefiltered, replayed, served or
-    // quarantined — is done, and none is left in flight.
-    assert_eq!(snap.tiles_done, n(report.tiles_scanned), "{case}");
+    // quarantined — is done, and none is left in flight. An aborted scan
+    // also counts the tiles its stop dropped mid-body as done: at most one
+    // in-flight window more than it scanned.
+    if report.aborted.is_some() {
+        let scanned = n(report.tiles_scanned);
+        let window = n(scan.max_in_flight);
+        assert!(
+            (scanned..=scanned + window).contains(&snap.tiles_done),
+            "{case}: {} done, {scanned} scanned",
+            snap.tiles_done
+        );
+    } else {
+        assert_eq!(snap.tiles_done, n(report.tiles_scanned), "{case}");
+    }
     assert_eq!(snap.tiles_in_flight(), 0, "{case}");
     report
 }
@@ -340,12 +353,27 @@ fn report_stage_rows_and_hub_agree_on_every_shared_count() {
             panic_per_mille: 300,
             ..Default::default()
         },
-        ..base
+        ..base.clone()
     };
     let report = scan_and_check_agreement(detector, &degraded, "skip-and-record");
     assert!(
         !report.failed_tiles.is_empty(),
         "the plan quarantines tiles"
     );
+
+    // Aborted mid-batch: every tile stalls far past the deadline, so the
+    // stop drops the first batch's tiles inside their bodies.
+    let aborted = ScanConfig {
+        deadline: Some(Duration::from_millis(300)),
+        fault_plan: FaultPlan {
+            stall_per_mille: 1000,
+            stall_ms: 1000,
+            site: FaultSite::Prefilter,
+            ..Default::default()
+        },
+        ..base
+    };
+    let report = scan_and_check_agreement(detector, &aborted, "aborted");
+    assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
     std::fs::remove_dir_all(&dir).ok();
 }

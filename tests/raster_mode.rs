@@ -10,6 +10,8 @@ use hotspot_suite::core::{HotspotDetector, RasterMode, ScanConfig};
 use hotspot_suite::layout::ClipShape;
 use std::sync::OnceLock;
 
+mod support;
+
 fn benchmark() -> &'static Benchmark {
     static BM: OnceLock<Benchmark> = OnceLock::new();
     BM.get_or_init(|| {
@@ -92,6 +94,7 @@ fn scan_digest_is_byte_identical_across_raster_modes() {
 fn detect_matches_across_raster_modes() {
     let bm = benchmark();
     let detector = trained(bm);
+    let oracle = support::whole_layout_reference(detector, &bm.layout, bm.layer);
 
     for threads in [1, 2, 4] {
         let sat = detector
@@ -107,12 +110,8 @@ fn detect_matches_across_raster_modes() {
             .detect(&bm.layout, bm.layer)
             .expect("reference detect");
 
-        assert_eq!(
-            sat.reported, reference.reported,
-            "raster modes disagree at {threads} threads"
-        );
-        assert_eq!(sat.clips_extracted, reference.clips_extracted);
-        assert_eq!(sat.clips_flagged, reference.clips_flagged);
+        oracle.assert_matches(&sat, &format!("sat, {threads} threads"));
+        oracle.assert_matches(&reference, &format!("reference, {threads} threads"));
     }
 }
 
@@ -134,10 +133,7 @@ fn training_converges_identically_under_both_modes() {
         .expect("reference training");
 
     assert_eq!(sat.kernels().len(), reference.kernels().len());
+    let oracle = support::whole_layout_reference(&reference, &bm.layout, bm.layer);
     let sat_report = sat.detect(&bm.layout, bm.layer).expect("sat detect");
-    let ref_report = reference
-        .detect(&bm.layout, bm.layer)
-        .expect("reference detect");
-    assert_eq!(sat_report.reported, ref_report.reported);
-    assert_eq!(sat_report.clips_flagged, ref_report.clips_flagged);
+    oracle.assert_matches(&sat_report, "sat-trained detector");
 }

@@ -7,6 +7,7 @@ use crate::feedback::{train_feedback, EvalEngine, EvalScratch, FeedbackKernel};
 use crate::obs::ObsHub;
 use crate::pattern::{Pattern, TrainingSet};
 use crate::scan::{ScanConfig, ScanReport};
+use crate::tile_cache;
 use crate::training::{
     classify_patterns_mode, density_grid, train_cluster_kernels_with, ClusterKernel,
     PatternCluster, Region,
@@ -141,6 +142,9 @@ struct CompiledSet {
     /// The admission router: every kernel centroid × 8 D8 orientations
     /// packed for the fused density-admission pass.
     router: CentroidRouter,
+    /// The model half of the tile-cache fingerprint (see
+    /// [`HotspotDetector::model_hash`]), hashed on the first cached scan.
+    model_hash: OnceLock<u64>,
 }
 
 /// Lazy [`CompiledSet`] holder, skipped by serde (the compiled form is a
@@ -367,7 +371,21 @@ impl HotspotDetector {
                     grid,
                     grid,
                 ),
+                model_hash: OnceLock::new(),
             }
+        })
+    }
+
+    /// FNV-1a hash of the canonical JSON of the kernels and the feedback
+    /// kernel: the config-independent half of the tile-cache fingerprint.
+    /// Kernels never change after construction, so it is serialised once
+    /// per detector, not once per scan.
+    pub(crate) fn model_hash(&self) -> u64 {
+        *self.compiled_set().model_hash.get_or_init(|| {
+            let kernels = serde_json::to_string(&self.kernels).expect("kernels serialise");
+            let feedback =
+                serde_json::to_string(&self.feedback).expect("feedback kernel serialises");
+            tile_cache::model_hash(&kernels, &feedback)
         })
     }
 
@@ -420,6 +438,7 @@ impl HotspotDetector {
                 compiled_feedback: None,
                 router: None,
                 obs: self.obs.as_deref(),
+                memo: None,
             },
             EvalMode::Compiled => {
                 let set = self.compiled_set();
@@ -432,6 +451,7 @@ impl HotspotDetector {
                     compiled_feedback: set.feedback.as_ref(),
                     router: Some(&set.router),
                     obs: self.obs.as_deref(),
+                    memo: None,
                 }
             }
         }

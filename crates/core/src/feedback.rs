@@ -11,12 +11,13 @@
 //! hit count of true hotspots.
 
 use crate::config::DetectorConfig;
+use crate::memo::EvalMemo;
 use crate::pattern::Pattern;
 use crate::training::{
     classify_patterns, density_grid, feature_vector_padded, train_iterative, ClusterKernel,
     FeatureMemo, PatternCluster, Region,
 };
-use hotspot_geom::{AreaTableGrid, DensityGrid};
+use hotspot_geom::{AreaTableGrid, DensityGrid, Rect};
 use hotspot_svm::{BatchEvaluator, CompiledModel, SvmModel, TrainError};
 use hotspot_topo::route::{Admission, CentroidRouter, RouteStats};
 use hotspot_topo::TopoSignature;
@@ -24,16 +25,21 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Reusable per-worker scratch for [`EvalEngine`] calls: the batched SVM
-/// evaluator's buffers, the router's admission list, and the admission
-/// telemetry counters. Create one per worker (or per batch) and reuse it
-/// across clips — queries are allocation-free once the buffers have grown
-/// to their high-water marks.
+/// evaluator's buffers, the router's admission list, the clip's decision
+/// list, and the admission telemetry counters. Create one per worker (or
+/// per batch) and reuse it across clips — queries are allocation-free once
+/// the buffers have grown to their high-water marks.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     eval: BatchEvaluator,
     admissions: Vec<Admission>,
-    route_stats: RouteStats,
     admitted: usize,
+    rows_pruned: usize,
+    /// The current clip's `(kernel, decision)` list, evaluated or served
+    /// by the scan's [`EvalMemo`].
+    decisions: Vec<(usize, f64)>,
+    /// The current clip's packed [`EvalMemo`] key.
+    key: Vec<[u16; 4]>,
     /// Padded subtile summed-area tables over the current scan tile's
     /// dissected rects, rebuilt in place by the tile loop under
     /// [`hotspot_geom::RasterMode::Sat`] (allocations persist across
@@ -65,18 +71,13 @@ impl EvalScratch {
     /// computing their full exact distance (mass gate + norm screen +
     /// early exit); always 0 under [`crate::EvalMode::Reference`].
     pub fn admission_skips(&self) -> u64 {
-        self.route_stats.rows_pruned() as u64
-    }
-
-    /// The accumulated router counters.
-    pub fn route_stats(&self) -> &RouteStats {
-        &self.route_stats
+        self.rows_pruned as u64
     }
 
     /// Zeroes the telemetry counters, keeping the grown buffers.
     pub fn reset_counters(&mut self) {
-        self.route_stats = RouteStats::default();
         self.admitted = 0;
+        self.rows_pruned = 0;
     }
 
     /// Marks the shared per-tile summed-area tables stale. The scan loop
@@ -93,12 +94,12 @@ impl EvalScratch {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild_raster_tables(
         &mut self,
-        region: &hotspot_geom::Rect,
+        region: &Rect,
         stride: i64,
         pad: i64,
-        rects: &[hotspot_geom::Rect],
+        rects: &[Rect],
         max_cells_per_table: usize,
-        windows: &[hotspot_geom::Rect],
+        windows: &[Rect],
     ) {
         self.raster
             .rebuild_for(region, stride, pad, rects, max_cells_per_table, windows);
@@ -125,6 +126,7 @@ pub struct EvalEngine<'d> {
     pub(crate) compiled_feedback: Option<&'d CompiledModel>,
     pub(crate) router: Option<&'d CentroidRouter>,
     pub(crate) obs: Option<&'d crate::obs::ObsHub>,
+    pub(crate) memo: Option<&'d EvalMemo>,
 }
 
 impl<'d> EvalEngine<'d> {
@@ -145,6 +147,17 @@ impl<'d> EvalEngine<'d> {
             compiled_feedback: None,
             router: None,
             obs: None,
+            memo: None,
+        }
+    }
+
+    /// This engine serving repeated clip cores from `memo`. Decisions,
+    /// visit order and admission counters are exactly those of the
+    /// un-memoised engine.
+    pub(crate) fn with_memo(self, memo: &'d EvalMemo) -> Self {
+        EvalEngine {
+            memo: Some(memo),
+            ..self
         }
     }
 
@@ -209,7 +222,8 @@ impl<'d> EvalEngine<'d> {
 
     /// Runs the admission search for `pattern` and invokes `visit` with
     /// `(kernel index, decision value)` for every admitted kernel, in
-    /// kernel order.
+    /// kernel order. With a memo attached, a clip whose core repeats an
+    /// earlier one up to translation replays the memoised list.
     pub(crate) fn for_each_admitted(
         &self,
         pattern: &Pattern,
@@ -221,6 +235,18 @@ impl<'d> EvalEngine<'d> {
         if let Some(hub) = self.obs {
             hub.counters().add(crate::obs::Counter::ClipsEvaluated, 1);
         }
+        let rows_pruned = self.admitted_decisions(pattern, scratch);
+        scratch.admitted += scratch.decisions.len();
+        scratch.rows_pruned += rows_pruned;
+        for &(idx, decision) in &scratch.decisions {
+            visit(idx, decision);
+        }
+    }
+
+    /// Fills `scratch.decisions` with the clip's admitted `(kernel,
+    /// decision)` list, from the memo when it holds the clip's core, and
+    /// returns the router rows pruned for it.
+    fn admitted_decisions(&self, pattern: &Pattern, scratch: &mut EvalScratch) -> usize {
         let window = pattern.window.core;
         let rects: Vec<_> = pattern
             .rects
@@ -228,8 +254,31 @@ impl<'d> EvalEngine<'d> {
             .filter_map(|r| r.intersection(&window))
             .map(|r| r.translate(-window.min()))
             .collect();
-        let local = hotspot_geom::Rect::from_extents(0, 0, window.width(), window.height());
-        let signature = TopoSignature::of(&local, &rects);
+        let memo = self
+            .memo
+            .filter(|_| EvalMemo::pack_key(&window, &rects, &mut scratch.key));
+        if let Some(rows_pruned) = memo.and_then(|m| m.get(&scratch.key, &mut scratch.decisions)) {
+            return rows_pruned;
+        }
+        let rows_pruned = self.evaluate(pattern, &window, &rects, scratch);
+        if let Some(memo) = memo {
+            memo.insert(&scratch.key, &scratch.decisions, rows_pruned);
+        }
+        rows_pruned
+    }
+
+    /// The un-memoised evaluation of one clip into `scratch.decisions`;
+    /// `rects` are the core rects relative to `window`. Returns the router
+    /// rows pruned.
+    fn evaluate(
+        &self,
+        pattern: &Pattern,
+        window: &Rect,
+        rects: &[Rect],
+        scratch: &mut EvalScratch,
+    ) -> usize {
+        let local = Rect::from_extents(0, 0, window.width(), window.height());
+        let signature = TopoSignature::of(&local, rects);
         // With per-tile summed-area tables installed, the clip's core grid
         // is four table lookups per cell against its subtile's table (in
         // absolute coordinates — the integer pixel boundaries shift with
@@ -240,18 +289,27 @@ impl<'d> EvalEngine<'d> {
         let EvalScratch {
             eval,
             admissions,
-            route_stats,
-            admitted,
+            decisions,
             raster,
             raster_live,
             grid: scratch_grid,
+            ..
         } = scratch;
-        let filled = *raster_live && raster.rasterize_into(&window, g, g, scratch_grid);
+        decisions.clear();
+        let filled = *raster_live && raster.rasterize_into(window, g, g, scratch_grid);
         if !filled {
             *scratch_grid = density_grid(pattern, Region::Core, self.config);
         }
         let grid: &DensityGrid = scratch_grid;
-        let mut memo = FeatureMemo::new(pattern, Region::Core, self.config);
+        let mut features = FeatureMemo::new(pattern, Region::Core, self.config);
+        let mut decide = |idx: usize, k: &ClusterKernel| {
+            let padded = features.padded(k.feature_len);
+            let decision = match self.compiled_kernels {
+                Some(models) => eval.decision_value(&models[idx], padded),
+                None => k.model.decision_value(padded),
+            };
+            decisions.push((idx, decision));
+        };
 
         // The compiled router answers the density side of admission for
         // every kernel in one fused pass; the admissions come back sorted
@@ -262,24 +320,19 @@ impl<'d> EvalEngine<'d> {
             .router
             .filter(|r| (grid.nx(), grid.ny()) == (r.nx(), r.ny()));
         if let Some(router) = router {
-            router.route_into(grid, admissions, route_stats);
+            let mut route = RouteStats::default();
+            router.route_into(grid, admissions, &mut route);
             let mut next = 0usize;
             for (idx, k) in self.kernels.iter().enumerate() {
                 let density_match = admissions.get(next).is_some_and(|a| a.kernel == idx);
                 if density_match {
                     next += 1;
                 }
-                if !density_match && signature != k.signature {
-                    continue;
+                if density_match || signature == k.signature {
+                    decide(idx, k);
                 }
-                *admitted += 1;
-                let features = memo.padded(k.feature_len);
-                let decision = match self.compiled_kernels {
-                    Some(models) => eval.decision_value(&models[idx], features),
-                    None => k.model.decision_value(features),
-                };
-                visit(idx, decision);
             }
+            route.rows_pruned()
         } else {
             for (idx, k) in self.kernels.iter().enumerate() {
                 let topo_match = signature == k.signature;
@@ -289,17 +342,11 @@ impl<'d> EvalEngine<'d> {
                 } else {
                     false
                 };
-                if !topo_match && !density_match {
-                    continue;
+                if topo_match || density_match {
+                    decide(idx, k);
                 }
-                *admitted += 1;
-                let features = memo.padded(k.feature_len);
-                let decision = match self.compiled_kernels {
-                    Some(models) => eval.decision_value(&models[idx], features),
-                    None => k.model.decision_value(features),
-                };
-                visit(idx, decision);
             }
+            0
         }
     }
 

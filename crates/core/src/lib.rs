@@ -55,6 +55,7 @@ pub mod engine;
 pub mod extraction;
 pub mod feedback;
 pub mod journal;
+mod memo;
 pub mod metrics;
 pub mod multilayer;
 pub mod obs;

@@ -124,6 +124,7 @@ use crate::engine::{
 use crate::extraction::{passes_filter, split_oversized_into, RectIndex};
 use crate::feedback::EvalScratch;
 use crate::journal::{read_journal, JournalHeader, JournalWriter, TileOutcomeRecord, TileRecord};
+use crate::memo::EvalMemo;
 use crate::metrics::{score, Evaluation};
 use crate::obs::{Counter, ObsEvent, ObsHub};
 use crate::pattern::Pattern;
@@ -878,8 +879,9 @@ impl HotspotDetector {
     /// (0 = first, 1 = retry); both exist only to key the deterministic
     /// fault-injection hooks, which compile down to an `is_empty` check on
     /// production scans. `trip` is the scan's internal stop token, polled
-    /// at stage boundaries together with the soft tile budget. `scratch` is
-    /// the worker's reusable buffers.
+    /// at stage boundaries together with the soft tile budget. `memo` is
+    /// the scan's shared decision memo and `scratch` the worker's reusable
+    /// buffers.
     #[allow(clippy::too_many_arguments)]
     fn process_tile_with(
         &self,
@@ -888,6 +890,7 @@ impl HotspotDetector {
         config: &DetectorConfig,
         scan: &ScanConfig,
         threshold: f64,
+        memo: &EvalMemo,
         tile_id: usize,
         attempt: u32,
         trip: &CancelToken,
@@ -990,7 +993,7 @@ impl HotspotDetector {
                 windows,
             );
         }
-        let engine = self.eval_engine_with_threshold(threshold);
+        let engine = self.eval_engine_with_threshold(threshold).with_memo(memo);
         eval.reset_counters();
         let (mut flagged, mut reclaimed, mut flagged_cores) = (0, 0, Vec::new());
         for pattern in patterns.iter() {
@@ -1050,17 +1053,14 @@ impl HotspotDetector {
     /// the kernels, the feedback kernel, and the full config minus the
     /// thread count (scans are thread-count-invariant). Any retrain or
     /// config change yields a new fingerprint and invalidates every tile
-    /// cache built under the old one.
+    /// cache built under the old one. Only the small config half is
+    /// serialised per scan; [`with_eval_mode`](Self::with_eval_mode) and
+    /// [`with_raster_mode`](Self::with_raster_mode) change it.
     fn model_fingerprint(&self) -> u64 {
-        let kernels = serde_json::to_string(&self.kernels().to_vec()).expect("kernels serialise");
-        let feedback = match self.feedback() {
-            Some(f) => serde_json::to_string(f).expect("feedback kernel serialises"),
-            None => "null".to_string(),
-        };
         let mut config = self.config().clone();
         config.threads = 0;
         let config = serde_json::to_string(&config).expect("config serialises");
-        tile_cache::model_fingerprint(&kernels, &feedback, &config)
+        tile_cache::model_fingerprint(self.model_hash(), &config)
     }
 }
 
@@ -1216,6 +1216,9 @@ struct TileRunner<'a> {
     index: &'a RectIndex,
     scan: &'a ScanConfig,
     threshold: f64,
+    /// Admitted kernel decisions per distinct clip core, shared by every
+    /// worker and dropped with the scan.
+    memo: EvalMemo,
     executor: Executor,
     trip: CancelToken,
     in_flight: Arc<AtomicUsize>,
@@ -1240,6 +1243,7 @@ impl<'a> TileRunner<'a> {
             index,
             scan,
             threshold,
+            memo: EvalMemo::new(),
             executor,
             trip: CancelToken::new(),
             in_flight: Arc::new(AtomicUsize::new(0)),
@@ -1349,6 +1353,7 @@ impl<'a> TileRunner<'a> {
                 self.detector.config(),
                 self.scan,
                 self.threshold,
+                &self.memo,
                 slot.id,
                 attempt,
                 &self.trip,
@@ -1748,6 +1753,75 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(quarantined.digest(), timed_out.digest());
+    }
+
+    #[test]
+    fn model_fingerprint_matches_the_full_serialisation() {
+        use crate::journal::fnv1a;
+        use crate::{Label, TrainingSet};
+        use hotspot_layout::ClipShape;
+
+        // The formula tile caches were written under: every part
+        // re-serialised per call. Caches must stay valid across the split.
+        fn serialised(det: &HotspotDetector) -> u64 {
+            let kernels = serde_json::to_string(&det.kernels().to_vec()).unwrap();
+            let feedback = match det.feedback() {
+                Some(f) => serde_json::to_string(f).unwrap(),
+                None => "null".to_string(),
+            };
+            let mut config = det.config().clone();
+            config.threads = 0;
+            let config = serde_json::to_string(&config).unwrap();
+            let mut h = fnv1a(kernels.as_bytes());
+            h ^= fnv1a(feedback.as_bytes());
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            h ^= fnv1a(config.as_bytes());
+            h.wrapping_mul(0x0000_0100_0000_01B3)
+        }
+
+        // Hotspots and nonhotspots share a core and differ in the ambit,
+        // so training also produces a feedback kernel.
+        let shape = ClipShape::ICCAD2012;
+        let core = [
+            Rect::from_extents(0, 0, 500, 400),
+            Rect::from_extents(600, 0, 1100, 400),
+        ];
+        let pattern = |ambit: bool, i: i64| {
+            let window = shape.window_from_core_corner(Point::new(0, 0));
+            let mut rects = core.to_vec();
+            if ambit {
+                rects.push(Rect::from_extents(1400 + 10 * i, 1400, 2300, 2300));
+            }
+            Pattern::new(window, &rects)
+        };
+        let mut training = TrainingSet::new();
+        for i in 0..3 {
+            training.push(pattern(false, i), Label::Hotspot);
+            training.push(pattern(true, i), Label::NonHotspot);
+        }
+        let det = HotspotDetector::builder()
+            .max_learning_rounds(2)
+            .train(&training)
+            .unwrap();
+        assert!(
+            det.feedback().is_some(),
+            "the toy model has a feedback kernel"
+        );
+        assert_eq!(det.model_fingerprint(), serialised(&det));
+
+        // The config half is hashed per scan: a mode switch on a detector
+        // whose model half is already cached still changes the print.
+        let reference = det.clone().with_raster_mode(RasterMode::Reference);
+        assert_eq!(reference.model_fingerprint(), serialised(&reference));
+        assert_ne!(reference.model_fingerprint(), det.model_fingerprint());
+        // Threads do not count; a reloaded model rebuilds the same print.
+        assert_eq!(
+            det.clone().with_threads(7).model_fingerprint(),
+            serialised(&det)
+        );
+        let json = serde_json::to_string(&det).unwrap();
+        let reloaded: HotspotDetector = serde_json::from_str(&json).unwrap();
+        assert_eq!(reloaded.model_fingerprint(), det.model_fingerprint());
     }
 
     #[test]

@@ -274,14 +274,18 @@ impl TileCache {
     }
 }
 
-/// Fingerprints a trained model + evaluation identity: FNV-1a 64 over the
-/// canonical JSON of the kernels, the feedback kernel, and the detector
-/// config with its thread count zeroed (scans are thread-count-invariant,
-/// so threads must not invalidate the cache).
-pub(crate) fn model_fingerprint(kernels_json: &str, feedback_json: &str, config_json: &str) -> u64 {
-    let mut h = fnv1a(kernels_json.as_bytes());
-    h ^= fnv1a(feedback_json.as_bytes());
-    h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// The model half of [`model_fingerprint`]: FNV-1a 64 over the canonical
+/// JSON of the kernels, xor the same over the feedback kernel's.
+pub(crate) fn model_hash(kernels_json: &str, feedback_json: &str) -> u64 {
+    fnv1a(kernels_json.as_bytes()) ^ fnv1a(feedback_json.as_bytes())
+}
+
+/// Fingerprints a trained model + evaluation identity: the
+/// [`model_hash`] folded with FNV-1a 64 over the canonical JSON of the
+/// detector config with its thread count zeroed (scans are
+/// thread-count-invariant, so threads must not invalidate the cache).
+pub(crate) fn model_fingerprint(model_hash: u64, config_json: &str) -> u64 {
+    let mut h = model_hash.wrapping_mul(0x0000_0100_0000_01B3);
     h ^= fnv1a(config_json.as_bytes());
     h.wrapping_mul(0x0000_0100_0000_01B3)
 }

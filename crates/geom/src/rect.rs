@@ -81,9 +81,10 @@ impl Rect {
         self.max.y - self.min.y
     }
 
-    /// Area in nm².
+    /// Area in nm², saturating at `i64::MAX` (a full-range `i32` square
+    /// has an area of about 2^64).
     pub fn area(&self) -> i64 {
-        self.width() * self.height()
+        self.width().saturating_mul(self.height())
     }
 
     /// `true` if the rectangle has zero area.
@@ -239,6 +240,21 @@ mod tests {
         assert_eq!(r(0, 0, 4, 5).area(), 20);
         assert!(r(3, 3, 3, 10).is_empty());
         assert!(!r(0, 0, 1, 1).is_empty());
+    }
+
+    #[test]
+    fn full_range_area_saturates() {
+        // GDSII coordinates are i32: a full-range rect spans 2^32 - 1 per
+        // side, and its exact area (about 2^64) does not fit in i64.
+        let full = r(
+            i32::MIN.into(),
+            i32::MIN.into(),
+            i32::MAX.into(),
+            i32::MAX.into(),
+        );
+        assert_eq!(full.area(), i64::MAX);
+        let wide = r(i32::MIN.into(), 0, i32::MAX.into(), 1);
+        assert_eq!(wide.area(), (1i64 << 32) - 1);
     }
 
     #[test]

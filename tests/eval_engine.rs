@@ -5,7 +5,7 @@
 //! and forces a lazy re-compile). `detect` is pinned to the sequential
 //! whole-layout oracle in `support` as well.
 
-use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
+use hotspot_suite::benchgen::{iccad_suite, Benchmark, BenchmarkSpec, LithoOracle, SuiteScale};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::{EvalMode, HotspotDetector, ScanConfig};
 use hotspot_suite::layout::ClipShape;
@@ -46,9 +46,27 @@ fn trained(bm: &Benchmark) -> &'static HotspotDetector {
 #[test]
 fn compiled_detect_matches_reference_across_thread_counts() {
     let bm = benchmark();
-    let base = trained(bm);
-    let oracle = support::whole_layout_reference(base, &bm.layout, bm.layer);
+    assert_engines_match_across_thread_counts(bm, trained(bm));
 
+    // Workers race to memoise the repeated clip cores of an array layout;
+    // whichever evaluation lands first, nothing may move.
+    let spec = iccad_suite(SuiteScale::Tiny)
+        .into_iter()
+        .find(|s| s.name == "array_benchmark1")
+        .expect("suite benchmark");
+    let array = Benchmark::generate(spec);
+    let detector = HotspotDetector::builder()
+        .threads(2)
+        .train(&array.training)
+        .expect("training");
+    assert_engines_match_across_thread_counts(&array, &detector);
+}
+
+fn assert_engines_match_across_thread_counts(bm: &Benchmark, base: &HotspotDetector) {
+    let oracle = support::whole_layout_reference(base, &bm.layout, bm.layer);
+    let name = &bm.spec.name;
+
+    let mut counters = None;
     for threads in [1, 2, 4] {
         let compiled = base
             .clone()
@@ -62,8 +80,8 @@ fn compiled_detect_matches_reference_across_thread_counts() {
             .detect(&bm.layout, bm.layer)
             .expect("reference detect");
 
-        oracle.assert_matches(&compiled, &format!("compiled, {threads} threads"));
-        oracle.assert_matches(&reference, &format!("reference, {threads} threads"));
+        oracle.assert_matches(&compiled, &format!("{name} compiled, {threads} threads"));
+        oracle.assert_matches(&reference, &format!("{name} reference, {threads} threads"));
 
         // Every tile with clips was evaluated as one batch.
         assert!(compiled.eval_batches >= 1, "no eval batches recorded");
@@ -88,6 +106,15 @@ fn compiled_detect_matches_reference_across_thread_counts() {
             "every flag requires an admission"
         );
         assert_eq!(ref_stage.admission_skips, 0, "reference path never prunes");
+
+        // Memo hits replay their admission counts, so the counters do not
+        // depend on which worker evaluated a repeated core first.
+        let now = (stage.admissions, stage.admission_skips);
+        assert_eq!(
+            *counters.get_or_insert(now),
+            now,
+            "{name}: admission counters changed at {threads} threads"
+        );
     }
 }
 

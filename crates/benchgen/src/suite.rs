@@ -19,15 +19,14 @@ pub enum SuiteScale {
     Tiny,
     /// 1/4 linear — the default experiment scale.
     Small,
-    /// 1/2 linear — the inference-benchmark scale: enough clips and
-    /// support vectors for stable throughput numbers without Table-I
-    /// training times.
+    /// 1/2 linear, half the Table-I training counts — between the
+    /// experiment scale and full Table I.
     Medium,
     /// Full Table-I areas.
     Paper,
-    /// 2× linear (4× Table-I area) with 1/4 training counts — a
-    /// "huge layout" mode for stressing the streaming scan's throughput
-    /// and memory bound, not for accuracy experiments.
+    /// 2× linear (4× Table-I area) with 1/4 training counts — a large
+    /// layout for stressing the tiled scan's throughput and memory bound,
+    /// not for accuracy experiments.
     Huge,
 }
 
@@ -53,6 +52,24 @@ impl SuiteScale {
             SuiteScale::Small | SuiteScale::Huge => 0.25,
             SuiteScale::Medium => 0.5,
             SuiteScale::Paper => 1.0,
+        }
+    }
+}
+
+impl std::str::FromStr for SuiteScale {
+    type Err = String;
+
+    /// Parses a scale name: `tiny`, `small`, `medium`, `paper` or `huge`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "tiny" => Ok(SuiteScale::Tiny),
+            "small" => Ok(SuiteScale::Small),
+            "medium" => Ok(SuiteScale::Medium),
+            "paper" => Ok(SuiteScale::Paper),
+            "huge" => Ok(SuiteScale::Huge),
+            other => Err(format!(
+                "unknown scale `{other}` (tiny|small|medium|paper|huge)"
+            )),
         }
     }
 }
@@ -171,6 +188,21 @@ pub fn iccad_suite(scale: SuiteScale) -> Vec<BenchmarkSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse() {
+        for (name, scale) in [
+            ("tiny", SuiteScale::Tiny),
+            ("small", SuiteScale::Small),
+            ("medium", SuiteScale::Medium),
+            ("paper", SuiteScale::Paper),
+            ("huge", SuiteScale::Huge),
+        ] {
+            assert_eq!(name.parse::<SuiteScale>(), Ok(scale));
+        }
+        let err = "Small".parse::<SuiteScale>().unwrap_err();
+        assert_eq!(err, "unknown scale `Small` (tiny|small|medium|paper|huge)");
+    }
 
     #[test]
     fn suite_has_six_benchmarks() {

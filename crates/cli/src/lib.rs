@@ -25,9 +25,8 @@ mod sigint;
 
 use hotspot_benchgen::{iccad_suite, Benchmark, SuiteScale};
 use hotspot_core::{
-    CancelToken, DetectError, DetectorConfig, EvalMode, FailurePolicy, FaultPlan, HotspotDetector,
-    MetricsServer, NdjsonSink, ObsEvent, ObsHub, ProgressSink, RasterMode, Sampler, ScanConfig,
-    TrainingSet,
+    CancelToken, DetectError, DetectorConfig, FailurePolicy, FaultPlan, HotspotDetector,
+    MetricsServer, NdjsonSink, ObsEvent, ObsHub, ProgressSink, Sampler, ScanConfig, TrainingSet,
 };
 use hotspot_layout::{gdsii, ClipWindow, LayerId};
 use std::fmt;
@@ -104,14 +103,12 @@ pub const USAGE: &str = "\
 hotspot — machine-learning lithography hotspot detection
 
 USAGE:
-  hotspot generate --name <benchmark> [--scale tiny|small|paper|huge] --out <dir>
+  hotspot generate --name <benchmark> [--scale tiny|small|medium|paper|huge] --out <dir>
   hotspot train    --training <training.json> --out <model.json> [--threads N]
                    [--telemetry <telemetry.json>]
   hotspot scan     --model <model.json> --layout <layout.gds> --out <report.json>
                    [--layer N] [--threshold X] [--threads N] [--tile-cores N]
                    [--max-in-flight N] [--tile-density X] [--json]
-                   [--eval-mode reference|compiled]
-                   [--raster-mode reference|sat]
                    [--telemetry <telemetry.json>]
                    [--cache <cache.bin>] [--cache-verify]
                    [--journal <journal.log>] [--resume] [--max-failed-tiles N]
@@ -135,13 +132,6 @@ Benchmarks: array_benchmark1..5, mx_blind_partial.
 report and summary.
 --threads 0 means one worker per core. `scan` `--telemetry` merges the
 model's training telemetry with the run into an eight-stage record.
---eval-mode selects the kernel-evaluation engine: `compiled` (default)
-routes admission through the batched 8-orientation centroid router and
-the flattened SVM engine; `reference` keeps the naive per-kernel search
-as a cross-checking oracle. Both flag the identical hotspot set.
---raster-mode selects the density-grid rasteriser: `sat` (default) shares
-one exact summed-area table per tile; `reference` sweeps every rect per
-clip. Both are exact-integer paths and produce byte-identical reports.
 `scan` streams the layout tile by tile: --max-in-flight bounds memory
 (0 = 2x threads), --tile-cores sets the tile stride in core sides, and
 --tile-density enables the aggressive mean-coverage prefilter.
@@ -175,9 +165,10 @@ structured pipeline event to a schema-versioned NDJSON log.
 --obs-interval-ms sets the counter sampling period (default 1000).
 `events` validates such a log line by line and summarises it.
 
-Exit codes: 0 ok, 2 usage, 3 i/o, 4 json, 5 gdsii, 6 pipeline,
-7 completed with quarantined tiles, 8 aborted by deadline or Ctrl-C
-(partial results journaled; resume with --journal <path> --resume).";
+Exit codes: 0 ok, 2 usage, 3 i/o, 4 json, 5 gdsii, 6 pipeline (also a
+layer extent too large to tile), 7 completed with quarantined tiles,
+8 aborted by deadline or Ctrl-C (partial results journaled; resume with
+--journal <path> --resume).";
 
 /// Exit code for a scan that completed but quarantined one or more tiles.
 pub const EXIT_QUARANTINED: i32 = 7;
@@ -288,18 +279,11 @@ fn parse_flags(args: &[String]) -> Result<Opts, CliError> {
 fn cmd_generate(opts: &Opts) -> Result<String, CliError> {
     let name = opts.require("name")?;
     let out_dir = PathBuf::from(opts.require("out")?);
-    let scale = match opts.get("scale").unwrap_or("small") {
-        "tiny" => SuiteScale::Tiny,
-        "small" => SuiteScale::Small,
-        "medium" => SuiteScale::Medium,
-        "paper" => SuiteScale::Paper,
-        "huge" => SuiteScale::Huge,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown scale `{other}` (tiny|small|medium|paper|huge)"
-            )))
-        }
-    };
+    let scale: SuiteScale = opts
+        .get("scale")
+        .unwrap_or("small")
+        .parse()
+        .map_err(CliError::Usage)?;
     let spec = iccad_suite(scale)
         .into_iter()
         .find(|s| s.name == name)
@@ -391,34 +375,6 @@ fn parse_opt_indices(opts: &Opts, key: &str) -> Result<Vec<usize>, CliError> {
         })
 }
 
-/// Parses the optional `--eval-mode` flag; absent means "keep the model's
-/// persisted mode". Bad values are usage errors (exit code 2).
-fn parse_eval_mode(opts: &Opts) -> Result<Option<EvalMode>, CliError> {
-    opts.get("eval-mode")
-        .map(|v| {
-            v.parse().map_err(|_| {
-                CliError::Usage(format!(
-                    "invalid value `{v}` for --eval-mode (expected `reference` or `compiled`)"
-                ))
-            })
-        })
-        .transpose()
-}
-
-/// Parses the optional `--raster-mode` flag; absent means "keep the
-/// model's persisted mode". Bad values are usage errors (exit code 2).
-fn parse_raster_mode(opts: &Opts) -> Result<Option<RasterMode>, CliError> {
-    opts.get("raster-mode")
-        .map(|v| {
-            v.parse().map_err(|_| {
-                CliError::Usage(format!(
-                    "invalid value `{v}` for --raster-mode (expected `reference` or `sat`)"
-                ))
-            })
-        })
-        .transpose()
-}
-
 fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
     let journal = opts.get("journal").map(PathBuf::from);
     if opts.has("resume") && journal.is_none() {
@@ -442,12 +398,6 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
             .parse()
             .map_err(|_| CliError::Usage(format!("invalid value `{threads}` for --threads")))?;
         detector = detector.with_threads(threads);
-    }
-    if let Some(mode) = parse_eval_mode(opts)? {
-        detector = detector.with_eval_mode(mode);
-    }
-    if let Some(mode) = parse_raster_mode(opts)? {
-        detector = detector.with_raster_mode(mode);
     }
     let failure_policy = match opts.get("max-failed-tiles") {
         None => FailurePolicy::Abort,
@@ -784,6 +734,21 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("unknown benchmark"));
+        let err = run(&argv(&[
+            "generate",
+            "--name",
+            "array_benchmark1",
+            "--scale",
+            "giant",
+            "--out",
+            dir.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert_eq!(
+            err.to_string(),
+            "usage error: unknown scale `giant` (tiny|small|medium|paper|huge)"
+        );
     }
 
     #[test]
@@ -1084,146 +1049,6 @@ mod tests {
         let (out, status) = run_with_status(&scan_args(&["--cache-verify"])).unwrap();
         assert_eq!(status, 0, "{out}");
         assert_eq!(std::fs::read_to_string(&report).unwrap(), cold);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn eval_mode_flag_selects_engine_and_rejects_bad_values() {
-        let dir = workdir("eval_mode");
-        run(&argv(&[
-            "generate",
-            "--name",
-            "array_benchmark1",
-            "--scale",
-            "tiny",
-            "--out",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let model = dir.join("model.json");
-        run(&argv(&[
-            "train",
-            "--training",
-            dir.join("training.json").to_str().unwrap(),
-            "--out",
-            model.to_str().unwrap(),
-            "--threads",
-            "2",
-        ]))
-        .unwrap();
-
-        let report = dir.join("report.json");
-        let detect_args = |mode: &str| {
-            argv(&[
-                "detect",
-                "--model",
-                model.to_str().unwrap(),
-                "--layout",
-                dir.join("layout.gds").to_str().unwrap(),
-                "--out",
-                report.to_str().unwrap(),
-                "--threads",
-                "2",
-                "--eval-mode",
-                mode,
-            ])
-        };
-
-        // Both engines flag the identical hotspot set.
-        run(&detect_args("compiled")).unwrap();
-        let compiled = std::fs::read_to_string(&report).unwrap();
-        run(&detect_args("reference")).unwrap();
-        let reference = std::fs::read_to_string(&report).unwrap();
-        assert_eq!(compiled, reference, "eval modes disagree via the CLI");
-
-        // Bad values are usage errors (exit code 2) on detect and scan.
-        let err = run(&detect_args("bogus")).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--eval-mode"), "{err}");
-        let err = run(&argv(&[
-            "scan",
-            "--model",
-            model.to_str().unwrap(),
-            "--layout",
-            dir.join("layout.gds").to_str().unwrap(),
-            "--out",
-            report.to_str().unwrap(),
-            "--eval-mode",
-            "fast",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn raster_mode_flag_selects_rasteriser_and_rejects_bad_values() {
-        let dir = workdir("raster_mode");
-        run(&argv(&[
-            "generate",
-            "--name",
-            "array_benchmark1",
-            "--scale",
-            "tiny",
-            "--out",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let model = dir.join("model.json");
-        run(&argv(&[
-            "train",
-            "--training",
-            dir.join("training.json").to_str().unwrap(),
-            "--out",
-            model.to_str().unwrap(),
-            "--threads",
-            "2",
-        ]))
-        .unwrap();
-
-        let report = dir.join("report.json");
-        let scan_args = |mode: &str| {
-            argv(&[
-                "scan",
-                "--model",
-                model.to_str().unwrap(),
-                "--layout",
-                dir.join("layout.gds").to_str().unwrap(),
-                "--out",
-                report.to_str().unwrap(),
-                "--threads",
-                "2",
-                "--raster-mode",
-                mode,
-            ])
-        };
-
-        // Both rasterisers produce byte-identical reports.
-        run(&scan_args("sat")).unwrap();
-        let sat = std::fs::read_to_string(&report).unwrap();
-        run(&scan_args("reference")).unwrap();
-        let reference = std::fs::read_to_string(&report).unwrap();
-        assert_eq!(sat, reference, "raster modes disagree via the CLI");
-
-        // Bad values are usage errors (exit code 2) on scan and detect.
-        let err = run(&scan_args("bilinear")).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("--raster-mode"), "{err}");
-        let err = run(&argv(&[
-            "detect",
-            "--model",
-            model.to_str().unwrap(),
-            "--layout",
-            dir.join("layout.gds").to_str().unwrap(),
-            "--out",
-            report.to_str().unwrap(),
-            "--raster-mode",
-            "naive",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

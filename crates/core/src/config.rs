@@ -73,29 +73,6 @@ pub enum EvalMode {
     Compiled,
 }
 
-impl std::str::FromStr for EvalMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(EvalMode::Reference),
-            "compiled" => Ok(EvalMode::Compiled),
-            other => Err(format!(
-                "unknown eval mode '{other}' (expected 'reference' or 'compiled')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EvalMode::Reference => "reference",
-            EvalMode::Compiled => "compiled",
-        })
-    }
-}
-
 /// Kernel-admission parameters: when a clip's core density grid is within
 /// `max(kernel radius, radius_floor) × fuzziness` of a kernel's cluster
 /// centroid under the eq. (1) distance — or its topology matches exactly —
@@ -338,16 +315,6 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn eval_mode_parses_and_displays() {
-        assert_eq!("reference".parse::<EvalMode>(), Ok(EvalMode::Reference));
-        assert_eq!("compiled".parse::<EvalMode>(), Ok(EvalMode::Compiled));
-        assert!("Compiled".parse::<EvalMode>().is_err());
-        assert!("fast".parse::<EvalMode>().is_err());
-        assert_eq!(EvalMode::Reference.to_string(), "reference");
-        assert_eq!(EvalMode::default(), EvalMode::Compiled);
     }
 
     #[test]

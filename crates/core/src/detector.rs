@@ -6,13 +6,13 @@ use crate::engine::{Executor, PipelineTelemetry, StageId, StageRecorder, TaskFai
 use crate::feedback::{train_feedback, EvalEngine, EvalScratch, FeedbackKernel};
 use crate::obs::ObsHub;
 use crate::pattern::{Pattern, TrainingSet};
-use crate::scan::{ScanConfig, ScanReport};
+use crate::scan::{ScanConfig, ScanReport, MAX_SCAN_TILES};
 use crate::tile_cache;
 use crate::training::{
     classify_patterns_mode, density_grid, train_cluster_kernels_with, ClusterKernel,
     PatternCluster, Region,
 };
-use hotspot_geom::RasterMode;
+use hotspot_geom::{RasterMode, Rect};
 use hotspot_layout::{ClipShape, LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
 use hotspot_topo::route::CentroidRouter;
@@ -33,6 +33,15 @@ pub enum DetectError {
     Svm(TrainError),
     /// The evaluated layout has no polygons on the requested layer.
     EmptyLayer(LayerId),
+    /// The layer's bounding box needs more scan tiles than
+    /// [`MAX_SCAN_TILES`].
+    ExtentTooLarge {
+        /// The layer's bounding box.
+        bbox: Rect,
+        /// Tiles the scan grid would hold (`u64::MAX` when the count
+        /// overflows).
+        tiles: u64,
+    },
     /// A pipeline task panicked; the panic was isolated by the executor
     /// and surfaced here instead of aborting the process.
     TaskPanicked(TaskFailure),
@@ -68,6 +77,10 @@ impl fmt::Display for DetectError {
             DetectError::EmptyLayer(layer) => {
                 write!(f, "layout has no polygons on layer {layer}")
             }
+            DetectError::ExtentTooLarge { bbox, tiles } => write!(
+                f,
+                "layer extent {bbox} needs {tiles} scan tiles, above the limit of {MAX_SCAN_TILES}"
+            ),
             DetectError::TaskPanicked(failure) => {
                 write!(f, "pipeline task panicked: {failure}")
             }

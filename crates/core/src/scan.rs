@@ -148,9 +148,46 @@ use std::time::{Duration, Instant};
 /// core sides. Table build cost is quadratic in the rects per subtile, so
 /// a pitch of a few cores keeps boundary crossings local while the padded
 /// windows (one core side of +x/+y padding) stay small relative to the
-/// pitch. Public so the benchmark's rasterisation micro-phase measures
-/// exactly the production decomposition.
+/// pitch. Public so the benchmark's traced replay rasterises with exactly
+/// the production decomposition.
 pub const RASTER_SUBTILE_CORES: i64 = 4;
+
+/// Most tiles a scan grid may hold. A layer whose bounding box needs more
+/// tiles at the configured stride fails with
+/// [`DetectError::ExtentTooLarge`] before any index is built, so a hostile
+/// extent (say, two specks at opposite corners of the GDSII coordinate
+/// range) cannot allocate or walk without bound.
+///
+/// For scale: the largest suite layout (`mx_blind_partial` at `Huge`,
+/// 1.5 × 0.6 mm) is about 2.5 × 10^3 tiles at the default 16-core stride,
+/// and a full 26 × 33 mm reticle is 2.3 × 10^6 tiles at that stride and
+/// 6.0 × 10^8 at the finest (1-core) stride. The full `i32` range is
+/// 5 × 10^10 tiles at the default stride.
+pub const MAX_SCAN_TILES: u64 = 1 << 30;
+
+/// Rejects a layer whose bounding box needs more than [`MAX_SCAN_TILES`]
+/// tiles of side `stride`. The arithmetic is checked: an extent that
+/// overflows counts as too large.
+fn check_extent(bbox: Option<Rect>, stride: i64) -> Result<(), DetectError> {
+    let Some(bbox) = bbox else {
+        return Ok(());
+    };
+    let stride = stride.unsigned_abs();
+    let tiles_along = |lo: i64, hi: i64| {
+        hi.checked_sub(lo)
+            .map(|w| w.unsigned_abs().div_ceil(stride))
+    };
+    let tiles = tiles_along(bbox.min().x, bbox.max().x)
+        .zip(tiles_along(bbox.min().y, bbox.max().y))
+        .and_then(|(cols, rows)| cols.checked_mul(rows));
+    match tiles {
+        Some(tiles) if tiles <= MAX_SCAN_TILES => Ok(()),
+        tiles => Err(DetectError::ExtentTooLarge {
+            bbox,
+            tiles: tiles.unwrap_or(u64::MAX),
+        }),
+    }
+}
 
 /// What a scan does when a tile task fails (panics on both attempts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -706,7 +743,8 @@ impl HotspotDetector {
     ///
     /// Returns [`DetectError::Config`] for invalid scan settings,
     /// [`DetectError::EmptyLayer`] when the layout has no polygons on
-    /// `layer`, [`DetectError::Journal`] for journal I/O or fingerprint
+    /// `layer`, [`DetectError::ExtentTooLarge`] when the layer's bounding
+    /// box needs more than [`MAX_SCAN_TILES`] tiles, [`DetectError::Journal`] for journal I/O or fingerprint
     /// mismatches, [`DetectError::TaskPanicked`] under
     /// [`FailurePolicy::Abort`], and [`DetectError::TooManyFailures`] when
     /// the quarantine bound is exceeded.
@@ -744,15 +782,18 @@ impl HotspotDetector {
         let mut recorder = StageRecorder::new("scan", threads);
         let obs = self.obs().map(Arc::as_ref);
 
+        let stride = i64::try_from(scan.tile_cores)
+            .ok()
+            .and_then(|n| shape.core_side().checked_mul(n))
+            .ok_or_else(|| DetectError::Config("tile_cores overflows the tile stride".into()))?;
+        let spec = TileSpec::new(stride, shape.ambit() + shape.core_side())
+            .map_err(|e| DetectError::Config(e.to_string()))?;
+        let rects = layout.dissected_rects(layer);
+        check_extent(Rect::bbox_of(&rects), stride)?;
         // The global rectangle index: patterns are built from the same
         // index queries whole-layout extraction issues, so clip features do
         // not depend on the tiling.
-        let index = RectIndex::from_layout(layout, layer, shape.clip_side());
-        let spec = TileSpec::new(
-            shape.core_side() * scan.tile_cores as i64,
-            shape.ambit() + shape.core_side(),
-        )
-        .map_err(|e| DetectError::Config(e.to_string()))?;
+        let index = RectIndex::build(rects, shape.clip_side());
         let scanner = TileScanner::from_rects(index.rects().to_vec(), spec);
         let tiles_total = scanner.grid().tile_count();
         if let Some(hub) = obs {
@@ -1619,6 +1660,28 @@ impl ScanTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extent_check_caps_the_tile_count_with_checked_arithmetic() {
+        let square = |side: i64| Some(Rect::from_extents(0, 0, side, side));
+        assert!(check_extent(None, 100).is_ok());
+        // 2^15 × 2^15 tiles is exactly the cap; one more column exceeds it.
+        assert!(check_extent(square(100 << 15), 100).is_ok());
+        let wider = Some(Rect::from_extents(0, 0, (100 << 15) + 1, 100 << 15));
+        assert!(matches!(
+            check_extent(wider, 100),
+            Err(DetectError::ExtentTooLarge { tiles, .. }) if tiles == MAX_SCAN_TILES + (1 << 15)
+        ));
+        // An extent whose width overflows `i64` is too large, not a panic.
+        let huge = Some(Rect::from_extents(i64::MIN, 0, i64::MAX, 1));
+        assert!(matches!(
+            check_extent(huge, 100),
+            Err(DetectError::ExtentTooLarge {
+                tiles: u64::MAX,
+                ..
+            })
+        ));
+    }
 
     #[test]
     fn config_validation() {

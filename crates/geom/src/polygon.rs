@@ -111,7 +111,8 @@ impl Polygon {
         Rect::new(min, max)
     }
 
-    /// Area in nm² (always positive).
+    /// Area in nm² (always positive), saturating at `i64::MAX` like
+    /// [`Rect::area`].
     pub fn area(&self) -> i64 {
         // Shoelace formula; rectilinear polygons keep it exact in integers.
         let n = self.vertices.len();
@@ -121,7 +122,7 @@ impl Polygon {
             let b = self.vertices[(i + 1) % n];
             twice += a.x as i128 * b.y as i128 - b.x as i128 * a.y as i128;
         }
-        (twice.abs() / 2) as i64
+        i64::try_from(twice.abs() / 2).unwrap_or(i64::MAX)
     }
 
     /// Translates every vertex by `delta`.
@@ -282,6 +283,13 @@ mod tests {
 
     fn pt(x: Coord, y: Coord) -> Point {
         Point::new(x, y)
+    }
+
+    #[test]
+    fn area_saturates_on_the_full_gdsii_range() {
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let full = Polygon::from(Rect::from_extents(lo, lo, hi, hi));
+        assert_eq!(full.area(), i64::MAX);
     }
 
     #[test]

@@ -51,29 +51,6 @@ pub enum RasterMode {
     Sat,
 }
 
-impl std::str::FromStr for RasterMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(RasterMode::Reference),
-            "sat" => Ok(RasterMode::Sat),
-            other => Err(format!(
-                "unknown raster mode '{other}' (expected 'reference' or 'sat')"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for RasterMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RasterMode::Reference => write!(f, "reference"),
-            RasterMode::Sat => write!(f, "sat"),
-        }
-    }
-}
-
 /// An exact integer summed-area table over a set of rectangles.
 ///
 /// ```
@@ -1468,15 +1445,5 @@ mod tests {
         }
         // Windows of the old tile are gone.
         assert!(grid.rasterize(&windows_a[0], 8, 8).is_none());
-    }
-
-    #[test]
-    fn raster_mode_parses_and_displays() {
-        assert_eq!("reference".parse::<RasterMode>(), Ok(RasterMode::Reference));
-        assert_eq!("sat".parse::<RasterMode>(), Ok(RasterMode::Sat));
-        assert!("fast".parse::<RasterMode>().is_err());
-        assert_eq!(RasterMode::Reference.to_string(), "reference");
-        assert_eq!(RasterMode::Sat.to_string(), "sat");
-        assert_eq!(RasterMode::default(), RasterMode::Sat);
     }
 }

@@ -113,9 +113,11 @@ impl Layout {
         acc
     }
 
-    /// Total polygon area on `layer`, in nm².
+    /// Total polygon area on `layer`, in nm², saturating at `i64::MAX`.
     pub fn layer_area(&self, layer: LayerId) -> i64 {
-        self.polygons(layer).iter().map(Polygon::area).sum()
+        self.polygons(layer)
+            .iter()
+            .fold(0, |total, p| total.saturating_add(p.area()))
     }
 
     /// Dissects every polygon on `layer` into rectangles

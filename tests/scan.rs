@@ -5,8 +5,10 @@
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
+use hotspot_suite::core::scan::MAX_SCAN_TILES;
 use hotspot_suite::core::{DetectError, HotspotDetector, ScanConfig};
-use hotspot_suite::layout::{ClipShape, LayerId, Layout};
+use hotspot_suite::geom::Rect;
+use hotspot_suite::layout::{gdsii, ClipShape, LayerId, Layout};
 use std::sync::OnceLock;
 
 mod support;
@@ -153,9 +155,54 @@ fn scan_rejects_bad_inputs() {
         detector.scan_layout(&bm.layout, bm.layer, &bad),
         Err(DetectError::Config(_))
     ));
+    // A stride that overflows `i64` (here to exactly 1,200 nm when
+    // wrapped) is a configuration error, not a silently different tiling.
+    let overflowing = ScanConfig {
+        tile_cores: (1 << 60) + 1,
+        ..Default::default()
+    };
+    assert!(matches!(
+        detector.scan_layout(&bm.layout, bm.layer, &overflowing),
+        Err(DetectError::Config(_))
+    ));
     let empty = Layout::new("empty");
     assert!(matches!(
         detector.scan_layout(&empty, LayerId::METAL1, &ScanConfig::default()),
         Err(DetectError::EmptyLayer(_))
     ));
+}
+
+#[test]
+fn scan_rejects_extents_spanning_the_gdsii_coordinate_range() {
+    // One boundary over the full `i32` range, and two 1 um squares at its
+    // opposite corners: both once aborted or ran for minutes building and
+    // walking a grid of ~5 × 10^10 tiles.
+    let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+    let mut full = Layout::new("full");
+    full.add_rect(LayerId::METAL1, Rect::from_extents(lo, lo, hi, hi));
+    let mut corners = Layout::new("corners");
+    corners.add_rect(
+        LayerId::METAL1,
+        Rect::from_extents(lo, lo, lo + 1000, lo + 1000),
+    );
+    corners.add_rect(
+        LayerId::METAL1,
+        Rect::from_extents(hi - 1000, hi - 1000, hi, hi),
+    );
+    let detector = trained(benchmark());
+    for layout in [full, corners] {
+        let bytes = gdsii::write_bytes(&layout).expect("serialise");
+        let layout = gdsii::read_bytes(&bytes).expect("parse");
+        for report in [
+            detector.scan_layout(&layout, LayerId::METAL1, &ScanConfig::default()),
+            detector.detect(&layout, LayerId::METAL1),
+        ] {
+            match report {
+                Err(DetectError::ExtentTooLarge { tiles, .. }) => {
+                    assert!(tiles > MAX_SCAN_TILES, "{tiles} tiles");
+                }
+                other => panic!("{}: expected ExtentTooLarge, got {other:?}", layout.name()),
+            }
+        }
+    }
 }

@@ -204,21 +204,68 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage(USAGE.into()));
     };
-    let opts = parse_flags(rest)?;
-    match command.as_str() {
-        "generate" => cmd_generate(&opts).map(clean),
-        "train" => cmd_train(&opts).map(clean),
-        "detect" | "scan" => cmd_scan(&opts),
-        "score" => cmd_score(&opts).map(clean),
-        "info" => cmd_info(&opts).map(clean),
-        "events" => cmd_events(&opts).map(clean),
-        "render" => cmd_render(&opts).map(clean),
-        "help" | "--help" | "-h" => Ok(clean(USAGE.to_string())),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
-    }
+    // Each subcommand with the flags it reads; any other flag is a usage
+    // error, so a misspelt or retired flag cannot be silently ignored.
+    type Handler = fn(&Opts) -> Result<(String, i32), CliError>;
+    let (handler, flags): (Handler, &[&str]) = match command.as_str() {
+        "generate" => (|o| cmd_generate(o).map(clean), &["name", "scale", "out"]),
+        "train" => (
+            |o| cmd_train(o).map(clean),
+            &["training", "out", "threads", "telemetry"],
+        ),
+        "detect" | "scan" => (cmd_scan, SCAN_FLAGS),
+        "score" => (
+            |o| cmd_score(o).map(clean),
+            &["report", "actual", "area-um2", "min-overlap", "json"],
+        ),
+        "info" => (|o| cmd_info(o).map(clean), &["layout"]),
+        "events" => (|o| cmd_events(o).map(clean), &["file", "json"]),
+        "render" => (
+            |o| cmd_render(o).map(clean),
+            &["layout", "out", "report", "actual"],
+        ),
+        "help" | "--help" | "-h" => return Ok(clean(USAGE.to_string())),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command `{other}`\n\n{USAGE}"
+            )))
+        }
+    };
+    handler(&parse_flags(command, rest, flags)?)
 }
+
+/// The flags `hotspot scan` (alias `detect`) reads.
+const SCAN_FLAGS: &[&str] = &[
+    "model",
+    "layout",
+    "out",
+    "layer",
+    "threshold",
+    "threads",
+    "tile-cores",
+    "max-in-flight",
+    "tile-density",
+    "json",
+    "telemetry",
+    "cache",
+    "cache-verify",
+    "journal",
+    "resume",
+    "max-failed-tiles",
+    "deadline",
+    "tile-timeout",
+    "fault-seed",
+    "fault-panic-per-mille",
+    "fault-transient-per-mille",
+    "fault-stall-tasks",
+    "fault-stall-per-mille",
+    "fault-stall-ms",
+    "progress",
+    "metrics-addr",
+    "events",
+    "obs-interval-ms",
+    "metrics-linger-ms",
+];
 
 fn clean(out: String) -> (String, i32) {
     (out, 0)
@@ -257,13 +304,19 @@ impl Opts {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Opts, CliError> {
+/// Parses `command`'s arguments, accepting only the flags in `allowed`.
+fn parse_flags(command: &str, args: &[String], allowed: &[&str]) -> Result<Opts, CliError> {
     let mut out = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(CliError::Usage(format!("expected a --flag, got `{flag}`")));
         };
+        if !allowed.contains(&key) {
+            return Err(CliError::Usage(format!(
+                "unknown flag --{key} for `hotspot {command}`\n\n{USAGE}"
+            )));
+        }
         if BOOL_FLAGS.contains(&key) {
             out.push((key.to_string(), String::new()));
             continue;
@@ -434,7 +487,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
                     CliError::Usage(format!("invalid value `{v}` for --tile-density"))
                 })?),
             },
-            resume_from: opts.has("resume").then(|| journal.clone()).flatten(),
+            resume: opts.has("resume"),
             journal,
             failure_policy,
             fault_plan,
@@ -712,6 +765,27 @@ mod tests {
     fn unknown_command_errors() {
         let err = run(&argv(&["frobnicate"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // A retired flag, a misspelt one, and another command's flag: all
+        // three used to be ignored.
+        for (args, flag) in [
+            (&["scan", "--eval-mode", "compiled"][..], "--eval-mode"),
+            (
+                &["generate", "--name", "array_benchmark1", "--scael", "tiny"],
+                "--scael",
+            ),
+            (&["info", "--layout", "x.gds", "--json"], "--json"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert!(
+                err.to_string().contains(&format!("unknown flag {flag}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1226,14 +1300,18 @@ mod tests {
 
     #[test]
     fn duration_and_stall_index_flag_parsing() {
-        let opts = parse_flags(&argv(&[
-            "--deadline",
-            "30s",
-            "--tile-timeout",
-            "500ms",
-            "--fault-stall-tasks",
-            "3, 17",
-        ]))
+        let opts = parse_flags(
+            "scan",
+            &argv(&[
+                "--deadline",
+                "30s",
+                "--tile-timeout",
+                "500ms",
+                "--fault-stall-tasks",
+                "3, 17",
+            ]),
+            SCAN_FLAGS,
+        )
         .unwrap();
         assert_eq!(
             parse_opt_duration(&opts, "deadline").unwrap(),
@@ -1252,7 +1330,12 @@ mod tests {
         assert!(parse_opt_indices(&opts, "absent").unwrap().is_empty());
 
         // `2m` is minutes, a bare integer is seconds, `0` is legal.
-        let opts = parse_flags(&argv(&["--deadline", "2m", "--tile-timeout", "45"])).unwrap();
+        let opts = parse_flags(
+            "scan",
+            &argv(&["--deadline", "2m", "--tile-timeout", "45"]),
+            SCAN_FLAGS,
+        )
+        .unwrap();
         assert_eq!(
             parse_opt_duration(&opts, "deadline").unwrap(),
             Some(Duration::from_secs(120))
@@ -1261,7 +1344,7 @@ mod tests {
             parse_opt_duration(&opts, "tile-timeout").unwrap(),
             Some(Duration::from_secs(45))
         );
-        let opts = parse_flags(&argv(&["--deadline", "0"])).unwrap();
+        let opts = parse_flags("scan", &argv(&["--deadline", "0"]), SCAN_FLAGS).unwrap();
         assert_eq!(
             parse_opt_duration(&opts, "deadline").unwrap(),
             Some(Duration::ZERO)
@@ -1269,12 +1352,12 @@ mod tests {
 
         // Garbage is a usage error naming the flag.
         for bad in ["1.5s", "10x", "ms", "s", "-3s", ""] {
-            let opts = parse_flags(&argv(&["--deadline", bad])).unwrap();
+            let opts = parse_flags("scan", &argv(&["--deadline", bad]), SCAN_FLAGS).unwrap();
             let err = parse_opt_duration(&opts, "deadline").unwrap_err();
             assert_eq!(err.exit_code(), 2, "`{bad}` must be a usage error");
             assert!(err.to_string().contains("--deadline"), "{err}");
         }
-        let opts = parse_flags(&argv(&["--fault-stall-tasks", "3,x"])).unwrap();
+        let opts = parse_flags("scan", &argv(&["--fault-stall-tasks", "3,x"]), SCAN_FLAGS).unwrap();
         let err = parse_opt_indices(&opts, "fault-stall-tasks").unwrap_err();
         assert_eq!(err.exit_code(), 2);
     }

@@ -1,11 +1,13 @@
-//! Work-stealing task executor for the pipeline's parallel stages.
+//! Task executor for the pipeline's parallel stages.
 //!
-//! Replaces the former fixed-chunk `std::thread::scope` fan-out: items are
-//! dealt round-robin onto per-worker deques, and an idle worker steals from
-//! its neighbours, so a long-running item (a large SVM training, a dense
-//! clip) no longer stalls the whole chunk it happened to land in. Results
-//! are keyed by input index and merged back in input order, so the output
-//! is identical to a sequential map regardless of scheduling.
+//! Every worker runs the same loop: claim the next item index from one
+//! shared atomic cursor, run the task, keep the result. The calling thread
+//! is worker 0 and `threads − 1` scoped threads join it, so a one-thread
+//! run is that loop with no spawn. A long-running item (a large SVM
+//! training, a dense clip) occupies only its own worker while the others
+//! keep claiming. Results are keyed by input index and merged back in input
+//! order, so the output is identical to a sequential map regardless of
+//! scheduling.
 //!
 //! # Panic isolation
 //!
@@ -13,34 +15,47 @@
 //! becomes a typed [`TaskFailure`] in that task's result slot instead of
 //! poisoning the pool or aborting the process: the remaining work is
 //! drained normally and every other task still produces its result
-//! ([`Executor::try_map`]). The infallible [`Executor::map`] front-end
-//! resumes the first recorded panic on the *calling* thread — after the
-//! pool has fully drained — so legacy callers keep panic-on-failure
-//! semantics without the double-panic abort hazard the old
-//! `join().expect(...)` drain had.
+//! ([`Executor::try_map_with_cancel`]). The infallible [`Executor::map`]
+//! front-end resumes the first recorded panic on the calling thread, after
+//! every worker has drained.
 
 use super::stage::StageId;
 use crate::cancel::{CancelPanic, CancelToken};
 use crate::obs::{Counter, ObsEvent, ObsHub, StageCounter};
-use crossbeam::deque::{Steal, Stealer, Worker};
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Utilisation counters of one [`Executor::map`] run, for telemetry.
+/// Utilisation counters of one [`Executor`] run, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecutorStats {
-    /// Worker threads that ran.
+    /// Workers that ran, the calling thread included.
     pub threads_used: usize,
     /// Tasks executed across all workers (= input length minus skips).
     pub tasks_executed: usize,
-    /// Tasks a worker stole from another worker's deque.
+    /// Tasks workers claimed beyond their even share `⌈n / threads_used⌉`:
+    /// the load the shared cursor moved off workers held up by slow items.
+    /// Always 0 on one thread.
     pub tasks_stolen: usize,
     /// Tasks whose body panicked (caught and surfaced as [`TaskFailure`]).
     pub tasks_failed: usize,
     /// Tasks declined because the run's [`CancelToken`] tripped — never
     /// started, or unwound cooperatively mid-body. Always 0 without a
-    /// token.
+    /// token, unless a body raises the cancellation marker itself.
     pub tasks_skipped: usize,
+}
+
+impl ExecutorStats {
+    fn count<R>(&mut self, result: &TaskResult<R>) {
+        match result {
+            TaskResult::Done(_) => self.tasks_executed += 1,
+            TaskResult::Failed(_) => {
+                self.tasks_executed += 1;
+                self.tasks_failed += 1;
+            }
+            TaskResult::Skipped => self.tasks_skipped += 1,
+        }
+    }
 }
 
 /// Outcome of one task under
@@ -102,7 +117,7 @@ pub(crate) fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> S
     }
 }
 
-/// A scoped work-stealing executor over a fixed thread count.
+/// A scoped executor over a fixed thread count.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -135,73 +150,45 @@ impl Executor {
     /// Applies `f` to every item, in parallel, returning results in input
     /// order together with utilisation stats.
     ///
-    /// `f` receives `(index, &item)`. With one thread (or one item) this
-    /// degenerates to a plain sequential map on the calling thread.
+    /// `f` receives `(index, &item)`.
     ///
     /// # Panics
     ///
-    /// If a task body panics, the pool still drains every remaining task;
-    /// the first panic (in input order) is then resumed on the calling
-    /// thread. Callers that want failures as data use
-    /// [`try_map`](Self::try_map).
+    /// If a task body panics, every remaining task still runs; the first
+    /// panic (in input order) is then resumed on the calling thread.
+    /// Callers that want failures as data use
+    /// [`try_map_with_cancel`](Self::try_map_with_cancel).
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, ExecutorStats)
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let (results, stats) = self.try_map("unlabelled", items, f);
+        let (results, stats) = self.try_map_with_cancel("unlabelled", items, f, None);
         let results = results
             .into_iter()
             .map(|r| match r {
-                Ok(v) => v,
-                Err(failure) => std::panic::resume_unwind(Box::new(failure.payload)),
+                TaskResult::Done(v) => v,
+                TaskResult::Failed(failure) => std::panic::resume_unwind(Box::new(failure.payload)),
+                // Without a token only a body raising the cancellation
+                // marker itself is skipped: hand the marker back up.
+                TaskResult::Skipped => std::panic::resume_unwind(Box::new(CancelPanic)),
             })
             .collect();
         (results, stats)
     }
 
-    /// [`map`](Self::map) with panic isolation: each task body runs under
-    /// `catch_unwind`, and a panicking task yields
-    /// `Err(`[`TaskFailure`]`)` in its input-order slot while every other
-    /// task completes normally. `stage` labels failures for diagnostics.
+    /// [`map`](Self::map) with panic isolation and cooperative
+    /// cancellation. `stage` labels failures and obs events.
     ///
-    /// The closure is wrapped in [`AssertUnwindSafe`]: a failed task's
-    /// result is discarded, and pipeline task bodies only share read-only
-    /// state (`&self`, immutable inputs) plus atomics, so a caught unwind
-    /// cannot expose torn data to surviving tasks.
-    pub fn try_map<T, R, F>(
-        &self,
-        stage: &str,
-        items: &[T],
-        f: F,
-    ) -> (Vec<Result<R, TaskFailure>>, ExecutorStats)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let (results, stats) = self.try_map_with_cancel(stage, items, f, None);
-        let results = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                TaskResult::Done(v) => Ok(v),
-                TaskResult::Failed(failure) => Err(failure),
-                // Unreachable without a token; keep it a typed failure
-                // rather than a panic, matching the dead-worker path.
-                TaskResult::Skipped => Err(TaskFailure {
-                    stage: stage.to_string(),
-                    index: i,
-                    payload: "task skipped without a cancel token".to_string(),
-                }),
-            })
-            .collect();
-        (results, stats)
-    }
-
-    /// [`try_map`](Self::try_map) with cooperative cancellation: each
-    /// worker polls `cancel` before popping its next task, and a tripped
+    /// Each task body runs under `catch_unwind`: a panicking task yields
+    /// [`TaskResult::Failed`] in its input-order slot while every other
+    /// task completes normally. The closure is wrapped in
+    /// [`AssertUnwindSafe`]: a failed task's result is discarded, and
+    /// pipeline task bodies only share read-only state plus atomics, so a
+    /// caught unwind cannot expose torn data to surviving tasks.
+    ///
+    /// Each worker polls `cancel` before starting its next task. A tripped
     /// token makes every not-yet-started task come back as
     /// [`TaskResult::Skipped`] while tasks already running finish (or
     /// unwind cooperatively — a body that panics with the crate's internal
@@ -246,8 +233,8 @@ impl Executor {
                     payload: panic_payload_to_string(payload.as_ref()),
                 }),
             };
-            // Per-worker hot-path recording: relaxed atomic adds on the
-            // calling worker's counter shard, no allocation.
+            // Hot-path recording: relaxed atomic adds on the hub's
+            // counters, no allocation.
             if let Some(hub) = obs {
                 if !matches!(result, TaskResult::Skipped) {
                     let counters = hub.counters();
@@ -263,118 +250,57 @@ impl Executor {
             result
         };
 
-        let threads = self.threads.min(n.max(1));
-        if threads <= 1 {
-            let results: Vec<TaskResult<R>> = (0..n).map(run).collect();
-            let mut stats = ExecutorStats {
-                threads_used: 1,
-                ..ExecutorStats::default()
-            };
-            for r in &results {
-                match r {
-                    TaskResult::Done(_) => stats.tasks_executed += 1,
-                    TaskResult::Failed(_) => {
-                        stats.tasks_executed += 1;
-                        stats.tasks_failed += 1;
-                    }
-                    TaskResult::Skipped => stats.tasks_skipped += 1,
+        // `Relaxed` suffices: the cursor only hands out indices. Items reach
+        // workers through the spawn and results return through the join,
+        // and both order memory on their own.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut out: Vec<(usize, TaskResult<R>)> = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return out;
                 }
+                out.push((i, run(i)));
             }
-            if let Some(hub) = obs {
-                let failures = stats.tasks_failed;
-                hub.emit(|| ObsEvent::StageEnd {
-                    stage: stage.to_string(),
-                    items: n,
-                    failures,
-                });
-            }
-            return (results, stats);
-        }
+        };
+        // `run` catches every task unwind, so a worker that still unwinds
+        // died outside a task; its claimed slots stay empty and become
+        // typed failures below.
+        let worker = || std::panic::catch_unwind(AssertUnwindSafe(work)).ok();
+        let threads = self.threads.min(n.max(1));
+        let outputs = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+            let mut outputs = vec![worker()];
+            outputs.extend(spawned.into_iter().map(|h| h.join().ok().flatten()));
+            outputs
+        });
 
-        let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        for i in 0..n {
-            workers[i % threads].push(i);
-        }
-        let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-
-        let run = &run;
-        let stealers = &stealers;
-        let mut slots: Vec<Option<TaskResult<R>>> = (0..n).map(|_| None).collect();
+        let share = n.div_ceil(threads);
         let mut stats = ExecutorStats {
             threads_used: threads,
             ..ExecutorStats::default()
         };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .into_iter()
-                .enumerate()
-                .map(|(wid, local)| {
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, TaskResult<R>)> = Vec::new();
-                        let mut stolen = 0usize;
-                        loop {
-                            let task = local.pop().or_else(|| {
-                                for k in 1..stealers.len() {
-                                    let victim = &stealers[(wid + k) % stealers.len()];
-                                    if let Steal::Success(t) = victim.steal() {
-                                        stolen += 1;
-                                        return Some(t);
-                                    }
-                                }
-                                None
-                            });
-                            let Some(i) = task else { break };
-                            out.push((i, run(i)));
-                        }
-                        (out, stolen)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // `run` catches every unwind inside the worker, so a join
-                // error means the worker thread itself died — record it as
-                // data rather than panicking mid-drain (the old
-                // `expect(...)` here could turn one failure into an
-                // abort-on-double-unwind).
-                match h.join() {
-                    Ok((out, stolen)) => {
-                        stats.tasks_stolen += stolen;
-                        for (i, r) in out {
-                            match &r {
-                                TaskResult::Done(_) => stats.tasks_executed += 1,
-                                TaskResult::Failed(_) => {
-                                    stats.tasks_executed += 1;
-                                    stats.tasks_failed += 1;
-                                }
-                                TaskResult::Skipped => stats.tasks_skipped += 1,
-                            }
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => {
-                        // Leave this worker's slots empty; they are filled
-                        // with a typed failure below.
-                        let _ = payload;
-                    }
-                }
+        let mut slots: Vec<Option<TaskResult<R>>> = (0..n).map(|_| None).collect();
+        for out in outputs.into_iter().flatten() {
+            stats.tasks_stolen += out.len().saturating_sub(share);
+            for (i, r) in out {
+                stats.count(&r);
+                slots[i] = Some(r);
             }
-        });
+        }
         let results: Vec<TaskResult<R>> = slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(r) => r,
-                // A task that never produced a result (its worker died):
-                // surface as a failure instead of the old unreachable
-                // `expect`.
-                None => {
+            .map(|(i, slot)| {
+                slot.unwrap_or_else(|| {
                     stats.tasks_failed += 1;
                     TaskResult::Failed(TaskFailure {
                         stage: stage.to_string(),
                         index: i,
                         payload: "executor worker thread died before task completion".to_string(),
                     })
-                }
+                })
             })
             .collect();
         if let Some(hub) = obs {
@@ -391,7 +317,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
@@ -421,8 +346,9 @@ mod tests {
 
     #[test]
     fn uneven_work_is_stolen() {
-        // One pathological item 100× slower than the rest: with fixed
-        // chunking its whole chunk would lag; stealing redistributes it.
+        // One pathological item 100× slower than the rest: its worker runs
+        // little else while the shared cursor hands the other 63 items to
+        // the other workers, which then run beyond their even share of 16.
         let items: Vec<u64> = (0..64)
             .map(|i| if i == 0 { 2_000_000 } else { 20_000 })
             .collect();
@@ -440,6 +366,7 @@ mod tests {
         assert_eq!(out, items);
         assert_eq!(stats.tasks_executed, 64);
         assert_eq!(stats.threads_used, 4);
+        assert!(stats.tasks_stolen > 0, "{stats:?}");
     }
 
     #[test]
@@ -464,24 +391,31 @@ mod tests {
     fn try_map_isolates_panics_and_drains_the_rest() {
         let items: Vec<usize> = (0..200).collect();
         for threads in [1, 2, 4] {
-            let (out, stats) = Executor::new(threads).try_map("unit", &items, |_, &v| {
-                if v % 17 == 3 {
-                    panic!("injected fault at item {v}");
-                }
-                v * 2
-            });
+            let (out, stats) = Executor::new(threads).try_map_with_cancel(
+                "unit",
+                &items,
+                |_, &v| {
+                    if v % 17 == 3 {
+                        panic!("injected fault at item {v}");
+                    }
+                    v * 2
+                },
+                None,
+            );
             assert_eq!(out.len(), items.len());
             let expected_failures = items.iter().filter(|v| *v % 17 == 3).count();
             assert_eq!(stats.tasks_failed, expected_failures, "threads={threads}");
             assert_eq!(stats.tasks_executed, items.len());
             for (i, r) in out.iter().enumerate() {
-                if i % 17 == 3 {
-                    let failure = r.as_ref().unwrap_err();
-                    assert_eq!(failure.index, i);
-                    assert_eq!(failure.stage, "unit");
-                    assert!(failure.payload.contains("injected fault"), "{failure}");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 2, "threads={threads}");
+                match r {
+                    TaskResult::Failed(failure) => {
+                        assert_eq!(i % 17, 3, "threads={threads}");
+                        assert_eq!(failure.index, i);
+                        assert_eq!(failure.stage, "unit");
+                        assert!(failure.payload.contains("injected fault"), "{failure}");
+                    }
+                    TaskResult::Done(v) => assert_eq!(*v, i * 2, "threads={threads}"),
+                    TaskResult::Skipped => panic!("item {i} skipped without a token"),
                 }
             }
         }
@@ -491,15 +425,20 @@ mod tests {
     fn try_map_failures_are_deterministic_across_thread_counts() {
         let items: Vec<usize> = (0..120).collect();
         let run = |threads: usize| -> Vec<usize> {
-            let (out, _) = Executor::new(threads).try_map("unit", &items, |_, &v| {
-                if v % 13 == 7 {
-                    panic!("boom {v}");
-                }
-                v
-            });
+            let (out, _) = Executor::new(threads).try_map_with_cancel(
+                "unit",
+                &items,
+                |_, &v| {
+                    if v % 13 == 7 {
+                        panic!("boom {v}");
+                    }
+                    v
+                },
+                None,
+            );
             out.iter()
                 .enumerate()
-                .filter(|(_, r)| r.is_err())
+                .filter(|(_, r)| matches!(r, TaskResult::Failed(_)))
                 .map(|(i, _)| i)
                 .collect()
         };
@@ -557,16 +496,19 @@ mod tests {
         hub.register(Box::new(Fwd(Arc::clone(&sink))));
 
         let items: Vec<usize> = (0..50).collect();
-        let (out, stats) = Executor::new(4).with_obs(Arc::clone(&hub)).try_map(
-            "kernel_evaluation",
-            &items,
-            |_, &v| {
-                if v == 7 {
-                    panic!("boom");
-                }
-                v
-            },
-        );
+        let (out, stats) = Executor::new(4)
+            .with_obs(Arc::clone(&hub))
+            .try_map_with_cancel(
+                "kernel_evaluation",
+                &items,
+                |_, &v| {
+                    if v == 7 {
+                        panic!("boom");
+                    }
+                    v
+                },
+                None,
+            );
         assert_eq!(out.len(), 50);
         assert_eq!(stats.tasks_failed, 1);
 

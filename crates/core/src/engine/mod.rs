@@ -7,11 +7,10 @@
 //!   stages (topological classification → population balancing → kernel
 //!   training → feedback training → density prefilter → clip extraction →
 //!   kernel evaluation → clip removal) and time them,
-//! - [`Executor`] ([`executor`]) is the work-stealing task scheduler used
-//!   by kernel training and clip evaluation in place of fixed-chunk
-//!   `thread::scope` fan-out; its task bodies run under `catch_unwind`, so
-//!   a panicking task surfaces as a typed [`TaskFailure`] instead of
-//!   aborting the process,
+//! - [`Executor`] ([`executor`]) is the shared-cursor task scheduler used
+//!   by kernel training and the scan's tile windows; its task bodies run
+//!   under `catch_unwind`, so a panicking task surfaces as a typed
+//!   [`TaskFailure`] instead of aborting the process,
 //! - [`FaultPlan`] ([`fault`]) is the seeded, deterministic
 //!   fault-injection plan the fault-tolerance tests and the CI smoke use
 //!   to prove the isolation, retry, and quarantine paths,

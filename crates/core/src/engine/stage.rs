@@ -125,7 +125,7 @@ impl StageRecorder {
         self.obs_sinks = sinks;
     }
 
-    /// Records one stage execution. `stats` carries work-stealing executor
+    /// Records one stage execution. `stats` carries [`ExecutorStats`]
     /// counters for parallel stages; sequential stages pass `None` and are
     /// counted as one task on one thread.
     pub fn record(

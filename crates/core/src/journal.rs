@@ -3,7 +3,7 @@
 //! A journaled scan ([`crate::ScanConfig::journal`]) appends one record per
 //! *successfully* processed tile — its stable tile id plus the canonical
 //! [`TileOutcomeRecord`] — and fsyncs once per in-flight batch. When a scan
-//! is killed mid-run, resuming with [`crate::ScanConfig::resume_from`]
+//! is killed mid-run, resuming it with [`crate::ScanConfig::resume`]
 //! replays the journal's valid prefix, skips every completed tile, and
 //! recomputes only the rest, producing a [`crate::ScanReport`] whose
 //! deterministic content is bit-identical to an uninterrupted run.

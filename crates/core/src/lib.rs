@@ -17,7 +17,7 @@
 //! and shifting. [`metrics`] implements the contest's hit/extra scoring.
 //!
 //! The [`engine`] module houses the instrumented pipeline machinery: the
-//! eight canonical stages, the work-stealing executor both phases schedule
+//! eight canonical stages, the shared-cursor executor both phases schedule
 //! on, and the serialisable [`PipelineTelemetry`] they produce. For
 //! production-scale layouts, [`scan`] streams tiles through the evaluation
 //! pipeline with a density prefilter and bounded memory

@@ -9,9 +9,12 @@
 //! all layers before evaluation.
 
 use crate::config::DetectorConfig;
+use crate::detector::DetectError;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
-use crate::training::{classify_patterns_mode, core_signature_and_grid, train_iterative, Region};
+use crate::training::{
+    classify_patterns_mode, core_signature_and_grid, pad, train_iterative, Region,
+};
 use hotspot_geom::{DensityGrid, Rect};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
 use hotspot_svm::{SvmModel, TrainError};
@@ -213,15 +216,22 @@ impl MultilayerDetector {
     /// Scans a testing layout: clips extracted on `layers[0]`, geometry
     /// gathered from every listed layer.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `layers` does not match the trained layer count.
-    pub fn detect(&self, layout: &Layout, layers: &[LayerId]) -> Vec<ClipWindow> {
-        assert_eq!(
-            layers.len(),
-            self.layer_count,
-            "layer count mismatch with training"
-        );
+    /// [`DetectError::Config`] if `layers` does not match the trained layer
+    /// count.
+    pub fn detect(
+        &self,
+        layout: &Layout,
+        layers: &[LayerId],
+    ) -> Result<Vec<ClipWindow>, DetectError> {
+        if layers.len() != self.layer_count {
+            return Err(DetectError::Config(format!(
+                "layer count mismatch with training: {} given, {} trained",
+                layers.len(),
+                self.layer_count
+            )));
+        }
         let base_index =
             RectIndex::from_layout(layout, layers[0], self.config.clip_shape.clip_side());
         let clips = extract_clips_indexed(
@@ -233,7 +243,7 @@ impl MultilayerDetector {
             .iter()
             .map(|&l| RectIndex::from_layout(layout, l, self.config.clip_shape.clip_side()))
             .collect();
-        clips
+        Ok(clips
             .into_iter()
             .filter_map(|clip| {
                 let mut layer_rects = vec![clip.rects.clone()];
@@ -247,13 +257,8 @@ impl MultilayerDetector {
                     None
                 }
             })
-            .collect()
+            .collect())
     }
-}
-
-fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
-    v.resize(len, 0.0);
-    v
 }
 
 #[cfg(test)]
@@ -360,7 +365,7 @@ mod tests {
         for r in hotspot_benchgen::generator::filler_rects(at) {
             layout.add_rect(l1, r);
         }
-        let reported = det.detect(&layout, &[l1, l2]);
+        let reported = det.detect(&layout, &[l1, l2]).unwrap();
         let target = ClipShape::ICCAD2012.window_from_core_corner(at);
         assert!(
             reported.iter().any(|w| w.is_hit(&target, 0.2)),
@@ -376,10 +381,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layer count mismatch")]
     fn detect_rejects_wrong_layer_count() {
         let det = MultilayerDetector::train(&training(), config()).unwrap();
         let layout = Layout::new("ml");
-        let _ = det.detect(&layout, &[LayerId::new(1)]);
+        let err = det.detect(&layout, &[LayerId::new(1)]).unwrap_err();
+        assert!(
+            matches!(&err, DetectError::Config(m) if m.contains("layer count mismatch")),
+            "{err:?}"
+        );
     }
 }

@@ -85,13 +85,12 @@ pub enum Counter {
     ClipsEvaluated,
     /// Flagged clips reclaimed by the feedback kernel.
     ClipsReclaimed,
-    /// Clip batches evaluated: 64-clip chunks in `detect`, and in a scan
-    /// one per tile with at least one clip, as
-    /// [`crate::ScanReport::eval_batches`] counts them.
+    /// Clip batches evaluated: one per scan tile with at least one clip,
+    /// as [`crate::ScanReport::eval_batches`] counts them.
     EvalBatches,
     /// Failed tile tasks re-attempted once before quarantine.
     TaskRetries,
-    /// Tasks completed by the work-stealing executor (any stage label).
+    /// Tasks completed by the executor (any stage label).
     ExecutorTasks,
     /// Records appended to the scan resume journal.
     JournalAppends,
@@ -283,7 +282,7 @@ pub struct CounterSnapshot {
     pub eval_batches: u64,
     /// Failed tile tasks re-attempted before quarantine.
     pub task_retries: u64,
-    /// Tasks completed by the work-stealing executor.
+    /// Tasks completed by the executor.
     pub executor_tasks: u64,
     /// Records appended to the scan resume journal.
     pub journal_appends: u64,
@@ -800,7 +799,7 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_executor_tasks_total",
-            "Tasks completed by the work-stealing executor.",
+            "Tasks completed by the executor.",
             snapshot.executor_tasks,
         ),
         (

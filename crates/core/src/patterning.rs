@@ -13,7 +13,9 @@
 use crate::config::DetectorConfig;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
-use crate::training::{classify_patterns_mode, core_signature_and_grid, train_iterative, Region};
+use crate::training::{
+    classify_patterns_mode, core_signature_and_grid, pad, train_iterative, Region,
+};
 use hotspot_geom::{Coord, DensityGrid, Rect};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
 use hotspot_svm::{SvmModel, TrainError};
@@ -203,11 +205,6 @@ impl DoublePatterningDetector {
             })
             .collect()
     }
-}
-
-fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
-    v.resize(len, 0.0);
-    v
 }
 
 #[cfg(test)]

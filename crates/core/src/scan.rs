@@ -8,7 +8,7 @@
 //! [`TileScanner`]), discards tiles
 //! whose pattern density cannot pass the extraction filter (the *density
 //! prefilter*, a new [`StageId::DensityPrefilter`] pipeline stage), and
-//! fans the surviving tiles over the work-stealing executor while holding
+//! fans the surviving tiles over the executor while holding
 //! at most [`ScanConfig::max_in_flight`] tiles in memory at once.
 //!
 //! The default prefilter is **conservative**: a tile is skipped only when
@@ -34,7 +34,7 @@
 //!   [`ScanReport::failed_tiles`] and scans on;
 //! - [`ScanConfig::journal`] appends every completed tile to a durable
 //!   checkpoint journal ([`crate::journal`]), and
-//!   [`ScanConfig::resume_from`] replays it so a killed scan restarts
+//!   [`ScanConfig::resume`] replays it so a killed scan restarts
 //!   where it left off, with a report whose deterministic content
 //!   ([`ScanReport::digest`]) is bit-identical to an uninterrupted run;
 //! - [`ScanConfig::fault_plan`] arms the deterministic fault-injection
@@ -61,7 +61,7 @@
 //!
 //! Because the abort points sit at batch boundaries and the journal is
 //! fsync'd per batch, an aborted scan's journal contains only whole-tile
-//! records; resuming it via [`ScanConfig::resume_from`] completes the scan
+//! records; resuming it via [`ScanConfig::resume`] completes the scan
 //! with a digest bit-identical to an uninterrupted run.
 //!
 //! # Example
@@ -139,7 +139,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -258,12 +258,12 @@ pub struct ScanConfig {
     /// in-flight batch). `None` disables journaling.
     #[serde(default)]
     pub journal: Option<PathBuf>,
-    /// Journal of an earlier (killed) scan to resume from: its completed
-    /// tiles are replayed instead of recomputed. Usually the same path as
-    /// [`journal`](Self::journal), so the resumed scan keeps appending to
-    /// the same file.
+    /// Resume an earlier (killed or aborted) scan from
+    /// [`journal`](Self::journal): its completed tiles are replayed instead
+    /// of recomputed, and the scan keeps appending to the same file.
+    /// Requires a journal ([`validate`](Self::validate)).
     #[serde(default)]
-    pub resume_from: Option<PathBuf>,
+    pub resume: bool,
     /// Deterministic fault-injection plan, for the fault-tolerance tests
     /// and the CI smoke. The default (empty) plan injects nothing and
     /// costs nothing.
@@ -285,7 +285,7 @@ pub struct ScanConfig {
     /// tiles at the next batch boundary, drains the in-flight window,
     /// syncs the journal and cache, and returns a partial report marked
     /// [`ScanReport::aborted`] with [`AbortReason::DeadlineExceeded`] —
-    /// resumable via [`resume_from`](Self::resume_from). `None` (the
+    /// resumable via [`resume`](Self::resume). `None` (the
     /// default) scans to completion. A zero deadline is valid and aborts
     /// before the first batch.
     #[serde(default)]
@@ -315,7 +315,7 @@ impl Default for ScanConfig {
             tile_density: None,
             failure_policy: FailurePolicy::Abort,
             journal: None,
-            resume_from: None,
+            resume: false,
             fault_plan: FaultPlan::default(),
             cache: None,
             cache_verify: false,
@@ -340,6 +340,9 @@ impl ScanConfig {
             if !d.is_finite() || d <= 0.0 {
                 return Err(format!("tile_density must be positive and finite, got {d}"));
             }
+        }
+        if self.resume && self.journal.is_none() {
+            return Err("resume requires a journal path".into());
         }
         if self.cache_verify && self.cache.is_none() {
             return Err("cache_verify requires a cache path".into());
@@ -393,8 +396,8 @@ pub struct ScanReport {
     /// Absent in pre-v4 reports, which deserialise with 0.
     #[serde(default)]
     pub retries: usize,
-    /// Tiles replayed from [`ScanConfig::resume_from`] instead of
-    /// recomputed. Absent in pre-v4 reports, which deserialise with 0.
+    /// Tiles replayed from the journal of a [`ScanConfig::resume`]d scan
+    /// instead of recomputed. Absent in pre-v4 reports, which deserialise with 0.
     #[serde(default)]
     pub resumed_tiles: usize,
     /// Tiles replayed from the [`ScanConfig::cache`] by content
@@ -522,7 +525,7 @@ struct TileWork {
 
 /// Where a batch tile's outcome comes from.
 enum Origin {
-    /// Replayed from [`ScanConfig::resume_from`].
+    /// Replayed from the journal of a [`ScanConfig::resume`]d scan.
     Journal,
     /// Served from the tile cache by content fingerprint.
     CacheHit,
@@ -1128,51 +1131,30 @@ fn poll_stop(trip: &CancelToken, budget: Option<Duration>, tile_started: Instant
 }
 
 /// Opens the scan's journal side: the records replayed from
-/// [`ScanConfig::resume_from`] and the writer for [`ScanConfig::journal`].
-/// The writer appends in place when it is the resumed file; otherwise it
-/// is created afresh with the replayed tiles carried over, so it stays a
-/// complete record of the scan.
+/// [`ScanConfig::journal`] when [`ScanConfig::resume`] is set, and the
+/// writer that appends to it — in place after the replayed records, or to
+/// a fresh file.
 fn open_journal(
     scan: &ScanConfig,
     header: &JournalHeader,
 ) -> Result<(HashMap<usize, TileOutcomeRecord>, Option<JournalWriter>), DetectError> {
-    let journal_error = |path: &Path, e: &dyn fmt::Display| {
-        DetectError::Journal(format!("{}: {e}", path.display()))
-    };
-    let mut replayed = HashMap::new();
-    if let Some(path) = &scan.resume_from {
-        let contents = read_journal(path).map_err(|e| journal_error(path, &e))?;
-        if contents.header != *header {
-            return Err(journal_error(
-                path,
-                &"journal belongs to a different scan (grid, layer, or threshold differ)",
-            ));
-        }
-        if scan.journal.as_deref() == Some(path.as_path()) {
-            let writer = JournalWriter::resume(path, contents.valid_len)
-                .map_err(|e| journal_error(path, &e))?;
-            return Ok((contents.records, Some(writer)));
-        }
-        replayed = contents.records;
-    }
     let Some(path) = &scan.journal else {
-        return Ok((replayed, None));
+        return Ok((HashMap::new(), None));
     };
-    let mut writer = JournalWriter::create(path, header).map_err(|e| journal_error(path, &e))?;
-    let mut ids: Vec<usize> = replayed.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let record = TileRecord {
-            tile: id,
-            outcome: replayed[&id].clone(),
-        };
-        // Replays bypass fault injection.
-        writer
-            .append(&record, &FaultPlan::default())
-            .map_err(|e| journal_error(path, &e))?;
+    let journal_error =
+        |e: &dyn fmt::Display| DetectError::Journal(format!("{}: {e}", path.display()));
+    if !scan.resume {
+        let writer = JournalWriter::create(path, header).map_err(|e| journal_error(&e))?;
+        return Ok((HashMap::new(), Some(writer)));
     }
-    writer.sync().map_err(|e| journal_error(path, &e))?;
-    Ok((replayed, Some(writer)))
+    let contents = read_journal(path).map_err(|e| journal_error(&e))?;
+    if contents.header != *header {
+        return Err(journal_error(
+            &"journal belongs to a different scan (grid, layer, or threshold differ)",
+        ));
+    }
+    let writer = JournalWriter::resume(path, contents.valid_len).map_err(|e| journal_error(&e))?;
+    Ok((contents.records, Some(writer)))
 }
 
 /// The tile source: walks the grid one window of tiles at a time and
@@ -1753,7 +1735,7 @@ mod tests {
         let json = r#"{"tile_cores":8,"max_in_flight":4,"tile_density":null}"#;
         let config: ScanConfig = serde_json::from_str(json).unwrap();
         assert_eq!(config.failure_policy, FailurePolicy::Abort);
-        assert!(config.journal.is_none() && config.resume_from.is_none());
+        assert!(config.journal.is_none() && !config.resume);
         assert!(config.fault_plan.is_empty());
         assert!(config.deadline.is_none() && config.tile_timeout.is_none());
         assert!(config.cancel.is_none(), "tokens are never deserialised");

@@ -124,15 +124,24 @@ fn normalized_window(pattern: &Pattern, region: Region) -> Rect {
     Rect::from_extents(0, 0, w.width(), w.height())
 }
 
-/// Canonical-orientation critical-feature vector of one pattern region.
+/// Canonical-orientation critical features of one pattern region.
 ///
 /// The pattern is aligned by the canonical orientation of its topology
 /// signature, so all members of one cluster land in a common frame.
-pub fn feature_vector(pattern: &Pattern, region: Region, config: &DetectorConfig) -> Vec<f64> {
+fn critical_features(
+    pattern: &Pattern,
+    region: Region,
+    config: &DetectorConfig,
+) -> CriticalFeatures {
     let window = normalized_window(pattern, region);
     let rects = normalized_rects(pattern, region);
     let (_, orientation) = TopoSignature::with_orientation(&window, &rects);
-    CriticalFeatures::extract_oriented(&window, &rects, orientation, &config.feature).to_vector()
+    CriticalFeatures::extract_oriented(&window, &rects, orientation, &config.feature)
+}
+
+/// Canonical-orientation critical-feature vector of one pattern region.
+pub fn feature_vector(pattern: &Pattern, region: Region, config: &DetectorConfig) -> Vec<f64> {
+    critical_features(pattern, region, config).to_vector()
 }
 
 /// Canonical-orientation features padded/truncated to `len` values.
@@ -142,11 +151,7 @@ pub fn feature_vector_padded(
     config: &DetectorConfig,
     len: usize,
 ) -> Vec<f64> {
-    let window = normalized_window(pattern, region);
-    let rects = normalized_rects(pattern, region);
-    let (_, orientation) = TopoSignature::with_orientation(&window, &rects);
-    CriticalFeatures::extract_oriented(&window, &rects, orientation, &config.feature)
-        .to_vector_padded(len)
+    critical_features(pattern, region, config).to_vector_padded(len)
 }
 
 /// Lazily extracted, per-length-memoized feature vectors of one pattern
@@ -185,12 +190,9 @@ impl<'a> FeatureMemo<'a> {
         if let Some(i) = self.padded.iter().position(|(l, _)| *l == len) {
             return &self.padded[i].1;
         }
-        let features = self.features.get_or_insert_with(|| {
-            let window = normalized_window(self.pattern, self.region);
-            let rects = normalized_rects(self.pattern, self.region);
-            let (_, orientation) = TopoSignature::with_orientation(&window, &rects);
-            CriticalFeatures::extract_oriented(&window, &rects, orientation, &self.config.feature)
-        });
+        let features = self
+            .features
+            .get_or_insert_with(|| critical_features(self.pattern, self.region, self.config));
         self.padded.push((len, features.to_vector_padded(len)));
         &self.padded.last().expect("just pushed").1
     }
@@ -412,7 +414,7 @@ pub fn train_cluster_kernels(
 /// utilisation stats for telemetry.
 ///
 /// All kernels are independent (Section III-G): each cluster is one task on
-/// the work-stealing executor. When the executor has more threads than
+/// the [`Executor`]. When the executor has more threads than
 /// there are clusters, the surplus is spent *inside* each task training
 /// speculative `(C, γ)` rounds concurrently (see [`train_iterative_with`]),
 /// so both fan-out axes of the paper's parallelisation are covered while
@@ -444,22 +446,22 @@ fn train_one_kernel(
     speculation: usize,
 ) -> Result<ClusterKernel, TrainError> {
     // Determine the kernel's feature length from the cluster members.
-    let member_features: Vec<Vec<f64>> = cluster
+    let member_features: Vec<CriticalFeatures> = cluster
         .members
         .iter()
-        .map(|&i| feature_vector(&hotspots[i], Region::Core, config))
+        .map(|&i| critical_features(&hotspots[i], Region::Core, config))
         .collect();
     let feature_len = member_features
         .iter()
-        .map(Vec::len)
+        .map(|f| f.to_vector().len())
         .max()
         .unwrap_or(5)
         .max(5);
 
     let mut x: Vec<Vec<f64>> = Vec::with_capacity(member_features.len() + nonhotspot_medoids.len());
     let mut y: Vec<f64> = Vec::with_capacity(x.capacity());
-    for f in member_features {
-        x.push(pad(f, feature_len));
+    for f in &member_features {
+        x.push(f.to_vector_padded(feature_len));
         y.push(1.0);
     }
     for p in nonhotspot_medoids {
@@ -488,16 +490,9 @@ fn train_one_kernel(
     })
 }
 
-fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
-    if v.len() == len {
-        return v;
-    }
-    // Preserve the 5-value nontopological tail while adjusting the rules
-    // section, mirroring `CriticalFeatures::to_vector_padded`.
-    let tail: Vec<f64> = v.split_off(v.len().saturating_sub(5));
-    v.resize(len.saturating_sub(5), 0.0);
-    v.truncate(len.saturating_sub(5));
-    v.extend(tail);
+/// `v` zero-padded or truncated to `len` values.
+pub(crate) fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
+    v.resize(len, 0.0);
     v
 }
 
@@ -688,12 +683,9 @@ mod tests {
     }
 
     #[test]
-    fn pad_preserves_tail() {
-        let v = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let padded = pad(v.clone(), 10);
-        assert_eq!(padded.len(), 10);
-        assert_eq!(&padded[5..], &[0.0, 3.0, 4.0, 5.0, 6.0, 7.0][1..]);
-        let truncated = pad(v, 5);
-        assert_eq!(truncated, vec![3.0, 4.0, 5.0, 6.0, 7.0]);
+    fn pad_zero_fills_and_truncates() {
+        let v = vec![1.0, 2.0, 3.0];
+        assert_eq!(pad(v.clone(), 5), vec![1.0, 2.0, 3.0, 0.0, 0.0]);
+        assert_eq!(pad(v, 2), vec![1.0, 2.0]);
     }
 }

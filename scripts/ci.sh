@@ -140,6 +140,21 @@ expect_json_error scan --model "$JSON_DIR/truncated.json" --layout "$FAULT_DIR/l
 expect_json_error train --training "$JSON_DIR/nested.json" --out "$JSON_DIR/model.json"
 echo "hostile-JSON smoke: nested and truncated inputs exit 4"
 
+echo "==> unknown-flag smoke (a retired or misspelt flag: exit 2)"
+# `--eval-mode` was retired; an unknown flag must be a usage error, not
+# silently ignored.
+set +e
+"$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$JSON_DIR/report.json" --eval-mode compiled > /dev/null 2> "$JSON_DIR/err.txt"
+status=$?
+set -e
+if [ "$status" -ne 2 ] || ! grep -q 'unknown flag --eval-mode' "$JSON_DIR/err.txt"; then
+  echo "unknown-flag smoke: expected exit 2 naming --eval-mode, got $status"
+  cat "$JSON_DIR/err.txt"
+  exit 1
+fi
+echo "unknown-flag smoke: --eval-mode rejected with exit 2"
+
 echo "==> hostile-extent smoke (GDSII spanning the i32 range: exit 6 within 1 s)"
 # One boundary over the whole coordinate range, and two 1 um squares at
 # its opposite corners: the scan must reject the extent before it builds

@@ -115,7 +115,7 @@ fn scanned_tile_ids() -> &'static Vec<usize> {
 fn resume_config(journal: &Path) -> ScanConfig {
     ScanConfig {
         journal: Some(journal.to_path_buf()),
-        resume_from: Some(journal.to_path_buf()),
+        resume: true,
         ..base_scan()
     }
 }

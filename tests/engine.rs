@@ -1,5 +1,5 @@
 //! Engine-level integration tests: training determinism across thread
-//! counts (the work-stealing executor and speculative `(C, γ)` rounds must
+//! counts (the executor and speculative `(C, γ)` rounds must
 //! not change the model), detection against the whole-layout oracle in
 //! `support` at every thread count, and telemetry serialisation.
 

@@ -68,7 +68,9 @@ fn multilayer_detection_survives_gdsii_roundtrip() {
     let restored = gdsii::read_bytes(&gdsii::write_bytes(&layout).expect("write")).expect("read");
     assert_eq!(restored, layout);
 
-    let reported = detector.detect(&restored, &[l1, l2]);
+    let reported = detector
+        .detect(&restored, &[l1, l2])
+        .expect("two trained layers");
     let hot_window = ClipShape::ICCAD2012.window_from_core_corner(hot_at);
     let safe_window = ClipShape::ICCAD2012.window_from_core_corner(safe_at);
     assert!(

@@ -103,7 +103,7 @@ fn scanned_tile_ids() -> &'static Vec<usize> {
 fn resume_config(journal: &Path) -> ScanConfig {
     ScanConfig {
         journal: Some(journal.to_path_buf()),
-        resume_from: Some(journal.to_path_buf()),
+        resume: true,
         ..base_scan()
     }
 }
@@ -228,7 +228,7 @@ fn resume_rejects_a_journal_from_a_different_scan() {
     let mismatched = ScanConfig {
         tile_cores: 4,
         journal: Some(journal.clone()),
-        resume_from: Some(journal.clone()),
+        resume: true,
         ..base_scan()
     };
     let bm = benchmark();

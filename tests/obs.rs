@@ -336,7 +336,7 @@ fn report_stage_rows_and_hub_agree_on_every_shared_count() {
     assert!(ends.len() > 2, "journal holds several records");
     std::fs::write(&journal, &bytes[..ends[ends.len() / 2]]).expect("cut journal");
     let resumed = ScanConfig {
-        resume_from: Some(journal.clone()),
+        resume: true,
         ..journaled
     };
     let report = scan_and_check_agreement(detector, &resumed, "resumed");

@@ -309,7 +309,7 @@ fn cache_composes_with_journal_resume() {
     // recorded into the cache alongside the freshly computed ones.
     let resumed = ScanConfig {
         journal: Some(journal.clone()),
-        resume_from: Some(journal.clone()),
+        resume: true,
         ..cached_scan(&cache)
     };
     let report = run(&resumed, 2);

@@ -110,8 +110,7 @@ USAGE:
                    [--layer N] [--threshold X] [--threads N] [--tile-cores N]
                    [--max-in-flight N] [--tile-density X] [--json]
                    [--telemetry <telemetry.json>]
-                   [--cache <cache.bin>] [--cache-verify]
-                   [--journal <journal.log>] [--resume] [--max-failed-tiles N]
+                   [--cache <cache.bin>] [--cache-verify] [--max-failed-tiles N]
                    [--deadline DUR] [--tile-timeout DUR]
                    [--fault-seed N] [--fault-panic-per-mille N]
                    [--fault-transient-per-mille N]
@@ -135,14 +134,14 @@ model's training telemetry with the run into an eight-stage record.
 `scan` streams the layout tile by tile: --max-in-flight bounds memory
 (0 = 2x threads), --tile-cores sets the tile stride in core sides, and
 --tile-density enables the aggressive mean-coverage prefilter.
---journal appends each finished tile to a checksummed journal; --resume
-replays it and re-scans only the missing tiles (bit-identical results).
 --cache keeps a content-addressed tile result cache across scans: a warm
 re-scan replays unchanged tiles by content fingerprint and recomputes only
-edited ones, with a report byte-identical to a cold scan. Retraining or
-changing detector/scan config invalidates the whole cache; corrupt entries
-are dropped individually. --cache-verify also recomputes every hit and
-fails if any stored entry disagrees (debugging/CI).
+edited ones, with a report byte-identical to a cold scan. Each batch of
+computed tiles is appended to it with one fsync, so a killed or aborted
+scan re-run with the same --cache recomputes only the missing tiles.
+Retraining or changing detector/scan config invalidates the whole cache;
+corrupt entries are dropped individually. --cache-verify also recomputes
+every hit and fails if any stored entry disagrees (debugging/CI).
 --max-failed-tiles quarantines panicking tiles instead of aborting, up to
 the given bound. The --fault-* flags drive the deterministic
 fault-injection harness (testing only); the --fault-stall-* flags stall
@@ -151,9 +150,9 @@ chosen tiles so timeout handling can be rehearsed.
 caps each tile's. Durations take a unit suffix (30s, 500ms, 2m); a bare
 number means seconds. A scan that outlives its deadline — or is
 interrupted with Ctrl-C — stops admitting tiles, drains its in-flight
-window, syncs the journal, writes the partial report, and exits with
-code 8; re-running with --journal <path> --resume finishes it with a
-report identical to an uninterrupted run. A tile that outlives
+window, syncs the cache, writes the partial report, and exits with code
+8; re-running with the same --cache <path> finishes it with a report
+identical to an uninterrupted run. A tile that outlives
 --tile-timeout is quarantined like a panicking one (needs
 --max-failed-tiles).
 `scan` observability (pure observation — the report is bit-identical with
@@ -167,15 +166,16 @@ structured pipeline event to a schema-versioned NDJSON log.
 
 Exit codes: 0 ok, 2 usage, 3 i/o, 4 json, 5 gdsii, 6 pipeline (also a
 layer extent too large to tile), 7 completed with quarantined tiles,
-8 aborted by deadline or Ctrl-C (partial results journaled; resume with
---journal <path> --resume).";
+8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
+same --cache <path>).";
 
 /// Exit code for a scan that completed but quarantined one or more tiles.
 pub const EXIT_QUARANTINED: i32 = 7;
 
 /// Exit code for a scan stopped early by its `--deadline` or by SIGINT:
-/// the report written is partial but valid, the journal holds every
-/// finished tile, and `--resume` completes the scan bit-identically.
+/// the report written is partial but valid, the `--cache` holds every
+/// finished tile, and re-running with the same `--cache <path>` completes
+/// the scan bit-identically.
 /// Takes precedence over [`EXIT_QUARANTINED`] when both apply.
 pub const EXIT_ABORTED: i32 = 8;
 
@@ -249,8 +249,6 @@ const SCAN_FLAGS: &[&str] = &[
     "telemetry",
     "cache",
     "cache-verify",
-    "journal",
-    "resume",
     "max-failed-tiles",
     "deadline",
     "tile-timeout",
@@ -275,7 +273,7 @@ fn clean(out: String) -> (String, i32) {
 struct Opts(Vec<(String, String)>);
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["json", "resume", "progress", "cache-verify"];
+const BOOL_FLAGS: &[&str] = &["json", "progress", "cache-verify"];
 
 impl Opts {
     fn get(&self, key: &str) -> Option<&str> {
@@ -429,12 +427,6 @@ fn parse_opt_indices(opts: &Opts, key: &str) -> Result<Vec<usize>, CliError> {
 }
 
 fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
-    let journal = opts.get("journal").map(PathBuf::from);
-    if opts.has("resume") && journal.is_none() {
-        return Err(CliError::Usage(
-            "--resume needs --journal to name the journal to replay".into(),
-        ));
-    }
     let cache = opts.get("cache").map(PathBuf::from);
     if opts.has("cache-verify") && cache.is_none() {
         return Err(CliError::Usage(
@@ -487,8 +479,6 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
                     CliError::Usage(format!("invalid value `{v}` for --tile-density"))
                 })?),
             },
-            resume: opts.has("resume"),
-            journal,
             failure_policy,
             fault_plan,
             cache,
@@ -570,12 +560,6 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
         report.clips_per_second(),
         report.peak_in_flight,
     );
-    if report.resumed_tiles > 0 {
-        text.push_str(&format!(
-            "\nresumed {} tile(s) from the journal",
-            report.resumed_tiles
-        ));
-    }
     if report.cache_hits > 0 || report.cache_misses > 0 {
         text.push_str(&format!(
             "\ncache: {} hit(s), {} miss(es)",
@@ -597,7 +581,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
     if let Some(reason) = report.aborted {
         text.push_str(&format!(
             "\nscan aborted ({reason}) after {} of {} tiles; the report is partial — \
-             re-run with --journal <path> --resume to finish it",
+             re-run with the same --cache <path> to finish it",
             report.tiles_scanned, report.tiles_total,
         ));
     }
@@ -769,10 +753,11 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_usage_errors() {
-        // A retired flag, a misspelt one, and another command's flag: all
-        // three used to be ignored.
+        // Retired flags, a misspelt one, and another command's flag: all
+        // used to be ignored (or, for --resume, read).
         for (args, flag) in [
             (&["scan", "--eval-mode", "compiled"][..], "--eval-mode"),
+            (&["scan", "--resume"], "--resume"),
             (
                 &["generate", "--name", "array_benchmark1", "--scael", "tiny"],
                 "--scael",
@@ -956,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_journal_resume_and_quarantine_flags() {
+    fn scan_cache_rerun_and_quarantine_flags() {
         let dir = workdir("fault_flags");
         run(&argv(&[
             "generate",
@@ -980,16 +965,9 @@ mod tests {
         ]))
         .unwrap();
 
-        // --resume without --journal is a usage error.
-        let err = run(&argv(&[
-            "scan", "--resume", "--model", "x", "--layout", "y", "--out", "z",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--journal"), "{err}");
-
-        // A journaled scan, then a resumed one: same report, exit 0, and
-        // the resumed run replays every tile from the journal.
-        let journal = dir.join("scan.journal");
+        // A cached scan, then a re-run: same report, exit 0, and the
+        // re-run serves every tile from the cache.
+        let cache = dir.join("scan.cache");
         let report = dir.join("report.json");
         let scan_args = |extra: &[&str]| {
             let mut args = argv(&[
@@ -1002,8 +980,8 @@ mod tests {
                 report.to_str().unwrap(),
                 "--threads",
                 "2",
-                "--journal",
-                journal.to_str().unwrap(),
+                "--cache",
+                cache.to_str().unwrap(),
             ]);
             args.extend(extra.iter().map(|s| s.to_string()));
             args
@@ -1012,14 +990,14 @@ mod tests {
         assert_eq!(status, 0, "{out}");
         let first = std::fs::read_to_string(&report).unwrap();
 
-        let (out, status) = run_with_status(&scan_args(&["--resume"])).unwrap();
+        let (out, status) = run_with_status(&scan_args(&[])).unwrap();
         assert_eq!(status, 0, "{out}");
-        assert!(out.contains("resumed"), "{out}");
+        assert!(out.contains(" 0 miss(es)"), "{out}");
         assert_eq!(std::fs::read_to_string(&report).unwrap(), first);
 
         // Injected panics on every tile + quarantine: completes with the
         // advisory exit code and lists the quarantined tiles.
-        let fresh_journal = dir.join("faulted.journal");
+        let fresh_cache = dir.join("faulted.cache");
         let (out, status) = run_with_status(&argv(&[
             "scan",
             "--model",
@@ -1030,8 +1008,8 @@ mod tests {
             report.to_str().unwrap(),
             "--threads",
             "2",
-            "--journal",
-            fresh_journal.to_str().unwrap(),
+            "--cache",
+            fresh_cache.to_str().unwrap(),
             "--max-failed-tiles",
             "10000",
             "--fault-seed",
@@ -1387,7 +1365,7 @@ mod tests {
         ]))
         .unwrap();
 
-        let journal = dir.join("deadline.journal");
+        let cache = dir.join("deadline.cache");
         let report = dir.join("report.json");
         let events = dir.join("events.ndjson");
         let scan_args = |extra: &[&str]| {
@@ -1401,15 +1379,15 @@ mod tests {
                 report.to_str().unwrap(),
                 "--threads",
                 "2",
-                "--journal",
-                journal.to_str().unwrap(),
+                "--cache",
+                cache.to_str().unwrap(),
             ]);
             args.extend(extra.iter().map(|s| s.to_string()));
             args
         };
 
         // A zero deadline aborts before the first batch: exit 8, the
-        // message names the reason and points at --resume.
+        // message names the reason and points at re-running with --cache.
         let (out, status) = run_with_status(&scan_args(&[
             "--deadline",
             "0",
@@ -1419,18 +1397,18 @@ mod tests {
         .unwrap();
         assert_eq!(status, EXIT_ABORTED, "{out}");
         assert!(out.contains("scan aborted (deadline_exceeded)"), "{out}");
-        assert!(out.contains("--resume"), "{out}");
+        assert!(out.contains("re-run with the same --cache"), "{out}");
         assert!(out.contains("scanned 0 of"), "{out}");
 
         // The event log records the abort and summarises cleanly.
         let out = run(&argv(&["events", "--file", events.to_str().unwrap()])).unwrap();
         assert!(out.contains("1 aborted scan(s)"), "{out}");
 
-        // Resuming without a deadline finishes the scan: exit 0 and a
+        // Re-running without a deadline finishes the scan: exit 0 and a
         // report byte-identical to a never-interrupted scan's.
-        let (out, status) = run_with_status(&scan_args(&["--resume"])).unwrap();
+        let (out, status) = run_with_status(&scan_args(&[])).unwrap();
         assert_eq!(status, 0, "{out}");
-        let resumed = std::fs::read_to_string(&report).unwrap();
+        let rerun = std::fs::read_to_string(&report).unwrap();
         let clean_report = dir.join("clean.json");
         run(&argv(&[
             "scan",
@@ -1444,7 +1422,7 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        assert_eq!(std::fs::read_to_string(&clean_report).unwrap(), resumed);
+        assert_eq!(std::fs::read_to_string(&clean_report).unwrap(), rerun);
         std::fs::remove_dir_all(&dir).ok();
     }
 

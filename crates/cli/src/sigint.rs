@@ -5,9 +5,9 @@
 //! thread polls that flag every ~25 ms and trips the scan's
 //! [`CancelToken`], which the streaming scan loop observes at the next
 //! batch boundary — so an interrupted scan drains its in-flight window,
-//! syncs its journal, and exits with the *aborted-but-resumable* status
-//! instead of dying mid-write. Re-running with `--resume` finishes the
-//! scan with a byte-identical report.
+//! syncs its tile cache, and exits with the *aborted-but-resumable* status
+//! instead of dying mid-write. Re-running with the same `--cache <path>`
+//! finishes the scan with a byte-identical report.
 //!
 //! Installation hands back a [`SigintGuard`]; dropping it stops the
 //! watcher and restores the previous signal disposition, so Ctrl-C goes

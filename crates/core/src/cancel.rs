@@ -8,16 +8,16 @@
 //! once per in-flight batch in the streaming scan loop, before each task
 //! pop in [`crate::engine::Executor`], and once per clip inside a tile's
 //! evaluation batch — and wind down by declining further work, so every
-//! tile either completes (and is journaled) or never starts (and is
-//! recomputed on resume). That placement is what keeps an aborted scan
-//! byte-resumable: the journal only ever contains whole-tile records, and
-//! [`crate::ScanReport::digest`] of a resumed scan is bit-identical to an
-//! uninterrupted run's.
+//! tile either completes (and is appended to the tile cache) or never
+//! starts (and is recomputed by a re-run). That placement is what keeps an
+//! aborted scan byte-resumable: the cache only ever gains whole-tile
+//! entries, and [`crate::ScanReport::digest`] of a scan re-run from that
+//! cache is bit-identical to an uninterrupted run's.
 //!
 //! The flag is a relaxed atomic: cancellation needs no ordering with the
 //! data the workers produce (aborted work is discarded, completed work was
-//! already published through the journal's own synchronisation), so a poll
-//! costs one uncontended load.
+//! already published through the batch loop's own synchronisation), so a
+//! poll costs one uncontended load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,8 +70,8 @@ impl PartialEq for CancelToken {
 
 /// Why a scan stopped early. Carried on
 /// [`crate::ScanReport::aborted`]; excluded from the report digest, like
-/// every other provenance field, so an aborted-then-resumed scan digests
-/// identically to an uninterrupted one.
+/// every other provenance field, so an aborted scan re-run from its cache
+/// digests identically to an uninterrupted one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum AbortReason {

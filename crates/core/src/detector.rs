@@ -45,9 +45,8 @@ pub enum DetectError {
     /// A pipeline task panicked; the panic was isolated by the executor
     /// and surfaced here instead of aborting the process.
     TaskPanicked(TaskFailure),
-    /// The scan journal could not be created, appended, or replayed.
-    Journal(String),
-    /// The tile result cache could not be written back — or, under
+    /// The tile result cache could not be appended to, synced, or
+    /// compacted — or, under
     /// [`crate::ScanConfig::cache_verify`], a cache hit's stored outcome
     /// disagreed with a fresh recompute of the same tile.
     Cache(String),
@@ -84,7 +83,6 @@ impl fmt::Display for DetectError {
             DetectError::TaskPanicked(failure) => {
                 write!(f, "pipeline task panicked: {failure}")
             }
-            DetectError::Journal(msg) => write!(f, "scan journal error: {msg}"),
             DetectError::Cache(msg) => write!(f, "tile cache error: {msg}"),
             DetectError::TooManyFailures { failed, max } => write!(
                 f,

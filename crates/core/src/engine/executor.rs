@@ -69,7 +69,7 @@ pub enum TaskResult<R> {
     Failed(TaskFailure),
     /// The run was cancelled before this task produced a result. Skipped
     /// tasks are not failures: they were never attempted (or cooperatively
-    /// abandoned) and simply remain to be done by a resumed run.
+    /// abandoned) and simply remain to be done by a re-run.
     Skipped,
 }
 
@@ -194,7 +194,7 @@ impl Executor {
     /// unwind cooperatively — a body that panics with the crate's internal
     /// cancellation marker is also reported as skipped, not failed). The
     /// in-flight window therefore *drains*; nothing is abandoned half
-    /// journaled.
+    /// stored.
     pub fn try_map_with_cancel<T, R, F>(
         &self,
         stage: &str,

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] describes, as pure data, which pipeline tasks should
 //! fail and how: persistent panics (fail on every attempt), transient
-//! panics (fail on the first attempt only, succeeding when retried), and a
-//! simulated journal I/O error. Faults are keyed by a *stable task index*
+//! panics (fail on the first attempt only, succeeding when retried), stalls,
+//! and a simulated tile-cache append I/O error. Faults are keyed by a *stable task index*
 //! (the global tile id in `scan_layout`) and
 //! decided by a seeded hash — never by wall clock or scheduling — so an
 //! injected failure set is bit-identical across runs and thread counts,
@@ -67,8 +67,10 @@ pub struct FaultPlan {
     /// Where in the tile pipeline the injected panic fires.
     #[serde(default)]
     pub site: FaultSite,
-    /// Simulated I/O fault: the scan journal returns an error when asked
-    /// to append its N-th record (0-based).
+    /// Simulated I/O fault: the tile cache returns an error when asked to
+    /// append its N-th entry of the scan (0-based) — the deterministic
+    /// stand-in for a kill mid-scan. The name predates the cache becoming
+    /// the scan's only durable store.
     #[serde(default)]
     pub fail_journal_at: Option<usize>,
     /// Explicit task indices that always *stall* for
@@ -178,7 +180,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether appending the `record`-th journal record should fail with a
+    /// Whether the `record`-th tile-cache append should fail with a
     /// simulated I/O error.
     pub fn fails_journal_at(&self, record: usize) -> bool {
         self.fail_journal_at == Some(record)

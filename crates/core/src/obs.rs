@@ -66,7 +66,7 @@ pub enum Counter {
     /// Tiles handed to a scan worker (prefilter + evaluation started).
     TilesStarted,
     /// Tiles the scan is done with: evaluated, prefiltered away,
-    /// quarantined, or served from the journal or cache. On a completed
+    /// quarantined, or served from the cache. On a completed
     /// scan this equals [`ScanReport::tiles_scanned`](crate::ScanReport).
     /// On an aborted scan it also counts the tiles the stop dropped
     /// mid-body, which have no outcome, so it can exceed `tiles_scanned`
@@ -92,9 +92,10 @@ pub enum Counter {
     TaskRetries,
     /// Tasks completed by the executor (any stage label).
     ExecutorTasks,
-    /// Records appended to the scan resume journal.
+    /// Entries a scan appended to its tile cache (the name predates the
+    /// cache becoming the scan's only durable store).
     JournalAppends,
-    /// `fsync` barriers issued by the scan resume journal.
+    /// `fsync` barriers the tile cache issued, one per batch that appended.
     JournalSyncs,
     /// Tiles served from the content-addressed result cache.
     CacheHits,
@@ -284,9 +285,9 @@ pub struct CounterSnapshot {
     pub task_retries: u64,
     /// Tasks completed by the executor.
     pub executor_tasks: u64,
-    /// Records appended to the scan resume journal.
+    /// Entries appended to the tile cache ([`Counter::JournalAppends`]).
     pub journal_appends: u64,
-    /// `fsync` barriers issued by the scan resume journal.
+    /// `fsync` barriers the tile cache issued ([`Counter::JournalSyncs`]).
     pub journal_syncs: u64,
     /// Tiles served from the content-addressed result cache. Absent in
     /// pre-cache snapshots, which deserialise with 0.
@@ -392,9 +393,10 @@ pub enum ObsEvent {
         /// Stage label of the failing task.
         stage: String,
     },
-    /// The resume journal flushed a batch to disk.
+    /// The tile cache made a batch's appended entries durable (the name
+    /// predates the cache becoming the scan's only durable store).
     JournalSynced {
-        /// Records appended since the journal was opened or resumed.
+        /// Entries the scan has appended to the cache so far.
         appended: usize,
     },
     /// A tile was served from the content-addressed result cache.
@@ -439,7 +441,7 @@ pub enum ObsEvent {
     },
     /// A streaming layout scan stopped early — deadline, watchdog, or a
     /// caller's cancel token — after draining its in-flight window and
-    /// syncing the journal, leaving a resumable prefix.
+    /// syncing the tile cache, leaving a resumable prefix.
     ScanAborted {
         /// Stable [`crate::AbortReason::name`] string.
         reason: String,
@@ -663,9 +665,8 @@ impl fmt::Debug for ObsHub {
 
 /// Appends every event as one JSON object per line (NDJSON).
 ///
-/// The file is opened in append mode so an event log can sit alongside a
-/// scan's resume journal across kill/resume cycles without clobbering
-/// earlier records. Each line is flushed as written; write errors are
+/// The file is opened in append mode so one event log can span a killed
+/// scan and its re-run without clobbering earlier records. Each line is flushed as written; write errors are
 /// swallowed (observability never fails the pipeline).
 pub struct NdjsonSink {
     out: Mutex<BufWriter<File>>,
@@ -804,12 +805,12 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_journal_appends_total",
-            "Records appended to the scan resume journal.",
+            "Entries appended to the scan's tile cache.",
             snapshot.journal_appends,
         ),
         (
             "hotspot_journal_syncs_total",
-            "fsync barriers issued by the scan resume journal.",
+            "fsync barriers issued by the scan's tile cache.",
             snapshot.journal_syncs,
         ),
         (

@@ -32,11 +32,11 @@
 //!   typed [`DetectError::TaskPanicked`], while
 //!   [`FailurePolicy::SkipAndRecord`] quarantines the tile into
 //!   [`ScanReport::failed_tiles`] and scans on;
-//! - [`ScanConfig::journal`] appends every completed tile to a durable
-//!   checkpoint journal ([`crate::journal`]), and
-//!   [`ScanConfig::resume`] replays it so a killed scan restarts
-//!   where it left off, with a report whose deterministic content
-//!   ([`ScanReport::digest`]) is bit-identical to an uninterrupted run;
+//! - [`ScanConfig::cache`] appends every tile a batch computes to the
+//!   tile cache ([`crate::tile_cache`]) with one fsync per batch, so a
+//!   killed scan re-run with the same cache restarts where it left off,
+//!   with a report whose deterministic content ([`ScanReport::digest`])
+//!   is bit-identical to an uninterrupted run;
 //! - [`ScanConfig::fault_plan`] arms the deterministic fault-injection
 //!   harness that proves all of the above under test.
 //!
@@ -46,8 +46,7 @@
 //!
 //! - [`ScanConfig::deadline`] bounds the scan's wall-clock budget — when
 //!   it expires, the scan stops admitting tiles at the next batch
-//!   boundary, drains the in-flight window, syncs the journal and cache,
-//!   and returns a partial report marked
+//!   boundary, drains the in-flight window, syncs the cache, and returns a partial report marked
 //!   [`ScanReport::aborted`](ScanReport::aborted) with
 //!   [`AbortReason::DeadlineExceeded`];
 //! - [`ScanConfig::cancel`] is an external [`CancelToken`] (the CLI's
@@ -59,10 +58,10 @@
 //!   [`FailureKind::TimedOut`], with a deterministic reason so the
 //!   quarantine list stays digest-stable across machines.
 //!
-//! Because the abort points sit at batch boundaries and the journal is
-//! fsync'd per batch, an aborted scan's journal contains only whole-tile
-//! records; resuming it via [`ScanConfig::resume`] completes the scan
-//! with a digest bit-identical to an uninterrupted run.
+//! Because the abort points sit at batch boundaries and the cache is
+//! fsync'd per batch, an aborted scan's cache holds only whole-tile
+//! entries; re-running the scan with the same [`ScanConfig::cache`]
+//! completes it with a digest bit-identical to an uninterrupted run.
 //!
 //! # Example
 //!
@@ -123,7 +122,7 @@ use crate::engine::{
 };
 use crate::extraction::{passes_filter, split_oversized_into, RectIndex};
 use crate::feedback::EvalScratch;
-use crate::journal::{read_journal, JournalHeader, JournalWriter, TileOutcomeRecord, TileRecord};
+use crate::journal::TileOutcomeRecord;
 use crate::memo::EvalMemo;
 use crate::metrics::{score, Evaluation};
 use crate::obs::{Counter, ObsEvent, ObsHub};
@@ -136,8 +135,7 @@ use hotspot_layout::scan::{Tile, TileScanner, TileSpec};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -254,25 +252,18 @@ pub struct ScanConfig {
     /// What to do when a tile fails both its attempt and its retry.
     #[serde(default)]
     pub failure_policy: FailurePolicy,
-    /// Checkpoint journal to append completed tiles to (fsync'd once per
-    /// in-flight batch). `None` disables journaling.
-    #[serde(default)]
-    pub journal: Option<PathBuf>,
-    /// Resume an earlier (killed or aborted) scan from
-    /// [`journal`](Self::journal): its completed tiles are replayed instead
-    /// of recomputed, and the scan keeps appending to the same file.
-    /// Requires a journal ([`validate`](Self::validate)).
-    #[serde(default)]
-    pub resume: bool,
     /// Deterministic fault-injection plan, for the fault-tolerance tests
     /// and the CI smoke. The default (empty) plan injects nothing and
     /// costs nothing.
     #[serde(default)]
     pub fault_plan: FaultPlan,
-    /// Content-addressed tile result cache ([`crate::tile_cache`]): tiles
-    /// whose content fingerprint matches a stored entry replay their cached
-    /// outcome instead of recomputing, and the store is rewritten with this
-    /// scan's results on completion. `None` disables caching.
+    /// Content-addressed tile result cache ([`crate::tile_cache`]) and the
+    /// scan's one durable store: tiles whose content fingerprint matches a
+    /// stored entry replay their cached outcome instead of recomputing,
+    /// each batch appends the tiles it computed with one fsync, and the
+    /// file is compacted to this scan's results on completion. Re-running
+    /// an aborted or killed scan with the same cache resumes it. `None`
+    /// disables caching.
     #[serde(default)]
     pub cache: Option<PathBuf>,
     /// Paranoid cache mode: hits are *also* recomputed and the stored
@@ -283,9 +274,9 @@ pub struct ScanConfig {
     pub cache_verify: bool,
     /// Global wall-clock budget. When it expires the scan stops admitting
     /// tiles at the next batch boundary, drains the in-flight window,
-    /// syncs the journal and cache, and returns a partial report marked
+    /// syncs the cache, and returns a partial report marked
     /// [`ScanReport::aborted`] with [`AbortReason::DeadlineExceeded`] —
-    /// resumable via [`resume`](Self::resume). `None` (the
+    /// resumable by re-running with the same [`cache`](Self::cache). `None` (the
     /// default) scans to completion. A zero deadline is valid and aborts
     /// before the first batch.
     #[serde(default)]
@@ -314,8 +305,6 @@ impl Default for ScanConfig {
             max_in_flight: 0,
             tile_density: None,
             failure_policy: FailurePolicy::Abort,
-            journal: None,
-            resume: false,
             fault_plan: FaultPlan::default(),
             cache: None,
             cache_verify: false,
@@ -340,9 +329,6 @@ impl ScanConfig {
             if !d.is_finite() || d <= 0.0 {
                 return Err(format!("tile_density must be positive and finite, got {d}"));
             }
-        }
-        if self.resume && self.journal.is_none() {
-            return Err("resume requires a journal path".into());
         }
         if self.cache_verify && self.cache.is_none() {
             return Err("cache_verify requires a cache path".into());
@@ -396,10 +382,6 @@ pub struct ScanReport {
     /// Absent in pre-v4 reports, which deserialise with 0.
     #[serde(default)]
     pub retries: usize,
-    /// Tiles replayed from the journal of a [`ScanConfig::resume`]d scan
-    /// instead of recomputed. Absent in pre-v4 reports, which deserialise with 0.
-    #[serde(default)]
-    pub resumed_tiles: usize,
     /// Tiles replayed from the [`ScanConfig::cache`] by content
     /// fingerprint. Provenance, not content — excluded from the digest.
     /// Absent in pre-cache reports, which deserialise with 0.
@@ -413,8 +395,8 @@ pub struct ScanReport {
     /// Why the scan stopped early — [`ScanConfig::deadline`] expiry or an
     /// external [`ScanConfig::cancel`] trip — or `None` when it ran to
     /// completion. Provenance, not content: excluded from the digest, so
-    /// an aborted scan resumed to completion digests identically to an
-    /// uninterrupted run. Absent in pre-deadline reports, which
+    /// an aborted scan re-run to completion from its cache digests
+    /// identically to an uninterrupted run. Absent in pre-deadline reports, which
     /// deserialise as `None`.
     #[serde(default)]
     pub aborted: Option<AbortReason>,
@@ -459,9 +441,9 @@ impl ScanReport {
     /// Canonical JSON digest of the report's *deterministic* content: the
     /// reported clips, every tile/clip/flag count, and the quarantine
     /// list. Wall-clock and scheduling artefacts (telemetry, scan time,
-    /// `peak_in_flight`), the resume/retry/cache provenance counters, and
-    /// the [`aborted`](Self::aborted) marker are excluded — so a
-    /// killed-and-resumed scan and a warm cached re-scan both digest
+    /// `peak_in_flight`), the retry/cache provenance counters, and the
+    /// [`aborted`](Self::aborted) marker are excluded — so a killed scan
+    /// re-run from its cache and a warm cached re-scan both digest
     /// byte-identically to an uninterrupted cold run, which
     /// `tests/fault_tolerance.rs`, `tests/deadlines.rs`, and
     /// `tests/tile_cache.rs` pin.
@@ -493,16 +475,16 @@ impl ScanReport {
     }
 }
 
-/// What one tile produced: the canonical record the journal and the cache
-/// store, plus the work it took — provenance that is never stored, so
-/// replayed tiles carry none.
+/// What one tile produced: the canonical record the cache stores, plus
+/// the work it took — provenance that is never stored, so served tiles
+/// carry none.
 struct TileOutcome {
     record: TileOutcomeRecord,
     work: TileWork,
 }
 
 impl TileOutcome {
-    /// A stored outcome replayed without recomputation.
+    /// A stored outcome served without recomputation.
     fn replayed(record: TileOutcomeRecord) -> TileOutcome {
         TileOutcome {
             record,
@@ -525,8 +507,6 @@ struct TileWork {
 
 /// Where a batch tile's outcome comes from.
 enum Origin {
-    /// Replayed from the journal of a [`ScanConfig::resume`]d scan.
-    Journal,
     /// Served from the tile cache by content fingerprint.
     CacheHit,
     /// A cache hit recomputed under [`ScanConfig::cache_verify`]; the
@@ -542,7 +522,7 @@ enum Origin {
 /// How far a batch tile got.
 enum TileState {
     /// Not computed — before the runner, or after it when the scan is
-    /// stopping (a resumed scan computes it).
+    /// stopping (a re-run computes it).
     Pending,
     Done(TileOutcome),
     Quarantined(QuarantinedTile),
@@ -700,7 +680,7 @@ impl HotspotDetector {
     /// [`ScanConfig::default`]. Tile panics are
     /// isolated, retried once, and then handled per
     /// [`ScanConfig::failure_policy`]; see the [module docs](crate::scan)
-    /// for the journal/resume machinery.
+    /// for resuming through the tile cache.
     ///
     /// # Examples
     ///
@@ -747,8 +727,8 @@ impl HotspotDetector {
     /// Returns [`DetectError::Config`] for invalid scan settings,
     /// [`DetectError::EmptyLayer`] when the layout has no polygons on
     /// `layer`, [`DetectError::ExtentTooLarge`] when the layer's bounding
-    /// box needs more than [`MAX_SCAN_TILES`] tiles, [`DetectError::Journal`] for journal I/O or fingerprint
-    /// mismatches, [`DetectError::TaskPanicked`] under
+    /// box needs more than [`MAX_SCAN_TILES`] tiles, [`DetectError::Cache`]
+    /// when the tile cache cannot be written, [`DetectError::TaskPanicked`] under
     /// [`FailurePolicy::Abort`], and [`DetectError::TooManyFailures`] when
     /// the quarantine bound is exceeded.
     pub fn scan_layout(
@@ -807,19 +787,12 @@ impl HotspotDetector {
             });
         }
 
-        let header = JournalHeader::new(tiles_total, scan.tile_cores, layer, threshold);
-        let (replayed, mut journal) = open_journal(scan, &header)?;
-        if let (Some(writer), Some(hub)) = (journal.as_mut(), self.obs()) {
-            writer.set_obs(Arc::clone(hub));
-        }
         let mut source = TileSource {
             grid_cols: scanner.grid().cols(),
             scanner,
-            replayed,
             cache_verify: scan.cache_verify,
         };
         let mut sink = TileSink {
-            journal,
             cache: self.open_cache(scan, layer, threshold),
             scan,
         };
@@ -842,7 +815,7 @@ impl HotspotDetector {
         let mut tally = ScanTally::default();
         let aborted = loop {
             // Abort point: stop admitting tiles at the batch boundary. The
-            // journal already holds every completed batch (fsync'd by the
+            // cache already holds every completed batch (fsync'd by the
             // sink), so everything up to here is resumable.
             if scan.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 break Some(AbortReason::Interrupted);
@@ -882,7 +855,9 @@ impl HotspotDetector {
             t_removal.elapsed(),
             None,
         );
-        sink.finish()?;
+        if aborted.is_none() {
+            sink.finish()?;
+        }
 
         // Stop the watchdog before the terminal event, so no heartbeat can
         // trail a ScanAborted/ScanCompleted in the event stream.
@@ -1078,7 +1053,10 @@ impl HotspotDetector {
             threshold,
             scan.tile_density,
         );
-        let cache = TileCache::open(path, header);
+        let mut cache = TileCache::open(path, header);
+        if let Some(hub) = self.obs() {
+            cache.set_obs(Arc::clone(hub));
+        }
         let stats = cache.load_stats();
         if let (Some(hub), true) = (self.obs(), stats.discarded || stats.rejected > 0) {
             let invalidated = if stats.discarded { 1 } else { stats.rejected };
@@ -1130,41 +1108,12 @@ fn poll_stop(trip: &CancelToken, budget: Option<Duration>, tile_started: Instant
     }
 }
 
-/// Opens the scan's journal side: the records replayed from
-/// [`ScanConfig::journal`] when [`ScanConfig::resume`] is set, and the
-/// writer that appends to it — in place after the replayed records, or to
-/// a fresh file.
-fn open_journal(
-    scan: &ScanConfig,
-    header: &JournalHeader,
-) -> Result<(HashMap<usize, TileOutcomeRecord>, Option<JournalWriter>), DetectError> {
-    let Some(path) = &scan.journal else {
-        return Ok((HashMap::new(), None));
-    };
-    let journal_error =
-        |e: &dyn fmt::Display| DetectError::Journal(format!("{}: {e}", path.display()));
-    if !scan.resume {
-        let writer = JournalWriter::create(path, header).map_err(|e| journal_error(&e))?;
-        return Ok((HashMap::new(), Some(writer)));
-    }
-    let contents = read_journal(path).map_err(|e| journal_error(&e))?;
-    if contents.header != *header {
-        return Err(journal_error(
-            &"journal belongs to a different scan (grid, layer, or threshold differ)",
-        ));
-    }
-    let writer = JournalWriter::resume(path, contents.valid_len).map_err(|e| journal_error(&e))?;
-    Ok((contents.records, Some(writer)))
-}
-
 /// The tile source: walks the grid one window of tiles at a time and
-/// resolves each tile from the resume journal, then from the cache by
-/// content fingerprint, leaving the rest pending for the runner.
+/// resolves each tile from the cache by content fingerprint, leaving the
+/// rest pending for the runner.
 struct TileSource {
     scanner: TileScanner,
     grid_cols: i64,
-    /// Journal records of an earlier run, removed as they are replayed.
-    replayed: HashMap<usize, TileOutcomeRecord>,
     cache_verify: bool,
 }
 
@@ -1180,17 +1129,8 @@ impl TileSource {
         let mut slots = Vec::with_capacity(window);
         for tile in self.scanner.by_ref().take(window) {
             let id = (tile.iy * self.grid_cols + tile.ix) as usize;
-            // Replayed tiles are fingerprinted too: the sink feeds them back
-            // into the cache, so resume and caching compose.
             let fingerprint = cache.map_or(0, |_| tile.content_fingerprint());
-            // Journal replay wins over the cache: it is this very scan's own
-            // prior progress.
-            let (origin, state) = if let Some(record) = self.replayed.remove(&id) {
-                (
-                    Origin::Journal,
-                    TileState::Done(TileOutcome::replayed(record)),
-                )
-            } else if let Some(cache) = cache {
+            let (origin, state) = if let Some(cache) = cache {
                 match cache.lookup(id, fingerprint) {
                     Some(local) => {
                         if let Some(hub) = obs {
@@ -1307,7 +1247,7 @@ impl<'a> TileRunner<'a> {
                 }
                 // Skipped by the cooperative stop, or failed while the scan
                 // is stopping: no retry burns wall time mid-abort; the tile
-                // stays pending and a resumed scan computes it.
+                // stays pending and a re-run computes it.
                 TaskResult::Skipped => continue,
                 TaskResult::Failed(_) if self.trip.is_cancelled() => continue,
                 TaskResult::Failed(failure) => failure,
@@ -1394,19 +1334,21 @@ impl<'a> TileRunner<'a> {
     }
 }
 
-/// The tile sink: records finished tiles into the cache, appends freshly
-/// computed ones to the journal with one fsync per batch, and writes the
-/// cache back when the scan ends.
+/// The tile sink: records finished tiles into the cache, appends the
+/// computed ones with one fsync per batch, and compacts the cache when the
+/// scan completes.
 struct TileSink<'a> {
-    journal: Option<JournalWriter>,
     cache: Option<TileCache>,
     scan: &'a ScanConfig,
 }
 
 impl TileSink<'_> {
     /// Records one finished batch. Quarantined and pending tiles are never
-    /// stored: a resumed or re-run scan computes them again.
+    /// stored: a re-run computes them again.
     fn write_batch(&mut self, slots: &[Slot]) -> Result<(), DetectError> {
+        let Some(cache) = self.cache.as_mut() else {
+            return Ok(());
+        };
         for slot in slots {
             let TileState::Done(outcome) = &slot.state else {
                 continue;
@@ -1420,43 +1362,40 @@ impl TileSink<'_> {
                     )));
                 }
             }
-            if let Some(cache) = self.cache.as_mut() {
-                let local = tile_cache::translate_record(record, -slot.tile.window.min());
+            let local = tile_cache::translate_record(record, -slot.tile.window.min());
+            // Served tiles are in the file already.
+            if let Origin::CacheMiss { .. } = slot.origin {
+                cache
+                    .append(slot.id, slot.fingerprint, local, &self.scan.fault_plan)
+                    .map_err(|e| {
+                        cache_error(self.scan, format!("append of tile {} failed: {e}", slot.id))
+                    })?;
+            } else {
                 cache.record(slot.id, slot.fingerprint, local);
             }
-            // Replayed tiles are in the journal already; cache-served ones
-            // stay in the cache.
-            let served = matches!(slot.origin, Origin::Journal | Origin::CacheHit);
-            if let (Some(writer), false) = (self.journal.as_mut(), served) {
-                let line = TileRecord {
-                    tile: slot.id,
-                    outcome: record.clone(),
-                };
-                writer.append(&line, &self.scan.fault_plan).map_err(|e| {
-                    DetectError::Journal(format!("append of tile {} failed: {e}", slot.id))
-                })?;
-            }
         }
-        if let Some(writer) = self.journal.as_mut() {
-            writer
-                .sync()
-                .map_err(|e| DetectError::Journal(format!("journal sync failed: {e}")))?;
-        }
-        Ok(())
+        cache
+            .sync()
+            .map_err(|e| cache_error(self.scan, format!("sync failed: {e}")))
     }
 
-    /// Rewrites the cache with this scan's results: only tiles recorded
-    /// this run survive, so entries for deleted tiles don't accumulate. An
-    /// aborted scan writes back too — partial progress is exactly what the
-    /// cache is for.
+    /// Compacts the cache to this scan's results: only tiles recorded this
+    /// run survive, so entries for deleted tiles don't accumulate. Called
+    /// only when the scan completes — an aborted scan keeps its log.
     fn finish(&self) -> Result<(), DetectError> {
-        if let (Some(cache), Some(path)) = (&self.cache, &self.scan.cache) {
-            cache.store().map_err(|e| {
-                DetectError::Cache(format!("{}: write-back failed: {e}", path.display()))
-            })?;
+        match &self.cache {
+            Some(cache) => cache
+                .store()
+                .map_err(|e| cache_error(self.scan, format!("compaction failed: {e}"))),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// A [`DetectError::Cache`] naming the scan's cache file.
+fn cache_error(scan: &ScanConfig, what: String) -> DetectError {
+    let path = scan.cache.clone().unwrap_or_default();
+    DetectError::Cache(format!("{}: {what}", path.display()))
 }
 
 /// Counts of one batch.
@@ -1473,8 +1412,7 @@ struct Counts {
     retries: usize,
     quarantined: usize,
     timed_out: usize,
-    resumed_tiles: usize,
-    /// Tiles replayed or cache-served: done without running.
+    /// Cache-served tiles: done without running.
     served: usize,
     cache_hits: usize,
     cache_misses: usize,
@@ -1515,10 +1453,6 @@ impl ScanTally {
         let mut b = Counts::default();
         for slot in slots {
             match slot.origin {
-                Origin::Journal => {
-                    b.resumed_tiles += 1;
-                    b.served += 1;
-                }
                 Origin::CacheHit => {
                     b.cache_hits += 1;
                     b.served += 1;
@@ -1633,7 +1567,6 @@ impl ScanTally {
         r.feedback_reclaimed += b.feedback_reclaimed;
         r.eval_batches += b.eval_batches;
         r.retries += b.retries;
-        r.resumed_tiles += b.resumed_tiles;
         r.cache_hits += b.cache_hits;
         r.cache_misses += b.cache_misses;
     }
@@ -1731,11 +1664,11 @@ mod tests {
 
     #[test]
     fn legacy_scan_config_json_deserialises() {
-        // A pre-fault-tolerance config: no policy, journal, or fault plan.
+        // A pre-fault-tolerance config: no policy, cache, or fault plan.
         let json = r#"{"tile_cores":8,"max_in_flight":4,"tile_density":null}"#;
         let config: ScanConfig = serde_json::from_str(json).unwrap();
         assert_eq!(config.failure_policy, FailurePolicy::Abort);
-        assert!(config.journal.is_none() && !config.resume);
+        assert!(config.cache.is_none());
         assert!(config.fault_plan.is_empty());
         assert!(config.deadline.is_none() && config.tile_timeout.is_none());
         assert!(config.cancel.is_none(), "tokens are never deserialised");
@@ -1764,7 +1697,6 @@ mod tests {
         let base = empty_report();
         let provenance = ScanReport {
             retries: 3,
-            resumed_tiles: 7,
             cache_hits: 11,
             cache_misses: 2,
             aborted: Some(AbortReason::DeadlineExceeded),

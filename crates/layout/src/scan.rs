@@ -47,8 +47,8 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a 64 over a byte slice — the same hash the scan journal frames
-/// records with, reimplemented here so the layout crate stays standalone.
+/// FNV-1a 64 over a byte slice — the same hash the tile cache frames
+/// its lines with, reimplemented here so the layout crate stays standalone.
 fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {

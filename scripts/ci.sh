@@ -64,7 +64,6 @@ for run in 1 2; do
   cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
     scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
     --out "$FAULT_DIR/report_$run.json" --threads 2 \
-    --journal "$FAULT_DIR/scan_$run.journal" \
     --max-failed-tiles 10000 --fault-seed 42 --fault-panic-per-mille 1000 \
     > "$FAULT_DIR/out_$run.txt" 2> "$FAULT_DIR/err_$run.txt"
   status=$?
@@ -196,20 +195,20 @@ for layout in full_range far_corners; do
 done
 echo "hostile-extent smoke: both layouts rejected with exit 6"
 
-echo "==> SIGINT smoke (live scan interrupted: exit 8, valid journal, resume cmp-identical)"
-# Uninterrupted reference report for the byte-equality check.
+echo "==> SIGINT smoke (live cached scan interrupted: exit 8, re-run cmp-identical under either model)"
+# Uninterrupted cache-free reference report for the byte-equality check.
 "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
-  --out "$DL_DIR/report_ref.json" --threads 2 --tile-cores 2 \
-  --journal "$DL_DIR/ref.journal" > "$DL_DIR/out_ref.txt"
-# A live scan slowed by stall injection so the interrupt lands mid-flight.
+  --out "$DL_DIR/report_ref.json" --threads 2 --tile-cores 2 > "$DL_DIR/out_ref.txt"
+# A live cached scan slowed by stall injection so the interrupt lands
+# mid-flight. The cache file appears with the first batch's appends.
 "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
   --out "$DL_DIR/report_int.json" --threads 2 --tile-cores 2 \
-  --journal "$DL_DIR/int.journal" \
+  --cache "$DL_DIR/int.cache" \
   --fault-stall-per-mille 1000 --fault-stall-ms 800 \
   > "$DL_DIR/out_int.txt" 2> "$DL_DIR/err_int.txt" &
 scan_pid=$!
 for _ in $(seq 1 100); do
-  [ -f "$DL_DIR/int.journal" ] && break
+  [ -f "$DL_DIR/int.cache" ] && break
   sleep 0.1
 done
 sleep 0.3
@@ -224,13 +223,27 @@ if [ "$status" -ne 8 ]; then
   exit 1
 fi
 grep -q 'scan aborted (interrupted)' "$DL_DIR/out_int.txt"
-# The journal's prefix is valid: a resume (without the stalls) finishes
-# the scan and the report is byte-identical to the uninterrupted one.
+cp "$DL_DIR/int.cache" "$DL_DIR/int_bm2.cache"
+# The interrupted cache is valid: a re-run with it (without the stalls)
+# finishes the scan and the report is byte-identical to the uninterrupted
+# one.
 "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
-  --out "$DL_DIR/report_resumed.json" --threads 2 --tile-cores 2 \
-  --journal "$DL_DIR/int.journal" --resume > "$DL_DIR/out_resumed.txt"
-cmp "$DL_DIR/report_ref.json" "$DL_DIR/report_resumed.json"
-echo "SIGINT smoke: interrupted at exit 8, resume byte-identical"
+  --out "$DL_DIR/report_rerun.json" --threads 2 --tile-cores 2 \
+  --cache "$DL_DIR/int.cache" > "$DL_DIR/out_rerun.txt"
+cmp "$DL_DIR/report_ref.json" "$DL_DIR/report_rerun.json"
+# The same interrupted cache under a model trained on another benchmark:
+# the header no longer matches, so nothing is replayed and the report is
+# that model's cache-free report.
+"$BIN" generate --name array_benchmark2 --scale tiny --out "$DL_DIR/bm2" > /dev/null
+"$BIN" train --training "$DL_DIR/bm2/training.json" --out "$DL_DIR/bm2/model.json" \
+  --threads 2 > /dev/null
+"$BIN" scan --model "$DL_DIR/bm2/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$DL_DIR/report_bm2_ref.json" --threads 2 --tile-cores 2 > /dev/null
+"$BIN" scan --model "$DL_DIR/bm2/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$DL_DIR/report_bm2_rerun.json" --threads 2 --tile-cores 2 \
+  --cache "$DL_DIR/int_bm2.cache" > /dev/null
+cmp "$DL_DIR/report_bm2_ref.json" "$DL_DIR/report_bm2_rerun.json"
+echo "SIGINT smoke: interrupted at exit 8, re-runs byte-identical under both models"
 
 echo "==> observability smoke (NDJSON events + live /metrics + digest equality)"
 OBS_DIR=target/obs_smoke

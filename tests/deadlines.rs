@@ -1,25 +1,26 @@
 //! Deadline, watchdog, and cancellation integration tests.
 //!
-//! The headline invariant pinned here: a scan stopped early — by its
-//! wall-clock deadline, by a per-tile watchdog quarantine, or by a
-//! caller's cancel token — and then resumed from its journal produces a
-//! report whose deterministic content ([`ScanReport::digest`]) is
-//! bit-identical to an uninterrupted run's, at 1, 2, and 4 threads.
+//! The headline invariant pinned here: a cached scan stopped early — by
+//! its wall-clock deadline, by a per-tile watchdog quarantine, or by a
+//! caller's cancel token — and then re-run with the same tile cache
+//! produces a report whose deterministic content ([`ScanReport::digest`])
+//! is bit-identical to an uninterrupted run's, at 1, 2, and 4 threads.
 //! Abort points sit at batch boundaries and skipped tiles are never
-//! journaled, so the journal only ever holds whole-tile records and the
+//! cached, so the cache only ever gains whole-tile entries and the
 //! quarantine set under `tile_timeout` is exactly the stalled set,
 //! independent of thread count.
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
-use hotspot_suite::core::journal::read_journal;
 use hotspot_suite::core::{
-    AbortReason, CancelToken, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector,
-    ScanConfig, ScanReport,
+    AbortReason, CacheEntry, CancelToken, FailureKind, FailurePolicy, FaultPlan, FaultSite,
+    HotspotDetector, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport,
 };
+use hotspot_suite::layout::scan::{TileScanner, TileSpec};
 use hotspot_suite::layout::ClipShape;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -92,30 +93,42 @@ fn clean_report() -> &'static ScanReport {
     REPORT.get_or_init(|| run(&base_scan(), 2))
 }
 
-/// Tile ids the clean scan completes, via a throwaway journal.
+/// Ids of the non-empty tiles `base_scan` walks — the tiles a clean scan
+/// completes.
 fn scanned_tile_ids() -> &'static Vec<usize> {
     static IDS: OnceLock<Vec<usize>> = OnceLock::new();
     IDS.get_or_init(|| {
-        let dir = workdir("tile_ids");
-        let journal = dir.join("scan.journal");
-        let scan = ScanConfig {
-            journal: Some(journal.clone()),
-            ..base_scan()
-        };
-        run(&scan, 2);
-        let contents = read_journal(&journal).expect("journal reads back");
-        let mut ids: Vec<usize> = contents.records.keys().copied().collect();
+        let bm = benchmark();
+        let shape = ClipShape::ICCAD2012;
+        let spec =
+            TileSpec::new(shape.core_side() * 8, shape.ambit() + shape.core_side()).expect("spec");
+        let scanner = TileScanner::from_rects(bm.layout.dissected_rects(bm.layer), spec);
+        let cols = scanner.grid().cols();
+        let mut ids: Vec<usize> = scanner.map(|t| (t.iy * cols + t.ix) as usize).collect();
         ids.sort_unstable();
-        std::fs::remove_dir_all(&dir).ok();
         assert!(ids.len() > 4, "benchmark too small for deadline tests");
         ids
     })
 }
 
-fn resume_config(journal: &Path) -> ScanConfig {
+/// Tile ids of the entry lines in the cache file at `path`; none when a
+/// scan wrote no file.
+fn cached_tiles(path: &Path) -> Vec<usize> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines()
+        .skip(1)
+        .map(|line| {
+            let (_, payload) = line.split_once(' ').expect("framed line");
+            serde_json::from_str::<CacheEntry>(payload)
+                .expect("entry line")
+                .tile
+        })
+        .collect()
+}
+
+fn cached_scan(cache: &Path) -> ScanConfig {
     ScanConfig {
-        journal: Some(journal.to_path_buf()),
-        resume: true,
+        cache: Some(cache.to_path_buf()),
         ..base_scan()
     }
 }
@@ -134,11 +147,10 @@ fn stall_everything() -> FaultPlan {
 #[test]
 fn zero_deadline_aborts_before_the_first_batch() {
     let dir = workdir("zero");
-    let journal = dir.join("scan.journal");
+    let cache = dir.join("tiles.cache");
     let scan = ScanConfig {
         deadline: Some(Duration::ZERO),
-        journal: Some(journal.clone()),
-        ..base_scan()
+        ..cached_scan(&cache)
     };
     let report = run(&scan, 2);
     assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
@@ -149,13 +161,15 @@ fn zero_deadline_aborts_before_the_first_batch() {
         Some("deadline_exceeded")
     );
 
-    // The journal is a valid header-only file; resuming it finishes the
-    // scan with the clean digest.
-    let contents = read_journal(&journal).expect("aborted journal is valid");
-    assert!(contents.records.is_empty());
-    let resumed = run(&resume_config(&journal), 2);
-    assert_eq!(resumed.aborted, None);
-    assert_eq!(resumed.digest(), clean_report().digest());
+    // Nothing was computed, so nothing was written; re-running finishes
+    // the scan with the clean digest.
+    assert!(
+        !cache.exists(),
+        "an abort before the first batch writes nothing"
+    );
+    let rerun = run(&cached_scan(&cache), 2);
+    assert_eq!(rerun.aborted, None);
+    assert_eq!(rerun.digest(), clean_report().digest());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -163,12 +177,11 @@ fn zero_deadline_aborts_before_the_first_batch() {
 fn deadline_abort_then_resume_digests_identically_at_any_thread_count() {
     let dir = workdir("abort_resume");
     for threads in [1usize, 2, 4] {
-        let journal = dir.join(format!("abort_{threads}.journal"));
+        let cache = dir.join(format!("abort_{threads}.cache"));
         let scan = ScanConfig {
             deadline: Some(Duration::from_millis(100)),
             fault_plan: stall_everything(),
-            journal: Some(journal.clone()),
-            ..base_scan()
+            ..cached_scan(&cache)
         };
         let report = run(&scan, threads);
         assert_eq!(
@@ -181,23 +194,21 @@ fn deadline_abort_then_resume_digests_identically_at_any_thread_count() {
             "{threads} threads: abort must leave work undone"
         );
 
-        // The abort left only whole records: the journal's valid prefix
-        // is the entire file, no torn tail.
-        let contents = read_journal(&journal).expect("aborted journal is valid");
-        let file_len = std::fs::metadata(&journal).expect("journal metadata").len();
-        assert_eq!(contents.valid_len, file_len, "{threads} threads");
-        assert_eq!(contents.records.len(), report.tiles_scanned);
+        // The abort left only whole lines: one entry per scanned tile
+        // and no torn tail.
+        let cached = cached_tiles(&cache);
+        assert_eq!(cached.len(), report.tiles_scanned, "{threads} threads");
+        if cache.exists() {
+            let bytes = std::fs::read(&cache).expect("cache bytes");
+            assert_eq!(bytes.last(), Some(&b'\n'), "{threads} threads");
+        }
 
-        // Resuming without the deadline (or the stalls) finishes the scan
-        // bit-identically to a never-interrupted run.
-        let resumed = run(&resume_config(&journal), threads);
-        assert_eq!(resumed.aborted, None);
-        assert_eq!(resumed.resumed_tiles, contents.records.len());
-        assert_eq!(
-            resumed.digest(),
-            clean_report().digest(),
-            "{threads} threads"
-        );
+        // Re-running without the deadline (or the stalls) finishes the
+        // scan bit-identically to a never-interrupted run.
+        let rerun = run(&cached_scan(&cache), threads);
+        assert_eq!(rerun.aborted, None);
+        assert_eq!(rerun.cache_hits, cached.len());
+        assert_eq!(rerun.digest(), clean_report().digest(), "{threads} threads");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -211,7 +222,7 @@ fn tile_timeout_quarantines_exactly_the_stalled_set_at_any_thread_count() {
     let dir = workdir("watchdog");
     let mut digests = Vec::new();
     for threads in [1usize, 2, 4] {
-        let journal = dir.join(format!("wd_{threads}.journal"));
+        let cache = dir.join(format!("wd_{threads}.cache"));
         let scan = ScanConfig {
             tile_timeout: Some(Duration::from_millis(250)),
             failure_policy: FailurePolicy::SkipAndRecord {
@@ -223,8 +234,7 @@ fn tile_timeout_quarantines_exactly_the_stalled_set_at_any_thread_count() {
                 site: FaultSite::Prefilter,
                 ..Default::default()
             },
-            journal: Some(journal.clone()),
-            ..base_scan()
+            ..cached_scan(&cache)
         };
         let report = run(&scan, threads);
         assert_eq!(report.aborted, None, "a timeout quarantines, never aborts");
@@ -245,10 +255,10 @@ fn tile_timeout_quarantines_exactly_the_stalled_set_at_any_thread_count() {
         assert_eq!(report.retries, stalled.len());
         assert_eq!(eval_timeouts(&report), stalled.len());
 
-        // Timed-out tiles are never journaled.
-        let contents = read_journal(&journal).expect("journal reads back");
+        // Timed-out tiles are never cached.
+        let cached = cached_tiles(&cache);
         for id in &stalled {
-            assert!(!contents.records.contains_key(id), "tile {id} journaled");
+            assert!(!cached.contains(id), "tile {id} cached");
         }
         digests.push(report.digest());
     }
@@ -302,77 +312,116 @@ fn generous_budgets_leave_the_scan_bit_identical() {
     assert_eq!(report.digest(), clean_report().digest());
 }
 
-/// Journal bytes left behind by a deadline-aborted scan, plus the length
-/// of its header line — computed once for the prefix-truncation
-/// properties below.
-fn aborted_journal_bytes() -> &'static (Vec<u8>, usize) {
+/// Cancels a token once the scan has completed `after` batches: an
+/// interrupt that lands at a deterministic batch boundary.
+struct CancelAfterBatches {
+    token: CancelToken,
+    after: usize,
+    seen: AtomicUsize,
+}
+
+impl ObsSink for CancelAfterBatches {
+    fn name(&self) -> &str {
+        "cancel-after-batches"
+    }
+
+    fn on_event(&self, record: &ObsRecord) {
+        if let ObsEvent::BatchCompleted { .. } = record.event {
+            if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.after {
+                self.token.cancel();
+            }
+        }
+    }
+}
+
+/// Cache bytes left behind by a cached scan interrupted after three
+/// batches, plus the length of its header line — computed once for the
+/// prefix-truncation properties below.
+fn aborted_cache_bytes() -> &'static (Vec<u8>, usize) {
     static BYTES: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
     BYTES.get_or_init(|| {
         let dir = workdir("prop_seed");
-        let journal = dir.join("aborted.journal");
+        let cache = dir.join("aborted.cache");
+        let token = CancelToken::new();
+        let hub = ObsHub::new();
+        hub.register(Box::new(CancelAfterBatches {
+            token: token.clone(),
+            after: 3,
+            seen: AtomicUsize::new(0),
+        }));
         let scan = ScanConfig {
-            deadline: Some(Duration::from_millis(100)),
-            fault_plan: stall_everything(),
-            journal: Some(journal.clone()),
-            ..base_scan()
+            cancel: Some(token),
+            ..cached_scan(&cache)
         };
-        let report = run(&scan, 2);
-        assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
-        let bytes = std::fs::read(&journal).expect("journal bytes");
+        let bm = benchmark();
+        let report = trained(bm)
+            .clone()
+            .with_obs(hub)
+            .scan_layout(&bm.layout, bm.layer, &scan)
+            .expect("scan");
+        assert_eq!(report.aborted, Some(AbortReason::Interrupted));
+        assert_eq!(report.tiles_scanned, 3 * base_scan().max_in_flight);
+        let bytes = std::fs::read(&cache).expect("cache bytes");
         let header_len = bytes
             .iter()
             .position(|&b| b == b'\n')
-            .expect("journal has a header line")
+            .expect("cache has a header line")
             + 1;
         std::fs::remove_dir_all(&dir).ok();
         (bytes, header_len)
     })
 }
 
+/// Re-runs the scan from `bytes` written as its cache, checking that it
+/// completes with the clean digest; returns its cache hits and the
+/// entries the hub saw invalidated.
+fn rerun_from(name: &str, bytes: &[u8]) -> (usize, u64) {
+    let dir = workdir(name);
+    let cache = dir.join("cut.cache");
+    std::fs::write(&cache, bytes).expect("truncate copy");
+    let hub = ObsHub::new();
+    let bm = benchmark();
+    let rerun = trained(bm)
+        .clone()
+        .with_obs(hub.clone())
+        .scan_layout(&bm.layout, bm.layer, &cached_scan(&cache))
+        .expect("scan");
+    assert_eq!(rerun.aborted, None);
+    assert_eq!(rerun.digest(), clean_report().digest());
+    std::fs::remove_dir_all(&dir).ok();
+    (rerun.cache_hits, hub.snapshot().cache_invalidated)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite invariant: *any* prefix truncation of a deadline-aborted
-    /// journal (down to its header) is accepted by `read_journal`, and a
-    /// resume from it reproduces the clean digest and re-appends the
-    /// journal to a superset of the prefix.
+    /// *Any* prefix truncation of an aborted scan's cache log (down to
+    /// its header) re-runs to the clean digest, serving exactly the
+    /// entries whose lines survived whole.
     #[test]
-    fn any_prefix_of_an_aborted_journal_resumes_to_the_clean_digest(
+    fn any_prefix_of_an_aborted_cache_log_reruns_to_the_clean_digest(
         cut_frac in 0.0f64..1.0,
     ) {
-        let (bytes, header_len) = aborted_journal_bytes();
+        let (bytes, header_len) = aborted_cache_bytes();
         let span = bytes.len() - header_len;
         let cut = header_len + ((cut_frac * (span as f64 + 1.0)) as usize).min(span);
-        let dir = workdir(&format!("prop_cut_{cut}"));
-        let journal = dir.join("cut.journal");
-        std::fs::write(&journal, &bytes[..cut]).expect("truncate copy");
-
-        let contents = read_journal(&journal).expect("any prefix cut must be accepted");
-        prop_assert!(contents.valid_len as usize <= cut);
-
-        let resumed = run(&resume_config(&journal), 2);
-        prop_assert_eq!(resumed.aborted, None);
-        prop_assert_eq!(resumed.resumed_tiles, contents.records.len());
-        prop_assert_eq!(resumed.digest(), clean_report().digest());
-        std::fs::remove_dir_all(&dir).ok();
+        let whole = bytes[*header_len..cut].iter().filter(|&&b| b == b'\n').count();
+        let (hits, _) = rerun_from(&format!("prop_cut_{cut}"), &bytes[..cut]);
+        prop_assert_eq!(hits, whole);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cuts *inside* the header are the one unrecoverable truncation:
-    /// they must fail cleanly (`InvalidData`), never panic, so the CLI
-    /// can tell the user to start a fresh journal.
+    /// Cuts *inside* the header discard the whole cache — never a panic,
+    /// never a replay — and the re-run recomputes every tile.
     #[test]
-    fn cuts_inside_the_header_fail_cleanly(cut_frac in 0.0f64..1.0) {
-        let (bytes, header_len) = aborted_journal_bytes();
+    fn cuts_inside_the_header_are_discarded_and_recomputed(cut_frac in 0.0f64..1.0) {
+        let (bytes, header_len) = aborted_cache_bytes();
         let cut = (cut_frac * (*header_len as f64 - 1.0)).round() as usize;
-        let dir = workdir(&format!("prop_hdr_{cut}"));
-        let journal = dir.join("hdr.journal");
-        std::fs::write(&journal, &bytes[..cut]).expect("truncate copy");
-        let err = read_journal(&journal).expect_err("headerless journal must be rejected");
-        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).ok();
+        let (hits, invalidated) = rerun_from(&format!("prop_hdr_{cut}"), &bytes[..cut]);
+        prop_assert_eq!(hits, 0);
+        prop_assert_eq!(invalidated, 1, "one wholesale discard");
     }
 }

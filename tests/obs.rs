@@ -261,6 +261,10 @@ fn scan_and_check_agreement(
     assert_eq!(n(eval.batches), n(report.eval_batches), "{case}");
     assert_eq!(snap.cache_hits, n(report.cache_hits), "{case}");
     assert_eq!(snap.cache_misses, n(report.cache_misses), "{case}");
+    if scan.cache.is_some() {
+        // Every miss of a clean cached scan is computed and appended.
+        assert_eq!(snap.journal_appends, n(report.cache_misses), "{case}");
+    }
     assert_eq!(snap.task_retries, n(report.retries), "{case}");
     assert_eq!(n(eval.retries), n(report.retries), "{case}");
     assert_eq!(
@@ -317,30 +321,19 @@ fn report_stage_rows_and_hub_agree_on_every_shared_count() {
     assert!(warm.cache_hits > 0 && warm.cache_misses == 0);
     assert_eq!(warm.digest(), cold.digest());
 
-    // Resumed from a journal cut to its header plus half of its records.
-    let journal = dir.join("scan.journal");
-    let journaled = ScanConfig {
-        journal: Some(journal.clone()),
-        ..base.clone()
-    };
-    detector
-        .scan_layout(&bm.layout, bm.layer, &journaled)
-        .expect("journaled scan");
-    let bytes = std::fs::read(&journal).expect("journal bytes");
+    // Resumed from a cache cut to its header plus half of its entries.
+    let cache = dir.join("tiles.cache");
+    let bytes = std::fs::read(&cache).expect("cache bytes");
     let ends: Vec<usize> = bytes
         .iter()
         .enumerate()
         .filter(|(_, &b)| b == b'\n')
         .map(|(i, _)| i + 1)
         .collect();
-    assert!(ends.len() > 2, "journal holds several records");
-    std::fs::write(&journal, &bytes[..ends[ends.len() / 2]]).expect("cut journal");
-    let resumed = ScanConfig {
-        resume: true,
-        ..journaled
-    };
-    let report = scan_and_check_agreement(detector, &resumed, "resumed");
-    assert!(report.resumed_tiles > 0);
+    assert!(ends.len() > 2, "cache holds several entries");
+    std::fs::write(&cache, &bytes[..ends[ends.len() / 2]]).expect("cut cache");
+    let report = scan_and_check_agreement(detector, &cached, "resumed");
+    assert!(report.cache_hits > 0 && report.cache_misses > 0);
     assert_eq!(report.digest(), cold.digest());
 
     // Degraded mode: injected panics quarantine tiles and the scan goes on.

@@ -165,15 +165,6 @@ fn scan_rejects_bad_inputs() {
         detector.scan_layout(&bm.layout, bm.layer, &overflowing),
         Err(DetectError::Config(_))
     ));
-    // Resume replays the scan's own journal, so it needs one.
-    let unjournaled_resume = ScanConfig {
-        resume: true,
-        ..Default::default()
-    };
-    assert!(matches!(
-        detector.scan_layout(&bm.layout, bm.layer, &unjournaled_resume),
-        Err(DetectError::Config(_))
-    ));
     let empty = Layout::new("empty");
     assert!(matches!(
         detector.scan_layout(&empty, LayerId::METAL1, &ScanConfig::default()),

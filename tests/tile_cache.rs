@@ -11,11 +11,11 @@
 //!    the scan still succeeds) and a header mismatch discards the store
 //!    wholesale;
 //! 3. a quarantined tile is never written to the cache as a success, and
-//!    the cache composes with the journal/resume machinery.
+//!    an aborted scan keeps every entry the cache held and gained.
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::{
-    DetectError, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, ScanConfig, ScanReport,
+    AbortReason, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, ScanConfig, ScanReport,
 };
 use hotspot_suite::geom::Rect;
 use hotspot_suite::layout::scan::{TileScanner, TileSpec};
@@ -23,6 +23,7 @@ use hotspot_suite::layout::{ClipShape, Layout};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 fn benchmark() -> &'static Benchmark {
     static BM: OnceLock<Benchmark> = OnceLock::new();
@@ -281,45 +282,30 @@ fn quarantined_tiles_are_never_cached_as_successes() {
 }
 
 #[test]
-fn cache_composes_with_journal_resume() {
-    let dir = workdir("resume");
+fn an_aborted_scan_keeps_the_cache() {
+    let dir = workdir("aborted");
     let cache = dir.join("tiles.cache");
-    let journal = dir.join("scan.journal");
+    let full = run(&cached_scan(&cache), 2);
+    assert!(full.cache_misses > 0);
+    let warm_bytes = std::fs::read(&cache).expect("cache bytes");
 
-    // Kill the scan after three journal appends: no cache is written (the
-    // store lands only at scan completion).
-    let killed = ScanConfig {
-        journal: Some(journal.clone()),
-        fault_plan: FaultPlan {
-            fail_journal_at: Some(3),
-            ..Default::default()
-        },
+    // A zero deadline aborts before the first batch: nothing computed,
+    // nothing written, nothing thrown away.
+    let aborted = ScanConfig {
+        deadline: Some(Duration::ZERO),
         ..cached_scan(&cache)
     };
-    let bm = benchmark();
-    let err = trained(bm)
-        .clone()
-        .with_threads(2)
-        .scan_layout(&bm.layout, bm.layer, &killed)
-        .expect_err("injected journal failure must abort");
-    assert!(matches!(err, DetectError::Journal(_)), "{err:?}");
-    assert!(!cache.exists(), "aborted scan must not write the cache");
+    let report = run(&aborted, 2);
+    assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
+    assert!(
+        std::fs::read(&cache).expect("cache bytes") == warm_bytes,
+        "the aborted scan rewrote the cache"
+    );
 
-    // Resume from the journal with the cache enabled: replayed tiles are
-    // recorded into the cache alongside the freshly computed ones.
-    let resumed = ScanConfig {
-        journal: Some(journal.clone()),
-        resume: true,
-        ..cached_scan(&cache)
-    };
-    let report = run(&resumed, 2);
-    assert_eq!(report.digest(), clean_report().digest());
-    assert_eq!(report.resumed_tiles, 3);
-
-    // The healed cache now covers every tile, including the replayed ones.
-    let warm = run(&cached_scan(&cache), 2);
-    assert_eq!(warm.cache_misses, 0);
-    assert_eq!(warm.digest(), clean_report().digest());
+    let third = run(&cached_scan(&cache), 2);
+    assert_eq!(third.cache_misses, 0, "the abort must not empty the cache");
+    assert_eq!(third.cache_hits, full.cache_misses);
+    assert_eq!(third.digest(), clean_report().digest());
     std::fs::remove_dir_all(&dir).ok();
 }
 

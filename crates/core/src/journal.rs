@@ -81,6 +81,30 @@ pub(crate) fn framed(value: &impl Serialize) -> io::Result<String> {
     Ok(format!("{:016x} {payload}\n", fnv1a(payload.as_bytes())))
 }
 
+/// Makes the directory entry of the file at `path` durable by `fsync`ing
+/// its parent directory: without it, a power cut after the file is
+/// created or renamed into place can lose the entry even though the
+/// file's data was synced. No test can cut the power, so tests see only
+/// that the call succeeds. A no-op off Unix, where a directory cannot be
+/// opened as a file.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
+
 /// Append-only writer of framed lines with per-batch durability.
 #[derive(Debug)]
 pub(crate) struct JournalWriter {
@@ -101,7 +125,8 @@ impl JournalWriter {
     }
 
     /// Creates (or truncates) the file at `path` and writes `header` as its
-    /// first line, durably. Appends and syncs are counted into `obs`.
+    /// first line, durably: the file's data and its directory entry
+    /// ([`sync_parent_dir`]). Appends and syncs are counted into `obs`.
     ///
     /// # Errors
     ///
@@ -114,6 +139,7 @@ impl JournalWriter {
         let mut file = File::create(path)?;
         file.write_all(framed(header)?.as_bytes())?;
         file.sync_data()?;
+        sync_parent_dir(path)?;
         Ok(JournalWriter::new(file, obs))
     }
 
@@ -231,6 +257,18 @@ mod tests {
         let back: TileOutcomeRecord = serde_json::from_str(&lines[2]).unwrap();
         assert_eq!(back, TileOutcomeRecord::Prefiltered);
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn parent_dir_sync_resolves_bare_names_and_reports_missing_dirs() {
+        // A bare file name lives in the working directory.
+        sync_parent_dir(Path::new("cache.log")).unwrap();
+        sync_parent_dir(&temp_path("dir-sync")).unwrap();
+        if cfg!(unix) {
+            let missing = temp_path("no-such-dir").join("cache.log");
+            let err = sync_parent_dir(&missing).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        }
     }
 
     #[test]

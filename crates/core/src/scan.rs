@@ -187,6 +187,16 @@ fn check_extent(bbox: Option<Rect>, stride: i64) -> Result<(), DetectError> {
     }
 }
 
+/// The density prefilter's pattern area over `window`: every rect's
+/// overlap summed, overlaps double-counted. The sum saturates at
+/// `i64::MAX` rather than overflowing (stacked giant rects under a large
+/// `tile_cores` reach it), so it stays an upper bound on the true area.
+fn covered_area(rects: &[Rect], window: &Rect) -> i64 {
+    rects
+        .iter()
+        .fold(0i64, |sum, r| sum.saturating_add(r.overlap_area(window)))
+}
+
 /// What a scan does when a tile task fails (panics on both attempts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -935,11 +945,7 @@ impl HotspotDetector {
         // tables never leak from one tile into the next on this worker's
         // scratch.
         scratch.eval.clear_raster_tables();
-        let covered: i64 = tile
-            .rects
-            .iter()
-            .map(|r| r.overlap_area(&tile.window))
-            .sum();
+        let covered = covered_area(&tile.rects, &tile.window);
         let core_area = (shape.core_side() * shape.core_side()) as f64;
         let conservative_cut = (covered as f64) < config.distribution.min_core_density * core_area;
         let aggressive_cut = scan
@@ -1596,6 +1602,21 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn prefilter_coverage_saturates_over_stacked_full_window_rects() {
+        // Each full-window overlap is 2^62 nm²; two of them overflow i64.
+        let window = Rect::from_extents(0, 0, 1 << 31, 1 << 31);
+        assert_eq!(covered_area(&[window; 2], &window), i64::MAX);
+        assert_eq!(covered_area(&[window; 16], &window), i64::MAX);
+        // A window whose own area saturates.
+        let huge = Rect::from_extents(-(1 << 40), -(1 << 40), 1 << 40, 1 << 40);
+        assert_eq!(covered_area(&[huge; 3], &huge), i64::MAX);
+        // Below the limit the sum is exact, overlaps double-counted.
+        let half = Rect::from_extents(0, 0, 1 << 30, 1 << 31);
+        assert_eq!(covered_area(&[half, window], &window), 3 << 61);
+        assert_eq!(covered_area(&[], &window), 0);
     }
 
     #[test]

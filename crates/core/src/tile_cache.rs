@@ -24,7 +24,9 @@
 //! current header when it was missing or discarded, and otherwise
 //! truncates a torn final line and appends after the last whole one. When
 //! the scan completes, [`store`](TileCache::store) compacts the file
-//! atomically (temp file + rename) to exactly this scan's tiles. An
+//! atomically (temp file + rename) to exactly this scan's tiles. Creating
+//! the file and renaming it into place both `fsync` the directory as
+//! well, so a power cut cannot lose the file's entry. An
 //! aborted, killed or failed scan leaves its log in place, so re-running
 //! the same scan with the same cache serves every tile it finished and
 //! recomputes only the rest — with a report bit-identical to an
@@ -55,7 +57,7 @@
 //! error.
 
 use crate::engine::FaultPlan;
-use crate::journal::{fnv1a, framed, unframe, JournalWriter, TileOutcomeRecord};
+use crate::journal::{fnv1a, framed, sync_parent_dir, unframe, JournalWriter, TileOutcomeRecord};
 use crate::obs::ObsHub;
 use hotspot_geom::Point;
 use hotspot_layout::LayerId;
@@ -315,9 +317,10 @@ impl TileCache {
 
     /// Compacts the file to this scan's entries (header plus every
     /// [`record`](Self::record)ed tile, in tile-id order) atomically, via a
-    /// sibling temp file and rename — the last call on a cache, made when
-    /// the scan completes. Entries for tiles the current scan never
-    /// produced are dropped — the store then mirrors the last scan.
+    /// sibling temp file and rename, then an `fsync` of the directory so
+    /// the renamed entry survives a power cut — the last call on a cache,
+    /// made when the scan completes. Entries for tiles the current scan
+    /// never produced are dropped — the store then mirrors the last scan.
     ///
     /// # Errors
     ///
@@ -338,7 +341,8 @@ impl TileCache {
         file.write_all(out.as_bytes())?;
         file.sync_data()?;
         drop(file);
-        fs::rename(&tmp, &self.path)
+        fs::rename(&tmp, &self.path)?;
+        sync_parent_dir(&self.path)
     }
 }
 

@@ -240,6 +240,31 @@ impl DensityGrid {
         }
     }
 
+    /// The pixel permutation behind [`DensityGrid::transform`] for an
+    /// `nx × ny` grid: the transformed shape and `perm` with
+    /// `g.transform(orientation).cells()[k] == g.cells()[perm[k]]` for
+    /// every `k`. A caller comparing many grids of one shape builds it
+    /// once instead of materialising a transformed grid per comparison.
+    pub fn transform_permutation(
+        orientation: Orientation,
+        nx: usize,
+        ny: usize,
+    ) -> ((usize, usize), Vec<usize>) {
+        let (tnx, tny) = if orientation.rotation_steps() % 2 == 1 {
+            (ny, nx)
+        } else {
+            (nx, ny)
+        };
+        let mut perm = vec![0; nx * ny];
+        for py in 0..ny {
+            for px in 0..nx {
+                let (tx, ty) = transform_pixel(orientation, px, py, nx, ny);
+                perm[ty * tnx + tx] = py * nx + px;
+            }
+        }
+        ((tnx, tny), perm)
+    }
+
     /// Plain L1 distance without orientation search.
     ///
     /// # Panics
@@ -271,25 +296,13 @@ impl DensityGrid {
             ny: 0,
             cells: Vec::with_capacity(other.cells.len()),
         };
-        self.distance_with(other, &mut scratch)
-    }
-
-    /// [`DensityGrid::distance`] with a caller-owned scratch grid for the
-    /// orientation loop, so repeated comparisons (clustering, medoid
-    /// selection) allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids cannot be aligned in any orientation (dimension
-    /// mismatch in every element of D8).
-    pub fn distance_with(&self, other: &DensityGrid, scratch: &mut DensityGrid) -> DensityDistance {
         let mut best: Option<DensityDistance> = None;
         for o in D8 {
-            other.transform_into(o, scratch);
+            other.transform_into(o, &mut scratch);
             if (scratch.nx, scratch.ny) != (self.nx, self.ny) {
                 continue;
             }
-            let d = self.l1_distance(scratch);
+            let d = self.l1_distance(&scratch);
             if best.is_none_or(|b| d < b.distance) {
                 best = Some(DensityDistance {
                     distance: d,
@@ -437,6 +450,19 @@ mod tests {
                 direct.l1_distance(&permuted) < 1e-9,
                 "{o}: {direct:?} vs {permuted:?}"
             );
+        }
+    }
+
+    #[test]
+    fn transform_permutation_gathers_the_transformed_grid() {
+        // Non-square, so the quarter turns change the shape.
+        let g = DensityGrid::from_cells(3, 2, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        for o in D8 {
+            let t = g.transform(o);
+            let (shape, perm) = DensityGrid::transform_permutation(o, 3, 2);
+            assert_eq!(shape, (t.nx(), t.ny()), "{o}");
+            let gathered: Vec<f64> = perm.iter().map(|&p| g.cells()[p]).collect();
+            assert_eq!(gathered, t.cells(), "{o}");
         }
     }
 

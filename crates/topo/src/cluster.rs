@@ -12,8 +12,18 @@
 //! Clustering is incremental: a pattern joins the first cluster whose
 //! centroid is within `R`, recalculating that centroid, and otherwise seeds
 //! a new cluster.
+//!
+//! Every distance here compares grids of one shape, so the D8 pixel
+//! permutations are built once per group (`D8Perms`) and eq. (1) gathers
+//! through them instead of materialising transformed grids. Each
+//! orientation's L1 is summed in [`DensityGrid::l1_distance`]'s pixel
+//! order, so every value is bit-identical to [`DensityGrid::distance`].
+//! The quadratic eq. (2) pass stops a pair's orientation loop at the first
+//! orientation within the running maximum: that pair's minimum cannot
+//! raise it. Only a pair whose every orientation exceeds the maximum needs
+//! its exact minimum.
 
-use hotspot_geom::{DensityGrid, RasterMode, Rect};
+use hotspot_geom::{DensityGrid, RasterMode, Rect, D8};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of density-based classification.
@@ -51,16 +61,15 @@ impl Cluster {
     /// Index (into the original input) of the member whose grid is closest
     /// to the centroid — the cluster representative the paper selects when
     /// downsampling nonhotspots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member's grid differs in shape from the centroid.
     pub fn medoid(&self, grids: &[DensityGrid]) -> usize {
-        // One scratch grid shared across the member loop (eq. (1) would
-        // otherwise allocate eight grids per member).
-        let mut scratch = DensityGrid::from_cells(0, 0, Vec::new());
+        let perms = D8Perms::new(self.centroid.nx(), self.centroid.ny());
         let mut best: Option<(usize, f64)> = None;
         for &m in &self.members {
-            let d = self
-                .centroid
-                .distance_with(&grids[m], &mut scratch)
-                .distance;
+            let d = perms.distance(&self.centroid, &grids[m]);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((m, d));
             }
@@ -107,7 +116,11 @@ impl DensityClustering {
         Self::run_on_grids(grids, params)
     }
 
-    /// Clusters precomputed density grids (all must share dimensions).
+    /// Clusters precomputed density grids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grids do not all share one shape.
     pub fn run_on_grids(grids: Vec<DensityGrid>, params: &ClusterParams) -> Self {
         if grids.is_empty() {
             return DensityClustering {
@@ -116,17 +129,16 @@ impl DensityClustering {
                 grids,
             };
         }
+        let perms = D8Perms::new(grids[0].nx(), grids[0].ny());
 
-        // Eq. (2): R = max(R0, max pairwise distance / K). One scratch grid
-        // serves every orientation loop in the quadratic pass and the
-        // assignment pass below.
-        let mut scratch = DensityGrid::from_cells(0, 0, Vec::new());
+        // Eq. (2): R = max(R0, max pairwise distance / K).
         let mut max_pair = 0.0f64;
         for i in 0..grids.len() {
             for j in (i + 1)..grids.len() {
-                let d = grids[i].distance_with(&grids[j], &mut scratch).distance;
-                if d > max_pair {
-                    max_pair = d;
+                if let Some(d) = perms.distance_above(&grids[i], &grids[j], max_pair) {
+                    if d > max_pair {
+                        max_pair = d;
+                    }
                 }
             }
         }
@@ -137,7 +149,10 @@ impl DensityClustering {
         for (idx, grid) in grids.iter().enumerate() {
             let mut joined = false;
             for cluster in &mut clusters {
-                if cluster.centroid.distance_with(grid, &mut scratch).distance <= radius {
+                if perms
+                    .distance_above(&cluster.centroid, grid, radius)
+                    .is_none()
+                {
                     // Recalculate the centroid as the running mean.
                     let n = cluster.members.len();
                     cluster.centroid.fold_mean(grid, n);
@@ -174,6 +189,63 @@ impl DensityClustering {
     /// The cluster index containing pattern `idx`, if any.
     pub fn cluster_of(&self, idx: usize) -> Option<usize> {
         self.clusters.iter().position(|c| c.members.contains(&idx))
+    }
+}
+
+/// The D8 pixel permutations of one grid shape, in [`D8`] order, keeping
+/// only the orientations that map the shape onto itself (all eight for a
+/// square grid, the four without a quarter turn otherwise), as
+/// [`DensityGrid::distance`] skips the others.
+struct D8Perms {
+    shape: (usize, usize),
+    perms: Vec<Vec<usize>>,
+}
+
+impl D8Perms {
+    fn new(nx: usize, ny: usize) -> Self {
+        let perms = D8
+            .iter()
+            .map(|&o| DensityGrid::transform_permutation(o, nx, ny))
+            .filter(|(shape, _)| *shape == (nx, ny))
+            .map(|(_, perm)| perm)
+            .collect();
+        D8Perms {
+            shape: (nx, ny),
+            perms,
+        }
+    }
+
+    /// The eq. (1) distance of `a` and `b`: the first minimum over the
+    /// orientations of `b`, as [`DensityGrid::distance`] picks it.
+    fn distance(&self, a: &DensityGrid, b: &DensityGrid) -> f64 {
+        self.distance_above(a, b, f64::NEG_INFINITY)
+            .expect("no L1 distance is below -inf")
+    }
+
+    /// The eq. (1) distance of `a` and `b`, or `None` as soon as one
+    /// orientation is within `bound`: the minimum is then within `bound`
+    /// too, and its exact value is not needed.
+    ///
+    /// Each orientation's `Σ_k |a[k] − b[perm[k]]|` adds in
+    /// [`DensityGrid::l1_distance`]'s pixel order, so it is bit-identical
+    /// to the L1 against the transformed grid.
+    fn distance_above(&self, a: &DensityGrid, b: &DensityGrid, bound: f64) -> Option<f64> {
+        assert!(
+            (a.nx(), a.ny()) == self.shape && (b.nx(), b.ny()) == self.shape,
+            "grid dimension mismatch"
+        );
+        let (a, b) = (a.cells(), b.cells());
+        let mut best: Option<f64> = None;
+        for perm in &self.perms {
+            let d: f64 = a.iter().zip(perm).map(|(x, &p)| (x - b[p]).abs()).sum();
+            if d <= bound {
+                return None;
+            }
+            if best.is_none_or(|bd| d < bd) {
+                best = Some(d);
+            }
+        }
+        Some(best.expect("the identity maps every shape onto itself"))
     }
 }
 

@@ -21,6 +21,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> golden pin of the small-scale array_benchmark2 model (release)"
+# Ignored in the default run: small-scale training is slow in a debug build.
+cargo test --release --test golden -- --ignored
+
 echo "==> e2ebench build + tiny self-test"
 # The benchmark is its own workspace with path deps on the crates, so a
 # library change that breaks its build or its self-test fails here.

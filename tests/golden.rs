@@ -24,16 +24,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn record_line(bm: &Benchmark) -> String {
-    let detector = HotspotDetector::builder()
-        .threads(2)
-        .train(&bm.training)
-        .expect("training");
+/// FNV-1a hash of the trained model: its kernels' and feedback kernel's
+/// JSON.
+fn model_hash(detector: &HotspotDetector) -> u64 {
     let model = format!(
         "{}{}",
         serde_json::to_string(detector.kernels()).expect("kernels serialise"),
         serde_json::to_string(&detector.feedback()).expect("feedback serialises"),
     );
+    fnv1a(model.as_bytes())
+}
+
+fn train(bm: &Benchmark) -> HotspotDetector {
+    HotspotDetector::builder()
+        .threads(2)
+        .train(&bm.training)
+        .expect("training")
+}
+
+fn record_line(bm: &Benchmark) -> String {
+    let detector = train(bm);
     // `detect` is the scan at `ScanConfig::default()`, so its report is
     // the default scan's too.
     let report = detector.detect(&bm.layout, bm.layer).expect("detect");
@@ -42,7 +52,7 @@ fn record_line(bm: &Benchmark) -> String {
     format!(
         "{} model={:016x} clips={} flagged={} reclaimed={} reported={}:{:016x} hits={} extras={} scan_digest={:016x}",
         bm.spec.name,
-        fnv1a(model.as_bytes()),
+        model_hash(&detector),
         report.clips_extracted,
         report.clips_flagged,
         report.feedback_reclaimed,
@@ -54,14 +64,18 @@ fn record_line(bm: &Benchmark) -> String {
     )
 }
 
-/// Checks one benchmark's line of the record; one test per benchmark, so
-/// the harness runs them in parallel.
-fn check(name: &str) {
-    let spec = iccad_suite(SuiteScale::Tiny)
+fn generate(scale: SuiteScale, name: &str) -> Benchmark {
+    let spec = iccad_suite(scale)
         .into_iter()
         .find(|s| s.name == name)
         .expect("suite benchmark");
-    let computed = record_line(&Benchmark::generate(spec));
+    Benchmark::generate(spec)
+}
+
+/// Checks one benchmark's line of the record; one test per benchmark, so
+/// the harness runs them in parallel.
+fn check(name: &str) {
+    let computed = record_line(&generate(SuiteScale::Tiny, name));
     let expected = RECORD
         .lines()
         .find(|l| l.split(' ').next() == Some(name))
@@ -100,4 +114,22 @@ fn array_benchmark5_matches_the_record() {
 #[test]
 fn mx_blind_partial_matches_the_record() {
     check("mx_blind_partial");
+}
+
+/// The model trained on the small-scale `array_benchmark2` training set:
+/// the set e2ebench's `train` workload trains on. Its largest topology
+/// group has 584 members, where the eq. (2) radius pass prunes the most
+/// pairs. Training at this scale is slow in a debug build, so the test is
+/// ignored by default and `scripts/ci.sh` runs it in release:
+/// `cargo test --release --test golden -- --ignored`.
+const SMALL_BM2_MODEL: u64 = 0x7493_4be6_2b64_c648;
+
+#[test]
+#[ignore = "small-scale training; run in release with --ignored"]
+fn array_benchmark2_small_model_matches_the_pin() {
+    let computed = model_hash(&train(&generate(SuiteScale::Small, "array_benchmark2")));
+    assert!(
+        computed == SMALL_BM2_MODEL,
+        "small array_benchmark2 model hash mismatch; computed {computed:#018x}"
+    );
 }

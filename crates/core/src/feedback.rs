@@ -278,7 +278,7 @@ impl<'d> EvalEngine<'d> {
         scratch: &mut EvalScratch,
     ) -> usize {
         let local = Rect::from_extents(0, 0, window.width(), window.height());
-        let signature = TopoSignature::of(&local, rects);
+        let (signature, orientation) = TopoSignature::with_orientation(&local, rects);
         // With per-tile summed-area tables installed, the clip's core grid
         // is four table lookups per cell against its subtile's table (in
         // absolute coordinates — the integer pixel boundaries shift with
@@ -301,7 +301,7 @@ impl<'d> EvalEngine<'d> {
             *scratch_grid = density_grid(pattern, Region::Core, self.config);
         }
         let grid: &DensityGrid = scratch_grid;
-        let mut features = FeatureMemo::new(pattern, Region::Core, self.config);
+        let mut features = FeatureMemo::oriented(pattern, Region::Core, self.config, orientation);
         let mut decide = |idx: usize, k: &ClusterKernel| {
             let padded = features.padded(k.feature_len);
             let decision = match self.compiled_kernels {

@@ -4,7 +4,7 @@
 use crate::config::DetectorConfig;
 use crate::engine::{Executor, ExecutorStats};
 use crate::pattern::Pattern;
-use hotspot_geom::{DensityGrid, RasterMode, Rect};
+use hotspot_geom::{DensityGrid, Orientation, RasterMode, Rect};
 use hotspot_svm::{Kernel, PlattScaler, SharedKernelCache, SvmModel, SvmTrainer, TrainError};
 use hotspot_topo::{ClusterParams, CriticalFeatures, DensityClustering, TopoSignature};
 use serde::{Deserialize, Serialize};
@@ -127,21 +127,25 @@ fn normalized_window(pattern: &Pattern, region: Region) -> Rect {
 /// Canonical-orientation critical features of one pattern region.
 ///
 /// The pattern is aligned by the canonical orientation of its topology
-/// signature, so all members of one cluster land in a common frame.
+/// signature, so all members of one cluster land in a common frame. A
+/// caller that already holds that orientation passes it, so it is not
+/// derived twice.
 fn critical_features(
     pattern: &Pattern,
     region: Region,
     config: &DetectorConfig,
+    orientation: Option<Orientation>,
 ) -> CriticalFeatures {
     let window = normalized_window(pattern, region);
     let rects = normalized_rects(pattern, region);
-    let (_, orientation) = TopoSignature::with_orientation(&window, &rects);
+    let orientation =
+        orientation.unwrap_or_else(|| TopoSignature::with_orientation(&window, &rects).1);
     CriticalFeatures::extract_oriented(&window, &rects, orientation, &config.feature)
 }
 
 /// Canonical-orientation critical-feature vector of one pattern region.
 pub fn feature_vector(pattern: &Pattern, region: Region, config: &DetectorConfig) -> Vec<f64> {
-    critical_features(pattern, region, config).to_vector()
+    critical_features(pattern, region, config, None).to_vector()
 }
 
 /// Canonical-orientation features padded/truncated to `len` values.
@@ -151,7 +155,7 @@ pub fn feature_vector_padded(
     config: &DetectorConfig,
     len: usize,
 ) -> Vec<f64> {
-    critical_features(pattern, region, config).to_vector_padded(len)
+    critical_features(pattern, region, config, None).to_vector_padded(len)
 }
 
 /// Lazily extracted, per-length-memoized feature vectors of one pattern
@@ -166,6 +170,7 @@ pub struct FeatureMemo<'a> {
     pattern: &'a Pattern,
     region: Region,
     config: &'a DetectorConfig,
+    orientation: Option<Orientation>,
     features: Option<CriticalFeatures>,
     padded: Vec<(usize, Vec<f64>)>,
 }
@@ -178,8 +183,25 @@ impl<'a> FeatureMemo<'a> {
             pattern,
             region,
             config,
+            orientation: None,
             features: None,
             padded: Vec::new(),
+        }
+    }
+
+    /// Like [`new`](Self::new), for a caller that already holds the
+    /// region's canonical orientation (the one
+    /// [`TopoSignature::with_orientation`] returns for it): extraction
+    /// reuses it instead of deriving it again.
+    pub fn oriented(
+        pattern: &'a Pattern,
+        region: Region,
+        config: &'a DetectorConfig,
+        orientation: Orientation,
+    ) -> Self {
+        FeatureMemo {
+            orientation: Some(orientation),
+            ..FeatureMemo::new(pattern, region, config)
         }
     }
 
@@ -190,9 +212,9 @@ impl<'a> FeatureMemo<'a> {
         if let Some(i) = self.padded.iter().position(|(l, _)| *l == len) {
             return &self.padded[i].1;
         }
-        let features = self
-            .features
-            .get_or_insert_with(|| critical_features(self.pattern, self.region, self.config));
+        let features = self.features.get_or_insert_with(|| {
+            critical_features(self.pattern, self.region, self.config, self.orientation)
+        });
         self.padded.push((len, features.to_vector_padded(len)));
         &self.padded.last().expect("just pushed").1
     }
@@ -413,8 +435,13 @@ pub fn train_cluster_kernels(
 /// [`train_cluster_kernels`] on an explicit [`Executor`], returning its
 /// utilisation stats for telemetry.
 ///
+/// The nonhotspot medoids are every kernel's negative class, so their
+/// critical features are extracted once, one task per medoid, and each
+/// kernel pads them to its own feature length.
+///
 /// All kernels are independent (Section III-G): each cluster is one task on
-/// the [`Executor`]. When the executor has more threads than
+/// the [`Executor`]. The returned stats are those of the kernel tasks.
+/// When the executor has more threads than
 /// there are clusters, the surplus is spent *inside* each task training
 /// speculative `(C, γ)` rounds concurrently (see [`train_iterative_with`]),
 /// so both fan-out axes of the paper's parallelisation are covered while
@@ -430,18 +457,22 @@ pub fn train_cluster_kernels_with(
     config: &DetectorConfig,
     executor: &Executor,
 ) -> Result<(Vec<ClusterKernel>, ExecutorStats), TrainError> {
+    let (medoid_features, _) = executor.map(nonhotspot_medoids, |_, p| {
+        critical_features(p, Region::Core, config, None)
+    });
     let speculation = (executor.threads() / clusters.len().max(1)).max(1);
     let (results, stats) = executor.map(clusters, |_, cl| {
-        train_one_kernel(hotspots, cl, nonhotspot_medoids, config, speculation)
+        train_one_kernel(hotspots, cl, &medoid_features, config, speculation)
     });
     let kernels = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok((kernels, stats))
 }
 
+/// Trains the kernel of `cluster` against the nonhotspot medoids' features.
 fn train_one_kernel(
     hotspots: &[Pattern],
     cluster: &PatternCluster,
-    nonhotspot_medoids: &[Pattern],
+    medoid_features: &[CriticalFeatures],
     config: &DetectorConfig,
     speculation: usize,
 ) -> Result<ClusterKernel, TrainError> {
@@ -449,7 +480,7 @@ fn train_one_kernel(
     let member_features: Vec<CriticalFeatures> = cluster
         .members
         .iter()
-        .map(|&i| critical_features(&hotspots[i], Region::Core, config))
+        .map(|&i| critical_features(&hotspots[i], Region::Core, config, None))
         .collect();
     let feature_len = member_features
         .iter()
@@ -458,24 +489,34 @@ fn train_one_kernel(
         .unwrap_or(5)
         .max(5);
 
-    let mut x: Vec<Vec<f64>> = Vec::with_capacity(member_features.len() + nonhotspot_medoids.len());
-    let mut y: Vec<f64> = Vec::with_capacity(x.capacity());
-    for f in &member_features {
-        x.push(f.to_vector_padded(feature_len));
-        y.push(1.0);
-    }
-    for p in nonhotspot_medoids {
-        x.push(feature_vector_padded(p, Region::Core, config, feature_len));
-        y.push(-1.0);
-    }
+    let x: Vec<Vec<f64>> = member_features
+        .iter()
+        .chain(medoid_features)
+        .map(|f| f.to_vector_padded(feature_len))
+        .collect();
+    let y: Vec<f64> = std::iter::repeat_n(1.0, member_features.len())
+        .chain(std::iter::repeat_n(-1.0, medoid_features.len()))
+        .collect();
+    fit_kernel(cluster, &x, &y, feature_len, config, speculation)
+}
 
+/// Fits the kernel of `cluster` on its assembled training vectors `x`
+/// (hotspots first, labelled `+1`, then nonhotspots, `−1`).
+fn fit_kernel(
+    cluster: &PatternCluster,
+    x: &[Vec<f64>],
+    y: &[f64],
+    feature_len: usize,
+    config: &DetectorConfig,
+    speculation: usize,
+) -> Result<ClusterKernel, TrainError> {
     // One shared distance-row cache per kernel: every (C, γ) round trains
     // on the same vectors, so the rows are reused across rounds whether the
     // rounds run sequentially or speculatively in parallel.
     let shared = SharedKernelCache::new(x.len());
-    let fit = train_iterative_with(&x, &y, config, &shared, speculation)?;
+    let fit = train_iterative_with(x, y, config, &shared, speculation)?;
     let decisions: Vec<f64> = x.iter().map(|v| fit.model.decision_value(v)).collect();
-    let platt = PlattScaler::fit(&decisions, &y);
+    let platt = PlattScaler::fit(&decisions, y);
     Ok(ClusterKernel {
         model: fit.model,
         signature: cluster.signature.clone(),
@@ -680,6 +721,98 @@ mod tests {
         }
         // Both lengths stay cached; re-requests return the same vectors.
         assert_eq!(memo.padded.len(), 3);
+    }
+
+    #[test]
+    fn oriented_feature_memo_matches_direct_extraction() {
+        let cfg = test_config();
+        for p in [pair_pattern(120), bar_pattern(300)] {
+            let window = normalized_window(&p, Region::Core);
+            let rects = normalized_rects(&p, Region::Core);
+            let (_, orientation) = TopoSignature::with_orientation(&window, &rects);
+            let mut memo = FeatureMemo::oriented(&p, Region::Core, &cfg, orientation);
+            for len in [5usize, 9, 17] {
+                assert_eq!(
+                    memo.padded(len),
+                    feature_vector_padded(&p, Region::Core, &cfg, len).as_slice(),
+                    "len {len}"
+                );
+            }
+        }
+    }
+
+    /// The kernel training `train_cluster_kernels` replaced: every kernel
+    /// re-extracts each nonhotspot medoid's features at its own length.
+    fn per_kernel_extraction(
+        hotspots: &[Pattern],
+        clusters: &[PatternCluster],
+        medoids: &[Pattern],
+        config: &DetectorConfig,
+    ) -> Vec<ClusterKernel> {
+        clusters
+            .iter()
+            .map(|cl| {
+                let feature_len = cl
+                    .members
+                    .iter()
+                    .map(|&i| feature_vector(&hotspots[i], Region::Core, config).len())
+                    .max()
+                    .unwrap_or(5)
+                    .max(5);
+                let mut x: Vec<Vec<f64>> = Vec::new();
+                let mut y: Vec<f64> = Vec::new();
+                for &i in &cl.members {
+                    x.push(feature_vector_padded(
+                        &hotspots[i],
+                        Region::Core,
+                        config,
+                        feature_len,
+                    ));
+                    y.push(1.0);
+                }
+                for p in medoids {
+                    x.push(feature_vector_padded(p, Region::Core, config, feature_len));
+                    y.push(-1.0);
+                }
+                fit_kernel(cl, &x, &y, feature_len, config, 1).expect("training")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_medoid_features_match_per_kernel_extraction() {
+        let toy_sets = [
+            (
+                vec![
+                    bar_pattern(200),
+                    bar_pattern(220),
+                    pair_pattern(100),
+                    pair_pattern(120),
+                ],
+                vec![bar_pattern(1000), pair_pattern(600)],
+            ),
+            (
+                vec![
+                    bar_pattern(200),
+                    bar_pattern(220),
+                    pair_pattern(100),
+                    pair_pattern(140),
+                ],
+                vec![bar_pattern(1000)],
+            ),
+        ];
+        for (hotspots, medoids) in &toy_sets {
+            let clusters = classify_patterns(hotspots, Region::Core, &test_config().cluster);
+            let expected = per_kernel_extraction(hotspots, &clusters, medoids, &test_config());
+            for threads in [1, 4] {
+                let cfg = DetectorConfig {
+                    threads,
+                    ..test_config()
+                };
+                let kernels = train_cluster_kernels(hotspots, &clusters, medoids, &cfg).unwrap();
+                assert_eq!(kernels, expected, "threads {threads}");
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! SMO repeatedly needs full kernel rows `K(i, ·)` for the two working-set
 //! indices and for gradient updates. For the paper's per-cluster training
-//! sets (hundreds of patterns) the whole matrix fits in memory; for larger
-//! sets a bounded LRU of rows keeps memory flat.
+//! sets (hundreds of patterns) the whole matrix fits in memory, so a solve
+//! keeps every row it has computed.
 //!
 //! Two caches live here:
 //!
-//! - [`KernelCache`] — the private per-solve row cache every SMO call owns.
+//! - [`KernelCache`] — the private per-solve row table every SMO call owns.
 //! - [`SharedKernelCache`] — a `parking_lot`-guarded cache of **squared
 //!   distance** rows `d²(i, ·) = ‖xᵢ − x·‖²`. The iterative learning loop
 //!   doubles γ every round but trains on the same vectors, and the RBF
@@ -121,48 +121,35 @@ impl SharedKernelCache {
     }
 }
 
-/// LRU cache of kernel matrix rows over a fixed training set.
+/// Kernel matrix rows over a fixed training set, each computed on first
+/// use and kept for the rest of the solve.
 pub struct KernelCache<'a> {
     kernel: Kernel,
     x: &'a [Vec<f64>],
-    rows: HashMap<usize, Vec<f64>>,
-    lru: Vec<usize>, // most recent last
-    capacity: usize,
-    hits: u64,
-    misses: u64,
+    rows: Vec<Option<Vec<f64>>>,
     shared: Option<&'a SharedKernelCache>,
 }
 
 impl<'a> KernelCache<'a> {
-    /// Creates a cache over training vectors `x` holding at most
-    /// `capacity_rows` rows (at least 2, since SMO touches two rows per
-    /// iteration).
-    pub fn new(kernel: Kernel, x: &'a [Vec<f64>], capacity_rows: usize) -> Self {
+    /// An empty row table over training vectors `x`.
+    pub fn new(kernel: Kernel, x: &'a [Vec<f64>]) -> Self {
         KernelCache {
             kernel,
             x,
-            rows: HashMap::new(),
-            lru: Vec::new(),
-            capacity: capacity_rows.max(2),
-            hits: 0,
-            misses: 0,
+            rows: vec![None; x.len()],
             shared: None,
         }
     }
 
-    /// Like [`new`](KernelCache::new), but row misses for RBF kernels are
-    /// served from `shared` squared-distance rows (`K = exp(−γ d²)`)
-    /// instead of recomputing distances. Non-RBF kernels fall back to
-    /// direct evaluation.
-    pub fn with_shared(
-        kernel: Kernel,
-        x: &'a [Vec<f64>],
-        capacity_rows: usize,
-        shared: &'a SharedKernelCache,
-    ) -> Self {
-        let mut cache = Self::new(kernel, x, capacity_rows);
-        cache.shared = Some(shared);
-        cache
+    /// Like [`new`](KernelCache::new), but rows of RBF kernels are computed
+    /// from `shared` squared-distance rows (`K = exp(−γ d²)`) instead of
+    /// recomputing distances. Non-RBF kernels fall back to direct
+    /// evaluation.
+    pub fn with_shared(kernel: Kernel, x: &'a [Vec<f64>], shared: &'a SharedKernelCache) -> Self {
+        KernelCache {
+            shared: Some(shared),
+            ..Self::new(kernel, x)
+        }
     }
 
     /// Number of training vectors.
@@ -175,40 +162,33 @@ impl<'a> KernelCache<'a> {
         self.x.is_empty()
     }
 
-    /// Returns the kernel row `K(i, ·)`, computing and caching it on miss.
+    /// Returns the kernel row `K(i, ·)`, computing it on first use.
     pub fn row(&mut self, i: usize) -> &[f64] {
-        if self.rows.contains_key(&i) {
-            self.hits += 1;
-            self.touch(i);
-        } else {
-            self.misses += 1;
-            if self.rows.len() >= self.capacity {
-                // Evict the least recently used row.
-                let victim = self.lru.remove(0);
-                self.rows.remove(&victim);
-            }
-            let row = self.compute_row(i);
-            self.rows.insert(i, row);
-            self.lru.push(i);
-        }
-        &self.rows[&i]
+        self.fill(i);
+        self.filled(i)
     }
 
-    /// Diagonal entry `K(i, i)` without caching a full row.
+    /// Returns the rows `K(i, ·)` and `K(j, ·)` together, computing each on
+    /// first use.
+    pub fn rows(&mut self, i: usize, j: usize) -> (&[f64], &[f64]) {
+        self.fill(i);
+        self.fill(j);
+        (self.filled(i), self.filled(j))
+    }
+
+    /// Diagonal entry `K(i, i)` without computing a full row.
     pub fn diagonal(&self, i: usize) -> f64 {
         self.kernel.eval(&self.x[i], &self.x[i])
     }
 
-    /// `(hits, misses)` counters, for diagnostics and tests.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+    fn fill(&mut self, i: usize) {
+        if self.rows[i].is_none() {
+            self.rows[i] = Some(self.compute_row(i));
+        }
     }
 
-    fn touch(&mut self, i: usize) {
-        if let Some(pos) = self.lru.iter().position(|&t| t == i) {
-            self.lru.remove(pos);
-        }
-        self.lru.push(i);
+    fn filled(&self, i: usize) -> &[f64] {
+        self.rows[i].as_deref().expect("row filled")
     }
 
     fn compute_row(&self, i: usize) -> Vec<f64> {
@@ -232,7 +212,7 @@ mod tests {
     #[test]
     fn row_values_match_kernel() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x, 4);
+        let mut cache = KernelCache::new(Kernel::Linear, &x);
         let row = cache.row(3).to_vec();
         for (j, v) in row.iter().enumerate() {
             assert_eq!(*v, (3 * j) as f64);
@@ -240,60 +220,38 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_first_access() {
+    fn rows_pair_matches_single_rows() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x, 4);
-        cache.row(0);
-        cache.row(0);
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 1);
+        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x);
+        let (a, b) = cache.rows(1, 4);
+        let (a, b) = (a.to_vec(), b.to_vec());
+        assert_eq!(cache.row(1), a.as_slice());
+        assert_eq!(cache.row(4), b.as_slice());
+        let (c, d) = cache.rows(2, 2);
+        assert_eq!(c, d);
     }
 
     #[test]
-    fn eviction_keeps_capacity() {
+    fn each_row_is_computed_once() {
+        // The shared cache sees one request per row the table computes.
         let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x, 2);
-        cache.row(0);
-        cache.row(1);
-        cache.row(2); // evicts 0
-        cache.row(0); // miss again
-        let (_, misses) = cache.stats();
-        assert_eq!(misses, 4);
-    }
-
-    #[test]
-    fn lru_order_respects_touches() {
-        let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x, 2);
-        cache.row(0);
-        cache.row(1);
-        cache.row(0); // touch 0, so 1 is LRU
-        cache.row(2); // evicts 1
-        cache.row(0); // still cached -> hit
-        let (hits, _) = cache.stats();
-        assert_eq!(hits, 2);
+        let shared = SharedKernelCache::new(x.len());
+        let mut cache = KernelCache::with_shared(Kernel::rbf(0.5), &x, &shared);
+        for _ in 0..3 {
+            cache.row(0);
+            cache.rows(0, 1);
+        }
+        assert_eq!(shared.stats(), (0, 2));
     }
 
     #[test]
     fn diagonal_matches_row() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x, 4);
+        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x);
         for i in 0..x.len() {
             let d = cache.diagonal(i);
             assert!((cache.row(i)[i] - d).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn capacity_floor_is_two() {
-        let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x, 0);
-        cache.row(0);
-        cache.row(1);
-        cache.row(0);
-        let (hits, _) = cache.stats();
-        assert_eq!(hits, 1, "both working-set rows must stay resident");
     }
 
     #[test]
@@ -318,8 +276,8 @@ mod tests {
         let x = data();
         let gamma = 0.37;
         let shared = SharedKernelCache::new(x.len());
-        let mut plain = KernelCache::new(Kernel::rbf(gamma), &x, x.len());
-        let mut cached = KernelCache::with_shared(Kernel::rbf(gamma), &x, x.len(), &shared);
+        let mut plain = KernelCache::new(Kernel::rbf(gamma), &x);
+        let mut cached = KernelCache::with_shared(Kernel::rbf(gamma), &x, &shared);
         for i in 0..x.len() {
             assert_eq!(plain.row(i), cached.row(i), "row {i}");
         }
@@ -334,8 +292,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let mut cache =
-                        KernelCache::with_shared(Kernel::rbf(0.5), &x, x.len(), &shared);
+                    let mut cache = KernelCache::with_shared(Kernel::rbf(0.5), &x, &shared);
                     for i in 0..x.len() {
                         let row = cache.row(i).to_vec();
                         assert!((row[i] - 1.0).abs() < 1e-12);
@@ -365,7 +322,7 @@ mod tests {
     fn non_rbf_kernels_ignore_shared_cache() {
         let x = data();
         let shared = SharedKernelCache::new(x.len());
-        let mut cache = KernelCache::with_shared(Kernel::Linear, &x, x.len(), &shared);
+        let mut cache = KernelCache::with_shared(Kernel::Linear, &x, &shared);
         let row = cache.row(3).to_vec();
         for (j, v) in row.iter().enumerate() {
             assert_eq!(*v, (3 * j) as f64);

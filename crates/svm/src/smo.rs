@@ -24,8 +24,6 @@ pub struct SmoParams {
     /// Hard iteration cap; `0` means the LIBSVM-style default
     /// `max(10⁷, 100·n)`.
     pub max_iter: u64,
-    /// Kernel cache capacity in rows; `0` means "all rows".
-    pub cache_rows: usize,
 }
 
 impl Default for SmoParams {
@@ -35,7 +33,6 @@ impl Default for SmoParams {
             c_neg: 1.0,
             eps: 1e-3,
             max_iter: 0,
-            cache_rows: 0,
         }
     }
 }
@@ -88,14 +85,9 @@ pub fn solve_with_cache(
         };
     }
 
-    let cap = if params.cache_rows == 0 {
-        n
-    } else {
-        params.cache_rows
-    };
     let mut cache = match shared {
-        Some(sh) => KernelCache::with_shared(kernel, x, cap, sh),
-        None => KernelCache::new(kernel, x, cap),
+        Some(sh) => KernelCache::with_shared(kernel, x, sh),
+        None => KernelCache::new(kernel, x),
     };
     let qd: Vec<f64> = (0..n).map(|i| cache.diagonal(i)).collect();
 
@@ -143,7 +135,7 @@ pub fn solve_with_cache(
             break;
         }
         let i = i_sel;
-        let row_i_for_select: Vec<f64> = cache.row(i).to_vec();
+        let row_i_for_select = cache.row(i);
         let mut j_sel = usize::MAX;
         let mut best_gain = f64::INFINITY; // minimising −b²/a
         for t in 0..n {
@@ -230,8 +222,7 @@ pub fn solve_with_cache(
         let dai = alpha[i] - old_ai;
         let daj = alpha[j] - old_aj;
         if dai != 0.0 || daj != 0.0 {
-            let row_i: Vec<f64> = cache.row(i).to_vec();
-            let row_j = cache.row(j);
+            let (row_i, row_j) = cache.rows(i, j);
             for t in 0..n {
                 grad[t] += y[t] * y[i] * row_i[t] * dai + y[t] * y[j] * row_j[t] * daj;
             }

@@ -12,6 +12,38 @@
 //! For clustering, [`TopoSignature`] canonicalises the four side strings
 //! over all eight orientations into a hashable key: two patterns share a
 //! signature exactly when Theorem 1 declares them topologically equal.
+//!
+//! # The side table
+//!
+//! Theorem 1 rests on two facts about the side strings, and the signature
+//! uses them to read all eight orientations off the four base strings
+//! instead of re-slicing the pattern eight times:
+//!
+//! - rotating the pattern by `Rr` (`r` quarter turns counterclockwise)
+//!   shifts its sides cyclically: side `k` of the rotated pattern is base
+//!   side `(k − r) mod 4`;
+//! - mirroring it (`x ↦ w − x`) reverses the side order and each side's
+//!   slices, since every side is read counterclockwise and a mirror turns
+//!   counterclockwise into clockwise. With `MxRr` = mirror, then `Rr`,
+//!   side `k` is base side `(r − k) mod 4`, slices reversed.
+//!
+//! A slice's code depends only on its own stack of blocks, which no
+//! orientation changes, so the table is exact. In `D8` order it reads:
+//!
+//! | orientation | sides 0–3 from base sides | slices |
+//! |-------------|---------------------------|--------|
+//! | `R0`        | 0, 1, 2, 3                | as is  |
+//! | `R90`       | 3, 0, 1, 2                | as is  |
+//! | `R180`      | 2, 3, 0, 1                | as is  |
+//! | `R270`      | 1, 2, 3, 0                | as is  |
+//! | `Mx`        | 0, 3, 2, 1                | reversed |
+//! | `MxR90`     | 1, 0, 3, 2                | reversed |
+//! | `MxR180`    | 2, 1, 0, 3                | reversed |
+//! | `MxR270`    | 3, 2, 1, 0                | reversed |
+//!
+//! So a signature costs four bottom strings, not thirty-two.
+//! `crates/topo/tests/signature_oracle.rs` checks it against the
+//! re-slicing of every orientation.
 
 use hotspot_geom::{Coord, Orientation, Rect, D8};
 use serde::{Deserialize, Serialize};
@@ -20,6 +52,28 @@ use std::fmt;
 /// Sentinel separating side strings inside composite strings, so a match
 /// can never straddle a side boundary incorrectly.
 const SIDE_SEPARATOR: u128 = u128::MAX;
+
+/// Code of a slice whose bit sequence does not fit in 128 bits: more than
+/// 127 blocks, as when it crosses 64 bars with space above and below them.
+/// No representable slice has this value: past the boundary bit and the
+/// first block, a slice never holds two adjacent polygon bits, while this
+/// value is all ones but its last bit. All such slices share the one code,
+/// so patterns whose slices differ only beyond 127 blocks look alike.
+const SLICE_OVERFLOW: u128 = u128::MAX - 1;
+
+/// The side table of the [module docs](self): `SIDES[i][k]` is the base
+/// side that becomes side `k` after orientation `D8[i]`. The mirrored
+/// orientations (the last four) also reverse each side's slices.
+const SIDES: [[usize; 4]; 8] = [
+    [0, 1, 2, 3], // R0
+    [3, 0, 1, 2], // R90
+    [2, 3, 0, 1], // R180
+    [1, 2, 3, 0], // R270
+    [0, 3, 2, 1], // Mx
+    [1, 0, 3, 2], // MxR90
+    [2, 1, 0, 3], // MxR180
+    [3, 2, 1, 0], // MxR270
+];
 
 /// The four directional strings of a core pattern.
 ///
@@ -83,30 +137,34 @@ impl DirectionalStrings {
     /// separators, with the beginning side repeated at the end (as the paper
     /// prescribes) so cyclic matches succeed.
     pub fn ccw_composite(&self) -> Vec<u128> {
-        let order = [0usize, 1, 2, 3, 0];
-        self.composite(&order, false)
+        let mut out = Vec::new();
+        self.composite_into(&[0, 1, 2, 3], false, &mut out);
+        out
     }
 
     /// The clockwise composite string (side order reversed and each side's
     /// slices reversed) — this is the counterclockwise composite of the
     /// mirrored pattern.
     pub fn cw_composite(&self) -> Vec<u128> {
-        let order = [0usize, 3, 2, 1, 0];
-        self.composite(&order, true)
+        let mut out = Vec::new();
+        self.composite_into(&SIDES[4], true, &mut out);
+        out
     }
 
-    fn composite(&self, order: &[usize], reverse_each: bool) -> Vec<u128> {
-        let mut out = Vec::new();
-        for &k in order {
+    /// Writes into `out` the composite whose side `k` is `self`'s side
+    /// `order[k]`, each side's slices reversed when `reverse_each`; the
+    /// first side is repeated at the end.
+    fn composite_into(&self, order: &[usize; 4], reverse_each: bool, out: &mut Vec<u128>) {
+        out.clear();
+        for &k in order.iter().chain(&order[..1]) {
             out.push(SIDE_SEPARATOR);
             if reverse_each {
-                out.extend(self.sides[k].iter().rev().copied());
+                out.extend(self.sides[k].iter().rev());
             } else {
-                out.extend(self.sides[k].iter().copied());
+                out.extend(&self.sides[k]);
             }
         }
         out.push(SIDE_SEPARATOR);
-        out
     }
 
     /// The query string for Theorem 1: two adjacent sides (bottom then
@@ -164,26 +222,22 @@ impl TopoSignature {
     /// first element of `D8` whose flattened composite attains the
     /// lexicographic minimum. Aligning every cluster member by its canonical
     /// orientation puts their critical features in a common frame.
+    ///
+    /// The pattern is sliced once per side; the composites of the eight
+    /// orientations come from the side table (see the [module docs](self)).
     pub fn with_orientation(window: &Rect, rects: &[Rect]) -> (TopoSignature, Orientation) {
-        let (w, h) = (window.width(), window.height());
-        let local: Vec<Rect> = rects
-            .iter()
-            .filter_map(|r| r.intersection(window))
-            .map(|r| r.translate(-window.min()))
-            .collect();
-        let mut best: Option<(Vec<u128>, Orientation)> = None;
-        for o in D8 {
-            let trects = o.apply_rects(&local, w, h);
-            let (tw, th) = o.window(w, h);
-            let twin = Rect::from_extents(0, 0, tw, th);
-            let s = DirectionalStrings::of(&twin, &trects);
-            let flat = s.ccw_composite();
-            if best.as_ref().is_none_or(|(b, _)| flat < *b) {
-                best = Some((flat, o));
+        let base = DirectionalStrings::of(window, rects);
+        let mut best = Vec::new();
+        let mut best_o = Orientation::R0;
+        let mut candidate = Vec::new();
+        for (o, order) in D8.into_iter().zip(&SIDES) {
+            base.composite_into(order, o.is_mirrored(), &mut candidate);
+            if best.is_empty() || candidate < best {
+                std::mem::swap(&mut best, &mut candidate);
+                best_o = o;
             }
         }
-        let (flat, o) = best.expect("D8 is non-empty");
-        (TopoSignature(flat), o)
+        (TopoSignature(best), best_o)
     }
 
     /// The flattened canonical string (for diagnostics).
@@ -205,7 +259,8 @@ fn contains(haystack: &[u128], needle: &[u128]) -> bool {
 
 /// The bottom string of the pattern after orienting by `o`: slice vertically
 /// along polygon x-edges; per slice, emit the boundary bit then the
-/// bottom-to-top block sequence (polygon = 1, space = 0), read as a number.
+/// bottom-to-top block sequence (polygon = 1, space = 0), read as a number
+/// ([`SLICE_OVERFLOW`] when it needs more than 128 bits).
 fn bottom_string(rects: &[Rect], w: Coord, h: Coord, o: Orientation) -> Vec<u128> {
     let oriented = o.apply_rects(rects, w, h);
     let (ow, oh) = o.window(w, h);
@@ -253,28 +308,30 @@ fn bottom_string(rects: &[Rect], w: Coord, h: Coord, o: Orientation) -> Vec<u128
         }
     }
 
-    let mut out = Vec::with_capacity(slice_intervals.len());
-    for merged in &slice_intervals {
-        // Bits: boundary 1, then bottom-to-top alternation.
-        let mut value: u128 = 1;
-        let mut cursor = 0;
-        let push_bit = |v: &mut u128, bit: u128| {
-            debug_assert!(v.leading_zeros() > 0, "slice block count overflow");
-            *v = (*v << 1) | bit;
-        };
-        for (a, b) in merged {
-            if *a > cursor {
-                push_bit(&mut value, 0);
-            }
-            push_bit(&mut value, 1);
-            cursor = *b;
+    slice_intervals
+        .iter()
+        .map(|merged| encode_slice(merged, oh).unwrap_or(SLICE_OVERFLOW))
+        .collect()
+}
+
+/// The code of one slice of height `h` with merged polygon intervals
+/// `merged`: the boundary bit, then one bit per bottom-to-top block
+/// (polygon = 1, space = 0). `None` when the bits exceed 128.
+fn encode_slice(merged: &[(Coord, Coord)], h: Coord) -> Option<u128> {
+    let push_bit = |v: u128, bit: u128| (v.leading_zeros() > 0).then_some((v << 1) | bit);
+    let mut value: u128 = 1;
+    let mut cursor = 0;
+    for &(a, b) in merged {
+        if a > cursor {
+            value = push_bit(value, 0)?;
         }
-        if cursor < oh {
-            push_bit(&mut value, 0);
-        }
-        out.push(value);
+        value = push_bit(value, 1)?;
+        cursor = b;
     }
-    out
+    if cursor < h {
+        value = push_bit(value, 0)?;
+    }
+    Some(value)
 }
 
 #[cfg(test)]
@@ -424,6 +481,60 @@ mod tests {
         let b = s.side(0);
         assert_eq!(&ccw[1..1 + b.len()], b);
         assert_eq!(&ccw[ccw.len() - 1 - b.len()..ccw.len() - 1], b);
+    }
+
+    #[test]
+    fn side_table_follows_theorem1() {
+        for (o, order) in D8.into_iter().zip(&SIDES) {
+            let r = usize::from(o.rotation_steps());
+            for (k, &side) in order.iter().enumerate() {
+                let expected = if o.is_mirrored() {
+                    (r + 4 - k) % 4
+                } else {
+                    (k + 4 - r) % 4
+                };
+                assert_eq!(side, expected, "{o} side {k}");
+            }
+        }
+    }
+
+    /// `bars` full-width horizontal bars, 2 nm wide at a 4 nm pitch, with a
+    /// space below the first and above the last: each vertical slice holds
+    /// `2 * bars + 1` blocks.
+    fn bar_stack(bars: i64) -> (Rect, Vec<Rect>) {
+        let window = Rect::from_extents(0, 0, 100, 4 * bars + 1);
+        let rects = (0..bars)
+            .map(|i| Rect::from_extents(0, 4 * i + 1, 100, 4 * i + 3))
+            .collect();
+        (window, rects)
+    }
+
+    #[test]
+    fn slice_of_63_bars_still_fits() {
+        let (window, rects) = bar_stack(63);
+        let s = DirectionalStrings::of(&window, &rects);
+        // Boundary bit plus 127 blocks: exactly 128 bits, alternating.
+        let expected = (0..127).fold(1u128, |v, i| (v << 1) | (i % 2));
+        assert_eq!(s.side(0), &[expected]);
+        assert_ne!(expected, SLICE_OVERFLOW);
+    }
+
+    #[test]
+    fn slice_across_70_bars_gets_the_overflow_code() {
+        let (window, rects) = bar_stack(70);
+        let s = DirectionalStrings::of(&window, &rects);
+        assert_eq!(s.side(0), &[SLICE_OVERFLOW]);
+        assert_eq!(s.side(2), &[SLICE_OVERFLOW]);
+        // East and west sides slice across the bars one at a time.
+        assert_eq!(s.side(1).len(), 141);
+        let base = TopoSignature::of(&window, &rects);
+        let (w, h) = (window.width(), window.height());
+        for o in D8 {
+            let (tw, th) = o.window(w, h);
+            let twin = Rect::from_extents(0, 0, tw, th);
+            let sig = TopoSignature::of(&twin, &o.apply_rects(&rects, w, h));
+            assert_eq!(sig, base, "{o}");
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> golden pin of the small-scale array_benchmark2 model (release)"
-# Ignored in the default run: small-scale training is slow in a debug build.
+echo "==> golden pins of the small bm2 model and the paper-scale bm1 scan (release)"
+# Ignored in the default run: both are slow in a debug build.
 cargo test --release --test golden -- --ignored
 
 echo "==> e2ebench build + tiny self-test"

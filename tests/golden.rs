@@ -133,3 +133,21 @@ fn array_benchmark2_small_model_matches_the_pin() {
         "small array_benchmark2 model hash mismatch; computed {computed:#018x}"
     );
 }
+
+/// `record_line` of the paper-scale `array_benchmark1`: the model, the
+/// layout and the scan e2ebench's `scan_cold` workload runs (without its
+/// seeded squares). It is the only pin of a paper-scale scan, so a change
+/// to per-clip evaluation (signature, routing, features, SVM) that moves
+/// any reported window, count or digest fails here. Slow in a debug
+/// build; `scripts/ci.sh` runs it in release with `--ignored`.
+const PAPER_BM1_RECORD: &str = "array_benchmark1 model=0dc978ddcdbdf3d6 clips=7066 flagged=553 reclaimed=1 reported=483:c8a16357d616dd90 hits=213 extras=138 scan_digest=e8695f17df313f2f";
+
+#[test]
+#[ignore = "paper-scale train + scan; run in release with --ignored"]
+fn array_benchmark1_paper_scan_matches_the_pin() {
+    let computed = record_line(&generate(SuiteScale::Paper, "array_benchmark1"));
+    assert!(
+        computed == PAPER_BM1_RECORD,
+        "paper-scale array_benchmark1 record mismatch; computed line:\n{computed}"
+    );
+}

@@ -9,10 +9,10 @@ use crate::pattern::{Pattern, TrainingSet};
 use crate::scan::{ScanConfig, ScanReport, MAX_SCAN_TILES};
 use crate::tile_cache;
 use crate::training::{
-    classify_patterns_mode, density_grid, train_cluster_kernels_with, ClusterKernel,
-    PatternCluster, Region,
+    classify_patterns_mode, density_grid, train_oriented_kernels, ClusterKernel, PatternCluster,
+    Region,
 };
-use hotspot_geom::{RasterMode, Rect};
+use hotspot_geom::{Orientation, RasterMode, Rect};
 use hotspot_layout::{ClipShape, LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
 use hotspot_topo::route::CentroidRouter;
@@ -150,8 +150,8 @@ struct CompiledSet {
     kernels: Vec<CompiledModel>,
     /// Compiled feedback kernel, when one was trained.
     feedback: Option<CompiledModel>,
-    /// The admission router: every kernel centroid × 8 D8 orientations
-    /// packed for the fused density-admission pass.
+    /// The admission router: every kernel centroid with its mass and
+    /// block sums, for the density-admission pass.
     router: CentroidRouter,
     /// The model half of the tile-cache fingerprint (see
     /// [`HotspotDetector::model_hash`]), hashed on the first cached scan.
@@ -311,10 +311,22 @@ impl HotspotDetector {
             )
         };
 
+        // `medoids[i]` is the medoid of `nonhotspot_clusters[i]`; without
+        // clusters (the single-kernel ablation) every medoid derives its own.
+        let medoid_orientations: Vec<Orientation> = nonhotspot_clusters
+            .iter()
+            .map(PatternCluster::medoid_orientation)
+            .collect();
         let executor = Executor::new(threads);
         let t_kernels = Instant::now();
-        let (kernels, exec_stats) =
-            train_cluster_kernels_with(&hotspots, &hotspot_clusters, &medoids, &config, &executor)?;
+        let (kernels, exec_stats) = train_oriented_kernels(
+            &hotspots,
+            &hotspot_clusters,
+            &medoids,
+            &medoid_orientations,
+            &config,
+            &executor,
+        )?;
         recorder.record(
             StageId::KernelTraining,
             hotspot_clusters.len(),
@@ -755,23 +767,19 @@ impl DetectorBuilder {
 
 /// A degenerate cluster holding every hotspot (the single-kernel ablation).
 fn single_cluster(hotspots: &[Pattern], config: &DetectorConfig) -> PatternCluster {
-    let first = &hotspots[0];
-    let window = first.window.core;
-    let local_rects: Vec<_> = first
-        .core_rects()
+    let aligned: Vec<(TopoSignature, Orientation)> = hotspots
         .iter()
-        .map(|r| r.translate(-window.min()))
+        .map(|p| TopoSignature::with_orientation(&Region::Core.window(p), &Region::Core.rects(p)))
         .collect();
-    let local = hotspot_geom::Rect::from_extents(0, 0, window.width(), window.height());
-    let signature = TopoSignature::of(&local, &local_rects);
-    let mut centroid = density_grid(first, Region::Core, config);
+    let mut centroid = density_grid(&hotspots[0], Region::Core, config);
     for (i, p) in hotspots.iter().enumerate().skip(1) {
         let g = density_grid(p, Region::Core, config);
         centroid.fold_mean(&g, i);
     }
     PatternCluster {
         members: (0..hotspots.len()).collect(),
-        signature,
+        orientations: aligned.iter().map(|&(_, o)| o).collect(),
+        signature: aligned[0].0.clone(),
         centroid,
         // An effectively infinite radius routes every clip to this kernel.
         radius: f64::MAX / 4.0,

@@ -26,7 +26,7 @@ use std::time::Duration;
 /// v5 added the admission counters: per-stage `admissions` (clip-kernel
 /// pairs admitted to SVM evaluation by topology or density) and
 /// `admission_skips` (centroid-orientation rows the compiled admission
-/// router pruned via its mass gate, norm screen, or early exit; 0 under
+/// router pruned via its mass gate, block-sum screens, or early exit; 0 under
 /// the reference engine). Both deserialise as 0 from v4 and older records
 /// via `#[serde(default)]`.
 /// v6 added the run-level `obs_sinks` list: names of the observability

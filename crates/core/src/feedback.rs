@@ -68,7 +68,7 @@ impl EvalScratch {
     }
 
     /// Centroid-orientation rows the compiled router pruned without
-    /// computing their full exact distance (mass gate + norm screen +
+    /// computing their full exact distance (mass gate + block-sum screens +
     /// early exit); always 0 under [`crate::EvalMode::Reference`].
     pub fn admission_skips(&self) -> u64 {
         self.rows_pruned as u64

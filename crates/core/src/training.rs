@@ -44,6 +44,10 @@ impl Region {
 pub struct PatternCluster {
     /// Indices into the classified pattern slice.
     pub members: Vec<usize>,
+    /// Canonical orientation of each member's region, parallel to
+    /// `members`: the orientation its signature was read in, which aligns
+    /// its critical features with the other members'.
+    pub orientations: Vec<Orientation>,
     /// Shared string-topology signature of the members.
     pub signature: TopoSignature,
     /// Mean density grid of the members (density-level centroid).
@@ -52,6 +56,18 @@ pub struct PatternCluster {
     pub radius: f64,
     /// Index (into the pattern slice) of the medoid member.
     pub medoid: usize,
+}
+
+impl PatternCluster {
+    /// The canonical orientation of the medoid's region.
+    pub fn medoid_orientation(&self) -> Orientation {
+        let at = self
+            .members
+            .iter()
+            .position(|&m| m == self.medoid)
+            .expect("the medoid is a member");
+        self.orientations[at]
+    }
 }
 
 /// Two-level topological classification (Section III-B): string-based
@@ -74,14 +90,16 @@ pub fn classify_patterns_mode(
     params: &ClusterParams,
     mode: RasterMode,
 ) -> Vec<PatternCluster> {
-    // Level 1: group by canonical string signature.
-    let mut groups: HashMap<TopoSignature, Vec<usize>> = HashMap::new();
+    // Level 1: group by canonical string signature, keeping each member's
+    // canonical orientation for its feature extraction.
+    let mut groups: HashMap<TopoSignature, Vec<(usize, Orientation)>> = HashMap::new();
     for (i, p) in patterns.iter().enumerate() {
-        let sig = TopoSignature::of(&region.window(p), &region.rects(p));
-        groups.entry(sig).or_default().push(i);
+        let (sig, orientation) =
+            TopoSignature::with_orientation(&region.window(p), &region.rects(p));
+        groups.entry(sig).or_default().push((i, orientation));
     }
     // Deterministic order regardless of hash iteration.
-    let mut groups: Vec<(TopoSignature, Vec<usize>)> = groups.into_iter().collect();
+    let mut groups: Vec<(TopoSignature, Vec<(usize, Orientation)>)> = groups.into_iter().collect();
     groups.sort_by(|a, b| a.0.cmp(&b.0));
 
     // Level 2: density-based sub-clustering inside each group.
@@ -89,19 +107,19 @@ pub fn classify_patterns_mode(
     for (signature, members) in groups {
         let member_patterns: Vec<Vec<Rect>> = members
             .iter()
-            .map(|&i| normalized_rects(&patterns[i], region))
+            .map(|&(i, _)| normalized_rects(&patterns[i], region))
             .collect();
-        let window = normalized_window(&patterns[members[0]], region);
+        let window = normalized_window(&patterns[members[0].0], region);
         let dc = DensityClustering::run_with_mode(&window, &member_patterns, params, mode);
         for cluster in &dc.clusters {
-            let global: Vec<usize> = cluster.members.iter().map(|&m| members[m]).collect();
             let medoid_local = cluster.medoid(&dc.grids);
             clusters.push(PatternCluster {
-                members: global.clone(),
+                members: cluster.members.iter().map(|&m| members[m].0).collect(),
+                orientations: cluster.members.iter().map(|&m| members[m].1).collect(),
                 signature: signature.clone(),
                 centroid: cluster.centroid.clone(),
                 radius: dc.radius,
-                medoid: members[medoid_local],
+                medoid: members[medoid_local].0,
             });
         }
     }
@@ -414,8 +432,9 @@ pub struct ClusterKernel {
 /// medoid set (Fig. 9(a)).
 ///
 /// `hotspots` are the (already upsampled) hotspot patterns; `clusters` their
-/// topological clusters; `nonhotspot_medoids` the downsampled nonhotspot
-/// patterns.
+/// topological clusters, classified on [`Region::Core`] (each member's
+/// features are aligned by the orientation its cluster carries);
+/// `nonhotspot_medoids` the downsampled nonhotspot patterns.
 ///
 /// # Errors
 ///
@@ -457,8 +476,29 @@ pub fn train_cluster_kernels_with(
     config: &DetectorConfig,
     executor: &Executor,
 ) -> Result<(Vec<ClusterKernel>, ExecutorStats), TrainError> {
-    let (medoid_features, _) = executor.map(nonhotspot_medoids, |_, p| {
-        critical_features(p, Region::Core, config, None)
+    train_oriented_kernels(
+        hotspots,
+        clusters,
+        nonhotspot_medoids,
+        &[],
+        config,
+        executor,
+    )
+}
+
+/// [`train_cluster_kernels_with`] given the canonical orientations of the
+/// nonhotspot medoids' cores, so their features reuse them; a medoid past
+/// the end of `medoid_orientations` derives its own.
+pub(crate) fn train_oriented_kernels(
+    hotspots: &[Pattern],
+    clusters: &[PatternCluster],
+    nonhotspot_medoids: &[Pattern],
+    medoid_orientations: &[Orientation],
+    config: &DetectorConfig,
+    executor: &Executor,
+) -> Result<(Vec<ClusterKernel>, ExecutorStats), TrainError> {
+    let (medoid_features, _) = executor.map(nonhotspot_medoids, |i, p| {
+        critical_features(p, Region::Core, config, medoid_orientations.get(i).copied())
     });
     let speculation = (executor.threads() / clusters.len().max(1)).max(1);
     let (results, stats) = executor.map(clusters, |_, cl| {
@@ -480,7 +520,8 @@ fn train_one_kernel(
     let member_features: Vec<CriticalFeatures> = cluster
         .members
         .iter()
-        .map(|&i| critical_features(&hotspots[i], Region::Core, config, None))
+        .zip(&cluster.orientations)
+        .map(|(&i, &o)| critical_features(&hotspots[i], Region::Core, config, Some(o)))
         .collect();
     let feature_len = member_features
         .iter()

@@ -16,9 +16,10 @@
 //!   features (Figs. 7–8),
 //! - [`multilayer`] and [`patterning`]: the Section IV extensions to
 //!   multilayer patterns and double patterning,
-//! - [`route`]: the **compiled admission router** — all kernel centroids ×
-//!   8 D8 orientations packed into one matrix, queried by an
-//!   allocation-free fused pass per clip.
+//! - [`route`]: the **compiled admission router** — one copy of each
+//!   kernel centroid with its mass and block sums, searched over the D8
+//!   orientations through shared pixel permutations by an allocation-free
+//!   pass per clip.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,5 +37,5 @@ pub use cluster::{Cluster, ClusterParams, DensityClustering};
 pub use dirstring::{DirectionalStrings, TopoSignature};
 pub use features::{CriticalFeatures, FeatureConfig, FeatureKind, RuleRect};
 pub use mtcg::{EdgeKind, Mtcg};
-pub use route::{orientation_expansions, Admission, CentroidRouter, RouteStats};
+pub use route::{Admission, CentroidRouter, RouteStats};
 pub use tiling::{Tile, TileKind, Tiling};

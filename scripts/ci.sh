@@ -381,11 +381,12 @@ cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
 cmp "$CACHE_DIR/report_cold.json" "$CACHE_DIR/report_verify.json"
 echo "tile-cache smoke OK"
 
-echo "==> e2ebench gate (every workload at tiny scale: correct, no failed operation)"
+echo "==> e2ebench gate (every workload at tiny scale: correct, no failed operation, peak RSS <= 32 MiB)"
 # The end-to-end benchmark is the repository's performance harness; this
 # runs it through its own remapped, aligned build, with the minimum of
 # measured operations per workload, and checks the result line it prints
-# last.
+# last. Tiny runs peak near 10-11 MiB; the 32 MiB cap catches a leak or a
+# table that grows with the input, not allocator noise.
 E2E_DIR=target/e2e_smoke
 rm -rf "$E2E_DIR"
 mkdir -p "$E2E_DIR"
@@ -398,7 +399,11 @@ workload, path = sys.argv[1:3]
 result = json.loads(open(path).read().splitlines()[-1])
 assert result["correct"] is True, f"{workload}: result not correct: {result}"
 assert result["failed"] == 0, f"{workload}: {result['failed']} failed operation(s)"
-print(f"e2ebench {workload}: correct, {result['attempted']} operation(s), 0 failed")
+rss = result["metrics"].get("peak_rss_mb")
+assert rss is not None, f"{workload}: no peak_rss_mb reported: {result}"
+assert rss["value"] <= 32.0, f"{workload}: peak RSS {rss['value']} MiB above 32 MiB"
+print(f"e2ebench {workload}: correct, {result['attempted']} operation(s), 0 failed, "
+      f"peak RSS {rss['value']:.1f} MiB")
 EOF
 done
 

@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hotspot_geom::{DensityGrid, Rect};
-use hotspot_topo::{
-    CriticalFeatures, DirectionalStrings, FeatureConfig, Mtcg, Tiling, TopoSignature,
-};
+use hotspot_topo::{CriticalFeatures, DirectionalStrings, FeatureConfig, Tiling, TopoSignature};
 use std::hint::black_box;
 
 fn core_window() -> Rect {
@@ -24,6 +22,24 @@ fn sample_rects() -> Vec<Rect> {
         Rect::from_extents(200, 850, 520, 1050),
         Rect::from_extents(700, 850, 1020, 1050),
     ]
+}
+
+/// A clip region (4.8 µm, as the feedback kernel reads it): the core
+/// pattern in the middle, ringed by bars.
+fn clip_window() -> Rect {
+    Rect::from_extents(0, 0, 4800, 4800)
+}
+
+fn clip_rects() -> Vec<Rect> {
+    let offset = hotspot_geom::Point::new(1800, 1800);
+    let mut rects: Vec<Rect> = sample_rects().iter().map(|r| r.translate(offset)).collect();
+    rects.extend([
+        Rect::from_extents(0, 300, 4800, 450),
+        Rect::from_extents(0, 4350, 4800, 4500),
+        Rect::from_extents(300, 700, 450, 4100),
+        Rect::from_extents(4350, 700, 4500, 4100),
+    ]);
+    rects
 }
 
 fn bench_dirstrings(c: &mut Criterion) {
@@ -51,24 +67,21 @@ fn bench_density(c: &mut Criterion) {
     });
 }
 
-fn bench_mtcg_features(c: &mut Criterion) {
+fn bench_features(c: &mut Criterion) {
     let window = core_window();
     let rects = sample_rects();
     c.bench_function("tiling_horizontal", |b| {
         b.iter(|| Tiling::horizontal(black_box(&window), black_box(&rects)))
     });
-    let tiling = Tiling::horizontal(&window, &rects);
-    c.bench_function("mtcg_build", |b| b.iter(|| Mtcg::build(black_box(&tiling))));
     let cfg = FeatureConfig::default();
     c.bench_function("critical_features", |b| {
         b.iter(|| CriticalFeatures::extract(black_box(&window), black_box(&rects), &cfg))
     });
+    let (clip, clip_rects) = (clip_window(), clip_rects());
+    c.bench_function("feature_extract_clip", |b| {
+        b.iter(|| CriticalFeatures::extract(black_box(&clip), black_box(&clip_rects), &cfg))
+    });
 }
 
-criterion_group!(
-    benches,
-    bench_dirstrings,
-    bench_density,
-    bench_mtcg_features
-);
+criterion_group!(benches, bench_dirstrings, bench_density, bench_features);
 criterion_main!(benches);

@@ -56,7 +56,7 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Io(_) => 3,
-            CliError::Json(_) => 4,
+            CliError::Json(_) | CliError::Pipeline(DetectError::InvalidModel(_)) => 4,
             CliError::Gds(_) => 5,
             CliError::Pipeline(_) => 6,
         }
@@ -164,7 +164,8 @@ structured pipeline event to a schema-versioned NDJSON log.
 --obs-interval-ms sets the counter sampling period (default 1000).
 `events` validates such a log line by line and summarises it.
 
-Exit codes: 0 ok, 2 usage, 3 i/o, 4 json, 5 gdsii, 6 pipeline (also a
+Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (also a model whose kernels'
+feature lengths disagree with their SVMs), 5 gdsii, 6 pipeline (also a
 layer extent too large to tile), 7 completed with quarantined tiles,
 8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
 same --cache <path>).";
@@ -434,6 +435,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
         ));
     }
     let mut detector: HotspotDetector = read_json(opts.require("model")?)?;
+    detector.validate()?;
     let layout = gdsii::read_file(opts.require("layout")?)?;
     let out = PathBuf::from(opts.require("out")?);
     let layer = LayerId::new(opts.parse("layer", 1u16)?);
@@ -1202,6 +1204,11 @@ mod tests {
         assert_eq!(
             CliError::Pipeline(hotspot_core::DetectError::NoHotspots).exit_code(),
             6
+        );
+        // An inconsistent model is a malformed model file, like bad JSON.
+        assert_eq!(
+            CliError::Pipeline(hotspot_core::DetectError::InvalidModel("x".into())).exit_code(),
+            4
         );
         // A missing model file surfaces as an I/O error, not usage.
         let err = run(&argv(&[

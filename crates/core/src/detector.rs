@@ -63,6 +63,9 @@ pub enum DetectError {
     /// unreachable (e.g. a cache handle with no configured path) surface
     /// here as typed errors instead of panicking the scan.
     Internal(String),
+    /// A loaded model cannot score the vectors its kernels would be
+    /// given (see [`HotspotDetector::validate`]).
+    InvalidModel(String),
 }
 
 impl fmt::Display for DetectError {
@@ -89,6 +92,7 @@ impl fmt::Display for DetectError {
                 "{failed} tile(s) failed, exceeding the quarantine bound of {max}"
             ),
             DetectError::Internal(msg) => write!(f, "internal pipeline invariant violated: {msg}"),
+            DetectError::InvalidModel(msg) => write!(f, "inconsistent model: {msg}"),
         }
     }
 }
@@ -378,6 +382,45 @@ impl HotspotDetector {
         // flattening cost inside a timed phase.
         let _ = detector.compiled_set();
         Ok(detector)
+    }
+
+    /// Checks that every kernel, and the feedback kernel, can score the
+    /// vectors it will be given: its `feature_len` holds the five
+    /// nontopological features and equals its SVM's dimension. Training
+    /// always produces such a model; a hand-edited or corrupted model file
+    /// may not, and scanning it would panic in every worker. Scans run
+    /// this check before their first tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectError::InvalidModel`] naming the first inconsistent
+    /// kernel.
+    pub fn validate(&self) -> Result<(), DetectError> {
+        let kernels = self
+            .kernels
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (format!("kernel {i}"), k.feature_len, k.model.dim()));
+        let feedback = self.feedback.iter().map(|f| {
+            (
+                "the feedback kernel".to_string(),
+                f.feature_len,
+                f.model.dim(),
+            )
+        });
+        for (name, feature_len, dim) in kernels.chain(feedback) {
+            if feature_len < 5 {
+                return Err(DetectError::InvalidModel(format!(
+                    "{name} has feature_len {feature_len}, below the 5 nontopological features"
+                )));
+            }
+            if feature_len != dim {
+                return Err(DetectError::InvalidModel(format!(
+                    "{name} has feature_len {feature_len} but its SVM takes {dim} features"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// The compiled inference engine, built on first use.
@@ -983,6 +1026,40 @@ mod tests {
         assert!(s.upsampled_hotspots >= 4);
         assert!(s.hotspot_clusters >= 1);
         assert!(s.balance_ratio() > 0.0);
+    }
+
+    #[test]
+    fn inconsistent_models_are_rejected_before_any_tile() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        det.validate().unwrap();
+        let mut layout = Layout::new("t");
+        for r in hs_rects(70) {
+            layout.add_rect(LayerId::METAL1, r.translate(Point::new(20_000, 20_000)));
+        }
+        let dim = det.kernels()[0].model.dim();
+        let rejects = |bad: HotspotDetector, needle: &str| {
+            let err = bad.validate().unwrap_err();
+            assert!(
+                matches!(&err, DetectError::InvalidModel(m) if m.contains(needle)),
+                "{err}"
+            );
+            let err = bad.detect(&layout, LayerId::METAL1).unwrap_err();
+            assert!(matches!(err, DetectError::InvalidModel(_)), "{err}");
+        };
+
+        let mut short = det.clone();
+        for k in &mut short.kernels {
+            k.feature_len = 3;
+        }
+        rejects(short, "kernel 0 has feature_len 3, below");
+
+        let mut mismatched = det.clone();
+        mismatched.feedback = Some(FeedbackKernel {
+            model: det.kernels()[0].model.clone(),
+            feature_len: dim + 6,
+            extras_seen: 0,
+        });
+        rejects(mismatched, "the feedback kernel has feature_len");
     }
 
     #[test]

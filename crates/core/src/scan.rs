@@ -735,6 +735,8 @@ impl HotspotDetector {
     /// # Errors
     ///
     /// Returns [`DetectError::Config`] for invalid scan settings,
+    /// [`DetectError::InvalidModel`] for a model whose kernels disagree
+    /// with their SVMs ([`validate`](Self::validate)),
     /// [`DetectError::EmptyLayer`] when the layout has no polygons on
     /// `layer`, [`DetectError::ExtentTooLarge`] when the layer's bounding
     /// box needs more than [`MAX_SCAN_TILES`] tiles, [`DetectError::Cache`]
@@ -764,6 +766,7 @@ impl HotspotDetector {
         threshold: f64,
     ) -> Result<ScanReport, DetectError> {
         scan.validate().map_err(DetectError::Config)?;
+        self.validate()?;
         if layout.polygons(layer).is_empty() {
             return Err(DetectError::EmptyLayer(layer));
         }

@@ -3,12 +3,11 @@
 //! Two of the paper's nontopological features (Fig. 7(e)) are the number of
 //! corners (convex plus concave) and the number of touched points of the
 //! pattern inside a clip. Both are properties of the *union* of the
-//! pattern's rectangles, computed here by classifying the four quadrants
-//! around every candidate vertex.
+//! pattern's rectangles, computed here by classifying the four cells
+//! around every vertex of the pattern's compressed grid ([`CoverGrid`]).
 
-use crate::{Point, Rect};
+use crate::{CoverGrid, Rect};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Classification of a single vertex of a rectangle union.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,25 +44,27 @@ impl CornerSummary {
     /// assert_eq!(s.concave, 0);
     /// ```
     pub fn of(rects: &[Rect]) -> CornerSummary {
-        // Corners of the union can appear wherever edges cross, not only at
-        // input-rectangle corners (e.g. the concave corners of a plus shape
-        // formed by two crossing bars), so scan the full grid induced by all
-        // edge coordinates.
-        let mut xs: BTreeSet<i64> = BTreeSet::new();
-        let mut ys: BTreeSet<i64> = BTreeSet::new();
-        for r in rects {
-            if r.is_empty() {
-                continue;
-            }
-            xs.insert(r.min().x);
-            xs.insert(r.max().x);
-            ys.insert(r.min().y);
-            ys.insert(r.max().y);
-        }
+        CornerSummary::of_grid(&CoverGrid::new(None, rects))
+    }
+
+    /// Analyses the union of the rectangles a grid was built from.
+    ///
+    /// Corners of the union can appear wherever edges cross, not only at
+    /// input-rectangle corners (e.g. the concave corners of a plus shape
+    /// formed by two crossing bars), so every grid vertex is classified by
+    /// its four neighbouring cells. A vertex off the rectangles' own edges
+    /// (say on a frame line) has pairwise-equal quadrants and is never a
+    /// corner, so extra grid lines do not change the counts.
+    pub fn of_grid(grid: &CoverGrid) -> CornerSummary {
+        let (nx, ny) = (grid.columns(), grid.rows());
+        // Cells outside the grid are empty; `wrapping_sub` turns index -1
+        // into a value the bounds test rejects.
+        let cell = |i: usize, j: usize| i < nx && j < ny && grid.cell(i, j);
         let mut summary = CornerSummary::default();
-        for &x in &xs {
-            for &y in &ys {
-                match classify_vertex(Point::new(x, y), rects) {
+        for l in 0..=ny {
+            for k in 0..=nx {
+                let (k0, l0) = (k.wrapping_sub(1), l.wrapping_sub(1));
+                match classify(cell(k, l), cell(k0, l), cell(k0, l0), cell(k, l0)) {
                     CornerKind::Convex => summary.convex += 1,
                     CornerKind::Concave => summary.concave += 1,
                     CornerKind::TouchPoint => summary.touch_points += 1,
@@ -80,16 +81,8 @@ impl CornerSummary {
     }
 }
 
-/// Classifies the quadrant occupancy around vertex `p`.
-fn classify_vertex(p: Point, rects: &[Rect]) -> CornerKind {
-    // Quadrant occupancy: does the union cover an infinitesimal square just
-    // off `p` in each diagonal direction? With closed-open rectangles a
-    // quadrant is covered iff some rectangle strictly contains the open
-    // quadrant corner sample.
-    let ne = covers_sample(rects, p.x, p.y);
-    let nw = covers_sample(rects, p.x - 1, p.y);
-    let sw = covers_sample(rects, p.x - 1, p.y - 1);
-    let se = covers_sample(rects, p.x, p.y - 1);
+/// Classifies a vertex by the occupancy of its four quadrants.
+fn classify(ne: bool, nw: bool, sw: bool, se: bool) -> CornerKind {
     match (ne as u8) + (nw as u8) + (sw as u8) + (se as u8) {
         1 => CornerKind::Convex,
         3 => CornerKind::Concave,
@@ -102,11 +95,6 @@ fn classify_vertex(p: Point, rects: &[Rect]) -> CornerKind {
         }
         _ => CornerKind::None,
     }
-}
-
-/// `true` if any rect covers the 1 nm sample cell with bottom-left `(x, y)`.
-fn covers_sample(rects: &[Rect], x: i64, y: i64) -> bool {
-    rects.iter().any(|r| r.contains_point(Point::new(x, y)))
 }
 
 /// Convex plus concave corner count of a rectangle union.

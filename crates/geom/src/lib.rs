@@ -12,7 +12,9 @@
 //! - pixelated [`DensityGrid`]s with the orientation-minimised L1 distance,
 //! - exact integer summed-area tables ([`AreaTable`]) over rect soups,
 //!   the shared-per-tile fast path for density rasterisation ([`RasterMode`]),
-//! - corner/touch analysis used by the nontopological features (Fig. 7(e)),
+//! - the compressed occupancy grid of a rect set ([`CoverGrid`]) and the
+//!   corner/touch analysis over it used by the nontopological features
+//!   (Fig. 7(e)),
 //! - a uniform-grid [`GridIndex`] for sublinear window queries, shared by
 //!   clip extraction and the tiled layout scanner.
 //!
@@ -36,6 +38,7 @@
 
 pub mod boolean;
 mod corner;
+mod cover;
 mod density;
 mod index;
 mod orientation;
@@ -45,6 +48,7 @@ mod rect;
 pub mod sat;
 
 pub use corner::{corner_count, touch_point_count, CornerKind, CornerSummary};
+pub use cover::CoverGrid;
 pub use density::{DensityDistance, DensityGrid};
 pub use index::GridIndex;
 pub use orientation::{Orientation, D8};

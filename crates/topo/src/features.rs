@@ -13,11 +13,22 @@
 //! Five **nontopological** features follow Fig. 7(e): corner count, touch
 //! points, minimum internal distance, minimum external distance, and
 //! polygon density.
+//!
+//! A region is extracted in one pass over one compressed grid of its
+//! rects ([`CoverGrid`]): the two tilings are swept off the grid, each
+//! counting its tiles' block neighbours along its own axis (all that the
+//! `Ch` horizontal and `Cv` vertical edges are read for), the `Ch` diagonal
+//! edges come from prefix-sum queries over the grid ([`mtcg`](crate::mtcg)),
+//! and corners and touch points from its cells. For `n` rects on a grid of
+//! `g` cells this costs `O(n log n + g + t²)` for `t` horizontal tiles,
+//! where building the full MTCG cost `O(t³)`. The grid and tilings live in
+//! per-thread buffers that every extraction reuses.
 
-use crate::mtcg::{diagonal_gap, EdgeKind, Mtcg};
-use crate::tiling::{TileKind, Tiling};
-use hotspot_geom::{CornerSummary, Orientation, Rect};
+use crate::mtcg::{diagonal_gaps, Occupancy};
+use crate::tiling::{TileKind, Tiling, TilingAxis};
+use hotspot_geom::{CornerSummary, CoverGrid, Orientation, Rect};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 
 /// The four topological feature kinds.
@@ -128,98 +139,100 @@ pub struct CriticalFeatures {
     pub density: f64,
 }
 
+/// Reusable buffers of one extraction.
+struct Scratch {
+    grid: CoverGrid,
+    horizontal: Tiling,
+    vertical: Tiling,
+    occupancy: Occupancy,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        grid: CoverGrid::default(),
+        horizontal: Tiling::empty(TilingAxis::Horizontal),
+        vertical: Tiling::empty(TilingAxis::Vertical),
+        occupancy: Occupancy::default(),
+    });
+}
+
 impl CriticalFeatures {
     /// Extracts all features of `rects` within `window`.
     pub fn extract(window: &Rect, rects: &[Rect], config: &FeatureConfig) -> CriticalFeatures {
-        let horizontal = Tiling::horizontal(window, rects);
-        let vertical = Tiling::vertical(window, rects);
-        let ch = Mtcg::build(&horizontal);
-        let cv = Mtcg::build(&vertical);
+        SCRATCH.with(|scratch| {
+            let Scratch {
+                grid,
+                horizontal,
+                vertical,
+                occupancy,
+            } = &mut *scratch.borrow_mut();
+            grid.rebuild(Some(window), rects);
+            horizontal.rebuild(grid, TilingAxis::Horizontal);
+            vertical.rebuild(grid, TilingAxis::Vertical);
+            CriticalFeatures::from_tilings(window, grid, horizontal, vertical, occupancy, config)
+        })
+    }
 
+    fn from_tilings(
+        window: &Rect,
+        grid: &CoverGrid,
+        horizontal: &Tiling,
+        vertical: &Tiling,
+        occupancy: &mut Occupancy,
+        config: &FeatureConfig,
+    ) -> CriticalFeatures {
+        // No tile is longer than the window's longer side, which is also
+        // the value of a minimum over no tiles.
+        let side = window.width().max(window.height());
+        let (mut min_internal, mut min_external) = (side, side);
         let mut rules: Vec<RuleRect> = Vec::new();
+        let mut push = |kind, rect: &Rect| rules.push(RuleRect::from_rect(kind, window, rect));
 
-        // Internal features: block tiles between spaces, from both tilings.
-        for (graph, kind) in [(&ch, EdgeKind::Horizontal), (&cv, EdgeKind::Vertical)] {
-            for idx in graph.blocks_between_spaces(kind) {
-                let tile = &graph.tiles()[idx];
+        // Internal features: block tiles between spaces, and external
+        // features: spaces between exactly two blocks, from both tilings
+        // along their own axes. A block never meets another block along its
+        // tiling's axis, so every block tile is between spaces.
+        let extent_along = [Rect::width, Rect::height];
+        for (tiling, along) in [horizontal, vertical].into_iter().zip(extent_along) {
+            for (i, tile) in tiling.tiles().iter().enumerate() {
+                let kind = match tile.kind {
+                    TileKind::Block => {
+                        min_internal = min_internal.min(along(&tile.rect));
+                        FeatureKind::Internal
+                    }
+                    TileKind::Space if tiling.block_neighbours(i) == 2 => {
+                        min_external = min_external.min(along(&tile.rect));
+                        FeatureKind::External
+                    }
+                    TileKind::Space => continue,
+                };
                 if tile.boundary_edges(window) <= config.max_boundary_edges {
-                    rules.push(RuleRect::from_rect(
-                        FeatureKind::Internal,
-                        window,
-                        &tile.rect,
-                    ));
-                }
-            }
-        }
-
-        // External features: spaces between exactly two blocks.
-        for (graph, kind) in [(&ch, EdgeKind::Horizontal), (&cv, EdgeKind::Vertical)] {
-            for idx in graph.spaces_between_two_blocks(kind) {
-                let tile = &graph.tiles()[idx];
-                if tile.boundary_edges(window) <= config.max_boundary_edges {
-                    rules.push(RuleRect::from_rect(
-                        FeatureKind::External,
-                        window,
-                        &tile.rect,
-                    ));
+                    push(kind, &tile.rect);
                 }
             }
         }
 
         // Diagonal features: corner regions of diagonal edges in the
         // horizontally tiled graph.
-        for e in ch.edges().iter().filter(|e| e.kind == EdgeKind::Diagonal) {
-            let a = &ch.tiles()[e.from];
-            let b = &ch.tiles()[e.to];
-            if let Some(gap) = diagonal_gap(&a.rect, &b.rect) {
-                rules.push(RuleRect::from_rect(FeatureKind::Diagonal, window, &gap));
-            }
-        }
+        diagonal_gaps(horizontal, grid, occupancy, |_, gap| {
+            push(FeatureKind::Diagonal, &gap)
+        });
 
         // Segment features: boundary-hugging space tiles (2–3 boundary
         // edges) from the horizontal tiling.
         for tile in horizontal.tiles_of_kind(TileKind::Space) {
-            let edges = tile.boundary_edges(window);
-            if (2..=3).contains(&edges) {
-                rules.push(RuleRect::from_rect(
-                    FeatureKind::Segment,
-                    window,
-                    &tile.rect,
-                ));
+            if (2..=3).contains(&tile.boundary_edges(window)) {
+                push(FeatureKind::Segment, &tile.rect);
             }
         }
 
-        rules.sort_by_key(|r| (r.kind, r.dx, r.dy, r.width, r.height));
+        // Equal keys mean equal rules: the boundary mark follows from the
+        // offset and size within the window.
+        rules.sort_unstable_by_key(|r| (r.kind, r.dx, r.dy, r.width, r.height));
         rules.dedup();
 
         // Nontopological features.
-        let clipped: Vec<Rect> = rects
-            .iter()
-            .filter_map(|r| r.intersection(window))
-            .collect();
-        let corners = CornerSummary::of(&clipped);
-        let side = window.width().max(window.height());
-        let min_internal = horizontal
-            .tiles_of_kind(TileKind::Block)
-            .map(|t| t.rect.width())
-            .chain(
-                vertical
-                    .tiles_of_kind(TileKind::Block)
-                    .map(|t| t.rect.height()),
-            )
-            .min()
-            .unwrap_or(side);
-        let min_external = ch
-            .spaces_between_two_blocks(EdgeKind::Horizontal)
-            .iter()
-            .map(|&i| ch.tiles()[i].rect.width())
-            .chain(
-                cv.spaces_between_two_blocks(EdgeKind::Vertical)
-                    .iter()
-                    .map(|&i| cv.tiles()[i].rect.height()),
-            )
-            .min()
-            .unwrap_or(side);
+        let corners = CornerSummary::of_grid(grid);
         let block_area: i64 = horizontal
             .tiles_of_kind(TileKind::Block)
             .map(|t| t.rect.area())

@@ -9,8 +9,9 @@
 //!   under the eq. (1) distance with the eq. (2) radius,
 //! - [`tiling`]: horizontal/vertical dissection of a pattern window into
 //!   block and space tiles,
-//! - [`mtcg`]: the **modified transitive closure graph** (Fig. 6) built from
-//!   the tilings by a sweep-line pass,
+//! - [`mtcg`]: the parts of the **modified transitive closure graph**
+//!   (Fig. 6) that critical features read, derived from the tilings and
+//!   their compressed grid,
 //! - [`features`]: **critical feature extraction** — internal, external,
 //!   diagonal, and segment rule rectangles plus the five nontopological
 //!   features (Figs. 7–8),
@@ -36,6 +37,5 @@ pub mod tiling;
 pub use cluster::{Cluster, ClusterParams, DensityClustering};
 pub use dirstring::{DirectionalStrings, TopoSignature};
 pub use features::{CriticalFeatures, FeatureConfig, FeatureKind, RuleRect};
-pub use mtcg::{EdgeKind, Mtcg};
 pub use route::{Admission, CentroidRouter, RouteStats};
 pub use tiling::{Tile, TileKind, Tiling};

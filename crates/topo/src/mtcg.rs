@@ -1,324 +1,232 @@
-//! The modified transitive closure graph (MTCG) of a tiled pattern.
+//! The modified transitive closure graph (MTCG) edges that critical
+//! features read.
 //!
-//! Following Fig. 6 and \[6\], each tiling is converted into two constraint
-//! graphs by a sweep-line pass:
+//! Following Fig. 6 and \[6\], each tiling carries constraint graphs:
 //!
 //! - the **vertical constraint graph** `Cv`: a directed edge runs from a
 //!   tile to any tile directly above it whose x-projection overlaps,
 //! - the **horizontal constraint graph** `Ch`: a directed edge runs from a
 //!   tile to any tile directly to its right whose y-projection overlaps,
 //! - **diagonal edges** (only in the horizontally tiled `Ch`): between two
-//!   same-kind tiles meeting at exactly one corner with an empty corner
-//!   region between them.
+//!   same-kind tiles whose projections overlap on neither axis, with no
+//!   same-kind tile inside the corner region between them.
+//!
+//! Critical feature extraction reads three parts of these graphs, so only
+//! those are built:
+//!
+//! - `Ch`'s horizontal edges on the horizontal tiling and `Cv`'s vertical
+//!   edges on the vertical tiling. Features only ask how many block tiles a
+//!   tile meets along the tiling's own axis, and the tiling sweep counts
+//!   that per tile ([`Tiling::block_neighbours`]).
+//! - `Ch`'s diagonal edges, found here. Every same-kind pair of horizontal
+//!   tiles with disjoint projections is a candidate, and its corner region
+//!   is tested against all same-kind tiles at once by a prefix-sum query
+//!   over the doubled grid ([`CoverGrid`]): `O(1)` per pair instead of a
+//!   scan over all tiles.
+//!
+//! The corner region of a corner-touching or edge-aligned pair is
+//! degenerate (zero width or height). The blocking test keeps
+//! [`Rect::overlaps`](hotspot_geom::Rect::overlaps)' strict semantics for
+//! it: a zero-width region is blocked only by a same-kind tile straddling
+//! its line, and a point region never is.
 
-use crate::tiling::{Tile, TileKind, Tiling};
-use serde::{Deserialize, Serialize};
+use crate::tiling::{Span, TileKind, Tiling};
+use hotspot_geom::{CoverGrid, Rect};
 
-/// Kind of MTCG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EdgeKind {
-    /// `Cv`: source is directly below target.
-    Vertical,
-    /// `Ch`: source is directly left of target.
-    Horizontal,
-    /// Diagonal corner adjacency between same-kind tiles.
-    Diagonal,
-}
-
-/// A directed MTCG edge between tile indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Edge {
-    /// Source tile index.
-    pub from: usize,
-    /// Target tile index.
-    pub to: usize,
-    /// Constraint kind.
-    pub kind: EdgeKind,
-}
-
-/// The constraint graphs over one tiling.
-///
-/// ```
-/// use hotspot_geom::Rect;
-/// use hotspot_topo::{Mtcg, Tiling};
-///
-/// let window = Rect::from_extents(0, 0, 100, 100);
-/// let rects = [Rect::from_extents(40, 40, 60, 60)];
-/// let tiling = Tiling::horizontal(&window, &rects);
-/// let g = Mtcg::build(&tiling);
-/// assert!(g.edge_count() > 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mtcg {
-    tiles: Vec<Tile>,
-    edges: Vec<Edge>,
-    out_adj: Vec<Vec<usize>>, // edge indices by source
-    in_adj: Vec<Vec<usize>>,  // edge indices by target
-}
-
-impl Mtcg {
-    /// Builds the constraint graphs for a tiling by a sweep over tile
-    /// boundaries. Diagonal edges are added for corner-touching same-kind
-    /// tile pairs with an empty corner region (the adjacency condition of
-    /// Section III-C).
-    pub fn build(tiling: &Tiling) -> Mtcg {
-        let tiles = tiling.tiles().to_vec();
-        let n = tiles.len();
-        let mut edges = Vec::new();
-
-        // Sweep by sorting: for each pair sharing a boundary, add Cv/Ch.
-        // Tile counts per clip are small (tens), so the quadratic pair scan
-        // is cheaper than a full scanline event queue and easier to verify.
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (a, b) = (&tiles[i].rect, &tiles[j].rect);
-                // Vertical: a directly below b.
-                if a.max().y == b.min().y && overlaps_1d(a.min().x, a.max().x, b.min().x, b.max().x)
-                {
-                    edges.push(Edge {
-                        from: i,
-                        to: j,
-                        kind: EdgeKind::Vertical,
-                    });
-                }
-                // Horizontal: a directly left of b.
-                if a.max().x == b.min().x && overlaps_1d(a.min().y, a.max().y, b.min().y, b.max().y)
-                {
-                    edges.push(Edge {
-                        from: i,
-                        to: j,
-                        kind: EdgeKind::Horizontal,
-                    });
-                }
-            }
-        }
-
-        // Diagonal edges between same-kind tiles whose projections overlap
-        // on neither axis, provided no same-kind tile lies inside the corner
-        // region between their facing corners (the adjacency condition of
-        // Section III-C). Corner-touching tiles have a degenerate (empty)
-        // corner region and always qualify.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if tiles[i].kind != tiles[j].kind {
-                    continue;
-                }
-                let Some(gap) = diagonal_gap(&tiles[i].rect, &tiles[j].rect) else {
+/// Calls `emit` with the tile kind and the corner region of every diagonal
+/// edge of the horizontal tiling's `Ch`, in no particular order.
+/// `occupancy` holds reusable buffers.
+pub(crate) fn diagonal_gaps(
+    horizontal: &Tiling,
+    grid: &CoverGrid,
+    occupancy: &mut Occupancy,
+    mut emit: impl FnMut(TileKind, Rect),
+) {
+    let (xs, ys) = (grid.xs(), grid.ys());
+    let spans = horizontal.spans();
+    let mut built = false;
+    for kind in [TileKind::Block, TileKind::Space] {
+        let mut same_kind = std::mem::take(&mut occupancy.same_kind);
+        same_kind.clear();
+        same_kind.extend(spans.iter().filter(|s| s.kind == kind));
+        // Tiles come ordered by first band, so the partners of `a` above
+        // it — the only ones whose y-projection can clear a's — form a
+        // suffix.
+        for (i, a) in same_kind.iter().enumerate() {
+            let above = &same_kind[i + 1..];
+            let first = above.partition_point(|b| b.b0 < a.b1);
+            for b in &above[first..] {
+                let Some((x0, x1)) = gap_1d(a.lo, a.hi, b.lo, b.hi) else {
                     continue;
                 };
-                let blocked = tiles.iter().enumerate().any(|(k, t)| {
-                    k != i && k != j && t.kind == tiles[i].kind && t.rect.overlaps(&gap)
-                });
-                if !blocked {
-                    edges.push(Edge {
-                        from: i,
-                        to: j,
-                        kind: EdgeKind::Diagonal,
-                    });
+                let (y0, y1) = (a.b1, b.b0);
+                if !built {
+                    occupancy.build(spans, grid.columns(), grid.rows());
+                    built = true;
+                }
+                if !occupancy.blocked(kind, (x0, x1), (y0, y1)) {
+                    emit(kind, Rect::from_extents(xs[x0], ys[y0], xs[x1], ys[y1]));
                 }
             }
         }
-
-        let mut out_adj = vec![Vec::new(); n];
-        let mut in_adj = vec![Vec::new(); n];
-        for (e_idx, e) in edges.iter().enumerate() {
-            out_adj[e.from].push(e_idx);
-            in_adj[e.to].push(e_idx);
-        }
-        Mtcg {
-            tiles,
-            edges,
-            out_adj,
-            in_adj,
-        }
-    }
-
-    /// The graph's tiles (indices match edge endpoints).
-    pub fn tiles(&self) -> &[Tile] {
-        &self.tiles
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Total edge count.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Outgoing neighbours of tile `i` restricted to `kind` edges.
-    pub fn out_neighbors(&self, i: usize, kind: EdgeKind) -> impl Iterator<Item = usize> + '_ {
-        self.out_adj[i]
-            .iter()
-            .map(move |&e| &self.edges[e])
-            .filter(move |e| e.kind == kind)
-            .map(|e| e.to)
-    }
-
-    /// Incoming neighbours of tile `i` restricted to `kind` edges.
-    pub fn in_neighbors(&self, i: usize, kind: EdgeKind) -> impl Iterator<Item = usize> + '_ {
-        self.in_adj[i]
-            .iter()
-            .map(move |&e| &self.edges[e])
-            .filter(move |e| e.kind == kind)
-            .map(|e| e.from)
-    }
-
-    /// Indices of block tiles whose horizontal (or vertical) neighbours are
-    /// all space tiles — the extraction predicate for internal features.
-    pub fn blocks_between_spaces(&self, kind: EdgeKind) -> Vec<usize> {
-        (0..self.tiles.len())
-            .filter(|&i| self.tiles[i].kind == TileKind::Block)
-            .filter(|&i| {
-                // All neighbours along `kind` edges must be space tiles
-                // (vacuously true for an unconnected block).
-                self.out_neighbors(i, kind)
-                    .chain(self.in_neighbors(i, kind))
-                    .all(|n| self.tiles[n].kind == TileKind::Space)
-            })
-            .collect()
-    }
-
-    /// Indices of space tiles lying between exactly two block tiles along
-    /// `kind` edges — the extraction predicate for external features.
-    pub fn spaces_between_two_blocks(&self, kind: EdgeKind) -> Vec<usize> {
-        (0..self.tiles.len())
-            .filter(|&i| self.tiles[i].kind == TileKind::Space)
-            .filter(|&i| {
-                let blocks = self
-                    .out_neighbors(i, kind)
-                    .chain(self.in_neighbors(i, kind))
-                    .filter(|&n| self.tiles[n].kind == TileKind::Block)
-                    .count();
-                blocks == 2
-            })
-            .collect()
+        occupancy.same_kind = same_kind;
     }
 }
 
-fn overlaps_1d(a0: i64, a1: i64, b0: i64, b1: i64) -> bool {
-    a0 < b1 && b0 < a1
+/// The gap between two disjoint (or touching) extents, `None` when they
+/// overlap.
+fn gap_1d(a0: usize, a1: usize, b0: usize, b1: usize) -> Option<(usize, usize)> {
+    if a1 <= b0 {
+        Some((a1, b0))
+    } else if b1 <= a0 {
+        Some((b1, a0))
+    } else {
+        None
+    }
 }
 
-/// The corner region between two diagonally separated rectangles: the
-/// (possibly degenerate) rectangle spanning their facing convex corners.
-/// `None` when the rectangles overlap on either axis.
-pub fn diagonal_gap(a: &hotspot_geom::Rect, b: &hotspot_geom::Rect) -> Option<hotspot_geom::Rect> {
-    use hotspot_geom::Rect;
-    // Determine relative placement on each axis (disjoint or touching).
-    let (x0, x1) = if a.max().x <= b.min().x {
-        (a.max().x, b.min().x)
-    } else if b.max().x <= a.min().x {
-        (b.max().x, a.min().x)
+/// The doubled positions of extent `lo..hi` in grid-line indices: the
+/// open spans and interior lines, or the one line of a zero extent (see
+/// [`CoverGrid`]). Two extents strictly overlap iff these intersect,
+/// unless both are the same zero extent.
+fn doubled((lo, hi): (usize, usize)) -> (usize, usize) {
+    if lo < hi {
+        (2 * lo + 1, 2 * hi - 1)
     } else {
-        return None;
-    };
-    let (y0, y1) = if a.max().y <= b.min().y {
-        (a.max().y, b.min().y)
-    } else if b.max().y <= a.min().y {
-        (b.max().y, a.min().y)
-    } else {
-        return None;
-    };
-    Some(Rect::from_extents(x0, y0, x1, y1))
+        (2 * lo, 2 * lo)
+    }
+}
+
+/// Summed-area tables over the doubled grid of a horizontal tiling: how
+/// many tiles of a kind have an interior meeting a doubled rectangle, in
+/// `O(1)`.
+///
+/// Block and space counts share one `u64` table, blocks in the low and
+/// spaces in the high 32 bits: each field's sums stay below `2^32` (they
+/// count grid positions), so wrapping sums and differences of packed
+/// values keep the fields apart. Zero-width blocks, which most regions lack,
+/// get a table of their own only when present.
+#[derive(Debug, Default)]
+pub(crate) struct Occupancy {
+    stride: usize,
+    tiles: Vec<u64>,
+    zero_width: Vec<u64>,
+    /// The tiles of one kind, for [`diagonal_gaps`].
+    same_kind: Vec<Span>,
+}
+
+const BLOCK_UNIT: u64 = 1;
+const SPACE_UNIT: u64 = 1 << 32;
+
+impl Occupancy {
+    fn build(&mut self, spans: &[Span], columns: usize, rows: usize) {
+        // Position (X, Y) of the doubled grid lives at (X + 1, Y + 1); row
+        // and column 0 stay zero, so the summed areas are exclusive.
+        self.stride = 2 * columns + 2;
+        let len = self.stride * (2 * rows + 2);
+        self.tiles.clear();
+        self.tiles.resize(len, 0);
+        self.zero_width.clear();
+        // Tile interiors are disjoint, so marking each one costs the grid
+        // size in all.
+        for s in spans {
+            let (table, unit) = match s.kind {
+                TileKind::Space => (&mut self.tiles, SPACE_UNIT),
+                TileKind::Block if s.lo < s.hi => (&mut self.tiles, BLOCK_UNIT),
+                TileKind::Block => {
+                    self.zero_width.resize(len, 0);
+                    (&mut self.zero_width, BLOCK_UNIT)
+                }
+            };
+            let (x0, x1) = doubled((s.lo, s.hi));
+            let (y0, y1) = doubled((s.b0, s.b1));
+            for y in y0..=y1 {
+                let row = (y + 1) * self.stride;
+                table[row + x0 + 1..=row + x1 + 1].fill(unit);
+            }
+        }
+        for table in [&mut self.tiles, &mut self.zero_width] {
+            summed_areas(table, self.stride);
+        }
+    }
+
+    /// The summed marks of `table` over the inclusive doubled rectangle
+    /// `x0..=x1` × `y0..=y1`.
+    fn sum(&self, table: &[u64], (x0, x1): (usize, usize), (y0, y1): (usize, usize)) -> u64 {
+        let at = |x: usize, y: usize| table[y * self.stride + x];
+        at(x1 + 1, y1 + 1)
+            .wrapping_sub(at(x0, y1 + 1))
+            .wrapping_sub(at(x1 + 1, y0))
+            .wrapping_add(at(x0, y0))
+    }
+
+    /// Whether a `kind` tile strictly overlaps ([`Rect::overlaps`]) the
+    /// region spanning grid lines `x` × `y`.
+    fn blocked(&self, kind: TileKind, x: (usize, usize), y: (usize, usize)) -> bool {
+        let (dx, dy) = (doubled(x), doubled(y));
+        let tiles = self.sum(&self.tiles, dx, dy);
+        match kind {
+            TileKind::Space => tiles >> 32 != 0,
+            // A zero-width block does not strictly overlap a zero-width
+            // region on its own line, though their doubled positions meet.
+            TileKind::Block => {
+                tiles & (SPACE_UNIT - 1) != 0
+                    || (x.0 < x.1
+                        && !self.zero_width.is_empty()
+                        && self.sum(&self.zero_width, dx, dy) != 0)
+            }
+        }
+    }
+}
+
+/// Turns per-position marks into exclusive summed areas, in place.
+fn summed_areas(table: &mut [u64], stride: usize) {
+    for row in table.chunks_exact_mut(stride) {
+        for x in 1..row.len() {
+            row[x] = row[x].wrapping_add(row[x - 1]);
+        }
+    }
+    for i in stride..table.len() {
+        table[i] = table[i].wrapping_add(table[i - stride]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotspot_geom::Rect;
 
     fn window() -> Rect {
         Rect::from_extents(0, 0, 100, 100)
     }
 
-    #[test]
-    fn centered_block_has_vertical_and_horizontal_edges() {
-        let tiling = Tiling::horizontal(&window(), &[Rect::from_extents(40, 40, 60, 60)]);
-        let g = Mtcg::build(&tiling);
-        let block = g
-            .tiles()
-            .iter()
-            .position(|t| t.kind == TileKind::Block)
-            .unwrap();
-        // The block sees space below/above (Cv) and left/right (Ch).
-        assert_eq!(
-            g.out_neighbors(block, EdgeKind::Vertical).count()
-                + g.in_neighbors(block, EdgeKind::Vertical).count(),
-            2
-        );
-        assert_eq!(
-            g.out_neighbors(block, EdgeKind::Horizontal).count()
-                + g.in_neighbors(block, EdgeKind::Horizontal).count(),
-            2
-        );
-    }
-
-    #[test]
-    fn vertical_edges_point_upward() {
-        let tiling = Tiling::horizontal(&window(), &[Rect::from_extents(0, 0, 100, 50)]);
-        let g = Mtcg::build(&tiling);
-        for e in g.edges() {
-            if e.kind == EdgeKind::Vertical {
-                assert!(
-                    g.tiles()[e.from].rect.max().y == g.tiles()[e.to].rect.min().y,
-                    "vertical edge must go bottom to top"
-                );
+    fn block_gaps(rects: &[Rect]) -> Vec<Rect> {
+        let grid = CoverGrid::new(Some(&window()), rects);
+        let tiling = Tiling::horizontal(&window(), rects);
+        let mut gaps = Vec::new();
+        diagonal_gaps(&tiling, &grid, &mut Occupancy::default(), |kind, g| {
+            if kind == TileKind::Block {
+                gaps.push(g);
             }
-        }
-        // Exactly one vertical edge: block below space.
-        assert_eq!(
-            g.edges()
-                .iter()
-                .filter(|e| e.kind == EdgeKind::Vertical)
-                .count(),
-            1
-        );
+        });
+        gaps
     }
 
     #[test]
-    fn diagonal_edge_between_corner_touching_blocks() {
+    fn corner_touching_blocks_have_a_point_gap() {
         let rects = [
             Rect::from_extents(0, 0, 40, 40),
             Rect::from_extents(40, 40, 80, 80),
         ];
-        let tiling = Tiling::horizontal(&window(), &rects);
-        let g = Mtcg::build(&tiling);
-        let diag: Vec<_> = g
-            .edges()
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Diagonal)
-            .filter(|e| {
-                g.tiles()[e.from].kind == TileKind::Block && g.tiles()[e.to].kind == TileKind::Block
-            })
-            .collect();
-        assert_eq!(diag.len(), 1, "one block-block diagonal expected");
+        assert_eq!(block_gaps(&rects), vec![Rect::from_extents(40, 40, 40, 40)]);
     }
 
     #[test]
     fn separated_blocks_with_empty_corner_are_diagonal() {
-        // Per Section III-C, blocks with disjoint projections on both axes
-        // and an empty corner region are diagonally adjacent.
         let rects = [
             Rect::from_extents(0, 0, 20, 20),
             Rect::from_extents(60, 60, 90, 90),
         ];
-        let tiling = Tiling::horizontal(&window(), &rects);
-        let g = Mtcg::build(&tiling);
-        assert_eq!(
-            g.edges()
-                .iter()
-                .filter(
-                    |e| e.kind == EdgeKind::Diagonal && g.tiles()[e.from].kind == TileKind::Block
-                )
-                .count(),
-            1
-        );
+        assert_eq!(block_gaps(&rects), vec![Rect::from_extents(20, 20, 60, 60)]);
     }
 
     #[test]
@@ -326,95 +234,36 @@ mod tests {
         let rects = [
             Rect::from_extents(0, 0, 20, 20),
             Rect::from_extents(60, 60, 90, 90),
-            Rect::from_extents(30, 30, 50, 50), // sits in the corner region
+            Rect::from_extents(30, 30, 50, 50),
         ];
-        let tiling = Tiling::horizontal(&window(), &rects);
-        let g = Mtcg::build(&tiling);
-        let block_diags: Vec<_> = g
-            .edges()
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Diagonal && g.tiles()[e.from].kind == TileKind::Block)
-            .collect();
+        let gaps = block_gaps(&rects);
         // Corner-to-middle pairs remain adjacent; the outer pair does not.
-        let (lo, hi) = (
-            Rect::from_extents(0, 0, 20, 20),
-            Rect::from_extents(60, 60, 90, 90),
-        );
-        for e in &block_diags {
-            let (a, b) = (g.tiles()[e.from].rect, g.tiles()[e.to].rect);
-            let outer = (a == lo && b == hi) || (a == hi && b == lo);
-            assert!(!outer, "outer pair must be blocked by the middle tile");
-        }
-        assert_eq!(block_diags.len(), 2);
+        assert!(!gaps.contains(&Rect::from_extents(20, 20, 60, 60)));
+        assert!(gaps.contains(&Rect::from_extents(20, 20, 30, 30)));
+        assert!(gaps.contains(&Rect::from_extents(50, 50, 60, 60)));
     }
 
     #[test]
-    fn diagonal_gap_geometry() {
-        use super::diagonal_gap;
-        let a = Rect::from_extents(0, 0, 10, 10);
-        let b = Rect::from_extents(30, 40, 50, 60);
-        assert_eq!(
-            diagonal_gap(&a, &b),
-            Some(Rect::from_extents(10, 10, 30, 40))
-        );
-        assert_eq!(
-            diagonal_gap(&b, &a),
-            Some(Rect::from_extents(10, 10, 30, 40))
-        );
-        // Overlapping x-projections: no diagonal relation.
-        let c = Rect::from_extents(5, 40, 50, 60);
-        assert_eq!(diagonal_gap(&a, &c), None);
-    }
-
-    #[test]
-    fn blocks_between_spaces_finds_isolated_block() {
-        let tiling = Tiling::horizontal(&window(), &[Rect::from_extents(40, 40, 60, 60)]);
-        let g = Mtcg::build(&tiling);
-        let found = g.blocks_between_spaces(EdgeKind::Horizontal);
-        assert_eq!(found.len(), 1);
-        assert_eq!(g.tiles()[found[0]].kind, TileKind::Block);
-    }
-
-    #[test]
-    fn spaces_between_two_blocks_finds_gap() {
-        // Two bars with a gap between them.
-        let rects = [
-            Rect::from_extents(0, 40, 40, 60),
-            Rect::from_extents(60, 40, 100, 60),
+    fn straddling_block_blocks_a_zero_width_gap() {
+        // The two small blocks share the line x = 40; the bar across it
+        // lies inside their zero-width corner region.
+        let lone = [
+            Rect::from_extents(20, 0, 40, 10),
+            Rect::from_extents(40, 80, 60, 90),
         ];
-        let tiling = Tiling::horizontal(&window(), &rects);
-        let g = Mtcg::build(&tiling);
-        let gaps = g.spaces_between_two_blocks(EdgeKind::Horizontal);
-        assert_eq!(gaps.len(), 1);
-        let gap = g.tiles()[gaps[0]].rect;
-        assert_eq!(gap, Rect::from_extents(40, 40, 60, 60));
+        assert!(block_gaps(&lone).contains(&Rect::from_extents(40, 10, 40, 80)));
+        let crossed = [lone[0], lone[1], Rect::from_extents(30, 40, 50, 50)];
+        assert!(!block_gaps(&crossed).contains(&Rect::from_extents(40, 10, 40, 80)));
+        // A zero-width block on the same line does not block it.
+        let on_line = [lone[0], lone[1], Rect::from_extents(40, 40, 40, 50)];
+        assert!(block_gaps(&on_line).contains(&Rect::from_extents(40, 10, 40, 80)));
     }
 
     #[test]
-    fn empty_tiling_has_no_edges() {
-        let tiling = Tiling::horizontal(&window(), &[]);
-        let g = Mtcg::build(&tiling);
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.tiles().len(), 1);
-    }
-
-    #[test]
-    fn adjacency_lists_match_edges() {
-        let rects = [
-            Rect::from_extents(0, 0, 30, 100),
-            Rect::from_extents(60, 20, 90, 70),
-        ];
-        let tiling = Tiling::horizontal(&window(), &rects);
-        let g = Mtcg::build(&tiling);
-        for (i, _) in g.tiles().iter().enumerate() {
-            for kind in [EdgeKind::Vertical, EdgeKind::Horizontal, EdgeKind::Diagonal] {
-                for n in g.out_neighbors(i, kind) {
-                    assert!(g
-                        .edges()
-                        .iter()
-                        .any(|e| e.from == i && e.to == n && e.kind == kind));
-                }
-            }
-        }
+    fn gap_geometry() {
+        assert_eq!(gap_1d(0, 1, 3, 4), Some((1, 3)));
+        assert_eq!(gap_1d(3, 4, 0, 1), Some((1, 3)));
+        assert_eq!(gap_1d(0, 2, 2, 4), Some((2, 2)));
+        assert_eq!(gap_1d(0, 3, 2, 4), None);
     }
 }

@@ -4,8 +4,15 @@
 //! cut into *block* tiles (covered by polygons) and *space* tiles. The
 //! horizontal tiling cuts at every horizontal polygon edge, producing
 //! horizontally maximal tiles; the vertical tiling is its transpose.
+//!
+//! Both are read off one compressed grid ([`CoverGrid`]) by a sweep over
+//! its bands: each band's cells split into alternating runs, a run extends
+//! the tile of the band below when that tile has the same extent and kind,
+//! and the sweep counts each tile's block neighbours along its axis on the
+//! way (the `Ch` or `Cv` edges critical features read, see
+//! [`mtcg`](crate::mtcg)). Everything is linear in the grid's cell count.
 
-use hotspot_geom::{Coord, Rect};
+use hotspot_geom::{CoverGrid, Rect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -80,32 +87,172 @@ pub enum TilingAxis {
 /// let area: i64 = t.tiles().iter().map(|t| t.rect.area()).sum();
 /// assert_eq!(area, window.area());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tiling {
     window: Rect,
     axis: TilingAxis,
     tiles: Vec<Tile>,
+    spans: Vec<Span>,
+    block_neighbours: Vec<u32>,
+}
+
+/// A tile's extent in grid-line indices of its tiling's sweep: `lo..hi`
+/// along the tiling's maximal direction (x for the horizontal tiling), and
+/// `b0..b1` across the bands. A zero-width block has `lo == hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub lo: usize,
+    pub hi: usize,
+    pub b0: usize,
+    pub b1: usize,
+    pub kind: TileKind,
 }
 
 impl Tiling {
     /// Horizontally tiles `window` around the given polygon rectangles
     /// (clipped to the window).
     pub fn horizontal(window: &Rect, rects: &[Rect]) -> Tiling {
-        let tiles = tile_bands(window, rects, false);
-        Tiling {
-            window: *window,
-            axis: TilingAxis::Horizontal,
-            tiles,
-        }
+        Tiling::of(&CoverGrid::new(Some(window), rects), TilingAxis::Horizontal)
     }
 
     /// Vertically tiles `window` (the transpose construction).
     pub fn vertical(window: &Rect, rects: &[Rect]) -> Tiling {
-        let tiles = tile_bands(window, rects, true);
+        Tiling::of(&CoverGrid::new(Some(window), rects), TilingAxis::Vertical)
+    }
+
+    fn of(grid: &CoverGrid, axis: TilingAxis) -> Tiling {
+        let mut tiling = Tiling::empty(axis);
+        tiling.rebuild(grid, axis);
+        tiling
+    }
+
+    /// A tiling with no tiles, whose buffers [`rebuild`](Self::rebuild)
+    /// fills.
+    pub(crate) fn empty(axis: TilingAxis) -> Tiling {
         Tiling {
-            window: *window,
-            axis: TilingAxis::Vertical,
-            tiles,
+            window: Rect::default(),
+            axis,
+            tiles: Vec::new(),
+            spans: Vec::new(),
+            block_neighbours: Vec::new(),
+        }
+    }
+
+    /// Tiles the extent of `grid` (its frame, for a framed grid) along
+    /// `axis`, reusing this tiling's buffers.
+    pub(crate) fn rebuild(&mut self, grid: &CoverGrid, axis: TilingAxis) {
+        self.axis = axis;
+        self.tiles.clear();
+        self.spans.clear();
+        self.block_neighbours.clear();
+        let (xs, ys) = (grid.xs(), grid.ys());
+        let (Some((&x0, &x1)), Some((&y0, &y1))) =
+            (xs.first().zip(xs.last()), ys.first().zip(ys.last()))
+        else {
+            self.window = Rect::default();
+            return;
+        };
+        self.window = Rect::from_extents(x0, y0, x1, y1);
+        match axis {
+            TilingAxis::Horizontal => {
+                self.sweep(grid.columns(), grid.rows(), |a, b| grid.covers(a, b));
+                self.tiles.extend(self.spans.iter().map(|s| Tile {
+                    rect: Rect::from_extents(xs[s.lo], ys[s.b0], xs[s.hi], ys[s.b1]),
+                    kind: s.kind,
+                }));
+            }
+            TilingAxis::Vertical => {
+                self.sweep(grid.rows(), grid.columns(), |a, b| grid.covers(b, a));
+                self.tiles.extend(self.spans.iter().map(|s| Tile {
+                    rect: Rect::from_extents(xs[s.b0], ys[s.lo], xs[s.b1], ys[s.hi]),
+                    kind: s.kind,
+                }));
+            }
+        }
+    }
+
+    /// The band sweep over `bands` bands of `cells` cells each, with
+    /// `covers(a, b)` the grid's doubled coverage at position `a` along a
+    /// band and `b` across the bands.
+    ///
+    /// A band's tiles are its maximal runs of covered (block) and empty
+    /// (space) cells, plus a zero-width block wherever a zero-width rect
+    /// crosses the band between two empty cells: the union of touching
+    /// x-intervals that the per-band construction of the tiling produces.
+    /// A run continues the previous band's tile of the same extent and
+    /// kind, so tiles come out maximal across bands and ordered by
+    /// `(b0, lo)`.
+    ///
+    /// Two tiles of one band that meet along the band are neighbours in the
+    /// constraint graph along this axis; the pair is counted once, at the
+    /// first band both tiles span. Two blocks never meet in a band (their
+    /// runs would have merged), so only space tiles gain block neighbours.
+    fn sweep(&mut self, cells: usize, bands: usize, covers: impl Fn(usize, usize) -> bool) {
+        // A band's runs `(lo, hi, kind)`, then with their tile ids.
+        let mut runs: Vec<(usize, usize, TileKind)> = Vec::new();
+        let mut below: Vec<(usize, usize, TileKind, usize)> = Vec::new();
+        let mut band: Vec<(usize, usize, TileKind, usize)> = Vec::new();
+        for j in 0..bands {
+            let b = 2 * j + 1;
+            let cell = |i: usize| covers(2 * i + 1, b);
+            let zero_width_block = |k: usize| covers(2 * k, b) && !cell(k - 1) && !cell(k);
+            runs.clear();
+            let mut i = 0;
+            while i < cells {
+                let (start, covered) = (i, cell(i));
+                i += 1;
+                while i < cells && cell(i) == covered && (covered || !zero_width_block(i)) {
+                    i += 1;
+                }
+                if covered {
+                    runs.push((start, i, TileKind::Block));
+                } else {
+                    runs.push((start, i, TileKind::Space));
+                    if i < cells && zero_width_block(i) {
+                        runs.push((i, i, TileKind::Block));
+                    }
+                }
+            }
+
+            // Runs and the tiles below are both ordered by extent.
+            band.clear();
+            let mut k = 0;
+            for &(lo, hi, kind) in &runs {
+                while below.get(k).is_some_and(|&(l, h, _, _)| (l, h) < (lo, hi)) {
+                    k += 1;
+                }
+                let id = match below.get(k) {
+                    Some(&(l, h, kd, id)) if (l, h, kd) == (lo, hi, kind) => {
+                        self.spans[id].b1 = j + 1;
+                        id
+                    }
+                    _ => {
+                        self.spans.push(Span {
+                            lo,
+                            hi,
+                            b0: j,
+                            b1: j + 1,
+                            kind,
+                        });
+                        self.block_neighbours.push(0);
+                        self.spans.len() - 1
+                    }
+                };
+                band.push((lo, hi, kind, id));
+            }
+
+            for pair in band.windows(2) {
+                let (u, v) = (pair[0].3, pair[1].3);
+                if j == self.spans[u].b0.max(self.spans[v].b0) {
+                    if self.spans[u].kind == TileKind::Block {
+                        self.block_neighbours[v] += 1;
+                    }
+                    if self.spans[v].kind == TileKind::Block {
+                        self.block_neighbours[u] += 1;
+                    }
+                }
+            }
+            std::mem::swap(&mut below, &mut band);
         }
     }
 
@@ -128,121 +275,18 @@ impl Tiling {
     pub fn tiles_of_kind(&self, kind: TileKind) -> impl Iterator<Item = &Tile> {
         self.tiles.iter().filter(move |t| t.kind == kind)
     }
-}
 
-/// Tiles the window band by band. With `transpose = true`, the roles of the
-/// axes swap (vertical tiling).
-fn tile_bands(window: &Rect, rects: &[Rect], transpose: bool) -> Vec<Tile> {
-    let (win, clipped): (Rect, Vec<Rect>) = {
-        let clipped: Vec<Rect> = rects
-            .iter()
-            .filter_map(|r| r.intersection(window))
-            .collect();
-        if transpose {
-            (
-                transpose_rect(window),
-                clipped.iter().map(transpose_rect).collect(),
-            )
-        } else {
-            (*window, clipped)
-        }
-    };
-
-    // Band boundaries at every horizontal edge.
-    let mut ys: Vec<Coord> = vec![win.min().y, win.max().y];
-    for r in &clipped {
-        ys.push(r.min().y);
-        ys.push(r.max().y);
-    }
-    ys.sort_unstable();
-    ys.dedup();
-
-    let mut tiles: Vec<Tile> = Vec::new();
-    for band in ys.windows(2) {
-        let (y0, y1) = (band[0], band[1]);
-        if y0 >= y1 {
-            continue;
-        }
-        // Covered x-intervals within this band (union of rect projections).
-        let mut xs: Vec<(Coord, Coord)> = clipped
-            .iter()
-            .filter(|r| r.min().y <= y0 && r.max().y >= y1)
-            .map(|r| (r.min().x, r.max().x))
-            .collect();
-        xs.sort_unstable();
-        let mut merged: Vec<(Coord, Coord)> = Vec::new();
-        for (a, b) in xs {
-            if let Some(last) = merged.last_mut() {
-                if a <= last.1 {
-                    last.1 = last.1.max(b);
-                    continue;
-                }
-            }
-            merged.push((a, b));
-        }
-        // Emit alternating space/block tiles across the band.
-        let mut cursor = win.min().x;
-        for (a, b) in &merged {
-            if *a > cursor {
-                tiles.push(Tile {
-                    rect: Rect::from_extents(cursor, y0, *a, y1),
-                    kind: TileKind::Space,
-                });
-            }
-            tiles.push(Tile {
-                rect: Rect::from_extents(*a, y0, *b, y1),
-                kind: TileKind::Block,
-            });
-            cursor = *b;
-        }
-        if cursor < win.max().x {
-            tiles.push(Tile {
-                rect: Rect::from_extents(cursor, y0, win.max().x, y1),
-                kind: TileKind::Space,
-            });
-        }
+    /// Number of block tiles that tile `i` meets along the tiling's axis:
+    /// its block neighbours in `Ch` for the horizontal tiling, in `Cv` for
+    /// the vertical one. Always 0 for a block tile.
+    pub fn block_neighbours(&self, i: usize) -> usize {
+        self.block_neighbours[i] as usize
     }
 
-    // Merge vertically adjacent tiles with identical x-range and kind, so
-    // tiles are maximal in the band direction.
-    let merged = merge_band_runs(tiles);
-
-    if transpose {
-        merged
-            .into_iter()
-            .map(|t| Tile {
-                rect: transpose_rect(&t.rect),
-                kind: t.kind,
-            })
-            .collect()
-    } else {
-        merged
+    /// Tile extents in grid-line indices, parallel to [`tiles`](Self::tiles).
+    pub(crate) fn spans(&self) -> &[Span] {
+        &self.spans
     }
-}
-
-fn transpose_rect(r: &Rect) -> Rect {
-    Rect::new(r.min().transpose(), r.max().transpose())
-}
-
-fn merge_band_runs(mut tiles: Vec<Tile>) -> Vec<Tile> {
-    tiles.sort_by_key(|t| (t.rect.min().x, t.rect.max().x, t.rect.min().y));
-    let mut out: Vec<Tile> = Vec::with_capacity(tiles.len());
-    for t in tiles {
-        if let Some(last) = out.last_mut() {
-            if last.kind == t.kind
-                && last.rect.min().x == t.rect.min().x
-                && last.rect.max().x == t.rect.max().x
-                && last.rect.max().y == t.rect.min().y
-            {
-                last.rect = Rect::new(last.rect.min(), t.rect.max());
-                continue;
-            }
-        }
-        out.push(t);
-    }
-    // Restore reading order: bottom-to-top, then left-to-right.
-    out.sort_by_key(|t| (t.rect.min().y, t.rect.min().x));
-    out
 }
 
 #[cfg(test)]
@@ -251,6 +295,10 @@ mod tests {
 
     fn window() -> Rect {
         Rect::from_extents(0, 0, 100, 100)
+    }
+
+    fn transpose_rect(r: &Rect) -> Rect {
+        Rect::new(r.min().transpose(), r.max().transpose())
     }
 
     fn tile_area(t: &Tiling) -> i64 {

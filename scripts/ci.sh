@@ -25,6 +25,11 @@ echo "==> golden pins of the small bm2 model and the paper-scale bm1 scan (relea
 # Ignored in the default run: both are slow in a debug build.
 cargo test --release --test golden -- --ignored
 
+echo "==> criterion benches build"
+# Nothing else compiles crates/bench/benches/*.rs in release: a library
+# change that breaks a bench must fail here.
+cargo bench --no-run --offline -p hotspot-bench
+
 echo "==> e2ebench build + tiny self-test"
 # The benchmark is its own workspace with path deps on the crates, so a
 # library change that breaks its build or its self-test fails here.
@@ -117,7 +122,7 @@ if [ "$t1" -eq 0 ] || [ "$t1" -ne "$t2" ]; then
 fi
 echo "deadline smoke: both runs timed out $t1 tile(s), reports completed"
 
-echo "==> hostile-JSON smoke (deep nesting, truncation: exit 4, no aborts)"
+echo "==> hostile-JSON smoke (deep nesting, truncation, inconsistent models: exit 4, no aborts)"
 JSON_DIR=target/json_smoke
 rm -rf "$JSON_DIR"
 mkdir -p "$JSON_DIR"
@@ -127,7 +132,7 @@ head -c $(( $(wc -c < "$FAULT_DIR/model.json") / 2 )) "$FAULT_DIR/model.json" \
 # Runs the binary with the given arguments; it must fail with exit 4 (json).
 expect_json_error() {
   set +e
-  "$BIN" "$@" > /dev/null 2> "$JSON_DIR/err.txt"
+  "$BIN" "$@" > "$JSON_DIR/out.txt" 2> "$JSON_DIR/err.txt"
   status=$?
   set -e
   if [ "$status" -ne 4 ]; then
@@ -141,7 +146,29 @@ expect_json_error scan --model "$JSON_DIR/nested.json" --layout "$FAULT_DIR/layo
 expect_json_error scan --model "$JSON_DIR/truncated.json" --layout "$FAULT_DIR/layout.gds" \
   --out "$JSON_DIR/report.json"
 expect_json_error train --training "$JSON_DIR/nested.json" --out "$JSON_DIR/model.json"
-echo "hostile-JSON smoke: nested and truncated inputs exit 4"
+# Well-formed JSON whose kernels cannot score their vectors: every
+# feature_len below the 5 nontopological features, or the feedback
+# kernel's feature_len off its SVM's dimension. Both are rejected at load
+# (exit 4) before any tile runs, never as a worker panic.
+sed 's/"feature_len":[0-9]*/"feature_len":3/g' "$FAULT_DIR/model.json" \
+  > "$JSON_DIR/short_features.json"
+fb_len=$(grep -o '"feature_len":[0-9]*,"extras_seen"' "$FAULT_DIR/model.json" | grep -o '[0-9]*')
+sed "s/\"feature_len\":$fb_len,\"extras_seen\"/\"feature_len\":$((fb_len + 6)),\"extras_seen\"/" \
+  "$FAULT_DIR/model.json" > "$JSON_DIR/feedback_mismatch.json"
+for crafted in short_features feedback_mismatch; do
+  if cmp -s "$FAULT_DIR/model.json" "$JSON_DIR/$crafted.json"; then
+    echo "hostile-JSON smoke ($crafted): the model has no field to corrupt"
+    exit 1
+  fi
+  expect_json_error scan --model "$JSON_DIR/$crafted.json" --layout "$FAULT_DIR/layout.gds" \
+    --out "$JSON_DIR/report.json" --threads 2
+  if grep -q panicked "$JSON_DIR/out.txt" "$JSON_DIR/err.txt"; then
+    echo "hostile-JSON smoke ($crafted): a worker panicked"
+    cat "$JSON_DIR/err.txt"
+    exit 1
+  fi
+done
+echo "hostile-JSON smoke: nested, truncated and inconsistent models exit 4"
 
 echo "==> unknown-flag smoke (a retired or misspelt flag: exit 2)"
 # `--eval-mode` was retired; an unknown flag must be a usage error, not

@@ -162,12 +162,15 @@ for the duration of the scan (--metrics-linger-ms keeps it up that much
 longer so scrapers can catch the final totals), and --events appends every
 structured pipeline event to a schema-versioned NDJSON log.
 --obs-interval-ms sets the counter sampling period (default 1000).
-`events` validates such a log line by line and summarises it.
+`events` validates such a log line by line and summarises it; a log
+that is truncated mid-record, corrupt, not UTF-8, or names an unknown
+event exits 3.
 
-Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (also a model whose kernels'
-feature lengths disagree with their SVMs), 5 gdsii, 6 pipeline (also a
-layer extent too large to tile), 7 completed with quarantined tiles,
-8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
+Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (also an inconsistent model:
+feature lengths off their SVMs, support vectors, coefficients, scaler or
+centroids of the wrong size, or the retired eval_mode \"reference\"),
+5 gdsii, 6 pipeline (also a layer extent too large to tile), 7 completed
+with quarantined tiles, 8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
 same --cache <path>).";
 
 /// Exit code for a scan that completed but quarantined one or more tiles.

@@ -54,21 +54,14 @@ impl Default for AblationSwitches {
     }
 }
 
-/// Which implementation of the evaluation stage (admission routing + SVM
-/// decision values) a detector uses.
-///
-/// Both modes flag byte-identical hotspot sets; `Reference` exists as the
-/// oracle the compiled engines are pinned against and for debugging.
+/// The evaluation engine: one value, kept so model files that name it
+/// (`"eval_mode":"Compiled"`) still load. Clip evaluation always runs the
+/// admission router ([`hotspot_topo::route::CentroidRouter`]) and the
+/// flattened support-vector evaluator ([`hotspot_svm::CompiledModel`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum EvalMode {
-    /// Naive per-kernel loops: the 8-orientation density search via
-    /// [`hotspot_geom::DensityGrid::distance`] and per-sample RBF kernel
-    /// evaluation. Slow, obviously correct.
-    Reference,
-    /// The compiled engines: the batched admission router
-    /// ([`hotspot_topo::route::CentroidRouter`]) plus the flattened
-    /// support-vector evaluator ([`hotspot_svm::CompiledModel`]).
+    /// The compiled router and SVM engines.
     #[default]
     Compiled,
 }
@@ -141,14 +134,13 @@ pub struct DetectorConfig {
     /// engine; such files load with the default parameters.
     #[serde(default)]
     pub admission: AdmissionParams,
-    /// Evaluation-engine selection; not persisted as a tuning knob so much
-    /// as a debugging switch, hence the serde default.
+    /// The evaluation engine, which has one value. Kept in model files and
+    /// the tile-cache fingerprint; absent from older files, hence the
+    /// serde default.
     #[serde(default)]
     pub eval_mode: EvalMode,
-    /// Density-grid rasterisation strategy ([`RasterMode::Sat`] shares a
-    /// per-tile summed-area table across clips; both modes are
-    /// bit-identical on arbitrary input). Serde default for the same
-    /// back-compat reason as `eval_mode`.
+    /// The rasterisation strategy, which has one value; kept like
+    /// `eval_mode`.
     #[serde(default)]
     pub raster_mode: RasterMode,
     /// Worker threads for training and evaluation; 0 = one per core.
@@ -345,6 +337,21 @@ mod tests {
         assert_eq!(parsed.admission, AdmissionParams::default());
         assert_eq!(parsed.eval_mode, EvalMode::Compiled);
         assert_eq!(parsed.raster_mode, RasterMode::Sat);
+    }
+
+    #[test]
+    fn retired_reference_modes_no_longer_load() {
+        let json = serde_json::to_string(&DetectorConfig::default()).unwrap();
+        for (from, key) in [
+            (r#""eval_mode":"Compiled""#, "eval_mode"),
+            (r#""raster_mode":"Sat""#, "raster_mode"),
+        ] {
+            assert!(json.contains(from), "{json}");
+            for value in ["reference", "Reference"] {
+                let retired = json.replace(from, &format!(r#""{key}":"{value}""#));
+                assert!(serde_json::from_str::<DetectorConfig>(&retired).is_err());
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! The end-to-end hotspot detector (Fig. 3).
 
 use crate::balance::upsample_hotspots;
-use crate::config::{AdmissionParams, DetectorConfig, DistributionFilter, EvalMode};
+use crate::config::{AdmissionParams, DetectorConfig, DistributionFilter};
 use crate::engine::{Executor, PipelineTelemetry, StageId, StageRecorder, TaskFailure};
-use crate::feedback::{train_feedback, EvalEngine, EvalScratch, FeedbackKernel};
+use crate::feedback::{train_feedback, CompiledKernels, EvalEngine, EvalScratch, FeedbackKernel};
 use crate::obs::ObsHub;
 use crate::pattern::{Pattern, TrainingSet};
 use crate::scan::{ScanConfig, ScanReport, MAX_SCAN_TILES};
 use crate::tile_cache;
 use crate::training::{
-    classify_patterns_mode, density_grid, train_oriented_kernels, ClusterKernel, PatternCluster,
-    Region,
+    classify_patterns, density_grid, train_oriented_kernels, ClusterKernel, PatternCluster, Region,
 };
-use hotspot_geom::{Orientation, RasterMode, Rect};
+use hotspot_geom::{Orientation, Rect};
 use hotspot_layout::{ClipShape, LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
-use hotspot_topo::route::CentroidRouter;
 use hotspot_topo::TopoSignature;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -150,13 +148,10 @@ impl TrainingSummary {
 /// shared read-only by every evaluation thread.
 #[derive(Debug, Clone)]
 struct CompiledSet {
-    /// Compiled cluster kernels, indexed 1:1 with the detector's kernels.
-    kernels: Vec<CompiledModel>,
+    /// Compiled cluster kernels and their admission router.
+    kernels: CompiledKernels,
     /// Compiled feedback kernel, when one was trained.
     feedback: Option<CompiledModel>,
-    /// The admission router: every kernel centroid with its mass and
-    /// block sums, for the density-admission pass.
-    router: CentroidRouter,
     /// The model half of the tile-cache fingerprint (see
     /// [`HotspotDetector::model_hash`]), hashed on the first cached scan.
     model_hash: OnceLock<u64>,
@@ -172,14 +167,10 @@ struct CompiledCache(OnceLock<CompiledSet>);
 /// Serialisable with serde, so a trained detector can be persisted and
 /// reloaded (see the `hotspot` CLI's `train` / `detect` commands).
 ///
-/// Clip evaluation runs through the compiled engines — the batched
+/// Clip evaluation runs through the compiled engines: the batched
 /// flattened SVM evaluator ([`hotspot_svm::CompiledModel`]) and the
-/// admission router ([`hotspot_topo::route::CentroidRouter`]) — under the
-/// default [`EvalMode::Compiled`]; [`with_eval_mode`] selects the naive
-/// reference path instead, which the equivalence tests pin to the
-/// identical hotspot set.
-///
-/// [`with_eval_mode`]: HotspotDetector::with_eval_mode
+/// admission router ([`hotspot_topo::route::CentroidRouter`]). The
+/// integration tests pin them to a naive per-kernel oracle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotspotDetector {
     kernels: Vec<ClusterKernel>,
@@ -271,18 +262,8 @@ impl HotspotDetector {
                 StageId::TopologicalClassification,
                 hotspots.len() + training.nonhotspots.len(),
                 || {
-                    let h = classify_patterns_mode(
-                        &hotspots,
-                        Region::Core,
-                        &config.cluster,
-                        config.raster_mode,
-                    );
-                    let n = classify_patterns_mode(
-                        &training.nonhotspots,
-                        Region::Core,
-                        &config.cluster,
-                        config.raster_mode,
-                    );
+                    let h = classify_patterns(&hotspots, Region::Core, &config.cluster);
+                    let n = classify_patterns(&training.nonhotspots, Region::Core, &config.cluster);
                     let count = h.len() + n.len();
                     ((h, n), count)
                 },
@@ -386,10 +367,15 @@ impl HotspotDetector {
 
     /// Checks that every kernel, and the feedback kernel, can score the
     /// vectors it will be given: its `feature_len` holds the five
-    /// nontopological features and equals its SVM's dimension. Training
-    /// always produces such a model; a hand-edited or corrupted model file
-    /// may not, and scanning it would panic in every worker. Scans run
-    /// this check before their first tile.
+    /// nontopological features and equals its SVM's dimension, and the SVM's
+    /// stored parts have that dimension ([`SvmModel::check_shape`]). Also
+    /// checks that every kernel centroid holds `nx × ny` cells, which the
+    /// admission router's flat centroid store relies on. Training always
+    /// produces such a model; a hand-edited or corrupted model file may
+    /// not, and scanning it would panic in every worker or misalign every
+    /// later row. Scans run this check before their first tile.
+    ///
+    /// [`SvmModel::check_shape`]: hotspot_svm::SvmModel::check_shape
     ///
     /// # Errors
     ///
@@ -400,15 +386,13 @@ impl HotspotDetector {
             .kernels
             .iter()
             .enumerate()
-            .map(|(i, k)| (format!("kernel {i}"), k.feature_len, k.model.dim()));
-        let feedback = self.feedback.iter().map(|f| {
-            (
-                "the feedback kernel".to_string(),
-                f.feature_len,
-                f.model.dim(),
-            )
-        });
-        for (name, feature_len, dim) in kernels.chain(feedback) {
+            .map(|(i, k)| (format!("kernel {i}"), k.feature_len, &k.model));
+        let feedback = self
+            .feedback
+            .iter()
+            .map(|f| ("the feedback kernel".to_string(), f.feature_len, &f.model));
+        for (name, feature_len, model) in kernels.chain(feedback) {
+            let dim = model.dim();
             if feature_len < 5 {
                 return Err(DetectError::InvalidModel(format!(
                     "{name} has feature_len {feature_len}, below the 5 nontopological features"
@@ -419,26 +403,30 @@ impl HotspotDetector {
                     "{name} has feature_len {feature_len} but its SVM takes {dim} features"
                 )));
             }
+            model
+                .check_shape()
+                .map_err(|e| DetectError::InvalidModel(format!("{name}'s SVM: {e}")))?;
+        }
+        for (i, k) in self.kernels.iter().enumerate() {
+            let c = &k.centroid;
+            if c.nx().checked_mul(c.ny()) != Some(c.cells().len()) {
+                return Err(DetectError::InvalidModel(format!(
+                    "kernel {i}'s centroid has {} cells, not {} x {}",
+                    c.cells().len(),
+                    c.nx(),
+                    c.ny()
+                )));
+            }
         }
         Ok(())
     }
 
     /// The compiled inference engine, built on first use.
     fn compiled_set(&self) -> &CompiledSet {
-        self.compiled.0.get_or_init(|| {
-            let grid = self.config.cluster.grid;
-            CompiledSet {
-                kernels: self.kernels.iter().map(|k| k.model.compile()).collect(),
-                feedback: self.feedback.as_ref().map(|f| f.model.compile()),
-                router: CentroidRouter::compile(
-                    self.kernels
-                        .iter()
-                        .map(|k| (&k.centroid, self.config.admission.threshold(k.radius))),
-                    grid,
-                    grid,
-                ),
-                model_hash: OnceLock::new(),
-            }
+        self.compiled.0.get_or_init(|| CompiledSet {
+            kernels: CompiledKernels::new(&self.kernels, &self.config),
+            feedback: self.feedback.as_ref().map(|f| f.model.compile()),
+            model_hash: OnceLock::new(),
         })
     }
 
@@ -455,33 +443,10 @@ impl HotspotDetector {
         })
     }
 
-    /// Returns this detector with the evaluation engine selected.
-    /// [`EvalMode::Reference`] runs the naive per-kernel admission search
-    /// and per-support-vector decision values; [`EvalMode::Compiled`] (the
-    /// default) runs the admission router and the batched flattened SVM
-    /// engine. Both modes report the same hotspot sets (pinned by
-    /// `tests/eval_engine.rs`); the reference path exists for equivalence
-    /// testing and the naive-vs-compiled benchmark.
-    pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
-        self.config.eval_mode = mode;
-        self
-    }
-
-    /// Returns this detector with the density-grid rasterisation strategy
-    /// selected. [`RasterMode::Sat`] (the default) shares one summed-area
-    /// table across every clip of a scan tile; [`RasterMode::Reference`]
-    /// sweeps each clip's rects directly. Both produce bit-identical grids
-    /// (and therefore byte-identical scan digests) on arbitrary input,
-    /// pinned by `tests/raster_mode.rs`.
-    pub fn with_raster_mode(mut self, mode: RasterMode) -> Self {
-        self.config.raster_mode = mode;
-        self
-    }
-
     /// An evaluation handle at the configured
-    /// [`decision_threshold`](DetectorConfig::decision_threshold), with
-    /// the engines selected by the configured [`EvalMode`]. The handle
-    /// borrows the detector; pair it with an [`EvalScratch`] per worker.
+    /// [`decision_threshold`](DetectorConfig::decision_threshold). The
+    /// handle borrows the detector; pair it with an [`EvalScratch`] per
+    /// worker.
     pub fn eval_engine(&self) -> EvalEngine<'_> {
         self.eval_engine_with_threshold(self.config.decision_threshold)
     }
@@ -489,37 +454,21 @@ impl HotspotDetector {
     /// [`eval_engine`](Self::eval_engine) at an explicit decision
     /// threshold (for the Fig. 15 trade-off sweep).
     pub fn eval_engine_with_threshold(&self, threshold: f64) -> EvalEngine<'_> {
-        let feedback = if self.config.ablation.feedback {
-            self.feedback.as_ref()
-        } else {
-            None
-        };
-        match self.config.eval_mode {
-            EvalMode::Reference => EvalEngine {
-                kernels: &self.kernels,
+        let set = self.compiled_set();
+        let feedback = self
+            .feedback
+            .as_ref()
+            .filter(|_| self.config.ablation.feedback)
+            .zip(set.feedback.as_ref());
+        EvalEngine {
+            obs: self.obs.as_deref(),
+            ..EvalEngine::new(
+                &self.kernels,
+                &set.kernels,
                 feedback,
-                config: &self.config,
+                &self.config,
                 threshold,
-                compiled_kernels: None,
-                compiled_feedback: None,
-                router: None,
-                obs: self.obs.as_deref(),
-                memo: None,
-            },
-            EvalMode::Compiled => {
-                let set = self.compiled_set();
-                EvalEngine {
-                    kernels: &self.kernels,
-                    feedback,
-                    config: &self.config,
-                    threshold,
-                    compiled_kernels: Some(&set.kernels),
-                    compiled_feedback: set.feedback.as_ref(),
-                    router: Some(&set.router),
-                    obs: self.obs.as_deref(),
-                    memo: None,
-                }
-            }
+            )
         }
     }
 
@@ -731,19 +680,6 @@ impl DetectorBuilder {
     /// Sets the SVM decision threshold at evaluation.
     pub fn decision_threshold(mut self, threshold: f64) -> Self {
         self.config.decision_threshold = threshold;
-        self
-    }
-
-    /// Selects the evaluation engine ([`EvalMode::Compiled`] by default).
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.config.eval_mode = mode;
-        self
-    }
-
-    /// Selects the density-grid rasterisation strategy
-    /// ([`RasterMode::Sat`] by default).
-    pub fn raster_mode(mut self, mode: RasterMode) -> Self {
-        self.config.raster_mode = mode;
         self
     }
 
@@ -1028,30 +964,52 @@ mod tests {
         assert!(s.balance_ratio() > 0.0);
     }
 
-    #[test]
-    fn inconsistent_models_are_rejected_before_any_tile() {
-        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
-        det.validate().unwrap();
+    /// Asserts that `bad` fails validation with a message containing
+    /// `needle`, and that a scan rejects it before any tile runs.
+    fn assert_rejected(bad: HotspotDetector, needle: &str) {
+        let err = bad.validate().unwrap_err();
+        assert!(
+            matches!(&err, DetectError::InvalidModel(m) if m.contains(needle)),
+            "{err}"
+        );
         let mut layout = Layout::new("t");
         for r in hs_rects(70) {
             layout.add_rect(LayerId::METAL1, r.translate(Point::new(20_000, 20_000)));
         }
+        let err = bad.detect(&layout, LayerId::METAL1).unwrap_err();
+        assert!(matches!(err, DetectError::InvalidModel(_)), "{err}");
+    }
+
+    /// `value` read back from its JSON with `edit` applied.
+    fn edited<T: Serialize + serde::de::DeserializeOwned>(
+        value: &T,
+        edit: impl Fn(&str) -> String,
+    ) -> T {
+        let json = serde_json::to_string(value).unwrap();
+        let changed = edit(&json);
+        assert_ne!(changed, json, "the edit changed nothing");
+        serde_json::from_str(&changed).unwrap()
+    }
+
+    /// `json` with the value after the first `key` cut (the key must open
+    /// an array of at least two values).
+    fn cut_first_value(json: &str, key: &str) -> String {
+        let at = json.find(key).expect("key present") + key.len();
+        let end = at + json[at..].find(',').expect("a second value");
+        format!("{}{}", &json[..at], &json[end + 1..])
+    }
+
+    #[test]
+    fn inconsistent_models_are_rejected_before_any_tile() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        det.validate().unwrap();
         let dim = det.kernels()[0].model.dim();
-        let rejects = |bad: HotspotDetector, needle: &str| {
-            let err = bad.validate().unwrap_err();
-            assert!(
-                matches!(&err, DetectError::InvalidModel(m) if m.contains(needle)),
-                "{err}"
-            );
-            let err = bad.detect(&layout, LayerId::METAL1).unwrap_err();
-            assert!(matches!(err, DetectError::InvalidModel(_)), "{err}");
-        };
 
         let mut short = det.clone();
         for k in &mut short.kernels {
             k.feature_len = 3;
         }
-        rejects(short, "kernel 0 has feature_len 3, below");
+        assert_rejected(short, "kernel 0 has feature_len 3, below");
 
         let mut mismatched = det.clone();
         mismatched.feedback = Some(FeedbackKernel {
@@ -1059,7 +1017,51 @@ mod tests {
             feature_len: dim + 6,
             extras_seen: 0,
         });
-        rejects(mismatched, "the feedback kernel has feature_len");
+        assert_rejected(mismatched, "the feedback kernel has feature_len");
+    }
+
+    #[test]
+    fn a_short_support_vector_is_rejected() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        let mut bad = det.clone();
+        bad.kernels[0].model = edited(&det.kernels[0].model, |j| {
+            cut_first_value(j, r#""support":[["#)
+        });
+        assert_rejected(bad, "kernel 0's SVM: support vector 0 has");
+    }
+
+    #[test]
+    fn a_coefficient_count_off_the_support_vectors_is_rejected() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        let mut bad = det.clone();
+        bad.kernels[0].model = edited(&det.kernels[0].model, |j| {
+            j.replacen(r#""coef":["#, r#""coef":[0.5,"#, 1)
+        });
+        assert_rejected(bad, "kernel 0's SVM: ");
+    }
+
+    #[test]
+    fn a_short_scaler_is_rejected() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        let mut bad = det.clone();
+        bad.kernels[0].model = edited(&det.kernels[0].model, |j| {
+            cut_first_value(j, r#""spans":["#)
+        });
+        assert_rejected(bad, "kernel 0's SVM: scaler spans have");
+    }
+
+    #[test]
+    fn a_short_centroid_is_rejected() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        let mut bad = det.clone();
+        let last = bad.kernels.len() - 1;
+        bad.kernels[last].centroid = edited(&det.kernels[last].centroid, |j| {
+            cut_first_value(j, r#""cells":["#)
+        });
+        assert_rejected(
+            bad,
+            &format!("kernel {last}'s centroid has 63 cells, not 8 x 8"),
+        );
     }
 
     #[test]

@@ -26,9 +26,8 @@ use std::time::Duration;
 /// v5 added the admission counters: per-stage `admissions` (clip-kernel
 /// pairs admitted to SVM evaluation by topology or density) and
 /// `admission_skips` (centroid-orientation rows the compiled admission
-/// router pruned via its mass gate, block-sum screens, or early exit; 0 under
-/// the reference engine). Both deserialise as 0 from v4 and older records
-/// via `#[serde(default)]`.
+/// router pruned via its mass gate, block-sum screens, or early exit). Both
+/// deserialise as 0 from v4 and older records via `#[serde(default)]`.
 /// v6 added the run-level `obs_sinks` list: names of the observability
 /// sinks and endpoints active during the run (empty when the pipeline ran
 /// unobserved). Deserialises as empty from v5 and older records via
@@ -85,9 +84,9 @@ pub struct StageTelemetry {
     #[serde(default)]
     pub admissions: u64,
     /// Centroid-orientation rows the compiled admission router pruned
-    /// without computing their full exact distance (mass gate + norm
-    /// screen + early exit); 0 under the reference engine. Absent in
-    /// pre-v5 records, which deserialise with 0.
+    /// without computing their full exact distance (mass gate + block-sum
+    /// screens + early exit). Absent in pre-v5 records, which deserialise
+    /// with 0.
     #[serde(default)]
     pub admission_skips: u64,
     /// Tasks in this stage quarantined for exceeding the soft per-tile

@@ -41,11 +41,10 @@ pub struct EvalScratch {
     /// The current clip's packed [`EvalMemo`] key.
     key: Vec<[u16; 4]>,
     /// Padded subtile summed-area tables over the current scan tile's
-    /// dissected rects, rebuilt in place by the tile loop under
-    /// [`hotspot_geom::RasterMode::Sat`] (allocations persist across
-    /// tiles). When live, every clip of the tile rasterises its core
-    /// density grid from its subtile's shared table instead of sweeping
-    /// its rects.
+    /// dissected rects, rebuilt in place by the tile loop (allocations
+    /// persist across tiles). When live, every clip of the tile rasterises
+    /// its core density grid from its subtile's shared table instead of
+    /// sweeping its rects.
     raster: AreaTableGrid,
     /// Whether `raster` holds the *current* tile's tables. Cleared at the
     /// start of every tile so stale tables never leak across tiles.
@@ -67,9 +66,9 @@ impl EvalScratch {
         self.admitted as u64
     }
 
-    /// Centroid-orientation rows the compiled router pruned without
+    /// Centroid-orientation rows the admission router pruned without
     /// computing their full exact distance (mass gate + block-sum screens +
-    /// early exit); always 0 under [`crate::EvalMode::Reference`].
+    /// early exit).
     pub fn admission_skips(&self) -> u64 {
         self.rows_pruned as u64
     }
@@ -107,45 +106,74 @@ impl EvalScratch {
     }
 }
 
-/// A borrowing evaluation handle: kernels, admission parameters, and the
-/// decision threshold bound together so callers cannot mix mismatched
-/// config + threshold pairs.
+/// The compiled form of a kernel set: each kernel's flattened SVM and the
+/// admission router over their centroids. Built once per detector (and
+/// once for the feedback self-evaluation) and shared read-only by every
+/// evaluation thread.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledKernels {
+    /// Compiled SVMs, indexed 1:1 with the kernels.
+    pub(crate) models: Vec<CompiledModel>,
+    /// Every kernel centroid with its mass and block sums, for the
+    /// density side of admission.
+    pub(crate) router: CentroidRouter,
+}
+
+impl CompiledKernels {
+    /// Compiles `kernels` for queries of `config`'s density grid.
+    pub(crate) fn new(kernels: &[ClusterKernel], config: &DetectorConfig) -> Self {
+        let grid = config.cluster.grid;
+        CompiledKernels {
+            models: kernels.iter().map(|k| k.model.compile()).collect(),
+            router: CentroidRouter::compile(
+                kernels
+                    .iter()
+                    .map(|k| (&k.centroid, config.admission.threshold(k.radius))),
+                grid,
+                grid,
+            ),
+        }
+    }
+}
+
+/// A borrowing evaluation handle: kernels with their compiled SVMs and
+/// admission router, the feedback kernel, and the decision threshold bound
+/// together so callers cannot mix mismatched config + threshold pairs.
 ///
-/// Obtain one from [`crate::HotspotDetector::eval_engine`] (which attaches
-/// the compiled router and flattened SVM models under
-/// [`crate::EvalMode::Compiled`]) or from [`EvalEngine::reference`] for the
-/// naive oracle over bare kernels. Both produce identical flag sets; the
-/// equivalence is pinned by the `eval_engine` integration tests.
+/// Obtain one from [`crate::HotspotDetector::eval_engine`]. The naive
+/// per-kernel search it is pinned against lives in the integration tests'
+/// oracle.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalEngine<'d> {
     pub(crate) kernels: &'d [ClusterKernel],
-    pub(crate) feedback: Option<&'d FeedbackKernel>,
+    pub(crate) models: &'d [CompiledModel],
+    pub(crate) router: &'d CentroidRouter,
+    /// The feedback kernel with its compiled SVM; `None` when none was
+    /// trained or the ablation disables it.
+    pub(crate) feedback: Option<(&'d FeedbackKernel, &'d CompiledModel)>,
     pub(crate) config: &'d DetectorConfig,
     pub(crate) threshold: f64,
-    pub(crate) compiled_kernels: Option<&'d [CompiledModel]>,
-    pub(crate) compiled_feedback: Option<&'d CompiledModel>,
-    pub(crate) router: Option<&'d CentroidRouter>,
     pub(crate) obs: Option<&'d crate::obs::ObsHub>,
     pub(crate) memo: Option<&'d EvalMemo>,
 }
 
 impl<'d> EvalEngine<'d> {
-    /// The reference engine: naive 8-orientation admission search and
-    /// per-sample SVM decision values, no feedback kernel. This is the
-    /// oracle the compiled path is validated against.
-    pub fn reference(
+    /// An engine over `kernels` and their compiled form, with no
+    /// observability hub and no memo.
+    pub(crate) fn new(
         kernels: &'d [ClusterKernel],
+        compiled: &'d CompiledKernels,
+        feedback: Option<(&'d FeedbackKernel, &'d CompiledModel)>,
         config: &'d DetectorConfig,
         threshold: f64,
     ) -> Self {
         EvalEngine {
             kernels,
-            feedback: None,
+            models: &compiled.models,
+            router: &compiled.router,
+            feedback,
             config,
             threshold,
-            compiled_kernels: None,
-            compiled_feedback: None,
-            router: None,
             obs: None,
             memo: None,
         }
@@ -284,7 +312,7 @@ impl<'d> EvalEngine<'d> {
         // absolute coordinates — the integer pixel boundaries shift with
         // the window origin, so the result is bit-identical to the
         // per-pattern rasterisation). Windows no subtile covers (cell-cap
-        // overflow) fall back to the reference sweep.
+        // overflow) fall back to the direct sweep.
         let g = self.config.cluster.grid;
         let EvalScratch {
             eval,
@@ -302,52 +330,25 @@ impl<'d> EvalEngine<'d> {
         }
         let grid: &DensityGrid = scratch_grid;
         let mut features = FeatureMemo::oriented(pattern, Region::Core, self.config, orientation);
-        let mut decide = |idx: usize, k: &ClusterKernel| {
-            let padded = features.padded(k.feature_len);
-            let decision = match self.compiled_kernels {
-                Some(models) => eval.decision_value(&models[idx], padded),
-                None => k.model.decision_value(padded),
-            };
-            decisions.push((idx, decision));
-        };
 
-        // The compiled router answers the density side of admission for
-        // every kernel in one fused pass; the admissions come back sorted
-        // by kernel index, so the union with topology matches is a linear
-        // merge. Falls back to the naive search if the query shape differs
-        // from the compiled one (only possible with a hand-built config).
-        let router = self
-            .router
-            .filter(|r| (grid.nx(), grid.ny()) == (r.nx(), r.ny()));
-        if let Some(router) = router {
-            let mut route = RouteStats::default();
-            router.route_into(grid, admissions, &mut route);
-            let mut next = 0usize;
-            for (idx, k) in self.kernels.iter().enumerate() {
-                let density_match = admissions.get(next).is_some_and(|a| a.kernel == idx);
-                if density_match {
-                    next += 1;
-                }
-                if density_match || signature == k.signature {
-                    decide(idx, k);
-                }
+        // The router answers the density side of admission for every
+        // kernel in one fused pass; the admissions come back sorted by
+        // kernel index, so the union with topology matches is a linear
+        // merge.
+        let mut route = RouteStats::default();
+        self.router.route_into(grid, admissions, &mut route);
+        let mut next = 0usize;
+        for (idx, k) in self.kernels.iter().enumerate() {
+            let density_match = admissions.get(next).is_some_and(|a| a.kernel == idx);
+            if density_match {
+                next += 1;
             }
-            route.rows_pruned()
-        } else {
-            for (idx, k) in self.kernels.iter().enumerate() {
-                let topo_match = signature == k.signature;
-                let density_match = if grid.nx() == k.centroid.nx() && grid.ny() == k.centroid.ny()
-                {
-                    grid.distance(&k.centroid).distance <= self.config.admission.threshold(k.radius)
-                } else {
-                    false
-                };
-                if topo_match || density_match {
-                    decide(idx, k);
-                }
+            if density_match || signature == k.signature {
+                let padded = features.padded(k.feature_len);
+                decisions.push((idx, eval.decision_value(&self.models[idx], padded)));
             }
-            0
         }
+        route.rows_pruned()
     }
 
     /// Whether the feedback kernel confirms a flagged clip; `None` when no
@@ -358,11 +359,9 @@ impl<'d> EvalEngine<'d> {
         pattern: &Pattern,
         scratch: &mut EvalScratch,
     ) -> Option<bool> {
-        let fb = self.feedback?;
-        Some(match self.compiled_feedback {
-            Some(compiled) => fb.confirms_with(pattern, self.config, compiled, &mut scratch.eval),
-            None => fb.confirms(pattern, self.config),
-        })
+        let (fb, model) = self.feedback?;
+        let features = feature_vector_padded(pattern, Region::Clip, self.config, fb.feature_len);
+        Some(scratch.eval.decision_value(model, &features) > 0.0)
     }
 }
 
@@ -375,27 +374,6 @@ pub struct FeedbackKernel {
     pub feature_len: usize,
     /// How many extras the self-evaluation produced.
     pub extras_seen: usize,
-}
-
-impl FeedbackKernel {
-    /// `true` when the feedback kernel *confirms* the hotspot flag;
-    /// `false` reclaims the clip as a nonhotspot.
-    pub fn confirms(&self, pattern: &Pattern, config: &DetectorConfig) -> bool {
-        let features = feature_vector_padded(pattern, Region::Clip, config, self.feature_len);
-        self.model.decision_value(&features) > 0.0
-    }
-
-    /// [`confirms`](Self::confirms) through the compiled inference engine.
-    pub(crate) fn confirms_with(
-        &self,
-        pattern: &Pattern,
-        config: &DetectorConfig,
-        compiled: &CompiledModel,
-        eval: &mut BatchEvaluator,
-    ) -> bool {
-        let features = feature_vector_padded(pattern, Region::Clip, config, self.feature_len);
-        eval.decision_value(compiled, &features) > 0.0
-    }
 }
 
 /// Trains the feedback kernel (Fig. 9(b)–(c)).
@@ -415,9 +393,10 @@ pub fn train_feedback(
     nonhotspot_clusters: &[PatternCluster],
     config: &DetectorConfig,
 ) -> Result<Option<FeedbackKernel>, TrainError> {
-    // Self-evaluation: push every nonhotspot medoid through the kernels
-    // (reference engine — training does not depend on the compiled path).
-    let engine = EvalEngine::reference(kernels, config, config.decision_threshold);
+    // Self-evaluation: push every nonhotspot medoid through the kernels,
+    // compiled as a trained detector compiles them (no feedback kernel yet).
+    let compiled = CompiledKernels::new(kernels, config);
+    let engine = EvalEngine::new(kernels, &compiled, None, config, config.decision_threshold);
     let mut scratch = EvalScratch::new();
     let mut offending_kernels: BTreeSet<usize> = BTreeSet::new();
     let mut extra_cluster_ids: BTreeSet<usize> = BTreeSet::new();
@@ -563,20 +542,23 @@ mod tests {
         (hotspots, h_clusters, kernels, nonhotspots, n_clusters)
     }
 
+    /// The feedback kernel's verdict through its training-time SVM.
+    fn confirms(fb: &FeedbackKernel, p: &Pattern, cfg: &DetectorConfig) -> bool {
+        let features = feature_vector_padded(p, Region::Clip, cfg, fb.feature_len);
+        fb.model.decision_value(&features) > 0.0
+    }
+
     #[test]
     fn flagging_kernels_fire_on_hotspots() {
         let (_, _, kernels, _, _) = trained_world();
         let hs = pattern(&hotspot_core(70));
         let cfg = config();
+        let compiled = CompiledKernels::new(&kernels, &cfg);
         let mut scratch = EvalScratch::new();
-        let flags = EvalEngine::reference(&kernels, &cfg, 0.0).flagging_kernels(&hs, &mut scratch);
+        let flags = EvalEngine::new(&kernels, &compiled, None, &cfg, 0.0)
+            .flagging_kernels(&hs, &mut scratch);
         assert!(!flags.is_empty(), "hotspot-like clip should be flagged");
         assert!(scratch.admissions() >= flags.len() as u64);
-        assert_eq!(
-            scratch.admission_skips(),
-            0,
-            "reference engine never prunes"
-        );
     }
 
     #[test]
@@ -584,7 +566,8 @@ mod tests {
         let (_, _, kernels, _, _) = trained_world();
         let safe = pattern(&safe_core(720));
         let cfg = config();
-        let flags = EvalEngine::reference(&kernels, &cfg, 0.0)
+        let compiled = CompiledKernels::new(&kernels, &cfg);
+        let flags = EvalEngine::new(&kernels, &compiled, None, &cfg, 0.0)
             .flagging_kernels(&safe, &mut EvalScratch::new());
         assert!(flags.is_empty(), "safe clip should pass, got {flags:?}");
     }
@@ -641,8 +624,8 @@ mod tests {
 
         // The feedback kernel separates by ambit: it confirms the bare-core
         // hotspot and reclaims the ambit-decorated nonhotspot.
-        assert!(fb.confirms(&pattern(&core), &cfg));
-        assert!(!fb.confirms(&pattern(&with_ambit), &cfg));
+        assert!(confirms(&fb, &pattern(&core), &cfg));
+        assert!(!confirms(&fb, &pattern(&with_ambit), &cfg));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::detector::DetectError;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
 use crate::training::{
-    classify_patterns_mode, core_signature_and_grid, pad, train_iterative, Region,
+    classify_patterns, core_signature_and_grid, kernel_admits, pad, train_iterative, Region,
 };
 use hotspot_geom::{DensityGrid, Rect};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
@@ -134,12 +134,7 @@ impl MultilayerDetector {
             .iter()
             .map(MultilayerPattern::classification_pattern)
             .collect();
-        let clusters = classify_patterns_mode(
-            &class_patterns,
-            Region::Core,
-            &config.cluster,
-            config.raster_mode,
-        );
+        let clusters = classify_patterns(&class_patterns, Region::Core, &config.cluster);
 
         // Nonhotspot side: all nonhotspots (multilayer sets are small; the
         // single-layer pipeline's medoid downsampling applies before this).
@@ -199,10 +194,15 @@ impl MultilayerDetector {
         let (signature, grid) = core_signature_and_grid(&class, &self.config);
         let features_full = pattern.feature_vector(&self.config);
         for k in &self.kernels {
-            let topo_match = signature == k.signature;
-            let density_match = grid.nx() == k.centroid.nx()
-                && grid.distance(&k.centroid).distance <= self.config.admission.threshold(k.radius);
-            if !topo_match && !density_match {
+            let admitted = kernel_admits(
+                &signature,
+                &grid,
+                &k.signature,
+                &k.centroid,
+                k.radius,
+                &self.config,
+            );
+            if !admitted {
                 continue;
             }
             let f = pad(features_full.clone(), k.feature_len);

@@ -14,7 +14,7 @@ use crate::config::DetectorConfig;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
 use crate::training::{
-    classify_patterns_mode, core_signature_and_grid, pad, train_iterative, Region,
+    classify_patterns, core_signature_and_grid, kernel_admits, pad, train_iterative, Region,
 };
 use hotspot_geom::{Coord, DensityGrid, Rect};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
@@ -106,12 +106,7 @@ impl DoublePatterningDetector {
             .iter()
             .map(DecomposedPattern::combined_pattern)
             .collect();
-        let clusters = classify_patterns_mode(
-            &class_patterns,
-            Region::Core,
-            &config.cluster,
-            config.raster_mode,
-        );
+        let clusters = classify_patterns(&class_patterns, Region::Core, &config.cluster);
 
         let negative_features: Vec<Vec<f64>> = nonhotspots
             .iter()
@@ -173,10 +168,15 @@ impl DoublePatterningDetector {
         let (signature, grid) = core_signature_and_grid(&combined, &self.config);
         let features_full = pattern.feature_vector(&self.config);
         for k in &self.kernels {
-            let topo_match = signature == k.signature;
-            let density_match = grid.nx() == k.centroid.nx()
-                && grid.distance(&k.centroid).distance <= self.config.admission.threshold(k.radius);
-            if !topo_match && !density_match {
+            let admitted = kernel_admits(
+                &signature,
+                &grid,
+                &k.signature,
+                &k.centroid,
+                k.radius,
+                &self.config,
+            );
+            if !admitted {
                 continue;
             }
             let f = pad(features_full.clone(), k.feature_len);

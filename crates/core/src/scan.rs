@@ -129,8 +129,7 @@ use crate::obs::{Counter, ObsEvent, ObsHub};
 use crate::pattern::Pattern;
 use crate::removal::remove_redundant_clips;
 use crate::tile_cache::{self, CacheHeader, TileCache};
-use hotspot_geom::{AreaTable, RasterMode};
-use hotspot_geom::{Point, Rect};
+use hotspot_geom::{AreaTable, Point, Rect};
 use hotspot_layout::scan::{Tile, TileScanner, TileSpec};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
 use serde::{Deserialize, Serialize};
@@ -142,7 +141,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Subtile pitch of the Sat rasteriser's per-tile [`hotspot_geom::AreaTableGrid`], in
+/// Subtile pitch of the scan's per-tile [`hotspot_geom::AreaTableGrid`], in
 /// core sides. Table build cost is quadratic in the rects per subtile, so
 /// a pitch of a few cores keeps boundary crossings local while the padded
 /// windows (one core side of +x/+y padding) stay small relative to the
@@ -1001,15 +1000,14 @@ impl HotspotDetector {
         }
         checkpoint();
         let t2 = Instant::now();
-        // Under `RasterMode::Sat`, padded subtile summed-area tables over
-        // the tile's dissected rects serve the whole eval loop: every owned
-        // clip's core grid is rasterised from its subtile's table. Built
-        // only for tiles the prefilter kept, after extraction, and only
-        // for the subtiles the extracted clip windows anchor in. Subtiles
-        // over the cell cap (or outside the anchored set) have no table and
-        // their clips silently run the reference path — bit-identical
-        // either way.
-        if config.raster_mode == RasterMode::Sat && !patterns.is_empty() {
+        // Padded subtile summed-area tables over the tile's dissected rects
+        // serve the whole eval loop: every owned clip's core grid is
+        // rasterised from its subtile's table. Built only for tiles the
+        // prefilter kept, after extraction, and only for the subtiles the
+        // extracted clip windows anchor in. Subtiles over the cell cap (or
+        // outside the anchored set) have no table and their clips sweep
+        // their own rects — bit-identical either way.
+        if !patterns.is_empty() {
             windows.clear();
             windows.extend(patterns.iter().map(|p| p.window.core));
             eval.rebuild_raster_tables(
@@ -1085,8 +1083,7 @@ impl HotspotDetector {
     /// thread count (scans are thread-count-invariant). Any retrain or
     /// config change yields a new fingerprint and invalidates every tile
     /// cache built under the old one. Only the small config half is
-    /// serialised per scan; [`with_eval_mode`](Self::with_eval_mode) and
-    /// [`with_raster_mode`](Self::with_raster_mode) change it.
+    /// serialised per scan.
     fn model_fingerprint(&self) -> u64 {
         let mut config = self.config().clone();
         config.threads = 0;
@@ -1810,11 +1807,16 @@ mod tests {
         );
         assert_eq!(det.model_fingerprint(), serialised(&det));
 
-        // The config half is hashed per scan: a mode switch on a detector
-        // whose model half is already cached still changes the print.
-        let reference = det.clone().with_raster_mode(RasterMode::Reference);
-        assert_eq!(reference.model_fingerprint(), serialised(&reference));
-        assert_ne!(reference.model_fingerprint(), det.model_fingerprint());
+        // The config half is hashed per scan: a config change keeps the
+        // model half and still changes the print.
+        let json = serde_json::to_string(&det).unwrap();
+        let threshold = r#""decision_threshold":0.0"#;
+        assert!(json.contains(threshold), "{json}");
+        let raised = json.replace(threshold, r#""decision_threshold":0.5"#);
+        let raised: HotspotDetector = serde_json::from_str(&raised).unwrap();
+        assert_eq!(raised.model_hash(), det.model_hash());
+        assert_eq!(raised.model_fingerprint(), serialised(&raised));
+        assert_ne!(raised.model_fingerprint(), det.model_fingerprint());
         // Threads do not count; a reloaded model rebuilds the same print.
         assert_eq!(
             det.clone().with_threads(7).model_fingerprint(),

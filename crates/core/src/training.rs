@@ -78,18 +78,6 @@ pub fn classify_patterns(
     region: Region,
     params: &ClusterParams,
 ) -> Vec<PatternCluster> {
-    classify_patterns_mode(patterns, region, params, RasterMode::default())
-}
-
-/// [`classify_patterns`] with an explicit [`RasterMode`] for density-grid
-/// construction. Modes are bit-identical for disjoint rects, so the cluster
-/// structure never depends on the choice.
-pub fn classify_patterns_mode(
-    patterns: &[Pattern],
-    region: Region,
-    params: &ClusterParams,
-    mode: RasterMode,
-) -> Vec<PatternCluster> {
     // Level 1: group by canonical string signature, keeping each member's
     // canonical orientation for its feature extraction.
     let mut groups: HashMap<TopoSignature, Vec<(usize, Orientation)>> = HashMap::new();
@@ -110,7 +98,7 @@ pub fn classify_patterns_mode(
             .map(|&(i, _)| normalized_rects(&patterns[i], region))
             .collect();
         let window = normalized_window(&patterns[members[0].0], region);
-        let dc = DensityClustering::run_with_mode(&window, &member_patterns, params, mode);
+        let dc = DensityClustering::run(&window, &member_patterns, params);
         for cluster in &dc.clusters {
             let medoid_local = cluster.medoid(&dc.grids);
             clusters.push(PatternCluster {
@@ -124,6 +112,17 @@ pub fn classify_patterns_mode(
         }
     }
     clusters
+}
+
+/// [`classify_patterns`]; `RasterMode` has one value.
+#[doc(hidden)]
+pub fn classify_patterns_mode(
+    patterns: &[Pattern],
+    region: Region,
+    params: &ClusterParams,
+    _mode: RasterMode,
+) -> Vec<PatternCluster> {
+    classify_patterns(patterns, region, params)
 }
 
 /// Region rects translated to a window anchored at the origin, so patterns
@@ -239,26 +238,16 @@ impl<'a> FeatureMemo<'a> {
 }
 
 /// Density grid of a pattern region at the configured resolution (used for
-/// routing evaluation clips to kernels), rasterised via the configured
-/// [`RasterMode`].
+/// routing evaluation clips to kernels).
 pub fn density_grid(pattern: &Pattern, region: Region, config: &DetectorConfig) -> DensityGrid {
     let window = normalized_window(pattern, region);
     let rects = normalized_rects(pattern, region);
-    DensityGrid::from_rects_mode(
-        &window,
-        &rects,
-        config.cluster.grid,
-        config.cluster.grid,
-        config.raster_mode,
-    )
+    DensityGrid::from_rects(&window, &rects, config.cluster.grid, config.cluster.grid)
 }
 
 /// Core-region topology signature and density grid of one pattern — the
-/// admission precomputation shared by the scan eval loop and the
-/// classification entry points of the multilayer and double-patterning
-/// detectors. Keeping grid construction behind this one helper (which
-/// routes through [`DensityGrid::from_rects_mode`]) gives raster-mode
-/// selection a single seam.
+/// admission inputs of the single-clip classification entry points of the
+/// multilayer and double-patterning detectors.
 pub fn core_signature_and_grid(
     pattern: &Pattern,
     config: &DetectorConfig,
@@ -266,14 +255,26 @@ pub fn core_signature_and_grid(
     let window = normalized_window(pattern, Region::Core);
     let rects = normalized_rects(pattern, Region::Core);
     let signature = TopoSignature::of(&window, &rects);
-    let grid = DensityGrid::from_rects_mode(
-        &window,
-        &rects,
-        config.cluster.grid,
-        config.cluster.grid,
-        config.raster_mode,
-    );
+    let grid = DensityGrid::from_rects(&window, &rects, config.cluster.grid, config.cluster.grid);
     (signature, grid)
+}
+
+/// Whether a kernel admits a clip for SVM evaluation: the clip's core
+/// topology equals the kernel's cluster signature, or its core density
+/// grid has the centroid's shape and lies within the kernel's admission
+/// threshold of it under the eq. (1) distance. The naive search behind
+/// the multilayer and double-patterning detectors' `classify`.
+pub(crate) fn kernel_admits(
+    signature: &TopoSignature,
+    grid: &DensityGrid,
+    kernel_signature: &TopoSignature,
+    centroid: &DensityGrid,
+    radius: f64,
+    config: &DetectorConfig,
+) -> bool {
+    signature == kernel_signature
+        || ((grid.nx(), grid.ny()) == (centroid.nx(), centroid.ny())
+            && grid.distance(centroid).distance <= config.admission.threshold(radius))
 }
 
 /// Result of the iterative `(C, γ)` self-training loop.
@@ -609,6 +610,37 @@ mod tests {
             max_learning_rounds: 4,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn kernel_admission_guards_the_centroid_shape() {
+        let cfg = test_config();
+        let (bar_sig, bar_grid) = core_signature_and_grid(&bar_pattern(200), &cfg);
+        let (pair_sig, pair_grid) = core_signature_and_grid(&pair_pattern(100), &cfg);
+        assert_ne!(bar_sig, pair_sig);
+        // Same topology, or a density grid at distance 0: admitted.
+        assert!(kernel_admits(
+            &bar_sig, &pair_grid, &bar_sig, &bar_grid, 0.0, &cfg
+        ));
+        assert!(kernel_admits(
+            &pair_sig, &bar_grid, &bar_sig, &bar_grid, 0.0, &cfg
+        ));
+        // Another topology and a distant grid: not admitted.
+        assert!(!kernel_admits(
+            &pair_sig, &pair_grid, &bar_sig, &bar_grid, 0.0, &cfg
+        ));
+        // A centroid of the grid's width but another height aligns in no
+        // orientation: not admitted, and the eq. (1) distance is never asked.
+        let g = cfg.cluster.grid;
+        let flat = DensityGrid::from_cells(g, g / 2, vec![0.0; g * g / 2]);
+        assert!(!kernel_admits(
+            &pair_sig,
+            &pair_grid,
+            &bar_sig,
+            &flat,
+            f64::MAX,
+            &cfg
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ρ(p_i, p_j) = min_{τ ∈ D8}  Σ_k | d_k(p_i) − d_k(τ(p_j)) |      (1)
 //! ```
 
-use crate::{AreaTable, Coord, Orientation, RasterMode, Rect, D8};
+use crate::{Coord, Orientation, Rect, D8};
 use serde::{Deserialize, Serialize};
 
 /// A pixelated density image of a pattern window.
@@ -110,42 +110,6 @@ impl DensityGrid {
             })
             .collect();
         DensityGrid { nx, ny, cells }
-    }
-
-    /// [`DensityGrid::from_rects`] routed through a [`RasterMode`]: the
-    /// single seam every pipeline grid-construction site goes through.
-    ///
-    /// Under [`RasterMode::Sat`] the rects are clipped to `window`, compiled
-    /// into an [`AreaTable`] (overlaps accumulate multiplicity, exactly as
-    /// the reference sweep does), and rasterised from the table —
-    /// bit-identical to the reference sweep on arbitrary input (see
-    /// [`crate::sat`]). Inputs exceeding
-    /// [`AreaTable::DEFAULT_MAX_CELLS`] compressed cells silently fall
-    /// back to the reference path, so the two modes always agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nx` or `ny` is zero or the window is empty.
-    pub fn from_rects_mode(
-        window: &Rect,
-        rects: &[Rect],
-        nx: usize,
-        ny: usize,
-        mode: RasterMode,
-    ) -> Self {
-        match mode {
-            RasterMode::Reference => Self::from_rects(window, rects, nx, ny),
-            RasterMode::Sat => {
-                let clipped: Vec<Rect> = rects
-                    .iter()
-                    .filter_map(|r| r.intersection(window))
-                    .collect();
-                match AreaTable::try_build(&clipped, AreaTable::DEFAULT_MAX_CELLS) {
-                    Some(table) => table.rasterize(window, nx, ny),
-                    None => Self::from_rects(window, rects, nx, ny),
-                }
-            }
-        }
     }
 
     /// Reshapes the grid to `nx × ny` with all cells zero, reusing the

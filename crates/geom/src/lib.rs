@@ -10,8 +10,8 @@
 //! - the [`Orientation`] group `D8` (four rotations × two mirrors) used by
 //!   topological classification and the density distance of eq. (1),
 //! - pixelated [`DensityGrid`]s with the orientation-minimised L1 distance,
-//! - exact integer summed-area tables ([`AreaTable`]) over rect soups,
-//!   the shared-per-tile fast path for density rasterisation ([`RasterMode`]),
+//! - exact integer summed-area tables over a scan tile's rects
+//!   ([`AreaTableGrid`]), which rasterise every clip of the tile,
 //! - the compressed occupancy grid of a rect set ([`CoverGrid`]) and the
 //!   corner/touch analysis over it used by the nontopological features
 //!   (Fig. 7(e)),

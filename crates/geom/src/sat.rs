@@ -1,316 +1,62 @@
-//! Exact integer summed-area tables over rectangle sets.
+//! Exact integer summed-area tables over rectangle sets, one per subtile
+//! of a scan tile.
 //!
 //! Rectangle coverage over integer coordinates is an exact integer — no
 //! floating point is involved until a single division at the very end of
-//! rasterisation. [`AreaTable`] compresses the rectangles' x/y boundaries
+//! rasterisation. Each table compresses its rectangles' x/y boundaries
 //! into a coarse grid of "compressed cells" whose corners carry exact `i64`
 //! prefix sums of covered area (the build refuses inputs whose total
 //! weighted area could overflow them — over a square metre of geometry).
-//! After the O(n log n) build, `covered area of an arbitrary query rect` is
-//! answered with four corner evaluations, each an O(log n) binary search
-//! plus O(1) arithmetic.
+//! The covered area of an arbitrary query rect is then four corner
+//! evaluations.
 //!
-//! Rasterising a clip's `n × n` density grid through a shared per-tile table
-//! therefore costs O(n² log r) instead of O(clip rects × touched cells) per
-//! clip — and because both paths compute the *same* exact integer per cell
-//! before one f64 division, the resulting [`DensityGrid`] is bit-identical
-//! to [`DensityGrid::from_rects`] on **arbitrary** input.
+//! Rasterising a clip's `n × n` density grid through a shared per-tile
+//! [`AreaTableGrid`] therefore costs O(n²) corner reads instead of
+//! O(clip rects × touched cells) per clip — and because both paths compute
+//! the *same* exact integer per cell before one f64 division, the
+//! resulting [`DensityGrid`] is bit-identical to [`DensityGrid::from_rects`]
+//! on **arbitrary** input. A single pattern rasterises faster with the
+//! direct sweep; the tables pay off only when one build serves every clip
+//! of a tile.
 //!
 //! # Multiplicity
 //!
-//! The reference rasteriser [`DensityGrid::from_rects`] accumulates the
-//! per-rect overlap *sum* into each cell — a point covered by two rects
-//! counts twice (the clamp to the cell area happens afterwards). Layouts do
-//! produce overlapping dissected rects (per-polygon dissections are disjoint
-//! only within one polygon), so the table stores a coverage **multiplicity**
-//! per compressed cell rather than a boolean: [`AreaTable::covered_area`] is
-//! exactly `Σ overlap_area(rect, query)`, and [`AreaTable::rasterize`]
-//! applies the reference path's clamp-then-divide per pixel. No disjointness
-//! precondition, no fallback on real layouts — the two rasterisation modes
-//! agree bit for bit by construction. (Compressed cells are elementary: no
-//! rect edge crosses one, so a per-cell count captures overlap exactly.)
+//! The direct sweep [`DensityGrid::from_rects`] accumulates the per-rect
+//! overlap *sum* into each cell — a point covered by two rects counts twice
+//! (the clamp to the cell area happens afterwards). Layouts do produce
+//! overlapping dissected rects (per-polygon dissections are disjoint only
+//! within one polygon), so a table stores a coverage **multiplicity** per
+//! compressed cell rather than a boolean: a corner query is exactly
+//! `Σ overlap_area(rect, query)`, and rasterisation applies the sweep's
+//! clamp-then-divide per pixel. No disjointness precondition, no fallback
+//! on real layouts — the two paths agree bit for bit by construction.
+//! (Compressed cells are elementary: no rect edge crosses one, so a
+//! per-cell count captures overlap exactly.)
 
 use crate::{Coord, DensityGrid, Point, Rect};
 use serde::{Deserialize, Serialize};
 
-/// Selects the rasterisation strategy for density-grid construction.
-///
-/// Both modes produce bit-identical [`DensityGrid`]s on arbitrary input
-/// rects (the exactness argument in the module docs), so the toggle is a
-/// pure performance/ablation switch — report digests do not depend on it.
+/// The density-grid rasterisation strategy: one value, kept so model files
+/// that name it (`"raster_mode":"Sat"`) still load. A scan rasterises its
+/// clips through per-tile [`AreaTableGrid`]s; single patterns use the
+/// direct sweep ([`DensityGrid::from_rects`]). Both are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum RasterMode {
-    /// Direct per-rect sweep ([`DensityGrid::from_rects`]): exact integer
-    /// accumulation per cell, O(rects × touched cells).
-    Reference,
-    /// Summed-area-table rasterisation ([`AreaTable::rasterize`]): build a
-    /// coordinate-compressed prefix table once, then answer each cell in
-    /// O(log rects). The default.
+    /// Per-tile summed-area tables in scans, the direct sweep elsewhere.
     #[default]
     Sat,
 }
 
-/// An exact integer summed-area table over a set of rectangles.
-///
-/// ```
-/// use hotspot_geom::{AreaTable, Rect};
-/// let rects = [
-///     Rect::from_extents(0, 0, 10, 10),
-///     Rect::from_extents(20, 0, 30, 10),
-/// ];
-/// let table = AreaTable::build(&rects);
-/// // Whole plane: both rects.
-/// assert_eq!(table.covered_area(&Rect::from_extents(-100, -100, 100, 100)), 200);
-/// // A window straddling half of the first rect.
-/// assert_eq!(table.covered_area(&Rect::from_extents(5, 0, 15, 10)), 50);
-/// // Far away: nothing.
-/// assert_eq!(table.covered_area(&Rect::from_extents(50, 50, 60, 60)), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AreaTable {
-    /// Sorted, deduped x boundaries; `cx = xs.len() - 1` compressed columns.
-    xs: Vec<Coord>,
-    /// Sorted, deduped y boundaries; `cy = ys.len() - 1` compressed rows.
-    ys: Vec<Coord>,
-    /// Cell coverage multiplicity (how many rects cover the cell),
-    /// row-major `[j * cx + i]`.
-    mult: Vec<u32>,
-    /// Multiplicity-weighted area below-left of `(xs[i], ys[j])`:
-    /// `[j * (cx + 1) + i]`. Exact in `i64` by the build-time magnitude
-    /// check (`total weighted area ≤ i64::MAX / 8`).
-    prefix: Vec<i64>,
-    /// Multiplicity-weighted height of column `i` below `ys[j]`, row-major
-    /// `[j * cx + i]` so a rasterisation row pass reads it contiguously.
-    col_h: Vec<i64>,
-    /// Multiplicity-weighted width of row `j` left of `xs[i]`, row-major
-    /// `[j * (cx + 1) + i]`.
-    row_w: Vec<i64>,
-}
+/// Holder of the per-table cell cap of [`AreaTableGrid`] builds; it has no
+/// values.
+pub enum AreaTable {}
 
 impl AreaTable {
-    /// Default cap on compressed cells for [`AreaTable::try_build`] callers
-    /// that bound memory: ~4.2 M cells keeps the largest table under
-    /// ~120 MiB across the four per-cell planes.
+    /// Default cap on compressed cells per subtile table: ~4.2 M cells
+    /// keeps the largest table under ~120 MiB across the four per-cell
+    /// planes.
     pub const DEFAULT_MAX_CELLS: usize = 1 << 22;
-
-    /// Builds a table from `rects` (overlaps allowed — they accumulate
-    /// multiplicity, matching the reference rasteriser). Empty rects are
-    /// ignored; an empty input yields a table whose every query returns
-    /// zero.
-    pub fn build(rects: &[Rect]) -> Self {
-        Self::try_build(rects, usize::MAX)
-            .expect("table exceeds exact-i64 bounds (cell count or total weighted area)")
-    }
-
-    /// Builds a table unless it would exceed `max_cells` compressed cells
-    /// (memory/latency cap) or the total multiplicity-weighted rect area
-    /// would overflow the exact-`i64` corner arithmetic (`> i64::MAX / 8`
-    /// nm² — over a square metre of geometry; unreachable for layouts).
-    /// Returns `None` in either case so callers can fall back to the
-    /// reference path — safe, because whenever a table *is* built it
-    /// produces bit-identical grids.
-    pub fn try_build(rects: &[Rect], max_cells: usize) -> Option<Self> {
-        let live: Vec<&Rect> = rects.iter().filter(|r| !r.is_empty()).collect();
-        if live.is_empty() {
-            return Some(AreaTable {
-                xs: Vec::new(),
-                ys: Vec::new(),
-                mult: Vec::new(),
-                prefix: Vec::new(),
-                col_h: Vec::new(),
-                row_w: Vec::new(),
-            });
-        }
-        // Every corner-function term (prefix, fx·col_h, fy·row_w,
-        // fx·fy·mult) is a weighted area of a subregion, so each is bounded
-        // by the total weighted area, and the query arithmetic's partial
-        // sums by small multiples of it. Refusing inputs past
-        // `i64::MAX / 8` lets the whole table — storage and queries — run
-        // in exact `i64`.
-        let total_weighted: i128 = live.iter().map(|r| r.area() as i128).sum();
-        if total_weighted > i128::from(i64::MAX) / 8 {
-            return None;
-        }
-        let mut xs: Vec<Coord> = live.iter().flat_map(|r| [r.min().x, r.max().x]).collect();
-        let mut ys: Vec<Coord> = live.iter().flat_map(|r| [r.min().y, r.max().y]).collect();
-        xs.sort_unstable();
-        xs.dedup();
-        ys.sort_unstable();
-        ys.dedup();
-        let cx = xs.len() - 1;
-        let cy = ys.len() - 1;
-        if cx.checked_mul(cy).is_none_or(|cells| cells > max_cells) {
-            return None;
-        }
-
-        let mut mult = vec![0u32; cx * cy];
-        let mut row_w = vec![0i64; (cx + 1) * cy];
-        let mut col_h = vec![0i64; cx * (cy + 1)];
-        let mut prefix = vec![0i64; (cx + 1) * (cy + 1)];
-        compile_planes(
-            live.iter().copied(),
-            &xs,
-            &ys,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut mult,
-            &mut row_w,
-            &mut col_h,
-            &mut prefix,
-        );
-
-        Some(AreaTable {
-            xs,
-            ys,
-            mult,
-            prefix,
-            col_h,
-            row_w,
-        })
-    }
-
-    /// Whether the table covers no area at all.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Number of compressed cells (memory-cost proxy).
-    pub fn cells(&self) -> usize {
-        if self.xs.is_empty() {
-            0
-        } else {
-            (self.xs.len() - 1) * (self.ys.len() - 1)
-        }
-    }
-
-    /// Covered area below-left of the (clamped) point `(x, y)` — the
-    /// summed-area corner function `F`. Exact in `i64` by the build-time
-    /// magnitude check (each term is a weighted subregion area).
-    fn corner(&self, x: Coord, y: Coord) -> i64 {
-        let cx = self.xs.len() - 1;
-        let cy = self.ys.len() - 1;
-        let x = x.clamp(self.xs[0], self.xs[cx]);
-        let y = y.clamp(self.ys[0], self.ys[cy]);
-        // Last boundary at or below the query point; `fx`/`fy` are the
-        // partial-strip extents into cell (i, j).
-        let i = self.xs.partition_point(|&v| v <= x) - 1;
-        let j = self.ys.partition_point(|&v| v <= y) - 1;
-        let fx = x - self.xs[i];
-        let fy = y - self.ys[j];
-        let mut area = self.prefix[j * (cx + 1) + i];
-        if fx > 0 {
-            area += fx * self.col_h[j * cx + i];
-        }
-        if fy > 0 {
-            area += fy * self.row_w[j * (cx + 1) + i];
-        }
-        if fx > 0 && fy > 0 {
-            area += fx * fy * self.mult[j * cx + i] as i64;
-        }
-        area
-    }
-
-    /// Exact multiplicity-weighted covered area (in nm², as an integer)
-    /// inside `query` — precisely `Σ overlap_area(rect, query)` over the
-    /// input rects, the quantity the reference rasteriser accumulates.
-    ///
-    /// Queries may lie partially or fully outside the table's bounding box;
-    /// coverage there is zero.
-    pub fn covered_area(&self, query: &Rect) -> i128 {
-        if self.xs.is_empty() || query.is_empty() {
-            return 0;
-        }
-        let (x0, y0) = (query.min().x, query.min().y);
-        let (x1, y1) = (query.max().x, query.max().y);
-        let covered =
-            self.corner(x1, y1) - self.corner(x0, y1) - self.corner(x1, y0) + self.corner(x0, y0);
-        i128::from(covered)
-    }
-
-    /// [`AreaTable::covered_area`] narrowed to `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the covered area exceeds `i64::MAX` nm² (a query window
-    /// kilometres across; impossible for real layouts).
-    pub fn covered_area_i64(&self, query: &Rect) -> i64 {
-        i64::try_from(self.covered_area(query)).expect("covered area exceeds i64")
-    }
-
-    /// Rasterises the table into an `nx × ny` [`DensityGrid`] over `window`,
-    /// bit-identical to [`DensityGrid::from_rects`] on the same rects
-    /// (overlapping or not): each cell's exact integer overlap sum is read
-    /// off the table with four corner evaluations, clamped to the cell area
-    /// exactly as the reference sweep clamps, then divided once in f64.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nx` or `ny` is zero or the window is empty.
-    pub fn rasterize(&self, window: &Rect, nx: usize, ny: usize) -> DensityGrid {
-        let mut cells = vec![0.0f64; nx * ny];
-        rasterize_view(
-            &TableView {
-                xs: &self.xs,
-                ys: &self.ys,
-                mult: &self.mult,
-                prefix: &self.prefix,
-                col_h: &self.col_h,
-                row_w: &self.row_w,
-            },
-            window,
-            nx,
-            ny,
-            &mut cells,
-        );
-        DensityGrid::from_cells(nx, ny, cells)
-    }
-}
-
-/// Compiles one compressed table's planes in a single sweep.
-///
-/// `rects` must be non-empty rects whose boundaries all appear in
-/// `xs`/`ys`. Compressed cells are elementary (no rect edge crosses one),
-/// so a per-cell count captures overlap multiplicity exactly; marking is
-/// O(1) per rect — four corner deltas into `diff` — and one fused
-/// row-major sweep then integrates the deltas into multiplicities while
-/// filling all three prefix planes (pre-zeroed, exactly sized): `row_w[j]`
-/// is the in-row weighted-width scan, and `col_h[j+1]`/`prefix[j+1]`
-/// accumulate from row `j`. Every access is a contiguous row slice and no
-/// cell is touched twice.
-#[allow(clippy::too_many_arguments)]
-fn compile_planes<'a>(
-    rects: impl IntoIterator<Item = &'a Rect>,
-    xs: &[Coord],
-    ys: &[Coord],
-    diff: &mut Vec<i32>,
-    run: &mut Vec<i32>,
-    mult: &mut [u32],
-    row_w: &mut [i64],
-    col_h: &mut [i64],
-    prefix: &mut [i64],
-) {
-    let cx = xs.len() - 1;
-    let cy = ys.len() - 1;
-    diff.clear();
-    diff.resize(cx * cy, 0);
-    for r in rects {
-        let i0 = xs.partition_point(|&x| x < r.min().x);
-        let i1 = xs.partition_point(|&x| x < r.max().x);
-        let j0 = ys.partition_point(|&y| y < r.min().y);
-        let j1 = ys.partition_point(|&y| y < r.max().y);
-        diff[j0 * cx + i0] += 1;
-        if i1 < cx {
-            diff[j0 * cx + i1] -= 1;
-        }
-        if j1 < cy {
-            diff[j1 * cx + i0] -= 1;
-            if i1 < cx {
-                diff[j1 * cx + i1] += 1;
-            }
-        }
-    }
-    sweep_planes(xs, ys, diff, run, mult, row_w, col_h, prefix);
 }
 
 /// Integrates corner deltas (`diff`, `cx × cy`) into multiplicities and the
@@ -363,9 +109,9 @@ fn sweep_planes(
     }
 }
 
-/// Borrowed view of one compressed table's planes — an [`AreaTable`]'s own
-/// vectors, or one subtile's ranges inside an [`AreaTableGrid`]'s shared
-/// arenas. All-empty slices denote a zero-coverage table.
+/// Borrowed view of one compressed table's planes: one subtile's ranges
+/// inside an [`AreaTableGrid`]'s shared arenas. All-empty slices denote a
+/// zero-coverage table.
 struct TableView<'a> {
     xs: &'a [Coord],
     ys: &'a [Coord],
@@ -413,9 +159,8 @@ fn fill_bounds(
     }
 }
 
-/// The rasterisation kernel behind [`AreaTable::rasterize`] and
-/// [`AreaTableGrid::rasterize`], writing every element of `cells`
-/// (`nx * ny` long; prior contents are ignored).
+/// The rasterisation kernel behind [`AreaTableGrid::rasterize`], writing
+/// every element of `cells` (`nx * ny` long; prior contents are ignored).
 ///
 /// # Panics
 ///
@@ -524,7 +269,7 @@ fn rasterize_view(t: &TableView<'_>, window: &Rect, nx: usize, ny: usize, cells:
             // the whole row of clamps, conversions and divisions drops
             // out. Per cell, `0 / a == +0.0` and `a / a == 1.0` exactly
             // in IEEE-754, so empty and saturated cells skip the division
-            // the reference would perform without changing a single bit.
+            // the direct sweep would perform without changing a single bit.
             if cur[nx] - prev[nx] == cur[0] - prev[0] {
                 out.fill(0.0);
             } else if uniform {
@@ -581,12 +326,12 @@ fn rasterize_view(t: &TableView<'_>, window: &Rect, nx: usize, ny: usize, cells:
 /// up to `pad` wide anchored inside the subtile fits entirely within one
 /// table. Clipping does not change coverage (or multiplicity) inside the
 /// padded window, so [`AreaTableGrid::rasterize`] through the owning
-/// subtile stays bit-identical to the reference sweep over the full rect
+/// subtile stays bit-identical to the direct sweep over the full rect
 /// set.
 ///
 /// Subtiles whose clipped rect soup would exceed the per-table cell cap
 /// (or the exact-`i64` area bound) have no table; [`AreaTableGrid::rasterize`]
-/// returns `None` there and callers fall back to the reference path for
+/// returns `None` there and callers fall back to the direct sweep for
 /// those windows.
 #[derive(Debug, Clone)]
 pub struct AreaTableGrid {
@@ -653,7 +398,7 @@ enum SubSlot {
     /// No geometry intersects the padded window — rasterises to zeros.
     Empty,
     /// Table refused (cell cap or exact-`i64` area bound); queries here
-    /// fall back to the reference sweep.
+    /// fall back to the direct sweep.
     Refused,
     /// Offsets of this subtile's boundary/plane ranges in the arenas.
     Table {
@@ -669,7 +414,7 @@ enum SubSlot {
 }
 
 /// An empty grid covering nothing: every query window misses and returns
-/// `None` (reference fallback). The useful starting point for
+/// `None` (direct-sweep fallback). The useful starting point for
 /// [`AreaTableGrid::rebuild_for`]'s allocation-retaining rebuild cycle.
 impl Default for AreaTableGrid {
     fn default() -> Self {
@@ -719,7 +464,7 @@ impl AreaTableGrid {
     /// the caller already knows every query window it will rasterise, so
     /// subtiles nothing anchors in skip table compilation entirely. Their
     /// queries — which the caller said will not happen — simply return
-    /// `None` (reference fallback), so the restriction is invisible to
+    /// `None` (direct-sweep fallback), so the restriction is invisible to
     /// correctness.
     pub fn build_for(
         region: &Rect,
@@ -933,13 +678,17 @@ impl AreaTableGrid {
             }
             // A subtile no caller-declared window anchors in skips table
             // compilation; `Refused` keeps any unexpected query correct
-            // via the reference fallback.
+            // via the direct-sweep fallback.
             if wanted.is_some_and(|w| !w[s]) {
                 self.slots.push(SubSlot::Refused);
                 continue;
             }
-            // Same exactness bound as `AreaTable::try_build`, applied to
-            // the clipped bucket.
+            // Every corner-function term (prefix, fx·col_h, fy·row_w,
+            // fx·fy·mult) is a weighted area of a subregion, so each is
+            // bounded by the bucket's total weighted area, and the query
+            // arithmetic's partial sums by small multiples of it. Refusing
+            // buckets past `i64::MAX / 8` keeps storage and queries exact
+            // in `i64`.
             let total_weighted: i128 = bucket.iter().map(|r| r.area() as i128).sum();
             if total_weighted > i128::from(i64::MAX) / 8 {
                 self.slots.push(SubSlot::Refused);
@@ -1113,7 +862,7 @@ impl AreaTableGrid {
     /// The [`TableView`] of the subtile owning `window` (selected by the
     /// window's min corner) — `None` when the window lies outside the
     /// grid, spans past its anchor subtile's padding, or the subtile
-    /// refused its table; callers fall back to the reference sweep.
+    /// refused its table; callers fall back to the direct sweep.
     fn view_for(&self, window: &Rect) -> Option<TableView<'_>> {
         let dx = window.min().x - self.origin.x;
         let dy = window.min().y - self.origin.y;
@@ -1167,8 +916,8 @@ impl AreaTableGrid {
     /// Rasterises `window` through its owning subtile's table — `None`
     /// when no table covers it (outside the grid, past the anchor
     /// subtile's padding, or a refused subtile), in which case the caller
-    /// falls back to the reference sweep. A returned grid is bit-identical
-    /// to the reference sweep over the grid's full rect set.
+    /// falls back to the direct sweep. A returned grid is bit-identical
+    /// to the direct sweep over the grid's full rect set.
     pub fn rasterize(&self, window: &Rect, nx: usize, ny: usize) -> Option<DensityGrid> {
         let view = self.view_for(window)?;
         let mut cells = vec![0.0f64; nx * ny];
@@ -1180,7 +929,7 @@ impl AreaTableGrid {
     /// `out` to `nx × ny` and fills it in place (no per-clip allocation
     /// once the scratch has grown). Returns `false` — leaving `out`
     /// unspecified — when no table covers `window`; the caller falls back
-    /// to the reference sweep.
+    /// to the direct sweep.
     pub fn rasterize_into(
         &self,
         window: &Rect,
@@ -1212,73 +961,22 @@ impl AreaTableGrid {
 mod tests {
     use super::*;
 
-    #[test]
-    fn empty_table_answers_zero() {
-        let t = AreaTable::build(&[]);
-        assert!(t.is_empty());
-        assert_eq!(t.cells(), 0);
-        assert_eq!(t.covered_area(&Rect::from_extents(-10, -10, 10, 10)), 0);
+    /// Rasterises `window` through a one-subtile grid anchored at its
+    /// corner: the table path on its own, for comparison with the sweep.
+    fn table_raster(rects: &[Rect], window: &Rect, nx: usize, ny: usize) -> Option<DensityGrid> {
+        let side = window.width().max(window.height());
+        AreaTableGrid::build(window, side, 0, rects, usize::MAX).rasterize(window, nx, ny)
     }
 
     #[test]
-    fn empty_query_is_zero() {
-        let t = AreaTable::build(&[Rect::from_extents(0, 0, 10, 10)]);
-        assert_eq!(t.covered_area(&Rect::from_extents(5, 5, 5, 9)), 0);
+    fn empty_table_rasterises_zeros() {
+        let window = Rect::from_extents(-10, -10, 10, 10);
+        let g = table_raster(&[], &window, 4, 4).expect("empty subtile answers");
+        assert!(g.cells().iter().all(|&c| c == 0.0));
     }
 
     #[test]
-    fn single_rect_partial_overlap() {
-        let t = AreaTable::build(&[Rect::from_extents(0, 0, 10, 10)]);
-        assert_eq!(t.covered_area(&Rect::from_extents(0, 0, 10, 10)), 100);
-        assert_eq!(t.covered_area(&Rect::from_extents(5, 5, 20, 20)), 25);
-        assert_eq!(t.covered_area(&Rect::from_extents(-5, -5, 5, 5)), 25);
-        assert_eq!(t.covered_area(&Rect::from_extents(10, 0, 20, 10)), 0);
-    }
-
-    #[test]
-    fn query_outside_bbox_is_zero() {
-        let t = AreaTable::build(&[Rect::from_extents(0, 0, 10, 10)]);
-        assert_eq!(t.covered_area(&Rect::from_extents(100, 100, 200, 200)), 0);
-        assert_eq!(
-            t.covered_area(&Rect::from_extents(-200, -200, -100, -100)),
-            0
-        );
-    }
-
-    #[test]
-    fn disjoint_rects_sum_exactly() {
-        let rects = [
-            Rect::from_extents(0, 0, 7, 13),
-            Rect::from_extents(7, 0, 11, 5),
-            Rect::from_extents(20, 20, 31, 29),
-        ];
-        let t = AreaTable::build(&rects);
-        let total: i128 = rects.iter().map(|r| r.area() as i128).sum();
-        assert_eq!(t.covered_area(&Rect::from_extents(-50, -50, 50, 50)), total);
-        // Arbitrary sub-window agrees with the per-rect overlap sum.
-        let q = Rect::from_extents(3, 2, 25, 24);
-        let want: i128 = rects.iter().map(|r| r.overlap_area(&q) as i128).sum();
-        assert_eq!(t.covered_area(&q), want);
-    }
-
-    #[test]
-    fn overlapping_rects_accumulate_multiplicity() {
-        let r = Rect::from_extents(0, 0, 10, 10);
-        let t = AreaTable::build(&[r, r]);
-        // Doubly-covered area counts twice — the reference overlap sum.
-        let plane = Rect::from_extents(-100, -100, 100, 100);
-        assert_eq!(t.covered_area(&plane), 200);
-        let partial = [r, Rect::from_extents(5, 5, 20, 20)];
-        let t = AreaTable::build(&partial);
-        let want: i128 = partial.iter().map(|r| r.area() as i128).sum();
-        assert_eq!(t.covered_area(&plane), want);
-        let q = Rect::from_extents(3, 3, 8, 8);
-        let want: i128 = partial.iter().map(|r| r.overlap_area(&q) as i128).sum();
-        assert_eq!(t.covered_area(&q), want);
-    }
-
-    #[test]
-    fn overlapping_rasterisation_matches_reference_clamp() {
+    fn overlapping_rasterisation_matches_sweep_clamp() {
         // Two rects each covering the same half of the window: the overlap
         // sum saturates the clamp exactly as `from_rects` does.
         let window = Rect::from_extents(0, 0, 100, 100);
@@ -1287,24 +985,26 @@ mod tests {
             Rect::from_extents(0, 0, 50, 100),
             Rect::from_extents(25, 25, 75, 75),
         ];
-        let t = AreaTable::build(&rects);
         for n in [1usize, 2, 4, 5, 8] {
-            let sat = t.rasterize(&window, n, n);
+            let sat = table_raster(&rects, &window, n, n).expect("table");
             let naive = DensityGrid::from_rects(&window, &rects, n, n);
             assert_eq!(sat.cells(), naive.cells(), "grid {n}x{n}");
         }
     }
 
     #[test]
-    fn try_build_respects_cell_cap() {
+    fn tables_over_the_cell_cap_are_refused() {
         let rects: Vec<Rect> = (0..10)
             .map(|i| Rect::from_extents(3 * i, 3 * i, 3 * i + 2, 3 * i + 2))
             .collect();
-        assert!(AreaTable::try_build(&rects, 3).is_none());
-        let t = AreaTable::try_build(&rects, 10_000).expect("under cap");
+        let window = Rect::from_extents(0, 0, 30, 30);
+        let capped = AreaTableGrid::build(&window, 30, 0, &rects, 3);
+        assert!(capped.rasterize(&window, 4, 4).is_none());
+        let fine = AreaTableGrid::build(&window, 30, 0, &rects, 10_000);
+        let sat = fine.rasterize(&window, 4, 4).expect("under cap");
         assert_eq!(
-            t.covered_area(&Rect::from_extents(-100, -100, 100, 100)),
-            10 * 4
+            sat.cells(),
+            DensityGrid::from_rects(&window, &rects, 4, 4).cells()
         );
     }
 
@@ -1316,24 +1016,23 @@ mod tests {
             Rect::from_extents(60, 60, 90, 90),
             Rect::from_extents(95, 5, 118, 41),
         ];
-        let t = AreaTable::build(&rects);
         for n in [1usize, 2, 4, 7, 8] {
-            let sat = t.rasterize(&window, n, n);
-            let local: Vec<Rect> = rects.to_vec();
-            let naive = DensityGrid::from_rects(&window, &local, n, n);
+            let sat = table_raster(&rects, &window, n, n).expect("table");
+            let naive = DensityGrid::from_rects(&window, &rects, n, n);
             assert_eq!(sat.cells(), naive.cells(), "grid {n}x{n}");
         }
     }
 
     #[test]
     fn rasterize_window_outside_coverage_is_zero() {
-        let t = AreaTable::build(&[Rect::from_extents(0, 0, 10, 10)]);
-        let g = t.rasterize(&Rect::from_extents(1000, 1000, 1100, 1100), 4, 4);
+        let rects = [Rect::from_extents(0, 0, 10, 10)];
+        let window = Rect::from_extents(1000, 1000, 1100, 1100);
+        let g = table_raster(&rects, &window, 4, 4).expect("empty subtile answers");
         assert!(g.cells().iter().all(|&c| c == 0.0));
     }
 
     #[test]
-    fn grid_rasterize_matches_reference_on_anchored_windows() {
+    fn grid_rasterize_matches_sweep_on_anchored_windows() {
         let region = Rect::from_extents(0, 0, 160, 160);
         let rects = [
             Rect::from_extents(-20, 5, 35, 45),
@@ -1441,7 +1140,7 @@ mod tests {
             let b = fresh.rasterize(w, 8, 8).expect("fresh");
             assert_eq!(a.cells(), b.cells(), "window {w:?}");
             let naive = DensityGrid::from_rects(w, &rects_b, 8, 8);
-            assert_eq!(a.cells(), naive.cells(), "window {w:?} vs reference");
+            assert_eq!(a.cells(), naive.cells(), "window {w:?} vs sweep");
         }
         // Windows of the old tile are gone.
         assert!(grid.rasterize(&windows_a[0], 8, 8).is_none());

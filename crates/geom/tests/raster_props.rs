@@ -1,9 +1,8 @@
 //! Property tests for exact integer rasterisation: summed-area tables must
-//! be bit-identical to the reference sweep on arbitrary (overlapping)
-//! rects, and the reference sweep itself must be invariant under rect
-//! permutation.
+//! be bit-identical to the direct sweep on arbitrary (overlapping) rects,
+//! and the sweep itself must be invariant under rect permutation.
 
-use hotspot_geom::{AreaTable, AreaTableGrid, DensityGrid, Point, RasterMode, Rect};
+use hotspot_geom::{AreaTableGrid, DensityGrid, Point, Rect};
 use proptest::prelude::*;
 
 fn arb_rect(span: i64) -> impl Strategy<Value = Rect> {
@@ -15,24 +14,20 @@ fn arb_rects(span: i64, n: usize) -> impl Strategy<Value = Vec<Rect>> {
     proptest::collection::vec(arb_rect(span), 0..n)
 }
 
-proptest! {
-    /// Tentpole invariant: `AreaTable::covered_area` equals the per-rect
-    /// overlap sum for any query window — overlapping rects count with
-    /// multiplicity, exactly like the reference sweep's accumulator.
-    #[test]
-    fn area_table_matches_overlap_sum(
-        rects in arb_rects(200, 24),
-        query in arb_rect(300),
-    ) {
-        let table = AreaTable::build(&rects);
-        let want: i128 = rects.iter().map(|r| r.overlap_area(&query) as i128).sum();
-        prop_assert_eq!(table.covered_area(&query), want);
-    }
+/// Rasterises `window` through a one-subtile table grid anchored at its
+/// corner: the table path on its own, for comparison with the sweep.
+fn table_raster(rects: &[Rect], window: &Rect, nx: usize, ny: usize) -> DensityGrid {
+    let side = window.width().max(window.height());
+    AreaTableGrid::build(window, side, 0, rects, usize::MAX)
+        .rasterize(window, nx, ny)
+        .expect("an uncapped one-subtile grid answers its own window")
+}
 
-    /// Tentpole invariant: rasterising through a shared table is
-    /// bit-identical (exact f64 equality, not approximate) to the reference
-    /// sweep for every grid size and window — arbitrary possibly-overlapping
-    /// rects, windows that only partially overlap the geometry.
+proptest! {
+    /// Rasterising through a summed-area table is bit-identical (exact f64
+    /// equality, not approximate) to the direct sweep for every grid size
+    /// and window — arbitrary possibly-overlapping rects, windows that only
+    /// partially overlap the geometry.
     #[test]
     fn sat_rasterisation_is_bit_identical(
         rects in arb_rects(200, 24),
@@ -40,27 +35,12 @@ proptest! {
         nx in 1usize..12,
         ny in 1usize..12,
     ) {
-        let table = AreaTable::build(&rects);
-        let sat = table.rasterize(&window, nx, ny);
+        let sat = table_raster(&rects, &window, nx, ny);
         let naive = DensityGrid::from_rects(&window, &rects, nx, ny);
         prop_assert_eq!(sat.cells(), naive.cells());
     }
 
-    /// The mode-routing seam agrees with the reference constructor bit for
-    /// bit on arbitrary input (the only divergence hatch left is the
-    /// cell-count cap, which falls back to the reference sweep itself).
-    #[test]
-    fn from_rects_mode_agrees_across_modes(
-        rects in arb_rects(150, 20),
-        window in arb_rect(200),
-        n in 1usize..10,
-    ) {
-        let reference = DensityGrid::from_rects_mode(&window, &rects, n, n, RasterMode::Reference);
-        let sat = DensityGrid::from_rects_mode(&window, &rects, n, n, RasterMode::Sat);
-        prop_assert_eq!(reference.cells(), sat.cells());
-    }
-
-    /// Satellite invariant: integer accumulation makes the reference sweep
+    /// Satellite invariant: integer accumulation makes the direct sweep
     /// order-independent — any permutation (here: reversal plus a rotation)
     /// of the rect list, disjoint or overlapping, yields identical cells.
     #[test]
@@ -110,7 +90,7 @@ proptest! {
 
 proptest! {
     /// Shared per-tile subtile tables answer every window they were built
-    /// for bit-identically to the reference sweep — arbitrary overlapping
+    /// for bit-identically to the direct sweep — arbitrary overlapping
     /// rects, arbitrary anchored windows, and an in-place rebuild of a
     /// previously used grid (stale retained storage must be invisible).
     #[test]
@@ -145,9 +125,8 @@ proptest! {
 
 #[test]
 fn empty_tile_rasterises_to_zero_grid() {
-    let table = AreaTable::build(&[]);
     let window = Rect::from_extents(0, 0, 100, 100);
-    let sat = table.rasterize(&window, 4, 4);
+    let sat = table_raster(&[], &window, 4, 4);
     let naive = DensityGrid::from_rects(&window, &[], 4, 4);
     assert_eq!(sat.cells(), naive.cells());
     assert!(sat.cells().iter().all(|&c| c == 0.0));
@@ -156,9 +135,8 @@ fn empty_tile_rasterises_to_zero_grid() {
 #[test]
 fn clip_fully_outside_coverage_is_zero() {
     let rects = [Rect::from_extents(0, 0, 50, 50)];
-    let table = AreaTable::build(&rects);
     let window = Rect::from_extents(10_000, 10_000, 10_100, 10_100);
-    let sat = table.rasterize(&window, 8, 8);
+    let sat = table_raster(&rects, &window, 8, 8);
     let naive = DensityGrid::from_rects(&window, &rects, 8, 8);
     assert_eq!(sat.cells(), naive.cells());
     assert!(sat.cells().iter().all(|&c| c == 0.0));
@@ -171,8 +149,7 @@ fn one_by_one_grid_is_exact_mean_coverage() {
         Rect::from_extents(60, 60, 90, 90),
     ];
     let window = Rect::from_extents(0, 0, 120, 120);
-    let table = AreaTable::build(&rects);
-    let sat = table.rasterize(&window, 1, 1);
+    let sat = table_raster(&rects, &window, 1, 1);
     let naive = DensityGrid::from_rects(&window, &rects, 1, 1);
     assert_eq!(sat.cells(), naive.cells());
     let covered: i64 = rects.iter().map(|r| r.overlap_area(&window)).sum();
@@ -185,8 +162,7 @@ fn grid_finer_than_window_handles_empty_pixels() {
     // both paths must agree (empty pixels stay 0.0, no NaNs).
     let window = Rect::from_extents(0, 0, 3, 3);
     let rects = [Rect::from_extents(0, 0, 2, 3)];
-    let table = AreaTable::build(&rects);
-    let sat = table.rasterize(&window, 8, 8);
+    let sat = table_raster(&rects, &window, 8, 8);
     let naive = DensityGrid::from_rects(&window, &rects, 8, 8);
     assert_eq!(sat.cells(), naive.cells());
     assert!(sat.cells().iter().all(|c| c.is_finite()));

@@ -361,6 +361,44 @@ impl SvmModel {
         self.dim
     }
 
+    /// Checks that the stored parts agree with [`dim`](Self::dim): every
+    /// support vector has `dim` values, there is one coefficient per
+    /// support vector, and the scaler's minima and spans have `dim` values
+    /// each. Training always produces such a model; a hand-edited or
+    /// corrupted model file may not, and its compiled form would then read
+    /// every later support vector misaligned.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first part of the wrong length.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let dim = self.dim;
+        if let Some(i) = self.support.iter().position(|sv| sv.len() != dim) {
+            return Err(format!(
+                "support vector {i} has {} values, not {dim}",
+                self.support[i].len()
+            ));
+        }
+        if self.coef.len() != self.support.len() {
+            return Err(format!(
+                "{} coefficients for {} support vectors",
+                self.coef.len(),
+                self.support.len()
+            ));
+        }
+        if let Some(s) = &self.scaler {
+            for (name, values) in [("minima", s.mins()), ("spans", s.spans())] {
+                if values.len() != dim {
+                    return Err(format!(
+                        "scaler {name} have {} values, not {dim}",
+                        values.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// SMO iterations used in training.
     pub fn iterations(&self) -> u64 {
         self.iterations
@@ -400,6 +438,35 @@ mod tests {
         assert_eq!(model.accuracy(&x, &y), 1.0);
         assert_eq!(model.predict(&[0.05, 0.05]), -1.0);
         assert_eq!(model.predict(&[0.95, 0.95]), 1.0);
+    }
+
+    #[test]
+    fn check_shape_names_the_part_of_the_wrong_length() {
+        let (x, y) = separable();
+        let model = SvmTrainer::new(Kernel::rbf(1.0))
+            .c(100.0)
+            .train(&x, &y)
+            .unwrap();
+        assert_eq!(model.check_shape(), Ok(()));
+
+        let mut short_sv = model.clone();
+        short_sv.support[0].pop();
+        let err = short_sv.check_shape().unwrap_err();
+        assert!(
+            err.contains("support vector 0 has 1 values, not 2"),
+            "{err}"
+        );
+
+        let mut extra_coef = model.clone();
+        extra_coef.coef.push(0.5);
+        let err = extra_coef.check_shape().unwrap_err();
+        assert!(err.contains("coefficients for"), "{err}");
+
+        let mut short_scaler = model.clone();
+        let scaler = short_scaler.scaler.as_ref().expect("scaled by default");
+        short_scaler.scaler = Some(FeatureScaler::fit(&[vec![scaler.mins()[0]]]));
+        let err = short_scaler.check_shape().unwrap_err();
+        assert!(err.contains("scaler minima have 1 values, not 2"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! raise it. Only a pair whose every orientation exceeds the maximum needs
 //! its exact minimum.
 
-use hotspot_geom::{DensityGrid, RasterMode, Rect, D8};
+use hotspot_geom::{DensityGrid, Rect, D8};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of density-based classification.
@@ -94,24 +94,9 @@ impl DensityClustering {
     ///
     /// Returns an empty clustering for no patterns.
     pub fn run(window: &Rect, patterns: &[Vec<Rect>], params: &ClusterParams) -> Self {
-        Self::run_with_mode(window, patterns, params, RasterMode::default())
-    }
-
-    /// [`DensityClustering::run`] with an explicit rasterisation mode for
-    /// grid construction. Both modes yield bit-identical grids for disjoint
-    /// rects, so the clustering itself is mode-independent; the toggle only
-    /// selects the rasterisation cost model.
-    pub fn run_with_mode(
-        window: &Rect,
-        patterns: &[Vec<Rect>],
-        params: &ClusterParams,
-        mode: RasterMode,
-    ) -> Self {
         let grids: Vec<DensityGrid> = patterns
             .iter()
-            .map(|rects| {
-                DensityGrid::from_rects_mode(window, rects, params.grid, params.grid, mode)
-            })
+            .map(|rects| DensityGrid::from_rects(window, rects, params.grid, params.grid))
             .collect();
         Self::run_on_grids(grids, params)
     }

@@ -147,15 +147,30 @@ expect_json_error scan --model "$JSON_DIR/truncated.json" --layout "$FAULT_DIR/l
   --out "$JSON_DIR/report.json"
 expect_json_error train --training "$JSON_DIR/nested.json" --out "$JSON_DIR/model.json"
 # Well-formed JSON whose kernels cannot score their vectors: every
-# feature_len below the 5 nontopological features, or the feedback
-# kernel's feature_len off its SVM's dimension. Both are rejected at load
-# (exit 4) before any tile runs, never as a worker panic.
+# feature_len below the 5 nontopological features, the feedback kernel's
+# feature_len off its SVM's dimension, kernel 0's first support vector or
+# centroid one value short, or the retired "reference" evaluation engine.
+# All are rejected at load (exit 4) before any tile runs, never as a
+# worker panic. The model file is one line, so a sed without `g` edits the
+# first occurrence only.
 sed 's/"feature_len":[0-9]*/"feature_len":3/g' "$FAULT_DIR/model.json" \
   > "$JSON_DIR/short_features.json"
 fb_len=$(grep -o '"feature_len":[0-9]*,"extras_seen"' "$FAULT_DIR/model.json" | grep -o '[0-9]*')
 sed "s/\"feature_len\":$fb_len,\"extras_seen\"/\"feature_len\":$((fb_len + 6)),\"extras_seen\"/" \
   "$FAULT_DIR/model.json" > "$JSON_DIR/feedback_mismatch.json"
-for crafted in short_features feedback_mismatch; do
+sed 's/"support":\[\[[^],]*,/"support":[[/' "$FAULT_DIR/model.json" \
+  > "$JSON_DIR/short_support.json"
+sed 's/"cells":\[[^],]*,/"cells":[/' "$FAULT_DIR/model.json" \
+  > "$JSON_DIR/short_centroid.json"
+# The vendored serde writes variant names as declared ("Compiled"), so
+# "Reference" is the spelling the parent release loaded; "reference" is
+# the snake_case one.
+for mode in reference Reference; do
+  sed "s/\"eval_mode\":\"[A-Za-z_]*\"/\"eval_mode\":\"$mode\"/" "$FAULT_DIR/model.json" \
+    > "$JSON_DIR/eval_mode_$mode.json"
+done
+for crafted in short_features feedback_mismatch short_support short_centroid \
+  eval_mode_reference eval_mode_Reference; do
   if cmp -s "$FAULT_DIR/model.json" "$JSON_DIR/$crafted.json"; then
     echo "hostile-JSON smoke ($crafted): the model has no field to corrupt"
     exit 1
@@ -168,7 +183,7 @@ for crafted in short_features feedback_mismatch; do
     exit 1
   fi
 done
-echo "hostile-JSON smoke: nested, truncated and inconsistent models exit 4"
+echo "hostile-JSON smoke: nested, truncated, inconsistent and retired-engine models exit 4"
 
 echo "==> unknown-flag smoke (a retired or misspelt flag: exit 2)"
 # `--eval-mode` was retired; an unknown flag must be a usage error, not

@@ -12,6 +12,7 @@ use hotspot_suite::core::{
     NdjsonSink, ObsEvent, ObsHub, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
 };
 use hotspot_suite::layout::ClipShape;
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -369,4 +370,73 @@ fn report_stage_rows_and_hub_agree_on_every_shared_count() {
     let report = scan_and_check_agreement(detector, &aborted, "aborted");
     assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The NDJSON event log of one default scan of the benchmark, as bytes.
+fn valid_event_log() -> &'static [u8] {
+    static LOG: OnceLock<Vec<u8>> = OnceLock::new();
+    LOG.get_or_init(|| {
+        let bm = benchmark();
+        let events = temp_path("fuzz_source.ndjson");
+        let hub = ObsHub::new();
+        hub.register(Box::new(NdjsonSink::create(&events).expect("event log")));
+        trained(bm)
+            .clone()
+            .with_obs(hub)
+            .scan_layout(&bm.layout, bm.layer, &ScanConfig::default())
+            .expect("scan");
+        let bytes = std::fs::read(&events).expect("read event log");
+        std::fs::remove_file(&events).ok();
+        assert!(read_events_from(&bytes).is_ok(), "the source log is valid");
+        bytes
+    })
+}
+
+/// `read_events` over `bytes` written to a scratch file.
+fn read_events_from(bytes: &[u8]) -> std::io::Result<Vec<hotspot_suite::core::ObsRecord>> {
+    let path = temp_path(&format!("fuzz_{:?}.ndjson", std::thread::current().id()));
+    std::fs::write(&path, bytes).expect("write mutated log");
+    let result = read_events(&path);
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A corrupted event log is read or rejected as `InvalidData`, never a
+    /// panic: truncation at any byte, flipped bytes, non-UTF-8 bytes and
+    /// events of a kind the reader does not know.
+    #[test]
+    fn corrupted_event_logs_are_read_or_rejected_as_invalid_data(
+        kind in 0u8..4,
+        at in 0usize..1 << 20,
+        flips in proptest::collection::vec((0usize..1 << 20, 1u16..256), 1..6),
+        high in 0x80u16..0x100,
+    ) {
+        let mut log = valid_event_log().to_vec();
+        let at = at % (log.len() + 1);
+        match kind {
+            0 => log.truncate(at),
+            1 => {
+                for (pos, mask) in flips {
+                    let pos = pos % log.len();
+                    log[pos] ^= mask as u8;
+                }
+            }
+            2 => log.insert(at, high as u8),
+            _ => {
+                // An unknown event kind on a line of its own, between two
+                // records.
+                let line_start = log[..at].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let unknown = format!(
+                    "{{\"v\":{OBS_SCHEMA_VERSION},\"seq\":7,\"event\":{{\"NoSuchEvent\":{{\"n\":1}}}}}}\n"
+                );
+                log.splice(line_start..line_start, unknown.into_bytes());
+            }
+        }
+        if let Err(e) = read_events_from(&log) {
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+        }
+    }
 }

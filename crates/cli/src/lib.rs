@@ -69,6 +69,8 @@ impl fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Io(e) => write!(f, "i/o error: {e}"),
             CliError::Json(e) => write!(f, "json error: {e}"),
+            // Exits 4 like malformed JSON, so it carries that class's prefix.
+            CliError::Pipeline(e @ DetectError::InvalidModel(_)) => write!(f, "json error: {e}"),
             CliError::Gds(e) => write!(f, "gdsii error: {e}"),
             CliError::Pipeline(e) => write!(f, "pipeline error: {e}"),
         }
@@ -166,9 +168,10 @@ structured pipeline event to a schema-versioned NDJSON log.
 that is truncated mid-record, corrupt, not UTF-8, or names an unknown
 event exits 3.
 
-Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (also an inconsistent model:
-feature lengths off their SVMs, support vectors, coefficients, scaler or
-centroids of the wrong size, or the retired eval_mode \"reference\"),
+Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (malformed JSON, or an
+inconsistent model: feature lengths off their SVMs, support vectors,
+coefficients, scaler or centroids of the wrong size, or the retired
+eval_mode \"reference\"; the message starts `json error:`),
 5 gdsii, 6 pipeline (also a layer extent too large to tile), 7 completed
 with quarantined tiles, 8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
 same --cache <path>).";
@@ -1208,11 +1211,14 @@ mod tests {
             CliError::Pipeline(hotspot_core::DetectError::NoHotspots).exit_code(),
             6
         );
-        // An inconsistent model is a malformed model file, like bad JSON.
-        assert_eq!(
-            CliError::Pipeline(hotspot_core::DetectError::InvalidModel("x".into())).exit_code(),
-            4
-        );
+        // An inconsistent model is a malformed model file, like bad JSON:
+        // same exit code, same message prefix.
+        let invalid = CliError::Pipeline(hotspot_core::DetectError::InvalidModel("x".into()));
+        assert_eq!(invalid.exit_code(), 4);
+        assert_eq!(invalid.to_string(), "json error: inconsistent model: x");
+        let internal = CliError::Pipeline(hotspot_core::DetectError::Internal("x".into()));
+        assert_eq!(internal.exit_code(), 6);
+        assert!(internal.to_string().starts_with("pipeline error: "));
         // A missing model file surfaces as an I/O error, not usage.
         let err = run(&argv(&[
             "detect",

@@ -73,7 +73,6 @@ impl PartialEq for CancelToken {
 /// every other provenance field, so an aborted scan re-run from its cache
 /// digests identically to an uninterrupted one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum AbortReason {
     /// The [`crate::ScanConfig::deadline`] wall-clock budget expired.
     DeadlineExceeded,

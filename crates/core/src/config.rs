@@ -59,7 +59,6 @@ impl Default for AblationSwitches {
 /// admission router ([`hotspot_topo::route::CentroidRouter`]) and the
 /// flattened support-vector evaluator ([`hotspot_svm::CompiledModel`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum EvalMode {
     /// The compiled router and SVM engines.
     #[default]

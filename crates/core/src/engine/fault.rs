@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 /// Pipeline sites where a [`FaultPlan`] can inject a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum FaultSite {
     /// At the density-prefilter boundary, before any tile work.
     Prefilter,

@@ -14,13 +14,13 @@ use crate::config::DetectorConfig;
 use crate::memo::EvalMemo;
 use crate::pattern::Pattern;
 use crate::training::{
-    classify_patterns, density_grid, feature_vector_padded, train_iterative, ClusterKernel,
-    FeatureMemo, PatternCluster, Region,
+    classify_patterns, critical_features, density_grid, feature_vector_padded, train_iterative,
+    ClusterKernel, FeatureMemo, PatternCluster, Region,
 };
 use hotspot_geom::{AreaTableGrid, DensityGrid, Rect};
 use hotspot_svm::{BatchEvaluator, CompiledModel, SvmModel, TrainError};
 use hotspot_topo::route::{Admission, CentroidRouter, RouteStats};
-use hotspot_topo::TopoSignature;
+use hotspot_topo::{CriticalFeatures, TopoSignature};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -440,29 +440,26 @@ pub fn train_feedback(
         return Ok(None);
     }
 
-    // Clip-region features; pad everything to the longest vector.
-    let raw: Vec<(Vec<f64>, f64)> = hotspot_training
+    // Clip-region features; pad everything to the longest vector, keeping
+    // each one's nontopological tail last.
+    let features: Vec<CriticalFeatures> = hotspot_training
         .iter()
-        .map(|p| {
-            (
-                crate::training::feature_vector(p, Region::Clip, config),
-                1.0,
-            )
-        })
-        .chain(nonhotspot_training.iter().map(|p| {
-            (
-                crate::training::feature_vector(p, Region::Clip, config),
-                -1.0,
-            )
-        }))
+        .chain(&nonhotspot_training)
+        .map(|p| critical_features(p, Region::Clip, config, None))
         .collect();
-    let feature_len = raw.iter().map(|(v, _)| v.len()).max().unwrap_or(5).max(5);
-    let mut x = Vec::with_capacity(raw.len());
-    let mut y = Vec::with_capacity(raw.len());
-    for (v, label) in raw {
-        x.push(pad_tail(v, feature_len));
-        y.push(label);
-    }
+    let feature_len = features
+        .iter()
+        .map(|f| f.to_vector().len())
+        .max()
+        .unwrap_or(5)
+        .max(5);
+    let x: Vec<Vec<f64>> = features
+        .iter()
+        .map(|f| f.to_vector_padded(feature_len))
+        .collect();
+    let y: Vec<f64> = std::iter::repeat_n(1.0, hotspot_training.len())
+        .chain(std::iter::repeat_n(-1.0, nonhotspot_training.len()))
+        .collect();
 
     let fit = train_iterative(&x, &y, config)?;
     Ok(Some(FeedbackKernel {
@@ -470,17 +467,6 @@ pub fn train_feedback(
         feature_len,
         extras_seen: extra_cluster_ids.len(),
     }))
-}
-
-/// Pads/truncates preserving the 5-value nontopological tail.
-fn pad_tail(mut v: Vec<f64>, len: usize) -> Vec<f64> {
-    if v.len() == len {
-        return v;
-    }
-    let tail: Vec<f64> = v.split_off(v.len().saturating_sub(5));
-    v.resize(len.saturating_sub(5), 0.0);
-    v.extend(tail);
-    v
 }
 
 #[cfg(test)]
@@ -626,13 +612,5 @@ mod tests {
         // hotspot and reclaims the ambit-decorated nonhotspot.
         assert!(confirms(&fb, &pattern(&core), &cfg));
         assert!(!confirms(&fb, &pattern(&with_ambit), &cfg));
-    }
-
-    #[test]
-    fn pad_tail_roundtrip() {
-        let v = vec![9.0, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let p = pad_tail(v.clone(), 12);
-        assert_eq!(p.len(), 12);
-        assert_eq!(&p[7..], &v[2..]);
     }
 }

@@ -34,7 +34,6 @@ use std::sync::Arc;
 /// replaying it is equivalent to re-running the tile, which is why a scan
 /// served from the tile cache is bit-identical to one that recomputes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum TileOutcomeRecord {
     /// The tile was discarded by the density prefilter.
     Prefiltered,

@@ -86,3 +86,51 @@ pub use patterning::{DecomposedPattern, DoublePatterningDetector};
 pub use scan::{FailureKind, FailurePolicy, QuarantinedTile, ScanConfig, ScanReport};
 pub use tile_cache::{CacheEntry, CacheHeader, CacheLoadStats, TileCache};
 pub use training::{ClusterKernel, PatternCluster};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::FaultSite;
+    use crate::journal::TileOutcomeRecord;
+    use serde::{de::DeserializeOwned, Serialize};
+    use std::fmt::Debug;
+
+    /// `value` serialises to `wire` and `wire` parses back to `value`.
+    fn pin<T: Serialize + DeserializeOwned + PartialEq + Debug>(value: T, wire: &str) {
+        assert_eq!(serde_json::to_string(&value).expect("serialise"), wire);
+        assert_eq!(serde_json::from_str::<T>(wire).expect("parse"), value);
+    }
+
+    /// Model files, tile caches and reports hold these enums by their
+    /// declared variant names; a serde change that renamed them would make
+    /// every existing file unreadable.
+    #[test]
+    fn enums_keep_their_declared_wire_names() {
+        pin(EvalMode::Compiled, r#""Compiled""#);
+        pin(RasterMode::Sat, r#""Sat""#);
+        pin(AbortReason::DeadlineExceeded, r#""DeadlineExceeded""#);
+        pin(AbortReason::Interrupted, r#""Interrupted""#);
+        pin(FailureKind::Panicked, r#""Panicked""#);
+        pin(FailureKind::TimedOut, r#""TimedOut""#);
+        pin(FailurePolicy::Abort, r#""Abort""#);
+        pin(
+            FailurePolicy::SkipAndRecord {
+                max_failed_tiles: 3,
+            },
+            r#"{"SkipAndRecord":{"max_failed_tiles":3}}"#,
+        );
+        pin(FaultSite::Prefilter, r#""Prefilter""#);
+        pin(FaultSite::Extraction, r#""Extraction""#);
+        pin(FaultSite::Evaluation, r#""Evaluation""#);
+        pin(TileOutcomeRecord::Prefiltered, r#""Prefiltered""#);
+        pin(
+            TileOutcomeRecord::Evaluated {
+                clips: 4,
+                flagged: 2,
+                reclaimed: 1,
+                flagged_cores: Vec::new(),
+            },
+            r#"{"Evaluated":{"clips":4,"flagged":2,"reclaimed":1,"flagged_cores":[]}}"#,
+        );
+    }
+}

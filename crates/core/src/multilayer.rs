@@ -12,14 +12,11 @@ use crate::config::DetectorConfig;
 use crate::detector::DetectError;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
-use crate::training::{
-    classify_patterns, core_signature_and_grid, kernel_admits, pad, train_iterative, Region,
-};
-use hotspot_geom::{DensityGrid, Rect};
+use crate::training::ExtensionKernel;
+use hotspot_geom::Rect;
 use hotspot_layout::{ClipWindow, LayerId, Layout};
-use hotspot_svm::{SvmModel, TrainError};
+use hotspot_svm::TrainError;
 use hotspot_topo::multilayer::MultilayerFeatures;
-use hotspot_topo::TopoSignature;
 use serde::{Deserialize, Serialize};
 
 /// A clip pattern spanning several layers.
@@ -93,20 +90,10 @@ pub struct MultilayerTrainingSet {
     pub nonhotspots: Vec<MultilayerPattern>,
 }
 
-/// One per-cluster multilayer kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MlKernel {
-    model: SvmModel,
-    signature: TopoSignature,
-    centroid: DensityGrid,
-    radius: f64,
-    feature_len: usize,
-}
-
 /// The trained multilayer detector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultilayerDetector {
-    kernels: Vec<MlKernel>,
+    kernels: Vec<ExtensionKernel>,
     layer_count: usize,
     config: DetectorConfig,
 }
@@ -134,48 +121,17 @@ impl MultilayerDetector {
             .iter()
             .map(MultilayerPattern::classification_pattern)
             .collect();
-        let clusters = classify_patterns(&class_patterns, Region::Core, &config.cluster);
-
         // Nonhotspot side: all nonhotspots (multilayer sets are small; the
         // single-layer pipeline's medoid downsampling applies before this).
-        let negative_features: Vec<Vec<f64>> = training
-            .nonhotspots
-            .iter()
-            .map(|p| p.feature_vector(&config))
-            .collect();
-
-        let mut kernels = Vec::with_capacity(clusters.len());
-        for cluster in &clusters {
-            let positives: Vec<Vec<f64>> = cluster
-                .members
-                .iter()
-                .map(|&i| training.hotspots[i].feature_vector(&config))
-                .collect();
-            let feature_len = positives
-                .iter()
-                .chain(&negative_features)
-                .map(Vec::len)
-                .max()
-                .unwrap_or(5);
-            let mut x = Vec::with_capacity(positives.len() + negative_features.len());
-            let mut y = Vec::with_capacity(x.capacity());
-            for f in &positives {
-                x.push(pad(f.clone(), feature_len));
-                y.push(1.0);
-            }
-            for f in &negative_features {
-                x.push(pad(f.clone(), feature_len));
-                y.push(-1.0);
-            }
-            let fit = train_iterative(&x, &y, &config)?;
-            kernels.push(MlKernel {
-                model: fit.model,
-                signature: cluster.signature.clone(),
-                centroid: cluster.centroid.clone(),
-                radius: cluster.radius,
-                feature_len,
-            });
-        }
+        let features = |set: &[MultilayerPattern]| -> Vec<Vec<f64>> {
+            set.iter().map(|p| p.feature_vector(&config)).collect()
+        };
+        let kernels = ExtensionKernel::train_all(
+            &class_patterns,
+            &features(&training.hotspots),
+            &features(&training.nonhotspots),
+            &config,
+        )?;
         Ok(MultilayerDetector {
             kernels,
             layer_count,
@@ -190,27 +146,12 @@ impl MultilayerDetector {
 
     /// Classifies one multilayer clip (any-kernel-flags semantics).
     pub fn classify(&self, pattern: &MultilayerPattern) -> bool {
-        let class = pattern.classification_pattern();
-        let (signature, grid) = core_signature_and_grid(&class, &self.config);
-        let features_full = pattern.feature_vector(&self.config);
-        for k in &self.kernels {
-            let admitted = kernel_admits(
-                &signature,
-                &grid,
-                &k.signature,
-                &k.centroid,
-                k.radius,
-                &self.config,
-            );
-            if !admitted {
-                continue;
-            }
-            let f = pad(features_full.clone(), k.feature_len);
-            if k.model.decision_value(&f) > self.config.decision_threshold {
-                return true;
-            }
-        }
-        false
+        ExtensionKernel::any_flags(
+            &self.kernels,
+            &pattern.classification_pattern(),
+            &pattern.feature_vector(&self.config),
+            &self.config,
+        )
     }
 
     /// Scans a testing layout: clips extracted on `layers[0]`, geometry

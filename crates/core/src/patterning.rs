@@ -13,14 +13,11 @@
 use crate::config::DetectorConfig;
 use crate::extraction::{extract_clips_indexed, RectIndex};
 use crate::pattern::Pattern;
-use crate::training::{
-    classify_patterns, core_signature_and_grid, kernel_admits, pad, train_iterative, Region,
-};
-use hotspot_geom::{Coord, DensityGrid, Rect};
+use crate::training::ExtensionKernel;
+use hotspot_geom::{Coord, Rect};
 use hotspot_layout::{ClipWindow, LayerId, Layout};
-use hotspot_svm::{SvmModel, TrainError};
+use hotspot_svm::TrainError;
 use hotspot_topo::patterning::{MaskDecomposition, PatterningFeatures};
-use hotspot_topo::TopoSignature;
 use serde::{Deserialize, Serialize};
 
 /// A labelled clip with its mask decomposition.
@@ -70,18 +67,9 @@ impl DecomposedPattern {
 /// A trained double-patterning detector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DoublePatterningDetector {
-    kernels: Vec<DpKernel>,
+    kernels: Vec<ExtensionKernel>,
     min_spacing: Coord,
     config: DetectorConfig,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DpKernel {
-    model: SvmModel,
-    signature: TopoSignature,
-    centroid: DensityGrid,
-    radius: f64,
-    feature_len: usize,
 }
 
 impl DoublePatterningDetector {
@@ -106,45 +94,15 @@ impl DoublePatterningDetector {
             .iter()
             .map(DecomposedPattern::combined_pattern)
             .collect();
-        let clusters = classify_patterns(&class_patterns, Region::Core, &config.cluster);
-
-        let negative_features: Vec<Vec<f64>> = nonhotspots
-            .iter()
-            .map(|p| p.feature_vector(&config))
-            .collect();
-
-        let mut kernels = Vec::with_capacity(clusters.len());
-        for cluster in &clusters {
-            let positives: Vec<Vec<f64>> = cluster
-                .members
-                .iter()
-                .map(|&i| hotspots[i].feature_vector(&config))
-                .collect();
-            let feature_len = positives
-                .iter()
-                .chain(&negative_features)
-                .map(Vec::len)
-                .max()
-                .unwrap_or(5);
-            let mut x = Vec::new();
-            let mut y = Vec::new();
-            for f in &positives {
-                x.push(pad(f.clone(), feature_len));
-                y.push(1.0);
-            }
-            for f in &negative_features {
-                x.push(pad(f.clone(), feature_len));
-                y.push(-1.0);
-            }
-            let fit = train_iterative(&x, &y, &config)?;
-            kernels.push(DpKernel {
-                model: fit.model,
-                signature: cluster.signature.clone(),
-                centroid: cluster.centroid.clone(),
-                radius: cluster.radius,
-                feature_len,
-            });
-        }
+        let features = |set: &[DecomposedPattern]| -> Vec<Vec<f64>> {
+            set.iter().map(|p| p.feature_vector(&config)).collect()
+        };
+        let kernels = ExtensionKernel::train_all(
+            &class_patterns,
+            &features(hotspots),
+            &features(nonhotspots),
+            &config,
+        )?;
         Ok(DoublePatterningDetector {
             kernels,
             min_spacing,
@@ -164,27 +122,12 @@ impl DoublePatterningDetector {
 
     /// Classifies one decomposed clip.
     pub fn classify(&self, pattern: &DecomposedPattern) -> bool {
-        let combined = pattern.combined_pattern();
-        let (signature, grid) = core_signature_and_grid(&combined, &self.config);
-        let features_full = pattern.feature_vector(&self.config);
-        for k in &self.kernels {
-            let admitted = kernel_admits(
-                &signature,
-                &grid,
-                &k.signature,
-                &k.centroid,
-                k.radius,
-                &self.config,
-            );
-            if !admitted {
-                continue;
-            }
-            let f = pad(features_full.clone(), k.feature_len);
-            if k.model.decision_value(&f) > self.config.decision_threshold {
-                return true;
-            }
-        }
-        false
+        ExtensionKernel::any_flags(
+            &self.kernels,
+            &pattern.combined_pattern(),
+            &pattern.feature_vector(&self.config),
+            &self.config,
+        )
     }
 
     /// Scans a testing layout, decomposing every extracted clip with the

@@ -198,7 +198,6 @@ fn covered_area(rects: &[Rect], window: &Rect) -> i64 {
 
 /// What a scan does when a tile task fails (panics on both attempts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum FailurePolicy {
     /// Fail the scan with [`DetectError::TaskPanicked`] on the first tile
     /// whose retry also fails (the default — no silent data loss).
@@ -215,7 +214,6 @@ pub enum FailurePolicy {
 
 /// How a quarantined tile failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum FailureKind {
     /// Both attempts panicked — the only kind before soft budgets existed,
     /// and the serde default so older reports deserialise unchanged.

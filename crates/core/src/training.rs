@@ -5,7 +5,7 @@ use crate::config::DetectorConfig;
 use crate::engine::{Executor, ExecutorStats};
 use crate::pattern::Pattern;
 use hotspot_geom::{DensityGrid, Orientation, RasterMode, Rect};
-use hotspot_svm::{Kernel, PlattScaler, SharedKernelCache, SvmModel, SvmTrainer, TrainError};
+use hotspot_svm::{DistanceTable, Kernel, PlattScaler, SvmModel, SvmTrainer, TrainError};
 use hotspot_topo::{ClusterParams, CriticalFeatures, DensityClustering, TopoSignature};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -147,7 +147,7 @@ fn normalized_window(pattern: &Pattern, region: Region) -> Rect {
 /// signature, so all members of one cluster land in a common frame. A
 /// caller that already holds that orientation passes it, so it is not
 /// derived twice.
-fn critical_features(
+pub(crate) fn critical_features(
     pattern: &Pattern,
     region: Region,
     config: &DetectorConfig,
@@ -264,7 +264,7 @@ pub fn core_signature_and_grid(
 /// grid has the centroid's shape and lies within the kernel's admission
 /// threshold of it under the eq. (1) distance. The naive search behind
 /// the multilayer and double-patterning detectors' `classify`.
-pub(crate) fn kernel_admits(
+fn kernel_admits(
     signature: &TopoSignature,
     grid: &DensityGrid,
     kernel_signature: &TopoSignature,
@@ -277,26 +277,110 @@ pub(crate) fn kernel_admits(
             && grid.distance(centroid).distance <= config.admission.threshold(radius))
 }
 
+/// One per-cluster kernel of the Section IV detectors (multilayer and
+/// double patterning): routed by the core topology of each detector's
+/// classification pattern, scored on each detector's own feature vector.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct ExtensionKernel {
+    model: SvmModel,
+    signature: TopoSignature,
+    centroid: DensityGrid,
+    radius: f64,
+    feature_len: usize,
+}
+
+impl ExtensionKernel {
+    /// Trains one kernel per core-topology cluster of `class_patterns` (one
+    /// per hotspot): each on its members' `hotspot_features` against every
+    /// vector of `nonhotspot_features`, zero-padded to the longest of them
+    /// (5 values if there are none).
+    pub(crate) fn train_all(
+        class_patterns: &[Pattern],
+        hotspot_features: &[Vec<f64>],
+        nonhotspot_features: &[Vec<f64>],
+        config: &DetectorConfig,
+    ) -> Result<Vec<ExtensionKernel>, TrainError> {
+        let clusters = classify_patterns(class_patterns, Region::Core, &config.cluster);
+        clusters
+            .iter()
+            .map(|cluster| {
+                let positives = cluster.members.iter().map(|&i| &hotspot_features[i]);
+                let feature_len = positives
+                    .clone()
+                    .chain(nonhotspot_features)
+                    .map(Vec::len)
+                    .max()
+                    .unwrap_or(5);
+                let x: Vec<Vec<f64>> = positives
+                    .chain(nonhotspot_features)
+                    .map(|f| pad(f.clone(), feature_len))
+                    .collect();
+                let y: Vec<f64> = std::iter::repeat_n(1.0, cluster.members.len())
+                    .chain(std::iter::repeat_n(-1.0, nonhotspot_features.len()))
+                    .collect();
+                let fit = train_iterative(&x, &y, config)?;
+                Ok(ExtensionKernel {
+                    model: fit.model,
+                    signature: cluster.signature.clone(),
+                    centroid: cluster.centroid.clone(),
+                    radius: cluster.radius,
+                    feature_len,
+                })
+            })
+            .collect()
+    }
+
+    /// Whether any of `kernels` flags a clip: admits its classification
+    /// pattern (see [`kernel_admits`]) and scores its `features`, padded to
+    /// the kernel's length, above the decision threshold.
+    pub(crate) fn any_flags(
+        kernels: &[ExtensionKernel],
+        class_pattern: &Pattern,
+        features: &[f64],
+        config: &DetectorConfig,
+    ) -> bool {
+        let (signature, grid) = core_signature_and_grid(class_pattern, config);
+        kernels.iter().any(|k| {
+            kernel_admits(
+                &signature,
+                &grid,
+                &k.signature,
+                &k.centroid,
+                k.radius,
+                config,
+            ) && k
+                .model
+                .decision_value(&pad(features.to_vec(), k.feature_len))
+                > config.decision_threshold
+        })
+    }
+}
+
 /// Result of the iterative `(C, γ)` self-training loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterativeFit {
-    /// The trained model of the final round.
+    /// The kept model: the first round of the best training accuracy.
     pub model: SvmModel,
     /// Round whose model was kept (1 = the initial parameters sufficed).
     pub rounds: usize,
     /// Total self-training rounds attempted before stopping.
     pub rounds_attempted: usize,
-    /// Final penalty value.
+    /// Penalty of the kept round.
     pub c: f64,
-    /// Final RBF width.
+    /// RBF width of the kept round.
     pub gamma: f64,
-    /// Training accuracy of the final round.
+    /// Training accuracy of the kept round.
     pub training_accuracy: f64,
 }
 
 /// Iterative learning (Section III-D2): train, self-evaluate on the
 /// training data, and double `C` and `γ` until the accuracy target or the
-/// round bound is reached.
+/// round bound is reached. A round's model is kept only if it beats every
+/// earlier round's training accuracy.
+///
+/// Every round trains on the same vectors, so one [`DistanceTable`] serves
+/// them all: the γ-independent squared distances of the RBF kernel are
+/// computed once per fit.
 ///
 /// # Errors
 ///
@@ -306,101 +390,36 @@ pub fn train_iterative(
     y: &[f64],
     config: &DetectorConfig,
 ) -> Result<IterativeFit, TrainError> {
-    let shared = SharedKernelCache::new(x.len());
-    train_iterative_with(x, y, config, &shared, 1)
-}
-
-/// The `(C, γ)` parameters of 1-based `round`: each round doubles both,
-/// starting from the configured initial values. Doubling is exact in f64,
-/// so recomputing from the round number matches sequential accumulation
-/// bit for bit.
-fn round_params(config: &DetectorConfig, round: usize) -> (f64, f64) {
-    let scale = 2f64.powi(round as i32 - 1);
-    (config.initial_c * scale, config.initial_gamma * scale)
-}
-
-fn train_round(
-    x: &[Vec<f64>],
-    y: &[f64],
-    config: &DetectorConfig,
-    shared: &SharedKernelCache,
-    round: usize,
-) -> Result<(SvmModel, f64), TrainError> {
-    let (c, gamma) = round_params(config, round);
-    let model = SvmTrainer::new(Kernel::rbf(gamma))
-        .c(c)
-        .train_with_cache(x, y, shared)?;
-    let acc = model.accuracy(x, y);
-    Ok((model, acc))
-}
-
-/// Iterative learning with up to `speculation` rounds trained concurrently.
-///
-/// Rounds are independent trainings on the same data with doubled `(C, γ)`,
-/// so when spare threads exist they can be trained speculatively in waves:
-/// all rounds of a wave run in parallel (sharing the γ-independent
-/// squared-distance rows in `shared`), then the sequential stopping rule is
-/// replayed over the wave in round order. Rounds past the stop point are
-/// discarded, so the selected fit — model, kept round, attempted rounds —
-/// is identical to the sequential loop's for every `speculation` width.
-///
-/// # Errors
-///
-/// Propagates [`TrainError`] from the underlying SVM trainer.
-pub fn train_iterative_with(
-    x: &[Vec<f64>],
-    y: &[f64],
-    config: &DetectorConfig,
-    shared: &SharedKernelCache,
-    speculation: usize,
-) -> Result<IterativeFit, TrainError> {
-    let max_rounds = config.max_learning_rounds.max(1);
+    let mut distances = DistanceTable::default();
     let mut best: Option<IterativeFit> = None;
-    let mut attempted = 0;
-    let mut next_round = 1usize;
-    'waves: while next_round <= max_rounds {
-        let wave: Vec<usize> = (next_round..=max_rounds).take(speculation.max(1)).collect();
-        let fits: Vec<Result<(SvmModel, f64), TrainError>> = if wave.len() == 1 {
-            vec![train_round(x, y, config, shared, wave[0])]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&round| scope.spawn(move || train_round(x, y, config, shared, round)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("round training panicked"))
-                    .collect()
-            })
-        };
-        // Selection replay: walk the wave in round order exactly like the
-        // sequential loop would, stopping at the accuracy target.
-        for (&round, fit) in wave.iter().zip(fits) {
-            let (model, acc) = fit?;
-            attempted = round;
-            let (c, gamma) = round_params(config, round);
-            let improved = best.as_ref().is_none_or(|b| acc > b.training_accuracy);
-            if improved {
-                best = Some(IterativeFit {
-                    model,
-                    rounds: round,
-                    rounds_attempted: round,
-                    c,
-                    gamma,
-                    training_accuracy: acc,
-                });
-            }
-            let current_best = best.as_ref().expect("set above");
-            if current_best.training_accuracy >= config.target_training_accuracy {
-                break 'waves;
-            }
+    for round in 1..=config.max_learning_rounds.max(1) {
+        // Doubling is exact in f64, so `2^(round − 1)` equals the running
+        // product bit for bit.
+        let scale = 2f64.powi(round as i32 - 1);
+        let (c, gamma) = (config.initial_c * scale, config.initial_gamma * scale);
+        let trainer = SvmTrainer::new(Kernel::rbf(gamma)).c(c);
+        let model = trainer.train_with_cache(x, y, &mut distances)?;
+        let training_accuracy = model.accuracy(x, y);
+        if best
+            .as_ref()
+            .is_none_or(|b| training_accuracy > b.training_accuracy)
+        {
+            best = Some(IterativeFit {
+                model,
+                rounds: round,
+                rounds_attempted: round,
+                c,
+                gamma,
+                training_accuracy,
+            });
         }
-        next_round = wave.last().expect("wave is non-empty") + 1;
+        let best = best.as_mut().expect("set above");
+        best.rounds_attempted = round;
+        if best.training_accuracy >= config.target_training_accuracy {
+            break;
+        }
     }
-    let mut best = best.expect("at least one round runs");
-    best.rounds_attempted = attempted;
-    Ok(best)
+    Ok(best.expect("at least one round runs"))
 }
 
 /// One per-cluster SVM kernel with its routing metadata.
@@ -460,12 +479,8 @@ pub fn train_cluster_kernels(
 /// kernel pads them to its own feature length.
 ///
 /// All kernels are independent (Section III-G): each cluster is one task on
-/// the [`Executor`]. The returned stats are those of the kernel tasks.
-/// When the executor has more threads than
-/// there are clusters, the surplus is spent *inside* each task training
-/// speculative `(C, γ)` rounds concurrently (see [`train_iterative_with`]),
-/// so both fan-out axes of the paper's parallelisation are covered while
-/// total concurrency stays near the configured thread count.
+/// the [`Executor`], and each task runs its `(C, γ)` rounds in order
+/// ([`train_iterative`]). The returned stats are those of the kernel tasks.
 ///
 /// # Errors
 ///
@@ -501,9 +516,8 @@ pub(crate) fn train_oriented_kernels(
     let (medoid_features, _) = executor.map(nonhotspot_medoids, |i, p| {
         critical_features(p, Region::Core, config, medoid_orientations.get(i).copied())
     });
-    let speculation = (executor.threads() / clusters.len().max(1)).max(1);
     let (results, stats) = executor.map(clusters, |_, cl| {
-        train_one_kernel(hotspots, cl, &medoid_features, config, speculation)
+        train_one_kernel(hotspots, cl, &medoid_features, config)
     });
     let kernels = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok((kernels, stats))
@@ -515,7 +529,6 @@ fn train_one_kernel(
     cluster: &PatternCluster,
     medoid_features: &[CriticalFeatures],
     config: &DetectorConfig,
-    speculation: usize,
 ) -> Result<ClusterKernel, TrainError> {
     // Determine the kernel's feature length from the cluster members.
     let member_features: Vec<CriticalFeatures> = cluster
@@ -539,7 +552,7 @@ fn train_one_kernel(
     let y: Vec<f64> = std::iter::repeat_n(1.0, member_features.len())
         .chain(std::iter::repeat_n(-1.0, medoid_features.len()))
         .collect();
-    fit_kernel(cluster, &x, &y, feature_len, config, speculation)
+    fit_kernel(cluster, &x, &y, feature_len, config)
 }
 
 /// Fits the kernel of `cluster` on its assembled training vectors `x`
@@ -550,13 +563,8 @@ fn fit_kernel(
     y: &[f64],
     feature_len: usize,
     config: &DetectorConfig,
-    speculation: usize,
 ) -> Result<ClusterKernel, TrainError> {
-    // One shared distance-row cache per kernel: every (C, γ) round trains
-    // on the same vectors, so the rows are reused across rounds whether the
-    // rounds run sequentially or speculatively in parallel.
-    let shared = SharedKernelCache::new(x.len());
-    let fit = train_iterative_with(x, y, config, &shared, speculation)?;
+    let fit = train_iterative(x, y, config)?;
     let decisions: Vec<f64> = x.iter().map(|v| fit.model.decision_value(v)).collect();
     let platt = PlattScaler::fit(&decisions, y);
     Ok(ClusterKernel {
@@ -574,7 +582,7 @@ fn fit_kernel(
 }
 
 /// `v` zero-padded or truncated to `len` values.
-pub(crate) fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
+fn pad(mut v: Vec<f64>, len: usize) -> Vec<f64> {
     v.resize(len, 0.0);
     v
 }
@@ -847,7 +855,7 @@ mod tests {
                     x.push(feature_vector_padded(p, Region::Core, config, feature_len));
                     y.push(-1.0);
                 }
-                fit_kernel(cl, &x, &y, feature_len, config, 1).expect("training")
+                fit_kernel(cl, &x, &y, feature_len, config).expect("training")
             })
             .collect()
     }

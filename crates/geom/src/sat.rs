@@ -41,7 +41,6 @@ use serde::{Deserialize, Serialize};
 /// clips through per-tile [`AreaTableGrid`]s; single patterns use the
 /// direct sweep ([`DensityGrid::from_rects`]). Both are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum RasterMode {
     /// Per-tile summed-area tables in scans, the direct sweep elsewhere.
     #[default]

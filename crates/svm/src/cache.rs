@@ -1,25 +1,23 @@
-//! Kernel row caches for the SMO solver.
+//! Kernel row tables for the SMO solver.
 //!
 //! SMO repeatedly needs full kernel rows `K(i, ·)` for the two working-set
 //! indices and for gradient updates. For the paper's per-cluster training
 //! sets (hundreds of patterns) the whole matrix fits in memory, so a solve
 //! keeps every row it has computed.
 //!
-//! Two caches live here:
+//! Two tables live here, both dense vectors of `n` optional rows, each
+//! filled on first use:
 //!
-//! - [`KernelCache`] — the private per-solve row table every SMO call owns.
-//! - [`SharedKernelCache`] — a `parking_lot`-guarded cache of **squared
-//!   distance** rows `d²(i, ·) = ‖xᵢ − x·‖²`. The iterative learning loop
+//! - [`DistanceTable`] — the **squared-distance** rows
+//!   `d²(i, ·) = ‖xᵢ − x·‖²` of one fit. The iterative learning loop
 //!   doubles γ every round but trains on the same vectors, and the RBF
-//!   kernel is `K(i, j) = exp(−γ d²(i, j))`, so the γ-independent distances
-//!   are what's worth sharing: rounds trained concurrently (and sequential
-//!   re-trainings) reuse each other's rows instead of recomputing the
-//!   `O(n² · dim)` distance work per round.
+//!   kernel is `K(i, j) = exp(−γ d²(i, j))`, so the round loop owns one
+//!   table and lends it to each round's solve: the `O(n² · dim)` distance
+//!   work is done once per fit, not once per round.
+//! - [`KernelCache`] — the kernel rows of one solve, built from the
+//!   distance table for RBF kernels and evaluated directly otherwise.
 
 use crate::Kernel;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Squared Euclidean distance between two equal-length vectors.
 fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -32,92 +30,30 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// A thread-safe LRU cache of squared-distance rows over a fixed training
-/// set, shared by concurrent SMO solves on the same vectors.
+/// Squared-distance rows over one fixed training set, each computed on
+/// first use and kept for every later solve that borrows the table.
 ///
 /// Callers must pass the **same** `x` (same order, same scaling) to every
-/// [`row`](SharedKernelCache::row) call; the cache is keyed by row index
-/// only. [`crate::SvmTrainer::train_with_cache`] upholds this because its
+/// solve that uses one table; rows are keyed by index only.
+/// [`crate::SvmTrainer::train_with_cache`] upholds this because its
 /// min-max feature scaling is a deterministic function of the training
 /// vectors, so every round of iterative learning scales them identically.
 #[derive(Debug, Default)]
-pub struct SharedKernelCache {
-    state: Mutex<SharedState>,
-    capacity: usize,
+pub struct DistanceTable {
+    rows: Vec<Option<Vec<f64>>>,
 }
 
-#[derive(Debug, Default)]
-struct SharedState {
-    rows: HashMap<usize, Arc<Vec<f64>>>,
-    lru: Vec<usize>, // most recent last
-    hits: u64,
-    misses: u64,
-}
-
-impl SharedKernelCache {
-    /// A cache holding at most `capacity_rows` distance rows (floored at 2;
-    /// pass the training-set size to cache the full matrix).
-    pub fn new(capacity_rows: usize) -> Self {
-        SharedKernelCache {
-            state: Mutex::new(SharedState::default()),
-            capacity: capacity_rows.max(2),
+impl DistanceTable {
+    /// The row `d²(i, ·)` over `x`, computed on first use.
+    fn row(&mut self, i: usize, x: &[Vec<f64>]) -> &[f64] {
+        if self.rows.is_empty() {
+            self.rows = vec![None; x.len()];
         }
-    }
-
-    /// The squared-distance row `d²(i, ·)` over `x`, computed and cached on
-    /// miss. The row is returned as an `Arc` so concurrent solves share one
-    /// allocation.
-    pub fn row(&self, i: usize, x: &[Vec<f64>]) -> Arc<Vec<f64>> {
-        if let Some(row) = self.lookup(i) {
-            return row;
-        }
-        // Compute outside the lock: rows are O(n · dim) work and concurrent
-        // rounds would serialise on the mutex otherwise. A racing thread may
-        // duplicate the computation; the insert below is idempotent.
-        let xi = &x[i];
-        let row: Arc<Vec<f64>> = Arc::new(x.iter().map(|xj| squared_distance(xi, xj)).collect());
-        let mut state = self.state.lock();
-        if let Some(existing) = state.rows.get(&i) {
-            return Arc::clone(existing);
-        }
-        if state.rows.len() >= self.capacity {
-            let victim = state.lru.remove(0);
-            state.rows.remove(&victim);
-        }
-        state.rows.insert(i, Arc::clone(&row));
-        state.lru.push(i);
-        row
-    }
-
-    fn lookup(&self, i: usize) -> Option<Arc<Vec<f64>>> {
-        let mut state = self.state.lock();
-        if let Some(row) = state.rows.get(&i).map(Arc::clone) {
-            state.hits += 1;
-            if let Some(pos) = state.lru.iter().position(|&t| t == i) {
-                state.lru.remove(pos);
-            }
-            state.lru.push(i);
-            Some(row)
-        } else {
-            state.misses += 1;
-            None
-        }
-    }
-
-    /// `(hits, misses)` counters, for diagnostics and tests.
-    pub fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock();
-        (state.hits, state.misses)
-    }
-
-    /// Number of rows currently resident.
-    pub fn len(&self) -> usize {
-        self.state.lock().rows.len()
-    }
-
-    /// `true` when no rows are resident.
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().rows.is_empty()
+        debug_assert_eq!(self.rows.len(), x.len(), "one table per training set");
+        self.rows[i].get_or_insert_with(|| {
+            let xi = &x[i];
+            x.iter().map(|xj| squared_distance(xi, xj)).collect()
+        })
     }
 }
 
@@ -127,28 +63,19 @@ pub struct KernelCache<'a> {
     kernel: Kernel,
     x: &'a [Vec<f64>],
     rows: Vec<Option<Vec<f64>>>,
-    shared: Option<&'a SharedKernelCache>,
+    distances: &'a mut DistanceTable,
 }
 
 impl<'a> KernelCache<'a> {
-    /// An empty row table over training vectors `x`.
-    pub fn new(kernel: Kernel, x: &'a [Vec<f64>]) -> Self {
+    /// An empty row table over training vectors `x`. RBF rows are built as
+    /// `exp(−γ d²)` from `distances`, which must hold rows of this `x`
+    /// only; other kernels are evaluated directly.
+    pub fn new(kernel: Kernel, x: &'a [Vec<f64>], distances: &'a mut DistanceTable) -> Self {
         KernelCache {
             kernel,
             x,
             rows: vec![None; x.len()],
-            shared: None,
-        }
-    }
-
-    /// Like [`new`](KernelCache::new), but rows of RBF kernels are computed
-    /// from `shared` squared-distance rows (`K = exp(−γ d²)`) instead of
-    /// recomputing distances. Non-RBF kernels fall back to direct
-    /// evaluation.
-    pub fn with_shared(kernel: Kernel, x: &'a [Vec<f64>], shared: &'a SharedKernelCache) -> Self {
-        KernelCache {
-            shared: Some(shared),
-            ..Self::new(kernel, x)
+            distances,
         }
     }
 
@@ -191,9 +118,9 @@ impl<'a> KernelCache<'a> {
         self.rows[i].as_deref().expect("row filled")
     }
 
-    fn compute_row(&self, i: usize) -> Vec<f64> {
-        if let (Kernel::Rbf { gamma }, Some(shared)) = (self.kernel, self.shared) {
-            let d2 = shared.row(i, self.x);
+    fn compute_row(&mut self, i: usize) -> Vec<f64> {
+        if let Kernel::Rbf { gamma } = self.kernel {
+            let d2 = self.distances.row(i, self.x);
             return d2.iter().map(|d| (-gamma * d).exp()).collect();
         }
         let xi = &self.x[i];
@@ -212,7 +139,8 @@ mod tests {
     #[test]
     fn row_values_match_kernel() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::Linear, &x);
+        let mut distances = DistanceTable::default();
+        let mut cache = KernelCache::new(Kernel::Linear, &x, &mut distances);
         let row = cache.row(3).to_vec();
         for (j, v) in row.iter().enumerate() {
             assert_eq!(*v, (3 * j) as f64);
@@ -222,7 +150,8 @@ mod tests {
     #[test]
     fn rows_pair_matches_single_rows() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x);
+        let mut distances = DistanceTable::default();
+        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x, &mut distances);
         let (a, b) = cache.rows(1, 4);
         let (a, b) = (a.to_vec(), b.to_vec());
         assert_eq!(cache.row(1), a.as_slice());
@@ -232,22 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn each_row_is_computed_once() {
-        // The shared cache sees one request per row the table computes.
-        let x = data();
-        let shared = SharedKernelCache::new(x.len());
-        let mut cache = KernelCache::with_shared(Kernel::rbf(0.5), &x, &shared);
-        for _ in 0..3 {
-            cache.row(0);
-            cache.rows(0, 1);
-        }
-        assert_eq!(shared.stats(), (0, 2));
-    }
-
-    #[test]
     fn diagonal_matches_row() {
         let x = data();
-        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x);
+        let mut distances = DistanceTable::default();
+        let mut cache = KernelCache::new(Kernel::rbf(0.5), &x, &mut distances);
         for i in 0..x.len() {
             let d = cache.diagonal(i);
             assert!((cache.row(i)[i] - d).abs() < 1e-15);
@@ -255,81 +172,55 @@ mod tests {
     }
 
     #[test]
-    fn shared_rows_are_squared_distances() {
+    fn distance_rows_are_squared_distances() {
         let x = data();
-        let shared = SharedKernelCache::new(x.len());
-        let row = shared.row(2, &x);
+        let mut distances = DistanceTable::default();
+        let row = distances.row(2, &x).to_vec();
         for (j, d2) in row.iter().enumerate() {
             let diff = 2.0 - j as f64;
             assert!((d2 - diff * diff).abs() < 1e-12);
         }
-        let (hits, misses) = shared.stats();
-        assert_eq!((hits, misses), (0, 1));
-        shared.row(2, &x);
-        assert_eq!(shared.stats(), (1, 1));
+        assert_eq!(distances.rows.iter().flatten().count(), 1);
     }
 
     #[test]
-    fn shared_cache_serves_rbf_rows_exactly() {
-        // A with_shared cache must produce bit-identical rows to a private
-        // one: exp(−γ d²) is evaluated the same way in Kernel::eval.
-        let x = data();
-        let gamma = 0.37;
-        let shared = SharedKernelCache::new(x.len());
-        let mut plain = KernelCache::new(Kernel::rbf(gamma), &x);
-        let mut cached = KernelCache::with_shared(Kernel::rbf(gamma), &x, &shared);
+    fn rbf_rows_match_kernel_eval_bit_for_bit() {
+        // exp(−γ d²) over a table row is evaluated exactly as Kernel::eval
+        // evaluates it, so solves through the table reproduce the models
+        // of direct evaluation.
+        let x: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![i as f64 * 0.3, (i * i) as f64])
+            .collect();
+        let kernel = Kernel::rbf(0.37);
+        let mut distances = DistanceTable::default();
+        let mut cache = KernelCache::new(kernel, &x, &mut distances);
         for i in 0..x.len() {
-            assert_eq!(plain.row(i), cached.row(i), "row {i}");
+            let direct: Vec<f64> = x.iter().map(|xj| kernel.eval(&x[i], xj)).collect();
+            assert_eq!(cache.row(i), direct.as_slice(), "row {i}");
         }
-        let (_, misses) = shared.stats();
-        assert_eq!(misses, x.len() as u64);
     }
 
     #[test]
-    fn shared_cache_is_concurrently_usable() {
-        let x: Vec<Vec<f64>> = (0..32).map(|i| vec![i as f64, (i * i) as f64]).collect();
-        let shared = SharedKernelCache::new(x.len());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let mut cache = KernelCache::with_shared(Kernel::rbf(0.5), &x, &shared);
-                    for i in 0..x.len() {
-                        let row = cache.row(i).to_vec();
-                        assert!((row[i] - 1.0).abs() < 1e-12);
-                    }
-                });
-            }
-        });
-        let (hits, misses) = shared.stats();
-        assert_eq!(hits + misses, 4 * x.len() as u64);
-        assert!(shared.len() <= x.len());
-    }
-
-    #[test]
-    fn shared_cache_evicts_at_capacity() {
+    fn distance_rows_outlive_one_solve() {
+        // A second γ over the same table reuses the first solve's rows.
         let x = data();
-        let shared = SharedKernelCache::new(2);
-        shared.row(0, &x);
-        shared.row(1, &x);
-        shared.row(2, &x); // evicts 0
-        assert_eq!(shared.len(), 2);
-        shared.row(0, &x); // miss again
-        let (_, misses) = shared.stats();
-        assert_eq!(misses, 4);
+        let mut distances = DistanceTable::default();
+        KernelCache::new(Kernel::rbf(0.5), &x, &mut distances).rows(0, 1);
+        assert_eq!(distances.rows.iter().flatten().count(), 2);
+        let mut cache = KernelCache::new(Kernel::rbf(1.0), &x, &mut distances);
+        let k01 = cache.row(0)[1];
+        assert_eq!(k01, Kernel::rbf(1.0).eval(&x[0], &x[1]));
+        assert_eq!(distances.rows.iter().flatten().count(), 2);
     }
 
     #[test]
-    fn non_rbf_kernels_ignore_shared_cache() {
+    fn non_rbf_kernels_leave_the_distance_table_empty() {
         let x = data();
-        let shared = SharedKernelCache::new(x.len());
-        let mut cache = KernelCache::with_shared(Kernel::Linear, &x, &shared);
-        let row = cache.row(3).to_vec();
-        for (j, v) in row.iter().enumerate() {
-            assert_eq!(*v, (3 * j) as f64);
-        }
+        let mut distances = DistanceTable::default();
+        KernelCache::new(Kernel::Linear, &x, &mut distances).row(3);
         assert!(
-            shared.is_empty(),
-            "linear kernels must not populate d² rows"
+            distances.rows.iter().all(Option::is_none),
+            "linear kernels must not fill d² rows"
         );
     }
 }

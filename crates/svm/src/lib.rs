@@ -47,7 +47,7 @@ mod probability;
 mod scale;
 mod smo;
 
-pub use cache::{KernelCache, SharedKernelCache};
+pub use cache::{DistanceTable, KernelCache};
 pub use eval::{BatchEvaluator, CompiledModel};
 pub use kernel::Kernel;
 pub use model::{SvmModel, SvmTrainer, TrainError};

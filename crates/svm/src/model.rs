@@ -1,6 +1,12 @@
 //! Trainer builder and the trained SVM model.
+//!
+//! [`SvmTrainer::train`] validates and scales the data and runs one SMO
+//! solve; [`SvmTrainer::train_with_cache`] does the same over a caller's
+//! [`DistanceTable`], so a loop that retrains on the same vectors — the
+//! hotspot pipeline's iterative `(C, γ)` rounds — computes each squared
+//! distance once.
 
-use crate::{smo, FeatureScaler, Kernel, SmoParams};
+use crate::{smo, DistanceTable, FeatureScaler, Kernel, SmoParams};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -127,14 +133,14 @@ impl SvmTrainer {
     /// incorrectly labelled data. A single-class training set is *not* an
     /// error: the resulting model classifies everything as that class.
     pub fn train(&self, x: &[Vec<f64>], y: &[f64]) -> Result<SvmModel, TrainError> {
-        self.train_impl(x, y, None)
+        self.train_with_cache(x, y, &mut DistanceTable::default())
     }
 
-    /// Like [`train`](SvmTrainer::train), but kernel-row misses inside SMO
-    /// are served from `shared` squared-distance rows. Repeated or
-    /// concurrent trainings on the **same** `x` — the hotspot pipeline's
-    /// iterative `(C, γ)` rounds — then share the `O(n²·dim)` distance work.
-    /// The trained model is identical to [`train`](SvmTrainer::train)'s.
+    /// Like [`train`](SvmTrainer::train), with the solve's RBF kernel rows
+    /// built from the squared-distance rows of `distances`, filled on first
+    /// use and kept. Successive trainings on the **same** `x` that lend it
+    /// the same table share the `O(n²·dim)` distance work. The trained
+    /// model is identical to [`train`](SvmTrainer::train)'s.
     ///
     /// # Errors
     ///
@@ -143,16 +149,7 @@ impl SvmTrainer {
         &self,
         x: &[Vec<f64>],
         y: &[f64],
-        shared: &crate::SharedKernelCache,
-    ) -> Result<SvmModel, TrainError> {
-        self.train_impl(x, y, Some(shared))
-    }
-
-    fn train_impl(
-        &self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        shared: Option<&crate::SharedKernelCache>,
+        distances: &mut DistanceTable,
     ) -> Result<SvmModel, TrainError> {
         if x.is_empty() {
             return Err(TrainError::EmptyTrainingSet);
@@ -196,7 +193,7 @@ impl SvmTrainer {
             None => x,
         };
 
-        let sol = smo::solve_with_cache(xs, y, self.kernel, &self.params, shared);
+        let sol = smo::solve_with_cache(xs, y, self.kernel, &self.params, distances);
 
         // Keep only support vectors (α > 0).
         let mut support = Vec::new();
@@ -610,18 +607,17 @@ mod tests {
 
     #[test]
     fn cached_training_matches_uncached() {
-        // Scaling stays on: the scaler is deterministic, so the shared d²
-        // rows are consistent and the models must match exactly.
+        // Scaling stays on: the scaler is deterministic, so the d² rows one
+        // table keeps across trainings are consistent, and every γ's model
+        // must match a fresh training exactly.
         let (x, y) = separable();
-        let shared = crate::SharedKernelCache::new(x.len());
-        let trainer = SvmTrainer::new(Kernel::rbf(1.0)).c(100.0);
-        let plain = trainer.train(&x, &y).unwrap();
-        for _ in 0..3 {
-            let cached = trainer.train_with_cache(&x, &y, &shared).unwrap();
-            assert_eq!(plain, cached);
+        let mut distances = DistanceTable::default();
+        for gamma in [0.5, 1.0, 2.0, 1.0] {
+            let trainer = SvmTrainer::new(Kernel::rbf(gamma)).c(100.0);
+            let plain = trainer.train(&x, &y).unwrap();
+            let cached = trainer.train_with_cache(&x, &y, &mut distances).unwrap();
+            assert_eq!(plain, cached, "gamma {gamma}");
         }
-        let (hits, _) = shared.stats();
-        assert!(hits > 0, "later rounds must reuse distance rows");
     }
 
     #[test]

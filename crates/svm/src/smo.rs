@@ -8,9 +8,11 @@
 //!
 //! where `Q_ij = y_i y_j K(x_i, x_j)`, by repeatedly optimising the maximal
 //! violating pair (working-set selection WSS1 of Fan, Chen & Lin). This is
-//! the optimiser behind eq. (3) of the paper.
+//! the optimiser behind eq. (3) of the paper. Kernel rows come from a
+//! per-solve [`KernelCache`]; RBF rows are built from a [`DistanceTable`]
+//! the caller may share across solves on the same vectors.
 
-use crate::{Kernel, KernelCache, SharedKernelCache};
+use crate::{DistanceTable, Kernel, KernelCache};
 
 /// Solver parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,19 +61,20 @@ const TAU: f64 = 1e-12;
 /// `y` must contain only `+1.0` / `−1.0` (validated by the caller,
 /// [`crate::SvmTrainer`]).
 pub fn solve(x: &[Vec<f64>], y: &[f64], kernel: Kernel, params: &SmoParams) -> SmoSolution {
-    solve_with_cache(x, y, kernel, params, None)
+    solve_with_cache(x, y, kernel, params, &mut DistanceTable::default())
 }
 
-/// Like [`solve`], optionally backing kernel-row misses with a shared
-/// squared-distance cache (see [`SharedKernelCache`]); concurrent solves on
-/// the same `x` — the iterative `(C, γ)` rounds — then share the distance
-/// work. The solution is bit-identical to [`solve`]'s.
+/// Like [`solve`], with RBF kernel rows built from the squared-distance
+/// rows of `distances`, which it fills on first use and keeps. Successive
+/// solves on the same `x` — the iterative `(C, γ)` rounds — lend it the
+/// same table and share the distance work. The solution is bit-identical
+/// to [`solve`]'s.
 pub fn solve_with_cache(
     x: &[Vec<f64>],
     y: &[f64],
     kernel: Kernel,
     params: &SmoParams,
-    shared: Option<&SharedKernelCache>,
+    distances: &mut DistanceTable,
 ) -> SmoSolution {
     let n = x.len();
     debug_assert_eq!(n, y.len());
@@ -85,10 +88,7 @@ pub fn solve_with_cache(
         };
     }
 
-    let mut cache = match shared {
-        Some(sh) => KernelCache::with_shared(kernel, x, sh),
-        None => KernelCache::new(kernel, x),
-    };
+    let mut cache = KernelCache::new(kernel, x, distances);
     let qd: Vec<f64> = (0..n).map(|i| cache.diagonal(i)).collect();
 
     let c_of = |i: usize| {

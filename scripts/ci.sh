@@ -42,9 +42,10 @@ cargo test --doc -q \
   -p hotspot-core -p hotspot-benchgen -p hotspot-baselines \
   -p hotspot-bench -p hotspot-cli -p hotspot-suite
 
-echo "==> examples (quickstart, stream_scan)"
+echo "==> examples (quickstart, stream_scan, multilayer_dp)"
 cargo run --release --quiet --example quickstart
 cargo run --release --quiet --example stream_scan
+cargo run --release --quiet --example multilayer_dp
 
 echo "==> corrupt-GDSII corpus (typed errors, no panics)"
 cargo test --release -q -p hotspot-layout --test corrupt_corpus
@@ -129,14 +130,15 @@ mkdir -p "$JSON_DIR"
 head -c 1000000 /dev/zero | tr '\0' '[' > "$JSON_DIR/nested.json"
 head -c $(( $(wc -c < "$FAULT_DIR/model.json") / 2 )) "$FAULT_DIR/model.json" \
   > "$JSON_DIR/truncated.json"
-# Runs the binary with the given arguments; it must fail with exit 4 (json).
+# Runs the binary with the given arguments; it must fail with exit 4 (json)
+# and a message that names that class.
 expect_json_error() {
   set +e
   "$BIN" "$@" > "$JSON_DIR/out.txt" 2> "$JSON_DIR/err.txt"
   status=$?
   set -e
-  if [ "$status" -ne 4 ]; then
-    echo "hostile-JSON smoke ($*): expected exit 4 (json), got $status"
+  if [ "$status" -ne 4 ] || ! head -n 1 "$JSON_DIR/err.txt" | grep -q '^json error: '; then
+    echo "hostile-JSON smoke ($*): expected exit 4 and 'json error: ', got $status"
     cat "$JSON_DIR/err.txt"
     exit 1
   fi

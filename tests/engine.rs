@@ -1,6 +1,6 @@
 //! Engine-level integration tests: training determinism across thread
-//! counts (the executor and speculative `(C, γ)` rounds must
-//! not change the model), detection against the whole-layout oracle in
+//! counts (fanning the per-cluster kernels out on the executor must not
+//! change the model), detection against the whole-layout oracle in
 //! `support` at every thread count, and telemetry serialisation.
 
 use hotspot_suite::benchgen::{iccad_suite, Benchmark, SuiteScale};

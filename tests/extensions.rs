@@ -1,6 +1,7 @@
 //! Integration tests for the Section IV extensions through the public
-//! facade: multilayer detection over a GDSII round trip, and double
-//! patterning over extracted clips.
+//! facade: multilayer detection over a GDSII round trip, double
+//! patterning over extracted clips, and absolute pins of both trained
+//! models.
 
 use hotspot_suite::core::{
     DecomposedPattern, DetectorConfig, DoublePatterningDetector, MultilayerDetector,
@@ -39,6 +40,31 @@ fn multilayer_training() -> MultilayerTrainingSet {
         ));
     }
     t
+}
+
+/// Three 150 nm bars at `pitch`, 1000 nm tall.
+fn bars(pitch: i64) -> Vec<Rect> {
+    (0..3)
+        .map(|i| Rect::from_extents(i * pitch, 0, i * pitch + 150, 1000))
+        .collect()
+}
+
+fn decomposed(pitch: i64) -> DecomposedPattern {
+    DecomposedPattern::from_pattern(&Pattern::new(window(), &bars(pitch)), 250)
+}
+
+fn double_patterning_detector() -> DoublePatterningDetector {
+    let hotspots: Vec<_> = (0..4).map(|i| decomposed(230 + 5 * i)).collect();
+    let safes: Vec<_> = (0..6).map(|i| decomposed(450 + 20 * i)).collect();
+    DoublePatterningDetector::train(&hotspots, &safes, 250, DetectorConfig::default())
+        .expect("dp training")
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -85,18 +111,7 @@ fn multilayer_detection_survives_gdsii_roundtrip() {
 
 #[test]
 fn double_patterning_detector_end_to_end() {
-    let bars = |pitch: i64| -> Vec<Rect> {
-        (0..3)
-            .map(|i| Rect::from_extents(i * pitch, 0, i * pitch + 150, 1000))
-            .collect()
-    };
-    let decomposed =
-        |pitch: i64| DecomposedPattern::from_pattern(&Pattern::new(window(), &bars(pitch)), 250);
-    let hotspots: Vec<_> = (0..4).map(|i| decomposed(230 + 5 * i)).collect();
-    let safes: Vec<_> = (0..6).map(|i| decomposed(450 + 20 * i)).collect();
-    let detector =
-        DoublePatterningDetector::train(&hotspots, &safes, 250, DetectorConfig::default())
-            .expect("dp training");
+    let detector = double_patterning_detector();
 
     let mut layout = Layout::new("dp");
     let hot_at = Point::new(24_000, 24_000);
@@ -133,4 +148,43 @@ fn multilayer_model_serialisation_roundtrip() {
     let restored: MultilayerDetector = serde_json::from_str(&json).expect("parse");
     let probe = MultilayerPattern::new(window(), &[m1(75), m2_crossing()]);
     assert_eq!(detector.classify(&probe), restored.classify(&probe));
+}
+
+#[test]
+fn double_patterning_model_serialisation_roundtrip() {
+    let detector = double_patterning_detector();
+    let json = serde_json::to_string(&detector).expect("serialise");
+    let restored: DoublePatterningDetector = serde_json::from_str(&json).expect("parse");
+    assert_eq!(restored.kernel_count(), detector.kernel_count());
+    assert_eq!(restored.min_spacing(), detector.min_spacing());
+    for pitch in [238, 520] {
+        let probe = decomposed(pitch);
+        assert_eq!(detector.classify(&probe), restored.classify(&probe));
+    }
+    assert_eq!(serde_json::to_string(&restored).expect("serialise"), json);
+}
+
+/// Absolute pins of both Section IV models: the FNV-1a hash of each
+/// detector's JSON, trained on this file's fixtures. A change to kernel
+/// training, feature extraction or the model's serde shape moves them.
+#[test]
+fn section_iv_models_match_the_pins() {
+    let multilayer = MultilayerDetector::train(&multilayer_training(), DetectorConfig::default())
+        .expect("multilayer training");
+    let multilayer = fnv1a(
+        serde_json::to_string(&multilayer)
+            .expect("serialise")
+            .as_bytes(),
+    );
+    let patterning = double_patterning_detector();
+    let patterning = fnv1a(
+        serde_json::to_string(&patterning)
+            .expect("serialise")
+            .as_bytes(),
+    );
+    assert_eq!(
+        (multilayer, patterning),
+        (0x0b83_0efd_5b92_b318, 0xd397_7cd6_6591_1ac8),
+        "(multilayer, double patterning) model hashes"
+    );
 }

@@ -34,9 +34,15 @@ impl Default for DistributionFilter {
 /// all three disabled (handled by the baselines crate), `+Topology` enables
 /// clustering only, `+Removal` adds redundant clip removal, and the full
 /// framework also enables the feedback kernel.
+///
+/// The detector always trains with topology on: the `Basic` row is
+/// `hotspot_baselines::SingleKernelSvm`, and
+/// [`DetectorConfig::validate`] rejects `topology: false`. The field stays
+/// so model files that carry it still load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AblationSwitches {
-    /// Topological classification + population balancing + multiple kernels.
+    /// Topological classification + population balancing + multiple
+    /// kernels. Must be `true`.
     pub topology: bool,
     /// Redundant clip removal after evaluation.
     pub removal: bool,
@@ -206,6 +212,13 @@ impl DetectorConfig {
     /// Returns a human-readable description of the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.ablation.topology {
+            return Err(
+                "ablation.topology = false is not supported: the single-kernel \
+                        (Basic) ablation is hotspot_baselines::SingleKernelSvm"
+                    .into(),
+            );
+        }
         if self.reframe_separation >= self.clip_shape.core_side() {
             return Err(format!(
                 "reframe separation {} must be below the core side {}",

@@ -9,12 +9,11 @@ use crate::pattern::{Pattern, TrainingSet};
 use crate::scan::{ScanConfig, ScanReport, MAX_SCAN_TILES};
 use crate::tile_cache;
 use crate::training::{
-    classify_patterns, density_grid, train_oriented_kernels, ClusterKernel, PatternCluster, Region,
+    classify_patterns, train_oriented_kernels, ClusterKernel, PatternCluster, Region,
 };
 use hotspot_geom::{Orientation, Rect};
 use hotspot_layout::{ClipShape, LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
-use hotspot_topo::TopoSignature;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -245,59 +244,40 @@ impl HotspotDetector {
         let threads = config.effective_threads().max(1);
         let mut recorder = StageRecorder::new("training", threads);
 
-        let (hotspots, hotspot_clusters, nonhotspot_clusters, medoids) = if config.ablation.topology
-        {
-            // Upsample hotspots by data shifting, classify both classes,
-            // and downsample nonhotspots to cluster medoids.
-            let hotspots = recorder.time(
-                StageId::PopulationBalancing,
-                training.hotspots.len(),
-                || {
-                    let h = upsample_hotspots(&training.hotspots, config.data_shift);
-                    let n = h.len();
-                    (h, n)
-                },
-            );
-            let (h_clusters, n_clusters) = recorder.time(
-                StageId::TopologicalClassification,
-                hotspots.len() + training.nonhotspots.len(),
-                || {
-                    let h = classify_patterns(&hotspots, Region::Core, &config.cluster);
-                    let n = classify_patterns(&training.nonhotspots, Region::Core, &config.cluster);
-                    let count = h.len() + n.len();
-                    ((h, n), count)
-                },
-            );
-            let medoids = recorder.time(
-                StageId::PopulationBalancing,
-                training.nonhotspots.len(),
-                || {
-                    let m: Vec<Pattern> = n_clusters
-                        .iter()
-                        .map(|c| training.nonhotspots[c.medoid].clone())
-                        .collect();
-                    let n = m.len();
-                    (m, n)
-                },
-            );
-            (hotspots, h_clusters, n_clusters, medoids)
-        } else {
-            // Degenerate single-cluster mode (the "Basic" ablation): one
-            // kernel over all hotspots against all nonhotspots.
-            let hotspots = training.hotspots.clone();
-            let cluster = recorder.time(StageId::TopologicalClassification, hotspots.len(), || {
-                (single_cluster(&hotspots, &config), 1)
-            });
-            (
-                hotspots,
-                vec![cluster],
-                Vec::new(),
-                training.nonhotspots.clone(),
-            )
-        };
-
-        // `medoids[i]` is the medoid of `nonhotspot_clusters[i]`; without
-        // clusters (the single-kernel ablation) every medoid derives its own.
+        // Upsample hotspots by data shifting, classify both classes, and
+        // downsample nonhotspots to cluster medoids.
+        let hotspots = recorder.time(
+            StageId::PopulationBalancing,
+            training.hotspots.len(),
+            || {
+                let h = upsample_hotspots(&training.hotspots, config.data_shift);
+                let n = h.len();
+                (h, n)
+            },
+        );
+        let (hotspot_clusters, nonhotspot_clusters) = recorder.time(
+            StageId::TopologicalClassification,
+            hotspots.len() + training.nonhotspots.len(),
+            || {
+                let h = classify_patterns(&hotspots, Region::Core, &config.cluster);
+                let n = classify_patterns(&training.nonhotspots, Region::Core, &config.cluster);
+                let count = h.len() + n.len();
+                ((h, n), count)
+            },
+        );
+        // `medoids[i]` is the medoid of `nonhotspot_clusters[i]`.
+        let medoids = recorder.time(
+            StageId::PopulationBalancing,
+            training.nonhotspots.len(),
+            || {
+                let m: Vec<Pattern> = nonhotspot_clusters
+                    .iter()
+                    .map(|c| training.nonhotspots[c.medoid].clone())
+                    .collect();
+                let n = m.len();
+                (m, n)
+            },
+        );
         let medoid_orientations: Vec<Orientation> = nonhotspot_clusters
             .iter()
             .map(PatternCluster::medoid_orientation)
@@ -320,7 +300,7 @@ impl HotspotDetector {
             Some(&exec_stats),
         );
 
-        let feedback = if config.ablation.feedback && config.ablation.topology {
+        let feedback = if config.ablation.feedback {
             recorder.time(
                 StageId::FeedbackTraining,
                 nonhotspot_clusters.len(),
@@ -460,16 +440,13 @@ impl HotspotDetector {
             .as_ref()
             .filter(|_| self.config.ablation.feedback)
             .zip(set.feedback.as_ref());
-        EvalEngine {
-            obs: self.obs.as_deref(),
-            ..EvalEngine::new(
-                &self.kernels,
-                &set.kernels,
-                feedback,
-                &self.config,
-                threshold,
-            )
-        }
+        EvalEngine::new(
+            &self.kernels,
+            &set.kernels,
+            feedback,
+            &self.config,
+            threshold,
+        )
     }
 
     /// Returns this detector with its worker-thread count overridden
@@ -741,28 +718,6 @@ impl DetectorBuilder {
     /// or SVM failures.
     pub fn train(self, training: &TrainingSet) -> Result<HotspotDetector, DetectError> {
         HotspotDetector::train(training, self.build()?)
-    }
-}
-
-/// A degenerate cluster holding every hotspot (the single-kernel ablation).
-fn single_cluster(hotspots: &[Pattern], config: &DetectorConfig) -> PatternCluster {
-    let aligned: Vec<(TopoSignature, Orientation)> = hotspots
-        .iter()
-        .map(|p| TopoSignature::with_orientation(&Region::Core.window(p), &Region::Core.rects(p)))
-        .collect();
-    let mut centroid = density_grid(&hotspots[0], Region::Core, config);
-    for (i, p) in hotspots.iter().enumerate().skip(1) {
-        let g = density_grid(p, Region::Core, config);
-        centroid.fold_mean(&g, i);
-    }
-    PatternCluster {
-        members: (0..hotspots.len()).collect(),
-        orientations: aligned.iter().map(|&(_, o)| o).collect(),
-        signature: aligned[0].0.clone(),
-        centroid,
-        // An effectively infinite radius routes every clip to this kernel.
-        radius: f64::MAX / 4.0,
-        medoid: 0,
     }
 }
 
@@ -1150,7 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn single_kernel_ablation_trains() {
+    fn topology_off_is_rejected_naming_the_single_kernel_baseline() {
         let cfg = DetectorConfig {
             ablation: crate::AblationSwitches {
                 topology: false,
@@ -1159,9 +1114,11 @@ mod tests {
             },
             ..fast_config()
         };
-        let det = HotspotDetector::train(&training_set(), cfg).unwrap();
-        assert_eq!(det.kernels().len(), 1);
-        assert!(det.feedback().is_none());
+        let err = HotspotDetector::train(&training_set(), cfg).unwrap_err();
+        assert!(
+            matches!(&err, DetectError::Config(msg) if msg.contains("hotspot_baselines::SingleKernelSvm")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -19,12 +19,9 @@
 //! front-end resumes the first recorded panic on the calling thread, after
 //! every worker has drained.
 
-use super::stage::StageId;
 use crate::cancel::{CancelPanic, CancelToken};
-use crate::obs::{Counter, ObsEvent, ObsHub, StageCounter};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Utilisation counters of one [`Executor`] run, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,7 +118,6 @@ pub(crate) fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> S
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    obs: Option<Arc<ObsHub>>,
 }
 
 impl Executor {
@@ -129,17 +125,7 @@ impl Executor {
     pub fn new(threads: usize) -> Self {
         Executor {
             threads: threads.max(1),
-            obs: None,
         }
-    }
-
-    /// Attaches an observability hub: every subsequent stage run emits
-    /// span-style [`ObsEvent::StageBegin`]/[`ObsEvent::StageEnd`] events
-    /// and each worker records completed tasks into the hub's lock-free
-    /// counters. Without a hub every instrumentation point is one branch.
-    pub fn with_obs(mut self, hub: Arc<ObsHub>) -> Self {
-        self.obs = Some(hub);
-        self
     }
 
     /// Configured worker count.
@@ -179,7 +165,7 @@ impl Executor {
     }
 
     /// [`map`](Self::map) with panic isolation and cooperative
-    /// cancellation. `stage` labels failures and obs events.
+    /// cancellation. `stage` labels failures.
     ///
     /// Each task body runs under `catch_unwind`: a panicking task yields
     /// [`TaskResult::Failed`] in its input-order slot while every other
@@ -208,21 +194,13 @@ impl Executor {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let obs = self.obs.as_deref();
-        let stage_id = StageId::from_name(stage);
-        if let Some(hub) = obs {
-            hub.emit(|| ObsEvent::StageBegin {
-                stage: stage.to_string(),
-                items: n,
-            });
-        }
         let run = |i: usize| -> TaskResult<R> {
             // One relaxed load per task boundary: the whole cost of
             // cancellation support on an uncancelled run.
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return TaskResult::Skipped;
             }
-            let result = match std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
+            match std::panic::catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
                 Ok(v) => TaskResult::Done(v),
                 Err(payload) if payload.downcast_ref::<CancelPanic>().is_some() => {
                     TaskResult::Skipped
@@ -232,22 +210,7 @@ impl Executor {
                     index: i,
                     payload: panic_payload_to_string(payload.as_ref()),
                 }),
-            };
-            // Hot-path recording: relaxed atomic adds on the hub's
-            // counters, no allocation.
-            if let Some(hub) = obs {
-                if !matches!(result, TaskResult::Skipped) {
-                    let counters = hub.counters();
-                    counters.add(Counter::ExecutorTasks, 1);
-                    if let Some(id) = stage_id {
-                        counters.add_stage(id, StageCounter::Tasks, 1);
-                        if matches!(result, TaskResult::Failed(_)) {
-                            counters.add_stage(id, StageCounter::Failures, 1);
-                        }
-                    }
-                }
             }
-            result
         };
 
         // `Relaxed` suffices: the cursor only hands out indices. Items reach
@@ -303,13 +266,6 @@ impl Executor {
                 })
             })
             .collect();
-        if let Some(hub) = obs {
-            hub.emit(|| ObsEvent::StageEnd {
-                stage: stage.to_string(),
-                items: n,
-                failures: stats.tasks_failed,
-            });
-        }
         (results, stats)
     }
 }
@@ -464,72 +420,6 @@ mod tests {
         assert!(result.is_err(), "map must propagate the panic");
         // Panic isolation drained every other task before resuming.
         assert_eq!(completed.load(Ordering::Relaxed), items.len() - 1);
-    }
-
-    #[test]
-    fn obs_hub_sees_spans_and_per_worker_task_counters() {
-        use crate::obs::{ObsRecord, ObsSink};
-        use parking_lot::Mutex;
-
-        #[derive(Default)]
-        struct Capture(Mutex<Vec<ObsRecord>>);
-        impl ObsSink for Capture {
-            fn name(&self) -> &str {
-                "capture"
-            }
-            fn on_event(&self, record: &ObsRecord) {
-                self.0.lock().push(record.clone());
-            }
-        }
-
-        let hub = ObsHub::new();
-        let sink = Arc::new(Capture::default());
-        struct Fwd(Arc<Capture>);
-        impl ObsSink for Fwd {
-            fn name(&self) -> &str {
-                "capture"
-            }
-            fn on_event(&self, record: &ObsRecord) {
-                self.0.on_event(record);
-            }
-        }
-        hub.register(Box::new(Fwd(Arc::clone(&sink))));
-
-        let items: Vec<usize> = (0..50).collect();
-        let (out, stats) = Executor::new(4)
-            .with_obs(Arc::clone(&hub))
-            .try_map_with_cancel(
-                "kernel_evaluation",
-                &items,
-                |_, &v| {
-                    if v == 7 {
-                        panic!("boom");
-                    }
-                    v
-                },
-                None,
-            );
-        assert_eq!(out.len(), 50);
-        assert_eq!(stats.tasks_failed, 1);
-
-        let events = sink.0.lock();
-        assert!(matches!(
-            &events[0].event,
-            ObsEvent::StageBegin { stage, items: 50 } if stage == "kernel_evaluation"
-        ));
-        assert!(matches!(
-            &events[events.len() - 1].event,
-            ObsEvent::StageEnd { stage, items: 50, failures: 1 } if stage == "kernel_evaluation"
-        ));
-        let snap = hub.snapshot();
-        assert_eq!(snap.executor_tasks, 50);
-        let eval = snap
-            .stages
-            .iter()
-            .find(|s| s.stage == "kernel_evaluation")
-            .unwrap();
-        assert_eq!(eval.tasks, 50);
-        assert_eq!(eval.failures, 1);
     }
 
     #[test]

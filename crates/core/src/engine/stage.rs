@@ -58,14 +58,6 @@ impl StageId {
         }
     }
 
-    /// Resolves a stable snake_case [`name`](Self::name) back to its stage.
-    ///
-    /// Returns `None` for labels that are not canonical stage names (the
-    /// executor also runs ad-hoc stages such as `"scan_tile"`).
-    pub fn from_name(name: &str) -> Option<StageId> {
-        StageId::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
     /// Position in the canonical order (`0..8`), matching [`StageId::ALL`].
     ///
     /// Used to index per-stage observability counter slots and to sort
@@ -125,9 +117,7 @@ impl StageRecorder {
         self.obs_sinks = sinks;
     }
 
-    /// Records one stage execution. `stats` carries [`ExecutorStats`]
-    /// counters for parallel stages; sequential stages pass `None` and are
-    /// counted as one task on one thread.
+    /// Records one stage execution ([`StageTelemetry::measured`]).
     pub fn record(
         &mut self,
         stage: StageId,
@@ -136,47 +126,15 @@ impl StageRecorder {
         wall: Duration,
         stats: Option<&ExecutorStats>,
     ) {
-        self.record_batched(stage, items_in, items_out, wall, stats, 0);
+        let entry = StageTelemetry::measured(stage, items_in, items_out, wall, stats);
+        self.add(stage, &entry);
     }
 
-    /// [`record`](Self::record) for a stage that ran `batches` clip batches
-    /// through the batched SVM inference engine.
-    pub fn record_batched(
-        &mut self,
-        stage: StageId,
-        items_in: usize,
-        items_out: usize,
-        wall: Duration,
-        stats: Option<&ExecutorStats>,
-        batches: usize,
-    ) {
-        let (threads_used, tasks_executed, tasks_stolen) = match stats {
-            Some(s) => (s.threads_used, s.tasks_executed, s.tasks_stolen),
-            None => (1, 1, 0),
-        };
-        let entry = StageTelemetry {
-            stage: stage.name().to_string(),
-            wall_ms: wall.as_secs_f64() * 1e3,
-            items_in,
-            items_out,
-            threads_used,
-            tasks_executed,
-            tasks_stolen,
-            batches,
-            failures: stats.map_or(0, |s| s.tasks_failed),
-            retries: 0,
-            admissions: 0,
-            admission_skips: 0,
-            timeouts: 0,
-        };
-        self.update(stage, |existing| existing.absorb(&entry));
-    }
-
-    /// Applies `f` to `stage`'s entry, creating a zero-time entry when the
-    /// stage has not been recorded yet — for the counters beyond the item
-    /// flow: admissions (schema v5), failures and retries (v4), timeouts
-    /// (v8).
-    pub fn update(&mut self, stage: StageId, f: impl FnOnce(&mut StageTelemetry)) {
+    /// Accumulates `delta` into `stage`'s entry, creating a zero-time entry
+    /// when the stage has not been recorded yet — for rows that carry the
+    /// counters beyond the item flow: batches (schema v3), failures and
+    /// retries (v4), admissions (v5), timeouts (v8).
+    pub fn add(&mut self, stage: StageId, delta: &StageTelemetry) {
         let pos = match self.stages.iter().position(|(id, _)| *id == stage) {
             Some(pos) => pos,
             None => {
@@ -184,7 +142,7 @@ impl StageRecorder {
                 self.stages.len() - 1
             }
         };
-        f(&mut self.stages[pos].1);
+        self.stages[pos].1.absorb(delta);
     }
 
     /// Records that the run stopped early, with the stable
@@ -241,13 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn from_name_and_index_round_trip() {
+    fn index_matches_canonical_order() {
         for (i, stage) in StageId::ALL.iter().enumerate() {
             assert_eq!(stage.index(), i);
-            assert_eq!(StageId::from_name(stage.name()), Some(*stage));
         }
-        assert_eq!(StageId::from_name("scan_tile"), None);
-        assert_eq!(StageId::from_name("unlabelled"), None);
     }
 
     #[test]
@@ -276,13 +231,18 @@ mod tests {
     }
 
     #[test]
-    fn record_batched_accumulates_batches() {
+    fn add_accumulates_batches() {
         let mut rec = StageRecorder::new("detection", 2);
-        rec.record_batched(StageId::KernelEvaluation, 100, 3, Duration::ZERO, None, 2);
-        rec.record_batched(StageId::KernelEvaluation, 60, 1, Duration::ZERO, None, 1);
+        let eval = |items_in, batches| StageTelemetry {
+            batches,
+            ..StageTelemetry::measured(StageId::KernelEvaluation, items_in, 0, Duration::ZERO, None)
+        };
+        rec.add(StageId::KernelEvaluation, &eval(100, 2));
+        rec.add(StageId::KernelEvaluation, &eval(60, 1));
         rec.record(StageId::ClipRemoval, 4, 4, Duration::ZERO, None);
         let t = rec.finish();
-        assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().batches, 3);
+        let row = t.stage(StageId::KernelEvaluation).unwrap();
+        assert_eq!((row.batches, row.items_in, row.tasks_executed), (3, 160, 2));
         assert_eq!(t.stage(StageId::ClipRemoval).unwrap().batches, 0);
     }
 
@@ -299,12 +259,26 @@ mod tests {
     }
 
     #[test]
-    fn update_folds_into_existing_or_new_entries() {
+    fn add_folds_into_existing_or_new_entries() {
         let mut rec = StageRecorder::new("scan", 2);
+        let delta = |stage, f: fn(&mut StageTelemetry)| {
+            let mut s = StageTelemetry::empty(stage);
+            f(&mut s);
+            s
+        };
         rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.update(StageId::KernelEvaluation, |s| s.admissions += 7);
-        rec.update(StageId::KernelEvaluation, |s| s.admissions += 3);
-        rec.update(StageId::DensityPrefilter, |s| s.failures += 1);
+        rec.add(
+            StageId::KernelEvaluation,
+            &delta(StageId::KernelEvaluation, |s| s.admissions = 7),
+        );
+        rec.add(
+            StageId::KernelEvaluation,
+            &delta(StageId::KernelEvaluation, |s| s.admissions = 3),
+        );
+        rec.add(
+            StageId::DensityPrefilter,
+            &delta(StageId::DensityPrefilter, |s| s.failures = 1),
+        );
         rec.set_aborted("deadline_exceeded");
         rec.set_aborted("interrupted"); // first reason wins
         let t = rec.finish();

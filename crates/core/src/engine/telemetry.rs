@@ -7,6 +7,7 @@
 //! (`hotspot detect --telemetry out.json`) and the bench binaries can
 //! print per-stage breakdowns.
 
+use super::executor::ExecutorStats;
 use super::stage::StageId;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -113,6 +114,32 @@ impl StageTelemetry {
             admissions: 0,
             admission_skips: 0,
             timeouts: 0,
+        }
+    }
+
+    /// The row of one stage execution. `stats` carries [`ExecutorStats`]
+    /// counters for parallel stages; sequential stages pass `None` and are
+    /// counted as one task on one thread.
+    pub fn measured(
+        stage: StageId,
+        items_in: usize,
+        items_out: usize,
+        wall: Duration,
+        stats: Option<&ExecutorStats>,
+    ) -> Self {
+        let (threads_used, tasks_executed, tasks_stolen) = match stats {
+            Some(s) => (s.threads_used, s.tasks_executed, s.tasks_stolen),
+            None => (1, 1, 0),
+        };
+        StageTelemetry {
+            wall_ms: wall.as_secs_f64() * 1e3,
+            items_in,
+            items_out,
+            threads_used,
+            tasks_executed,
+            tasks_stolen,
+            failures: stats.map_or(0, |s| s.tasks_failed),
+            ..StageTelemetry::empty(stage)
         }
     }
 

@@ -153,13 +153,11 @@ pub struct EvalEngine<'d> {
     pub(crate) feedback: Option<(&'d FeedbackKernel, &'d CompiledModel)>,
     pub(crate) config: &'d DetectorConfig,
     pub(crate) threshold: f64,
-    pub(crate) obs: Option<&'d crate::obs::ObsHub>,
     pub(crate) memo: Option<&'d EvalMemo>,
 }
 
 impl<'d> EvalEngine<'d> {
-    /// An engine over `kernels` and their compiled form, with no
-    /// observability hub and no memo.
+    /// An engine over `kernels` and their compiled form, with no memo.
     pub(crate) fn new(
         kernels: &'d [ClusterKernel],
         compiled: &'d CompiledKernels,
@@ -174,7 +172,6 @@ impl<'d> EvalEngine<'d> {
             feedback,
             config,
             threshold,
-            obs: None,
             memo: None,
         }
     }
@@ -258,11 +255,6 @@ impl<'d> EvalEngine<'d> {
         scratch: &mut EvalScratch,
         mut visit: impl FnMut(usize, f64),
     ) {
-        // One branch + one relaxed add per clip when a hub is attached;
-        // one branch when not.
-        if let Some(hub) = self.obs {
-            hub.counters().add(crate::obs::Counter::ClipsEvaluated, 1);
-        }
         let rows_pruned = self.admitted_decisions(pattern, scratch);
         scratch.admitted += scratch.decisions.len();
         scratch.rows_pruned += rows_pruned;

@@ -16,9 +16,9 @@
 //! detector would then measure and serve warm state.
 
 use hotspot_geom::Rect;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Upper bound on the bytes the memo stores: every entry's key cells,
 /// decision list and table slot (the hash table's spare capacity comes on
@@ -68,6 +68,12 @@ impl EvalMemo {
         }
     }
 
+    /// The locked table. Poison is ignored: a holder only copies into or
+    /// out of the map, so no panic can leave an entry half written.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Packs a clip's core into `key`: the window size first, then every
     /// window-relative rect in the order evaluation reads them. `rects`
     /// must already be clipped to `window` and translated to its origin.
@@ -91,7 +97,7 @@ impl EvalMemo {
     /// Copies the decisions memoised under `key` into `out` and returns the
     /// rows the router pruned for them, or `None` on a miss.
     pub(crate) fn get(&self, key: &[Cell], out: &mut Vec<(usize, f64)>) -> Option<usize> {
-        let table = self.table.lock();
+        let table = self.table();
         let entry = table.map.get(key)?;
         out.clear();
         out.extend_from_slice(&entry.decisions);
@@ -104,7 +110,7 @@ impl EvalMemo {
     /// byte budget.
     pub(crate) fn insert(&self, key: &[Cell], decisions: &[(usize, f64)], rows_pruned: usize) {
         let bytes = size_of::<(Box<[Cell]>, Entry)>() + size_of_val(key) + size_of_val(decisions);
-        let mut table = self.table.lock();
+        let mut table = self.table();
         if table.bytes + bytes > self.max_bytes || table.map.contains_key(key) {
             return;
         }
@@ -121,7 +127,7 @@ impl EvalMemo {
     /// Entries and bytes stored so far.
     #[cfg(test)]
     fn usage(&self) -> (usize, usize) {
-        let table = self.table.lock();
+        let table = self.table();
         (table.map.len(), table.bytes)
     }
 }

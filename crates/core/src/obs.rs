@@ -12,11 +12,13 @@
 //! * [`ObsHub`] is a fan-out registry. Pipeline code holds an
 //!   `Option<Arc<ObsHub>>`; when it is `None` every instrumentation point
 //!   is a single branch and nothing else.
-//! * Hot paths (per tile, per clip, per executor task) record into
-//!   [`Counters`]: sharded, cache-line-aligned `AtomicU64` slots bumped
-//!   with `Ordering::Relaxed` — no locks, no allocation. Each worker
-//!   thread is assigned a shard round-robin on first use, so concurrent
-//!   workers do not contend on the same cache line.
+//! * [`Counters`] is one bank of `AtomicU64` slots bumped with
+//!   `Ordering::Relaxed` — no locks, no allocation. A scan writes its
+//!   counts once per batch, from the same per-batch numbers it folds into
+//!   the report and the telemetry stage rows, so the three cannot
+//!   disagree. The only other writers are the per-tile started/done pair
+//!   (live progress) and the tile cache's append, sync and invalidate
+//!   counts.
 //! * Cooler paths (per stage, per batch, per journal sync) emit
 //!   [`ObsEvent`]s through [`ObsHub::emit`], which builds the event only
 //!   when at least one sink is registered.
@@ -37,15 +39,14 @@
 //!   clips/sec and an ETA to stderr.
 
 use crate::engine::stage::StageId;
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, IsTerminal, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -81,7 +82,9 @@ pub enum Counter {
     ClipsExtracted,
     /// Clips flagged as hotspots (pre-removal).
     ClipsFlagged,
-    /// Clips pushed through the multi-kernel evaluation engine.
+    /// Clips of the tiles a scan computed, each pushed through the
+    /// multi-kernel evaluation engine; tiles served from the tile cache
+    /// add none.
     ClipsEvaluated,
     /// Flagged clips reclaimed by the feedback kernel.
     ClipsReclaimed,
@@ -90,7 +93,8 @@ pub enum Counter {
     EvalBatches,
     /// Failed tile tasks re-attempted once before quarantine.
     TaskRetries,
-    /// Tasks completed by the executor (any stage label).
+    /// Scan tile tasks the executor ran to completion or to a panic
+    /// (the `kernel_evaluation` row's `tasks_executed`).
     ExecutorTasks,
     /// Entries a scan appended to its tile cache (the name predates the
     /// cache becoming the scan's only durable store).
@@ -113,12 +117,13 @@ pub enum Counter {
 /// Number of [`Counter`] variants (global slot count).
 const GLOBAL_SLOTS: usize = 17;
 
-/// Per-stage counter families recorded alongside the global counters.
+/// Per-stage counter families recorded alongside the global counters,
+/// each mirroring a field of the stage's telemetry row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageCounter {
-    /// Executor tasks completed under this stage label.
+    /// Tasks executed in this stage (`tasks_executed`).
     Tasks,
-    /// Panicking task attempts attributed to this stage.
+    /// Failed task attempts in this stage (`failures`).
     Failures,
     /// Clip-kernel pairs admitted to SVM evaluation.
     Admissions,
@@ -129,12 +134,8 @@ pub enum StageCounter {
 /// Number of [`StageCounter`] variants per stage.
 const STAGE_SLOTS: usize = 4;
 
-/// Total atomic slots per shard: globals then `8 × 4` per-stage slots.
+/// Total atomic slots: globals then `8 × 4` per-stage slots.
 const SLOT_COUNT: usize = GLOBAL_SLOTS + StageId::ALL.len() * STAGE_SLOTS;
-
-/// Number of counter shards. Workers are assigned shards round-robin;
-/// a power of two keeps the modulo cheap.
-const SHARDS: usize = 8;
 
 impl Counter {
     fn slot(self) -> usize {
@@ -146,81 +147,45 @@ fn stage_slot(stage: StageId, counter: StageCounter) -> usize {
     GLOBAL_SLOTS + stage.index() * STAGE_SLOTS + counter as usize
 }
 
-/// One cache-line-aligned bank of counter slots owned by a worker group.
-#[derive(Debug)]
-#[repr(align(64))]
-struct Shard {
-    slots: [AtomicU64; SLOT_COUNT],
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Round-robin assignment of worker threads to counter shards.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-fn my_shard() -> usize {
-    MY_SHARD.with(|cell| {
-        let mut shard = cell.get();
-        if shard == usize::MAX {
-            shard = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(shard);
-        }
-        shard
-    })
-}
-
-/// Sharded lock-free pipeline counters.
+/// Lock-free pipeline counters: one bank of slots.
 ///
-/// Recording is a single `fetch_add(Relaxed)` on the calling thread's
-/// shard — zero allocation, no locking, no ordering constraints on the
-/// pipeline's own memory accesses. Relaxed ordering is sufficient because
-/// the counters carry no synchronisation duty: readers
-/// ([`Counters::snapshot`]) only need eventually-consistent totals for
-/// display,
-/// never happens-before edges, and each `AtomicU64` is individually
-/// coherent so no increment is ever lost.
+/// Recording is a single `fetch_add(Relaxed)` — zero allocation, no
+/// locking, no ordering constraints on the pipeline's own memory accesses.
+/// Relaxed ordering is sufficient because the counters carry no
+/// synchronisation duty: readers ([`Counters::snapshot`]) only need
+/// eventually-consistent totals for display, never happens-before edges,
+/// and each `AtomicU64` is individually coherent so no increment is ever
+/// lost. The busiest writer adds once per tile, so workers sharing one bank
+/// do not contend.
 #[derive(Debug)]
 pub struct Counters {
-    shards: Box<[Shard]>,
+    slots: [AtomicU64; SLOT_COUNT],
 }
 
 impl Counters {
     fn new() -> Counters {
         Counters {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// Adds `n` to a global counter on the calling thread's shard.
+    /// Adds `n` to a global counter.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        self.shards[my_shard()].slots[counter.slot()].fetch_add(n, Ordering::Relaxed);
+        self.slots[counter.slot()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds `n` to a per-stage counter on the calling thread's shard.
+    /// Adds `n` to a per-stage counter.
     #[inline]
     pub fn add_stage(&self, stage: StageId, counter: StageCounter, n: u64) {
-        self.shards[my_shard()].slots[stage_slot(stage, counter)].fetch_add(n, Ordering::Relaxed);
+        self.slots[stage_slot(stage, counter)].fetch_add(n, Ordering::Relaxed);
     }
 
     fn total(&self, slot: usize) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.slots[slot].load(Ordering::Relaxed))
-            .sum()
+        self.slots[slot].load(Ordering::Relaxed)
     }
 
-    /// Sums all shards into a serialisable snapshot. `uptime_ms` stamps
+    /// Reads every slot into a serialisable snapshot. `uptime_ms` stamps
     /// how long the owning hub has been alive (used for rate estimates).
     pub fn snapshot(&self, uptime_ms: u64) -> CounterSnapshot {
         let g = |c: Counter| self.total(c.slot());
@@ -258,7 +223,7 @@ impl Counters {
     }
 }
 
-/// Point-in-time totals of every counter, summed across shards.
+/// Point-in-time totals of every counter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Milliseconds since the owning [`ObsHub`] was created.
@@ -275,7 +240,7 @@ pub struct CounterSnapshot {
     pub clips_extracted: u64,
     /// Clips flagged as hotspots (pre-removal).
     pub clips_flagged: u64,
-    /// Clips pushed through the evaluation engine.
+    /// Clips of computed (not cache-served) tiles ([`Counter::ClipsEvaluated`]).
     pub clips_evaluated: u64,
     /// Flagged clips reclaimed by the feedback kernel.
     pub clips_reclaimed: u64,
@@ -283,7 +248,7 @@ pub struct CounterSnapshot {
     pub eval_batches: u64,
     /// Failed tile tasks re-attempted before quarantine.
     pub task_retries: u64,
-    /// Tasks completed by the executor.
+    /// Scan tile tasks the executor ran ([`Counter::ExecutorTasks`]).
     pub executor_tasks: u64,
     /// Entries appended to the tile cache ([`Counter::JournalAppends`]).
     pub journal_appends: u64,
@@ -326,9 +291,9 @@ impl CounterSnapshot {
 pub struct StageCounterSnapshot {
     /// Stable snake_case stage name ([`StageId::name`]).
     pub stage: String,
-    /// Executor tasks completed under this stage label.
+    /// Tasks executed in this stage ([`StageCounter::Tasks`]).
     pub tasks: u64,
-    /// Panicking task attempts attributed to this stage.
+    /// Failed task attempts in this stage ([`StageCounter::Failures`]).
     pub failures: u64,
     /// Clip-kernel pairs admitted to SVM evaluation.
     pub admissions: u64,
@@ -356,21 +321,21 @@ pub enum ObsEvent {
         /// Bounded in-flight tile window.
         window: usize,
     },
-    /// An executor stage began (span open).
+    /// A scan batch's pending tiles went to the executor (span open).
     StageBegin {
-        /// Stage label (a canonical [`StageId::name`] or an ad-hoc label
-        /// such as `scan_tile`).
+        /// Stage label: `scan_tile`.
         stage: String,
-        /// Items scheduled into the stage.
+        /// Tiles scheduled into the batch.
         items: usize,
     },
-    /// An executor stage finished (span close).
+    /// The executor finished a scan batch (span close).
     StageEnd {
         /// Stage label, matching the paired [`ObsEvent::StageBegin`].
         stage: String,
-        /// Items scheduled into the stage.
+        /// Tiles scheduled into the batch.
         items: usize,
-        /// Tasks that panicked and were isolated.
+        /// First attempts that panicked and were isolated (before their
+        /// retry).
         failures: usize,
     },
     /// A bounded scan window (batch) of tiles completed.
@@ -552,7 +517,10 @@ impl ObsHub {
 
     /// Registers a sink; it receives every subsequent event and snapshot.
     pub fn register(&self, sink: Box<dyn ObsSink>) {
-        self.sinks.write().push(sink);
+        self.sinks
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(sink);
     }
 
     /// Records a pull-based endpoint (e.g. the Prometheus
@@ -560,7 +528,7 @@ impl ObsHub {
     /// [`sink_names`](Self::sink_names) and telemetry without receiving
     /// pushed events.
     pub fn register_endpoint(&self, name: &str) {
-        self.endpoint_names.lock().push(name.to_string());
+        lock(&self.endpoint_names).push(name.to_string());
     }
 
     /// The hub's shared counters, for hot-path recording.
@@ -578,7 +546,7 @@ impl ObsHub {
     /// when at least one sink is registered, so event construction (and
     /// its allocations) is skipped entirely on unobserved runs.
     pub fn emit(&self, make: impl FnOnce() -> ObsEvent) {
-        let sinks = self.sinks.read();
+        let sinks = self.sinks.read().unwrap_or_else(PoisonError::into_inner);
         if sinks.is_empty() {
             return;
         }
@@ -618,7 +586,7 @@ impl ObsHub {
     /// Takes a snapshot and delivers it to every sink — both as an
     /// [`ObsEvent::Snapshot`] record and via [`ObsSink::on_snapshot`].
     pub fn broadcast_snapshot(&self) {
-        let sinks = self.sinks.read();
+        let sinks = self.sinks.read().unwrap_or_else(PoisonError::into_inner);
         if sinks.is_empty() {
             return;
         }
@@ -642,10 +610,11 @@ impl ObsHub {
         let mut names: Vec<String> = self
             .sinks
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|s| s.name().to_string())
             .collect();
-        names.extend(self.endpoint_names.lock().iter().cloned());
+        names.extend(lock(&self.endpoint_names).iter().cloned());
         names
     }
 }
@@ -657,6 +626,12 @@ impl fmt::Debug for ObsHub {
             .field("seq", &self.seq.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
+}
+
+/// Locks `mutex`, ignoring poison: a sink that panicked mid-event must not
+/// silence every later event.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -695,7 +670,7 @@ impl ObsSink for NdjsonSink {
 
     fn on_event(&self, record: &ObsRecord) {
         if let Ok(line) = serde_json::to_string(record) {
-            let mut out = self.out.lock();
+            let mut out = lock(&self.out);
             let _ = writeln!(out, "{line}");
             let _ = out.flush();
         }
@@ -780,7 +755,7 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_clips_evaluated_total",
-            "Clips pushed through the multi-kernel evaluation engine.",
+            "Clips of computed (not cache-served) tiles, evaluated by the multi-kernel engine.",
             snapshot.clips_evaluated,
         ),
         (
@@ -800,7 +775,7 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
         ),
         (
             "hotspot_executor_tasks_total",
-            "Tasks completed by the executor.",
+            "Scan tile tasks the executor ran.",
             snapshot.executor_tasks,
         ),
         (
@@ -877,12 +852,12 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
     let families: [(&str, &str, Pick); 4] = [
         (
             "hotspot_stage_tasks_total",
-            "Executor tasks completed, by stage.",
+            "Tasks executed, by stage (the telemetry row's tasks_executed).",
             |s| s.tasks,
         ),
         (
             "hotspot_stage_failures_total",
-            "Panicking task attempts, by stage.",
+            "Failed task attempts, by stage (the telemetry row's failures).",
             |s| s.failures,
         ),
         (
@@ -909,7 +884,8 @@ pub fn render_prometheus(snapshot: &CounterSnapshot) -> String {
 /// A minimal blocking HTTP/1.0 listener serving `GET /metrics` with the
 /// Prometheus text rendering of the hub's live counters.
 ///
-/// One request is served at a time (scrapes are cheap: one shard sum).
+/// One request is served at a time (scrapes are cheap: one pass over the
+/// counter bank).
 /// Binding registers a `"prometheus"` endpoint name on the hub so the
 /// run's telemetry records that the exposition was active. The server
 /// shuts down on [`shutdown`](Self::shutdown) or drop.
@@ -1120,14 +1096,14 @@ impl ObsSink for ProgressSink {
     fn on_event(&self, record: &ObsRecord) {
         match &record.event {
             ObsEvent::ScanStarted { tiles_total, .. } => {
-                self.state.lock().tiles_total = Some(*tiles_total as u64);
+                lock(&self.state).tiles_total = Some(*tiles_total as u64);
             }
             ObsEvent::ScanCompleted {
                 tiles_scanned,
                 reported,
                 quarantined,
             } => {
-                let mut state = self.state.lock();
+                let mut state = lock(&self.state);
                 let prefix = if state.redrawing { "\r\x1b[2K" } else { "" };
                 state.redrawing = false;
                 eprintln!(
@@ -1139,7 +1115,7 @@ impl ObsSink for ProgressSink {
     }
 
     fn on_snapshot(&self, snapshot: &CounterSnapshot) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let line = render_progress(snapshot, state.tiles_total);
         if state.tty {
             state.redrawing = true;
@@ -1237,7 +1213,7 @@ mod tests {
             "recording"
         }
         fn on_event(&self, record: &ObsRecord) {
-            self.events.lock().push(record.clone());
+            self.events.lock().unwrap().push(record.clone());
         }
         fn on_snapshot(&self, _snapshot: &CounterSnapshot) {
             self.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -1245,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_sum_across_threads_and_shards() {
+    fn counters_lose_no_increment_across_threads() {
         let hub = ObsHub::new();
         let threads = 8;
         let per_thread = 1000u64;
@@ -1311,7 +1287,7 @@ mod tests {
             failures: 0,
         });
         hub.broadcast_snapshot();
-        let events = sink.events.lock();
+        let events = sink.events.lock().unwrap();
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(matches!(events[2].event, ObsEvent::Snapshot { .. }));

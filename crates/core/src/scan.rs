@@ -118,14 +118,14 @@ use crate::detector::{DetectError, HotspotDetector};
 use crate::engine::executor::panic_payload_to_string;
 use crate::engine::{
     Executor, ExecutorStats, FaultPlan, FaultSite, PipelineTelemetry, StageId, StageRecorder,
-    TaskFailure, TaskResult,
+    StageTelemetry, TaskFailure, TaskResult,
 };
 use crate::extraction::{passes_filter, split_oversized_into, RectIndex};
 use crate::feedback::EvalScratch;
 use crate::journal::TileOutcomeRecord;
 use crate::memo::EvalMemo;
 use crate::metrics::{score, Evaluation};
-use crate::obs::{Counter, ObsEvent, ObsHub};
+use crate::obs::{Counter, ObsEvent, ObsHub, StageCounter};
 use crate::pattern::Pattern;
 use crate::removal::remove_redundant_clips;
 use crate::tile_cache::{self, CacheHeader, TileCache};
@@ -858,13 +858,14 @@ impl HotspotDetector {
                 })
                 .collect()
         };
-        recorder.record(
+        let removal = StageTelemetry::measured(
             StageId::ClipRemoval,
             flagged_count,
             reported.len(),
             t_removal.elapsed(),
             None,
         );
+        record_stage(&mut recorder, obs, StageId::ClipRemoval, &removal);
         if aborted.is_none() {
             sink.finish()?;
         }
@@ -1175,6 +1176,10 @@ impl TileSource {
     }
 }
 
+/// The executor stage label of scan tiles: it names tile failures and the
+/// [`ObsEvent::StageBegin`]/[`ObsEvent::StageEnd`] span of each batch.
+const TILE_STAGE: &str = "scan_tile";
+
 /// The tile runner: computes pending tiles on the executor under the
 /// scan's stop token and soft tile budget, retries each failure once on
 /// the calling thread, and applies [`ScanConfig::failure_policy`].
@@ -1201,17 +1206,13 @@ impl<'a> TileRunner<'a> {
         threshold: f64,
         threads: usize,
     ) -> Self {
-        let mut executor = Executor::new(threads);
-        if let Some(hub) = detector.obs() {
-            executor = executor.with_obs(Arc::clone(hub));
-        }
         TileRunner {
             detector,
             index,
             scan,
             threshold,
             memo: EvalMemo::new(),
-            executor,
+            executor: Executor::new(threads),
             trip: CancelToken::new(),
             in_flight: Arc::new(AtomicUsize::new(0)),
             peak: AtomicUsize::new(0),
@@ -1231,8 +1232,15 @@ impl<'a> TileRunner<'a> {
             return Ok(ExecutorStats::default());
         }
         let batch: &[Slot] = slots;
+        let items = pending.len();
+        if let Some(hub) = self.obs {
+            hub.emit(|| ObsEvent::StageBegin {
+                stage: TILE_STAGE.to_string(),
+                items,
+            });
+        }
         let (results, stats) = self.executor.try_map_with_cancel(
-            "scan_tile",
+            TILE_STAGE,
             &pending,
             |_, &pos| {
                 let current = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1243,6 +1251,13 @@ impl<'a> TileRunner<'a> {
             },
             Some(&self.trip),
         );
+        if let Some(hub) = self.obs {
+            hub.emit(|| ObsEvent::StageEnd {
+                stage: TILE_STAGE.to_string(),
+                items,
+                failures: stats.tasks_failed,
+            });
+        }
         for (result, pos) in results.into_iter().zip(pending) {
             let failure = match result {
                 TaskResult::Done(outcome) => {
@@ -1329,8 +1344,7 @@ impl<'a> TileRunner<'a> {
         })
     }
 
-    /// Worker-side progress: one relaxed add per transition, recorded into
-    /// the worker's own counter shard.
+    /// Worker-side progress: one relaxed add per transition.
     fn progress(&self, counter: Counter) {
         if let Some(hub) = self.obs {
             hub.counters().add(counter, 1);
@@ -1410,6 +1424,8 @@ struct Counts {
     /// Tiles the prefilter kept, whose clips were extracted and evaluated.
     tiles_evaluated: usize,
     clips_extracted: usize,
+    /// Clips of the tiles computed in this batch, not served from the cache.
+    clips_evaluated: usize,
     clips_flagged: usize,
     feedback_reclaimed: usize,
     eval_batches: usize,
@@ -1430,9 +1446,10 @@ struct Counts {
 }
 
 /// The scan's one set of counts. Every tile is folded here exactly once,
-/// and the report's count fields, the stage rows and the batch-level hub
+/// and the report's count fields, the stage rows and the hub's scan
 /// counters are all written from the same per-batch numbers, so they
-/// cannot disagree.
+/// cannot disagree. Only the per-tile started/done progress pair and the
+/// tile cache's own counts reach the hub another way.
 #[derive(Default)]
 struct ScanTally {
     /// The report under construction; only its count fields and
@@ -1456,12 +1473,10 @@ impl ScanTally {
         let tiles = slots.len();
         let mut b = Counts::default();
         for slot in slots {
+            let served = matches!(slot.origin, Origin::CacheHit);
+            b.served += usize::from(served);
             match slot.origin {
-                Origin::CacheHit => {
-                    b.cache_hits += 1;
-                    b.served += 1;
-                }
-                Origin::VerifiedHit(_) => b.cache_hits += 1,
+                Origin::CacheHit | Origin::VerifiedHit(_) => b.cache_hits += 1,
                 Origin::CacheMiss { stale } => {
                     b.cache_misses += 1;
                     b.cache_stale += usize::from(stale);
@@ -1494,6 +1509,7 @@ impl ScanTally {
                         } => {
                             b.tiles_evaluated += 1;
                             b.clips_extracted += clips;
+                            b.clips_evaluated += if served { 0 } else { clips };
                             b.clips_flagged += flagged;
                             b.feedback_reclaimed += reclaimed;
                             // Each tile with clips to evaluate was one batch
@@ -1506,37 +1522,41 @@ impl ScanTally {
             }
         }
 
-        recorder.record(
+        let prefilter = StageTelemetry::measured(
             StageId::DensityPrefilter,
             b.tiles_prefiltered + b.tiles_evaluated,
             b.tiles_evaluated,
             b.prefilter_time,
             None,
         );
-        recorder.record(
+        record_stage(recorder, obs, StageId::DensityPrefilter, &prefilter);
+        let extraction = StageTelemetry::measured(
             StageId::ClipExtraction,
             b.tiles_evaluated,
             b.clips_extracted,
             b.extract_time,
             None,
         );
-        recorder.record_batched(
+        record_stage(recorder, obs, StageId::ClipExtraction, &extraction);
+        let measured = StageTelemetry::measured(
             StageId::KernelEvaluation,
             b.clips_extracted,
             b.clips_flagged,
             b.eval_time,
             Some(stats),
-            b.eval_batches,
         );
-        recorder.update(StageId::KernelEvaluation, |s| {
-            s.admissions += b.admissions;
-            s.admission_skips += b.admission_skips;
+        let evaluation = StageTelemetry {
+            batches: b.eval_batches,
+            admissions: b.admissions,
+            admission_skips: b.admission_skips,
             // First attempts failed through the executor stats; every
             // failed retry quarantined its tile.
-            s.failures += b.quarantined;
-            s.retries += b.retries;
-            s.timeouts += b.timed_out;
-        });
+            failures: measured.failures + b.quarantined,
+            retries: b.retries,
+            timeouts: b.timed_out,
+            ..measured
+        };
+        record_stage(recorder, obs, StageId::KernelEvaluation, &evaluation);
 
         if let Some(hub) = obs {
             let counters = hub.counters();
@@ -1549,12 +1569,14 @@ impl ScanTally {
             counters.add(Counter::CacheInvalidated, b.cache_stale as u64);
             counters.add(Counter::TilesPrefiltered, b.tiles_prefiltered as u64);
             counters.add(Counter::ClipsExtracted, b.clips_extracted as u64);
+            counters.add(Counter::ClipsEvaluated, b.clips_evaluated as u64);
             counters.add(Counter::ClipsFlagged, b.clips_flagged as u64);
             counters.add(Counter::ClipsReclaimed, b.feedback_reclaimed as u64);
             counters.add(Counter::EvalBatches, b.eval_batches as u64);
             counters.add(Counter::TaskRetries, b.retries as u64);
             counters.add(Counter::TilesQuarantined, b.quarantined as u64);
             counters.add(Counter::TilesTimedOut, b.timed_out as u64);
+            counters.add(Counter::ExecutorTasks, stats.tasks_executed as u64);
             hub.emit(|| ObsEvent::BatchCompleted {
                 tiles,
                 clips: b.clips_extracted,
@@ -1573,6 +1595,25 @@ impl ScanTally {
         r.retries += b.retries;
         r.cache_hits += b.cache_hits;
         r.cache_misses += b.cache_misses;
+    }
+}
+
+/// Adds one stage delta to its telemetry row and to the hub's slice of
+/// that stage. Scan stage rows are written only through here, so no row
+/// can reach the report without reaching `/metrics` too.
+fn record_stage(
+    recorder: &mut StageRecorder,
+    obs: Option<&ObsHub>,
+    stage: StageId,
+    delta: &StageTelemetry,
+) {
+    recorder.add(stage, delta);
+    if let Some(hub) = obs {
+        let counters = hub.counters();
+        counters.add_stage(stage, StageCounter::Tasks, delta.tasks_executed as u64);
+        counters.add_stage(stage, StageCounter::Failures, delta.failures as u64);
+        counters.add_stage(stage, StageCounter::Admissions, delta.admissions);
+        counters.add_stage(stage, StageCounter::AdmissionSkips, delta.admission_skips);
     }
 }
 

@@ -1,5 +1,6 @@
 //! GDSII record headers and the error type shared by reader and writer.
 
+use crate::LayerId;
 use std::fmt;
 
 /// GDSII record types used by this implementation.
@@ -136,6 +137,17 @@ pub enum GdsError {
     UnsupportedTransform(String),
     /// A string record contained invalid bytes.
     BadString,
+    /// A record's payload does not fit the 16-bit length field (65535
+    /// bytes, header included): a name or polygon too long to write.
+    RecordTooLong {
+        /// The record being written.
+        record: RecordType,
+        /// The length it would need, header included.
+        length: usize,
+    },
+    /// A layer number above 32767 does not fit the signed 16-bit `LAYER`
+    /// field.
+    LayerOutOfRange(LayerId),
     /// An I/O error from the underlying file.
     Io(std::io::Error),
 }
@@ -195,6 +207,19 @@ impl fmt::Display for GdsError {
                 write!(f, "unsupported reference transform: {msg}")
             }
             GdsError::BadString => write!(f, "invalid string payload in GDSII record"),
+            GdsError::RecordTooLong { record, length } => {
+                write!(
+                    f,
+                    "GDSII record {record} needs {length} bytes, over the 65535-byte limit"
+                )
+            }
+            GdsError::LayerOutOfRange(layer) => {
+                write!(
+                    f,
+                    "layer {} is above the GDSII maximum 32767",
+                    layer.number()
+                )
+            }
             GdsError::Io(e) => write!(f, "gdsii i/o error: {e}"),
         }
     }

@@ -3,7 +3,6 @@
 use super::real::encode_real8;
 use super::records::{GdsError, RecordType};
 use crate::{LayerId, Layout};
-use bytes::{BufMut, BytesMut};
 use std::io::Write;
 use std::path::Path;
 
@@ -16,30 +15,24 @@ use std::path::Path;
 /// # Errors
 ///
 /// Returns [`GdsError::BadBoundary`] if a polygon coordinate does not fit in
-/// the 32-bit signed range GDSII mandates.
+/// the 32-bit signed range GDSII mandates, [`GdsError::LayerOutOfRange`] for
+/// a layer number above 32767, and [`GdsError::RecordTooLong`] when a name
+/// or a polygon does not fit in one record.
 pub fn write_bytes(layout: &Layout) -> Result<Vec<u8>, GdsError> {
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = Vec::with_capacity(4096);
+    // Twelve i16 timestamp fields (modification + access); fixed epoch
+    // values keep output deterministic.
+    let timestamps = [0u8; 24];
 
-    put_record(&mut buf, RecordType::Header, |b| b.put_i16(600)); // release 6
-    put_record(&mut buf, RecordType::BgnLib, |b| {
-        // Twelve i16 timestamp fields (modification + access); fixed epoch
-        // values keep output deterministic.
-        for _ in 0..12 {
-            b.put_i16(0);
-        }
-    });
-    put_string(&mut buf, RecordType::LibName, layout.name());
-    put_record(&mut buf, RecordType::Units, |b| {
-        b.put_slice(&encode_real8(0.001)); // user units per db unit
-        b.put_slice(&encode_real8(1e-9)); // metres per db unit
-    });
+    put_record(&mut buf, RecordType::Header, &600i16.to_be_bytes())?; // release 6
+    put_record(&mut buf, RecordType::BgnLib, &timestamps)?;
+    put_string(&mut buf, RecordType::LibName, layout.name())?;
+    // User units per db unit, then metres per db unit.
+    let units = [encode_real8(0.001), encode_real8(1e-9)].concat();
+    put_record(&mut buf, RecordType::Units, &units)?;
 
-    put_record(&mut buf, RecordType::BgnStr, |b| {
-        for _ in 0..12 {
-            b.put_i16(0);
-        }
-    });
-    put_string(&mut buf, RecordType::StrName, layout.name());
+    put_record(&mut buf, RecordType::BgnStr, &timestamps)?;
+    put_string(&mut buf, RecordType::StrName, layout.name())?;
 
     for layer in layout.layers() {
         for polygon in layout.polygons(layer) {
@@ -47,9 +40,9 @@ pub fn write_bytes(layout: &Layout) -> Result<Vec<u8>, GdsError> {
         }
     }
 
-    put_record(&mut buf, RecordType::EndStr, |_| {});
-    put_record(&mut buf, RecordType::EndLib, |_| {});
-    Ok(buf.to_vec())
+    put_record(&mut buf, RecordType::EndStr, &[])?;
+    put_record(&mut buf, RecordType::EndLib, &[])?;
+    Ok(buf)
 }
 
 /// Writes the layout to a `.gds` file.
@@ -65,36 +58,26 @@ pub fn write_file(layout: &Layout, path: impl AsRef<Path>) -> Result<(), GdsErro
 }
 
 fn write_boundary(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     layer: LayerId,
     vertices: &[hotspot_geom::Point],
 ) -> Result<(), GdsError> {
-    put_record(buf, RecordType::Boundary, |_| {});
-    put_record(buf, RecordType::Layer, |b| b.put_i16(layer.number() as i16));
-    put_record(buf, RecordType::DataType, |b| b.put_i16(0));
+    // `LAYER` is a signed 16-bit field and readers reject negative layers.
+    let number = i16::try_from(layer.number()).map_err(|_| GdsError::LayerOutOfRange(layer))?;
+    put_record(buf, RecordType::Boundary, &[])?;
+    put_record(buf, RecordType::Layer, &number.to_be_bytes())?;
+    put_record(buf, RecordType::DataType, &0i16.to_be_bytes())?;
     // XY: each vertex as two i32s, with the first vertex repeated at the end
-    // to close the loop (GDSII convention).
-    let mut coords: Vec<i32> = Vec::with_capacity((vertices.len() + 1) * 2);
+    // to close the loop (GDSII convention). The record length caps it at
+    // (65534 - 4) / 8 = 8191 vertices — far above any rectilinear clip
+    // polygon we produce.
+    let mut xy = Vec::with_capacity((vertices.len() + 1) * 8);
     for v in vertices.iter().chain(std::iter::once(&vertices[0])) {
-        coords.push(to_i32(v.x)?);
-        coords.push(to_i32(v.y)?);
+        xy.extend_from_slice(&to_i32(v.x)?.to_be_bytes());
+        xy.extend_from_slice(&to_i32(v.y)?.to_be_bytes());
     }
-    // GDSII records carry a u16 byte length including the 4-byte header, so
-    // an XY record holds at most (65534 - 4) / 8 = 8191 vertices — far above
-    // any rectilinear clip polygon we produce.
-    if coords.len() * 4 + 4 > u16::MAX as usize {
-        return Err(GdsError::BadBoundary(format!(
-            "polygon with {} vertices exceeds the XY record size limit",
-            vertices.len()
-        )));
-    }
-    put_record(buf, RecordType::Xy, |b| {
-        for c in &coords {
-            b.put_i32(*c);
-        }
-    });
-    put_record(buf, RecordType::EndEl, |_| {});
-    Ok(())
+    put_record(buf, RecordType::Xy, &xy)?;
+    put_record(buf, RecordType::EndEl, &[])
 }
 
 fn to_i32(v: i64) -> Result<i32, GdsError> {
@@ -103,23 +86,26 @@ fn to_i32(v: i64) -> Result<i32, GdsError> {
     })
 }
 
-/// Appends one record: u16 total length, u16 type code, payload.
-fn put_record(buf: &mut BytesMut, rt: RecordType, fill: impl FnOnce(&mut BytesMut)) {
-    let mut payload = BytesMut::new();
-    fill(&mut payload);
-    debug_assert!(payload.len() + 4 <= u16::MAX as usize);
-    buf.put_u16((payload.len() + 4) as u16);
-    buf.put_u16(rt.code());
-    buf.put_slice(&payload);
+/// Appends one record: u16 total length, u16 type code, payload. The
+/// length counts the 4-byte header, so a payload above 65531 bytes does
+/// not fit.
+fn put_record(buf: &mut Vec<u8>, rt: RecordType, payload: &[u8]) -> Result<(), GdsError> {
+    let length = payload.len() + 4;
+    let header =
+        u16::try_from(length).map_err(|_| GdsError::RecordTooLong { record: rt, length })?;
+    buf.extend_from_slice(&header.to_be_bytes());
+    buf.extend_from_slice(&rt.code().to_be_bytes());
+    buf.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Appends an ASCII string record, padded to even length per the spec.
-fn put_string(buf: &mut BytesMut, rt: RecordType, s: &str) {
+fn put_string(buf: &mut Vec<u8>, rt: RecordType, s: &str) -> Result<(), GdsError> {
     let mut bytes = s.as_bytes().to_vec();
     if !bytes.len().is_multiple_of(2) {
         bytes.push(0);
     }
-    put_record(buf, rt, |b| b.put_slice(&bytes));
+    put_record(buf, rt, &bytes)
 }
 
 #[cfg(test)]
@@ -166,6 +152,53 @@ mod tests {
             .expect("libname record present");
         let len = u16::from_be_bytes([bytes[pos - 2], bytes[pos - 1]]);
         assert_eq!(len, 8);
+    }
+
+    #[test]
+    fn names_too_long_for_one_record_error() {
+        // 65530 bytes fill a record to 65534; 65531 pad to 65532 + 4.
+        let fits = Layout::new("n".repeat(65_530));
+        let back = crate::gdsii::read_bytes(&write_bytes(&fits).unwrap()).unwrap();
+        assert_eq!(back.name(), fits.name());
+        let long = Layout::new("n".repeat(65_531));
+        assert!(matches!(
+            write_bytes(&long),
+            Err(GdsError::RecordTooLong {
+                record: RecordType::LibName,
+                length: 65_536
+            })
+        ));
+    }
+
+    #[test]
+    fn layers_above_the_signed_range_error() {
+        let rect = Rect::from_extents(0, 0, 10, 10);
+        let mut top = Layout::new("t");
+        top.add_rect(LayerId::new(32_767), rect);
+        let back = crate::gdsii::read_bytes(&write_bytes(&top).unwrap()).unwrap();
+        assert_eq!(back, top);
+        let mut over = Layout::new("t");
+        over.add_rect(LayerId::new(32_768), rect);
+        assert!(matches!(
+            write_bytes(&over),
+            Err(GdsError::LayerOutOfRange(layer)) if layer == LayerId::new(32_768)
+        ));
+    }
+
+    #[test]
+    fn fixed_layout_stream_is_pinned() {
+        // FNV-1a 64 of the whole stream of a fixed two-layer layout with an
+        // odd-length name and negative coordinates: any change to record
+        // framing, padding or field encoding moves it.
+        let mut layout = Layout::new("pin");
+        layout.add_rect(LayerId::new(1), Rect::from_extents(-120, 0, 300, 40));
+        layout.add_rect(LayerId::new(1), Rect::from_extents(0, 100, 80, 900));
+        layout.add_rect(LayerId::new(17), Rect::from_extents(-5_000, -7, 5_000, 7));
+        let bytes = write_bytes(&layout).unwrap();
+        let hash = bytes.iter().fold(0xCBF2_9CE4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!((bytes.len(), hash), (298, 0x1a24_712e_fbef_2005));
     }
 
     #[test]

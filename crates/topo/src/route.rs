@@ -487,9 +487,9 @@ mod tests {
     fn huge_ablation_threshold_never_overflows_the_screen() {
         let q = ramp(8, 0.41);
         let c = ramp(8, 0.29);
-        // The single-kernel ablation uses radius ≈ f64::MAX/4; the
-        // slackened screening bound must stay finite and prune nothing,
-        // not overflow into a rejection.
+        // Admission thresholds come from model files, which are outside
+        // input: a huge one must keep the slackened screening bound
+        // finite and prune nothing, not overflow into a rejection.
         let threshold = f64::MAX / 4.0 * 1.5;
         let router = CentroidRouter::compile([(&c, threshold)], 8, 8);
         let (adm, stats) = router.route(&q);

@@ -338,15 +338,29 @@ grep -q '^hotspot_stage_admissions_total{stage="kernel_evaluation"} ' "$OBS_DIR/
 # The NDJSON log parses line by line through the schema-versioned reader.
 cargo run --release --quiet -p hotspot-cli --bin hotspot -- \
   events --file "$OBS_DIR/events.ndjson" | grep -q '1 scan(s)'
-python3 - "$OBS_DIR/events.ndjson" <<'EOF'
+python3 - "$OBS_DIR/events.ndjson" "$OBS_DIR/scan_obs.json" <<'EOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert lines, "empty event log"
+records = []
 for i, line in enumerate(lines, 1):
     record = json.loads(line)
     assert record["v"] == 1, f"line {i}: unexpected schema {record['v']}"
     assert set(record) == {"v", "seq", "event"}, f"line {i}: bad envelope"
+    records.append(record)
 print(f"events: {len(lines)} valid NDJSON line(s)")
+# The final snapshot (taken after the scan returned, unlike the live scrape
+# above) carries the same kernel_evaluation admissions as the report's
+# telemetry row, and a constant 0 does not pass.
+snapshots = [r["event"]["Snapshot"]["counters"] for r in records if "Snapshot" in r["event"]]
+assert snapshots, "no Snapshot event in the log"
+hub = {s["stage"]: s for s in snapshots[-1]["stages"]}["kernel_evaluation"]
+rows = json.load(open(sys.argv[2]))["telemetry"]["stages"]
+row = {s["stage"]: s for s in rows}["kernel_evaluation"]
+assert hub["admissions"] > 0, f"final snapshot admissions {hub['admissions']}"
+assert hub["admissions"] == row["admissions"], \
+    f"final snapshot admissions {hub['admissions']} != telemetry {row['admissions']}"
+print(f"events: final snapshot admits {hub['admissions']} clip-kernel pair(s), as the telemetry")
 EOF
 # The observed report is bit-identical to the sink-less one, and the two
 # scans agree on every deterministic report field.

@@ -9,14 +9,14 @@ use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::obs::read_events;
 use hotspot_suite::core::{
     AbortReason, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, MetricsServer,
-    NdjsonSink, ObsEvent, ObsHub, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
+    NdjsonSink, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
 };
 use hotspot_suite::layout::ClipShape;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 fn benchmark() -> &'static Benchmark {
@@ -223,6 +223,20 @@ fn ndjson_event_log_round_trips_and_matches_report() {
     std::fs::remove_file(&events).ok();
 }
 
+/// A sink that keeps every event in memory.
+#[derive(Clone, Default)]
+struct Capture(Arc<Mutex<Vec<ObsEvent>>>);
+
+impl ObsSink for Capture {
+    fn name(&self) -> &str {
+        "capture"
+    }
+
+    fn on_event(&self, record: &ObsRecord) {
+        self.0.lock().unwrap().push(record.event.clone());
+    }
+}
+
 /// Scans with a fresh hub attached and checks that every count the report,
 /// the telemetry stage rows and the hub share agrees across all three.
 fn scan_and_check_agreement(
@@ -232,6 +246,8 @@ fn scan_and_check_agreement(
 ) -> ScanReport {
     let bm = benchmark();
     let hub = ObsHub::new();
+    let capture = Capture::default();
+    hub.register(Box::new(capture.clone()));
     let report = detector
         .clone()
         .with_obs(hub.clone())
@@ -296,6 +312,77 @@ fn scan_and_check_agreement(
         assert_eq!(snap.tiles_done, n(report.tiles_scanned), "{case}");
     }
     assert_eq!(snap.tiles_in_flight(), 0, "{case}");
+
+    // Every stage row equals the hub's slice of that stage, and a stage
+    // the scan did not record reads 0 on the hub.
+    assert_eq!(snap.stages.len(), StageId::ALL.len(), "{case}");
+    for (stage, slice) in StageId::ALL.iter().zip(&snap.stages) {
+        assert_eq!(slice.stage, stage.name(), "{case}");
+        let row = t.stage(*stage).map_or((0, 0, 0, 0), |r| {
+            let (tasks, failures) = (n(r.tasks_executed), n(r.failures));
+            (tasks, failures, r.admissions, r.admission_skips)
+        });
+        let hub_row = (
+            slice.tasks,
+            slice.failures,
+            slice.admissions,
+            slice.admission_skips,
+        );
+        assert_eq!(hub_row, row, "{case}: stage {}", slice.stage);
+    }
+    assert_eq!(snap.executor_tasks, n(eval.tasks_executed), "{case}");
+    // Clips are evaluated for computed tiles only, never for cache-served
+    // ones.
+    if report.cache_hits == 0 {
+        assert_eq!(snap.clips_evaluated, clips, "{case}");
+    } else if report.cache_misses == 0 {
+        assert_eq!(snap.clips_evaluated, 0, "{case}");
+    } else {
+        assert!(
+            (1..clips).contains(&snap.clips_evaluated),
+            "{case}: {} of {clips} clips evaluated",
+            snap.clips_evaluated
+        );
+    }
+
+    // Each batch the executor ran is one `scan_tile` span: a StageBegin
+    // and then its StageEnd over the same tiles. The spans' failures are
+    // the first attempts that panicked; with the failed retries
+    // (quarantined tiles) they make up the evaluation row's failures.
+    let events = capture.0.lock().unwrap();
+    let spans: Vec<(bool, &str, usize, usize)> = events
+        .iter()
+        .filter_map(|e| match e {
+            ObsEvent::StageBegin { stage, items } => Some((true, stage.as_str(), *items, 0)),
+            ObsEvent::StageEnd {
+                stage,
+                items,
+                failures,
+            } => Some((false, stage.as_str(), *items, *failures)),
+            _ => None,
+        })
+        .collect();
+    for pair in spans.chunks(2) {
+        let [begin, end] = pair else {
+            panic!("{case}: unpaired span {pair:?}");
+        };
+        assert!(begin.0 && !end.0, "{case}: {pair:?}");
+        assert_eq!((begin.1, end.1), ("scan_tile", "scan_tile"), "{case}");
+        assert_eq!(begin.2, end.2, "{case}: {pair:?}");
+    }
+    let span_tasks = n(spans.iter().filter(|s| !s.0).map(|s| s.2).sum());
+    let span_failures: usize = spans.iter().map(|s| s.3).sum();
+    assert_eq!(
+        span_failures + report.failed_tiles.len(),
+        eval.failures,
+        "{case}"
+    );
+    // Tasks a stop skipped were handed to the executor but never ran.
+    if report.aborted.is_some() {
+        assert!(span_tasks >= snap.executor_tasks, "{case}");
+    } else {
+        assert_eq!(span_tasks, snap.executor_tasks, "{case}");
+    }
     report
 }
 

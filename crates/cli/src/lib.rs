@@ -469,13 +469,17 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
         stall_ms: opts.parse("fault-stall-ms", 0u64)?,
         ..Default::default()
     };
-    // Graceful Ctrl-C: the handler trips this token, the scan drains and
-    // reports `aborted`, and we exit with EXIT_ABORTED below. In unit
-    // tests the global handler stays uninstalled so concurrently running
-    // scans cannot be cancelled by a sibling test's interrupt; the real
-    // binary path is exercised end-to-end by the CI SIGINT smoke.
-    let cancel = CancelToken::new();
-    let _sigint = (!cfg!(test)).then(|| sigint::install(cancel.clone()));
+    // Graceful Ctrl-C: the handler's flag is the scan's token, so the scan
+    // drains and reports `aborted`, and we exit with EXIT_ABORTED below.
+    // In unit tests the global handler stays uninstalled so concurrently
+    // running scans cannot be cancelled by a sibling test's interrupt; the
+    // real binary path is exercised end-to-end by the CI SIGINT smoke.
+    let (cancel, _sigint) = if cfg!(test) {
+        (CancelToken::new(), None)
+    } else {
+        let (token, guard) = sigint::install();
+        (token, Some(guard))
+    };
     let defaults = ScanConfig::default();
     let scan =
         ScanConfig {
@@ -1216,9 +1220,9 @@ mod tests {
         let invalid = CliError::Pipeline(hotspot_core::DetectError::InvalidModel("x".into()));
         assert_eq!(invalid.exit_code(), 4);
         assert_eq!(invalid.to_string(), "json error: inconsistent model: x");
-        let internal = CliError::Pipeline(hotspot_core::DetectError::Internal("x".into()));
-        assert_eq!(internal.exit_code(), 6);
-        assert!(internal.to_string().starts_with("pipeline error: "));
+        let cache = CliError::Pipeline(hotspot_core::DetectError::Cache("x".into()));
+        assert_eq!(cache.exit_code(), 6);
+        assert!(cache.to_string().starts_with("pipeline error: "));
         // A missing model file surfaces as an I/O error, not usage.
         let err = run(&argv(&[
             "detect",
@@ -1510,6 +1514,42 @@ mod tests {
         std::fs::write(&log, "\n\n").unwrap();
         let out = run(&argv(&["events", "--file", log.to_str().unwrap()])).unwrap();
         assert!(out.contains("0 event(s)"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v1_logs_with_watchdog_ticks_still_read_and_summarise() {
+        // Scans no longer emit `WatchdogTick`, but v1 logs written while
+        // they did must still read and summarise.
+        let dir = workdir("events_watchdog");
+        let log = dir.join("v1.ndjson");
+        std::fs::write(
+            &log,
+            concat!(
+                r#"{"v":1,"seq":0,"event":{"ScanStarted":{"tiles_total":9,"threads":2,"window":4}}}"#,
+                "\n",
+                r#"{"v":1,"seq":1,"event":{"WatchdogTick":{"in_flight":3,"deadline_remaining_ms":1200}}}"#,
+                "\n",
+                r#"{"v":1,"seq":2,"event":{"WatchdogTick":{"in_flight":0,"deadline_remaining_ms":null}}}"#,
+                "\n",
+                r#"{"v":1,"seq":3,"event":{"ScanAborted":{"reason":"deadline_exceeded","tiles_scanned":4}}}"#,
+                "\n",
+            ),
+        )
+        .unwrap();
+        let records = hotspot_core::obs::read_events(&log).unwrap();
+        assert_eq!(
+            records[1].event,
+            ObsEvent::WatchdogTick {
+                in_flight: 3,
+                deadline_remaining_ms: Some(1200),
+            }
+        );
+        let (out, status) =
+            run_with_status(&argv(&["events", "--file", log.to_str().unwrap()])).unwrap();
+        assert_eq!(status, 0);
+        assert!(out.starts_with("4 event(s), schema v1: 1 scan(s)"), "{out}");
+        assert!(out.contains("1 aborted scan(s)"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

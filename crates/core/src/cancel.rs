@@ -1,32 +1,29 @@
 //! Cooperative cancellation for long-running scans.
 //!
-//! A [`CancelToken`] is a dependency-free, clonable flag shared between
-//! the party requesting a stop (a CLI SIGINT handler, the scan's own
-//! deadline watchdog, an embedding service's shutdown path) and the
-//! workers doing the stopping. Cancellation is *cooperative*: nothing is
-//! killed. Workers poll the token at cheap, deterministic boundaries —
-//! once per in-flight batch in the streaming scan loop, before each task
-//! pop in [`crate::engine::Executor`], and once per clip inside a tile's
-//! evaluation batch — and wind down by declining further work, so every
-//! tile either completes (and is appended to the tile cache) or never
-//! starts (and is recomputed by a re-run). That placement is what keeps an
-//! aborted scan byte-resumable: the cache only ever gains whole-tile
-//! entries, and [`crate::ScanReport::digest`] of a scan re-run from that
-//! cache is bit-identical to an uninterrupted run's.
+//! A [`CancelToken`] is the scan's one stop value: a clonable flag shared
+//! between the party requesting a stop (the CLI's SIGINT handler, an
+//! embedding service's shutdown path) and the workers, which inside a scan
+//! also reads cancelled once the [`crate::ScanConfig::deadline`] has passed.
+//! Nothing is killed: workers poll the token at cheap, deterministic
+//! boundaries — once per batch in the scan loop, before each task pop in
+//! [`crate::engine::Executor`], and at every stage boundary and per clip
+//! inside a tile — so every tile either completes (and is cached) or never
+//! lands (and a re-run computes it). The cache thus only gains whole-tile
+//! entries, and [`crate::ScanReport::digest`] of a scan re-run from it is
+//! bit-identical to an uninterrupted run's.
 //!
-//! The flag is a relaxed atomic: cancellation needs no ordering with the
-//! data the workers produce (aborted work is discarded, completed work was
-//! already published through the batch loop's own synchronisation), so a
-//! poll costs one uncontended load.
+//! The flag is a relaxed atomic: aborted work is discarded and completed
+//! work is published through the batch loop's own synchronisation, so a
+//! poll needs no ordering — one uncontended load, plus a clock read when a
+//! deadline is set.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// A clonable, thread-safe cancellation flag.
-///
-/// All clones share one flag: cancelling any clone cancels them all.
-/// Polling is a single relaxed atomic load; see the [module
-/// docs](crate::cancel) for where the scan stack polls it.
+/// A clonable, thread-safe cancellation flag, optionally bounded by a
+/// deadline. All clones share one flag: cancelling any clone cancels them
+/// all.
 ///
 /// # Examples
 ///
@@ -39,8 +36,28 @@ use std::sync::Arc;
 /// token.cancel();
 /// assert!(worker_view.is_cancelled());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+#[derive(Debug, Clone)]
+pub struct CancelToken {
+    flag: Flag,
+    /// When set, the token also reads cancelled from this instant on.
+    deadline: Option<Instant>,
+}
+
+/// A token's own flag, or a process-global one such as a signal handler's.
+#[derive(Debug, Clone)]
+enum Flag {
+    Shared(Arc<AtomicBool>),
+    Static(&'static AtomicBool),
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken {
+            flag: Flag::Shared(Arc::default()),
+            deadline: None,
+        }
+    }
+}
 
 impl CancelToken {
     /// A fresh, uncancelled token.
@@ -48,23 +65,56 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Trips the flag. Idempotent; cancellation cannot be undone.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+    /// A token over a process-global flag, so a signal handler — which may
+    /// only store into an atomic — trips the token directly.
+    pub fn from_static(flag: &'static AtomicBool) -> Self {
+        CancelToken {
+            flag: Flag::Static(flag),
+            deadline: None,
+        }
     }
 
-    /// Whether any clone of this token has been cancelled.
+    /// This token's flag, additionally bounded by `deadline`.
+    pub(crate) fn with_deadline(self, deadline: Option<Instant>) -> Self {
+        CancelToken { deadline, ..self }
+    }
+
+    fn flag(&self) -> &AtomicBool {
+        match &self.flag {
+            Flag::Shared(flag) => flag,
+            Flag::Static(flag) => flag,
+        }
+    }
+
+    /// Trips the flag. Idempotent; cancellation cannot be undone.
+    pub fn cancel(&self) {
+        self.flag().store(true, Ordering::Relaxed);
+    }
+
+    /// Whether any clone of this token has been cancelled, or its
+    /// deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.abort_reason().is_some()
+    }
+
+    /// Why the token reads cancelled: the flag outranks the deadline.
+    pub(crate) fn abort_reason(&self) -> Option<AbortReason> {
+        if self.flag().load(Ordering::Relaxed) {
+            Some(AbortReason::Interrupted)
+        } else if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            Some(AbortReason::DeadlineExceeded)
+        } else {
+            None
+        }
     }
 }
 
-/// Tokens compare by *identity* (shared flag), not by state: a clone is
-/// equal to its source, two independently created tokens are not. This is
-/// what [`crate::ScanConfig`]'s derived `PartialEq` sees.
+/// Tokens compare by *identity* (shared flag and deadline), not by state:
+/// a clone is equal to its source, two independently created tokens are
+/// not. This is what [`crate::ScanConfig`]'s derived `PartialEq` sees.
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        std::ptr::eq(self.flag(), other.flag()) && self.deadline == other.deadline
     }
 }
 
@@ -146,6 +196,33 @@ mod tests {
         c.cancel();
         a.cancel();
         assert_ne!(a, c, "same state, still different tokens");
+    }
+
+    #[test]
+    fn deadline_token_shares_the_flag_and_the_flag_outranks_the_deadline() {
+        let external = CancelToken::new();
+        let future = external
+            .clone()
+            .with_deadline(Some(Instant::now() + std::time::Duration::from_secs(3600)));
+        assert_eq!(future.abort_reason(), None);
+        let past = external.clone().with_deadline(Some(Instant::now()));
+        assert_eq!(past.abort_reason(), Some(AbortReason::DeadlineExceeded));
+        assert!(past.is_cancelled() && !external.is_cancelled());
+        assert_ne!(past, external, "a deadline makes a different token");
+        external.cancel();
+        assert_eq!(future.abort_reason(), Some(AbortReason::Interrupted));
+        assert_eq!(past.abort_reason(), Some(AbortReason::Interrupted));
+    }
+
+    #[test]
+    fn static_tokens_read_their_flag_and_compare_by_it() {
+        static FLAG: AtomicBool = AtomicBool::new(false);
+        let a = CancelToken::from_static(&FLAG);
+        assert_eq!(a, CancelToken::from_static(&FLAG));
+        assert_ne!(a, CancelToken::new());
+        assert!(!a.is_cancelled());
+        FLAG.store(true, Ordering::Relaxed);
+        assert_eq!(a.abort_reason(), Some(AbortReason::Interrupted));
     }
 
     #[test]

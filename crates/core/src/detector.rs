@@ -56,10 +56,6 @@ pub enum DetectError {
         /// The configured `max_failed_tiles` bound.
         max: usize,
     },
-    /// A pipeline invariant was violated — states that should be
-    /// unreachable (e.g. a cache handle with no configured path) surface
-    /// here as typed errors instead of panicking the scan.
-    Internal(String),
     /// A loaded model cannot score the vectors its kernels would be
     /// given (see [`HotspotDetector::validate`]).
     InvalidModel(String),
@@ -88,7 +84,6 @@ impl fmt::Display for DetectError {
                 f,
                 "{failed} tile(s) failed, exceeding the quarantine bound of {max}"
             ),
-            DetectError::Internal(msg) => write!(f, "internal pipeline invariant violated: {msg}"),
             DetectError::InvalidModel(msg) => write!(f, "inconsistent model: {msg}"),
         }
     }

@@ -164,8 +164,8 @@ impl FaultPlan {
 
     /// Injection hook: stalls and/or panics iff the plan marks (`index`,
     /// `attempt`) at `site`. The stall fires first, so a stalled-and-
-    /// panicking index loses its time before it fails — the worst case a
-    /// watchdog has to handle. Call sites gate on
+    /// panicking index loses its time before it fails — the worst case
+    /// the scan's deadline and tile budget have to handle. Call sites gate on
     /// [`is_empty`](Self::is_empty) first so the empty plan costs nothing.
     pub fn inject(&self, site: FaultSite, index: usize, attempt: u32) {
         if site == self.site && self.stalls(index) {

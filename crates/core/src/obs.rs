@@ -45,7 +45,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, IsTerminal, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -270,9 +270,9 @@ pub struct CounterSnapshot {
     #[serde(default)]
     pub tiles_timed_out: u64,
     /// Wall-clock budget left before the scan's
-    /// [`crate::ScanConfig::deadline`] expires, stamped by the owning
-    /// [`ObsHub`] ([`ObsHub::set_deadline_remaining_ms`]). `None` when no
-    /// deadline is armed (and in pre-deadline snapshots).
+    /// [`crate::ScanConfig::deadline`] expires, computed by the owning
+    /// [`ObsHub`] when the snapshot is taken ([`ObsHub::set_deadline`]).
+    /// `None` when no deadline is armed (and in pre-deadline snapshots).
     #[serde(default)]
     pub deadline_remaining_ms: Option<u64>,
     /// Per-stage counter families in canonical stage order.
@@ -388,15 +388,17 @@ pub enum ObsEvent {
         discarded: bool,
     },
     /// A tile was quarantined for exceeding the soft per-tile budget
-    /// ([`crate::ScanConfig::tile_timeout`]). Paired with a
-    /// [`ObsEvent::TileQuarantined`] for the same tile.
+    /// ([`crate::ScanConfig::tile_timeout`]). Emitted instead of
+    /// [`ObsEvent::TileQuarantined`], which names panicked tiles.
     TileTimedOut {
         /// Stable row-major tile id.
         tile: u64,
         /// The exceeded soft budget, in milliseconds.
         budget_ms: u64,
     },
-    /// Periodic heartbeat from the scan's watchdog thread.
+    /// Heartbeat of the retired scan watchdog thread. No longer emitted;
+    /// kept so v1 logs that carry it still parse. [`ObsEvent::Snapshot`]
+    /// carries the in-flight tiles and the deadline left.
     WatchdogTick {
         /// Tiles currently in flight on executor workers.
         in_flight: u64,
@@ -404,8 +406,8 @@ pub enum ObsEvent {
         /// armed.
         deadline_remaining_ms: Option<u64>,
     },
-    /// A streaming layout scan stopped early — deadline, watchdog, or a
-    /// caller's cancel token — after draining its in-flight window and
+    /// A streaming layout scan stopped early — its deadline or a caller's
+    /// cancel token — after draining its in-flight window and
     /// syncing the tile cache, leaving a resumable prefix.
     ScanAborted {
         /// Stable [`crate::AbortReason::name`] string.
@@ -495,9 +497,9 @@ pub struct ObsHub {
     sinks: RwLock<Vec<Box<dyn ObsSink>>>,
     endpoint_names: Mutex<Vec<String>>,
     started: Instant,
-    /// Milliseconds left on an armed scan deadline; negative = no
-    /// deadline. Written by the scan watchdog, read into snapshots.
-    deadline_remaining_ms: AtomicI64,
+    /// The armed scan deadline, if any; snapshots compute the time left
+    /// when they are taken.
+    deadline: Mutex<Option<Instant>>,
 }
 
 impl ObsHub {
@@ -511,7 +513,7 @@ impl ObsHub {
             sinks: RwLock::new(Vec::new()),
             endpoint_names: Mutex::new(Vec::new()),
             started: Instant::now(),
-            deadline_remaining_ms: AtomicI64::new(-1),
+            deadline: Mutex::new(None),
         })
     }
 
@@ -560,26 +562,19 @@ impl ObsHub {
         }
     }
 
-    /// Arms (or refreshes) the `hotspot_deadline_remaining_seconds`
-    /// gauge. Called periodically by the scan's watchdog thread while a
-    /// [`crate::ScanConfig::deadline`] is set.
-    pub fn set_deadline_remaining_ms(&self, remaining_ms: u64) {
-        self.deadline_remaining_ms
-            .store(remaining_ms.min(i64::MAX as u64) as i64, Ordering::Relaxed);
+    /// Arms the `hotspot_deadline_remaining_seconds` gauge at `deadline`,
+    /// or disarms it with `None`. A scan arms it for as long as its
+    /// [`crate::ScanConfig::deadline`] runs.
+    pub fn set_deadline(&self, deadline: Option<Instant>) {
+        *lock(&self.deadline) = deadline;
     }
 
-    /// Disarms the deadline gauge (no deadline, or the scan ended).
-    pub fn clear_deadline_remaining(&self) {
-        self.deadline_remaining_ms.store(-1, Ordering::Relaxed);
-    }
-
-    /// Sums the counters into a snapshot stamped with the hub uptime.
+    /// Sums the counters into a snapshot stamped with the hub uptime and,
+    /// while a deadline is armed, the time left before it.
     pub fn snapshot(&self) -> CounterSnapshot {
         let mut snapshot = self.counters.snapshot(self.uptime_ms());
-        let remaining = self.deadline_remaining_ms.load(Ordering::Relaxed);
-        if remaining >= 0 {
-            snapshot.deadline_remaining_ms = Some(remaining as u64);
-        }
+        snapshot.deadline_remaining_ms = lock(&self.deadline)
+            .map(|at| at.saturating_duration_since(Instant::now()).as_millis() as u64);
         snapshot
     }
 
@@ -1011,27 +1006,50 @@ fn http_response(status: &str, content_type: &str, body: &str) -> String {
 /// done / in flight / quarantined, clip throughput and an ETA.
 ///
 /// On a terminal the line redraws in place (`\r`); otherwise each
-/// snapshot prints a full line so logs stay readable.
+/// snapshot prints a full line so logs stay readable. The scan's end —
+/// completed or aborted — closes the line, and snapshots after it are
+/// ignored, so nothing printed after the scan lands on the progress line.
 pub struct ProgressSink {
     state: Mutex<ProgressState>,
 }
 
 struct ProgressState {
+    out: Box<dyn Write + Send>,
     tiles_total: Option<u64>,
     tty: bool,
     redrawing: bool,
+    /// The scan has ended; later snapshots are not drawn.
+    ended: bool,
 }
 
 impl ProgressSink {
     /// Creates a reporter writing to this process's stderr.
     pub fn new() -> ProgressSink {
+        ProgressSink::with_writer(Box::new(io::stderr()), io::stderr().is_terminal())
+    }
+
+    /// A reporter writing to `out`, redrawing in place when `tty`.
+    pub(crate) fn with_writer(out: Box<dyn Write + Send>, tty: bool) -> ProgressSink {
         ProgressSink {
             state: Mutex::new(ProgressState {
+                out,
                 tiles_total: None,
-                tty: io::stderr().is_terminal(),
+                tty,
                 redrawing: false,
+                ended: false,
             }),
         }
+    }
+}
+
+impl ProgressState {
+    /// Prints the scan's closing `line`, first clearing a progress line
+    /// drawn in place.
+    fn end(&mut self, line: fmt::Arguments<'_>) {
+        let prefix = if self.redrawing { "\r\x1b[2K" } else { "" };
+        self.redrawing = false;
+        self.ended = true;
+        let _ = writeln!(self.out, "{prefix}{line}");
     }
 }
 
@@ -1096,33 +1114,39 @@ impl ObsSink for ProgressSink {
     fn on_event(&self, record: &ObsRecord) {
         match &record.event {
             ObsEvent::ScanStarted { tiles_total, .. } => {
-                lock(&self.state).tiles_total = Some(*tiles_total as u64);
+                let mut state = lock(&self.state);
+                state.tiles_total = Some(*tiles_total as u64);
+                state.ended = false;
             }
             ObsEvent::ScanCompleted {
                 tiles_scanned,
                 reported,
                 quarantined,
-            } => {
-                let mut state = lock(&self.state);
-                let prefix = if state.redrawing { "\r\x1b[2K" } else { "" };
-                state.redrawing = false;
-                eprintln!(
-                    "{prefix}scan complete: {tiles_scanned} tiles evaluated, {reported} hotspots reported, {quarantined} quarantined"
-                );
-            }
+            } => lock(&self.state).end(format_args!(
+                "scan complete: {tiles_scanned} tiles evaluated, {reported} hotspots reported, {quarantined} quarantined"
+            )),
+            ObsEvent::ScanAborted {
+                reason,
+                tiles_scanned,
+            } => lock(&self.state).end(format_args!(
+                "scan aborted ({reason}) after {tiles_scanned} tiles"
+            )),
             _ => {}
         }
     }
 
     fn on_snapshot(&self, snapshot: &CounterSnapshot) {
         let mut state = lock(&self.state);
+        if state.ended {
+            return;
+        }
         let line = render_progress(snapshot, state.tiles_total);
         if state.tty {
             state.redrawing = true;
-            eprint!("\r\x1b[2K{line}");
-            let _ = io::stderr().flush();
+            let _ = write!(state.out, "\r\x1b[2K{line}");
+            let _ = state.out.flush();
         } else {
-            eprintln!("{line}");
+            let _ = writeln!(state.out, "{line}");
         }
     }
 }
@@ -1428,12 +1452,25 @@ mod tests {
         let idle = render_prometheus(&hub.snapshot());
         assert!(!idle.contains("hotspot_deadline_remaining_seconds"));
         assert!(hub.snapshot().deadline_remaining_ms.is_none());
-        hub.set_deadline_remaining_ms(2500);
-        let armed = render_prometheus(&hub.snapshot());
-        assert!(armed.contains("hotspot_deadline_remaining_seconds 2.500"));
-        assert_eq!(hub.snapshot().deadline_remaining_ms, Some(2500));
-        hub.clear_deadline_remaining();
+        // Armed 5 s out: the time left is computed at every read, so a
+        // later snapshot reads less with nothing written in between.
+        hub.set_deadline(Some(Instant::now() + Duration::from_secs(5)));
+        let first = hub.snapshot().deadline_remaining_ms.unwrap();
+        assert!(first > 4_000 && first <= 5_000, "{first}");
+        thread::sleep(Duration::from_millis(5));
+        let armed = hub.snapshot();
+        let second = armed.deadline_remaining_ms.unwrap();
+        assert!(second < first, "{second} !< {first}");
+        assert!(render_prometheus(&armed).contains("hotspot_deadline_remaining_seconds 4."));
+        // A deadline already past reads 0, not an underflow.
+        hub.set_deadline(Some(Instant::now() - Duration::from_secs(1)));
+        assert_eq!(hub.snapshot().deadline_remaining_ms, Some(0));
+        assert!(
+            render_prometheus(&hub.snapshot()).contains("hotspot_deadline_remaining_seconds 0.000")
+        );
+        hub.set_deadline(None);
         assert!(hub.snapshot().deadline_remaining_ms.is_none());
+        assert!(!render_prometheus(&hub.snapshot()).contains("hotspot_deadline_remaining_seconds"));
     }
 
     #[test]
@@ -1542,6 +1579,67 @@ mod tests {
         assert_eq!(format_eta(59.0), "59s");
         assert_eq!(format_eta(187.0), "3m07s");
         assert_eq!(format_eta(7500.0), "2h05m");
+    }
+
+    /// A `Write` whose bytes the test reads back after the sink wrote them.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            lock(&self.0).extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn progress_line_ends_with_the_scan_and_ignores_later_snapshots() {
+        let end_events = [
+            ObsEvent::ScanAborted {
+                reason: "interrupted".to_string(),
+                tiles_scanned: 4,
+            },
+            ObsEvent::ScanCompleted {
+                tiles_scanned: 9,
+                reported: 2,
+                quarantined: 0,
+            },
+        ];
+        for end in end_events {
+            let buf = SharedBuf::default();
+            let sink = ProgressSink::with_writer(Box::new(buf.clone()), true);
+            let record = |event| ObsRecord {
+                v: OBS_SCHEMA_VERSION,
+                seq: 0,
+                event,
+            };
+            sink.on_event(&record(ObsEvent::ScanStarted {
+                tiles_total: 9,
+                threads: 2,
+                window: 4,
+            }));
+            let snapshot = ObsHub::new().snapshot();
+            sink.on_snapshot(&snapshot);
+            sink.on_event(&record(end));
+            // The CLI's sampler broadcasts one more snapshot after the
+            // scan returns; it must not redraw the closed line.
+            sink.on_snapshot(&snapshot);
+            let text = String::from_utf8(lock(&buf.0).clone()).unwrap();
+            let (progress, closing) = text.rsplit_once("\r\x1b[2K").unwrap();
+            assert!(progress.starts_with("\r\x1b[2Kscan 0/9 tiles"), "{text:?}");
+            assert!(
+                closing.starts_with("scan aborted (interrupted) after 4 tiles\n")
+                    || closing.starts_with("scan complete: 9 tiles evaluated"),
+                "{text:?}"
+            );
+            assert!(
+                closing.ends_with('\n') && closing.lines().count() == 1,
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

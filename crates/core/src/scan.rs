@@ -51,7 +51,9 @@
 //!   [`AbortReason::DeadlineExceeded`];
 //! - [`ScanConfig::cancel`] is an external [`CancelToken`] (the CLI's
 //!   SIGINT handler trips it) that aborts the same way with
-//!   [`AbortReason::Interrupted`];
+//!   [`AbortReason::Interrupted`], which outranks the deadline. The scan
+//!   polls one token, that flag bounded by the deadline instant, so either
+//!   stop reaches in-flight tiles at their next poll;
 //! - [`ScanConfig::tile_timeout`] arms a soft per-tile budget, polled
 //!   cooperatively at stage boundaries and per evaluated clip — a tile
 //!   that blows it is retried once and then quarantined as
@@ -137,7 +139,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -566,92 +568,6 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// The scan watchdog: a low-duty background thread armed whenever a
-/// deadline, a soft tile budget, or an external cancel token is
-/// configured. Each tick it forwards the external token and an expired
-/// deadline into the scan's internal trip token (one flag stops the
-/// executor, the tile bodies, and the admission loop together), refreshes
-/// the `hotspot_deadline_remaining_seconds` gauge, and periodically emits
-/// an [`ObsEvent::WatchdogTick`] heartbeat. Joined on drop, so it can
-/// never outlive the scan that armed it.
-struct Watchdog {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    /// Tick period: coarse enough to cost nothing, fine enough that an
-    /// expired deadline stops tile admission within one batch boundary.
-    const TICK: Duration = Duration::from_millis(20);
-    /// A heartbeat event is emitted every `HEARTBEAT`-th tick.
-    const HEARTBEAT: u32 = 10;
-
-    /// Spawns the watchdog when the scan has a deadline, a soft tile
-    /// budget, or an external token to watch; `None` otherwise.
-    fn arm(
-        scan: &ScanConfig,
-        deadline_at: Option<Instant>,
-        trip: &CancelToken,
-        in_flight: &Arc<AtomicUsize>,
-        obs: Option<&Arc<ObsHub>>,
-    ) -> Result<Option<Watchdog>, DetectError> {
-        if deadline_at.is_none() && scan.cancel.is_none() && scan.tile_timeout.is_none() {
-            return Ok(None);
-        }
-        let (trip, external) = (trip.clone(), scan.cancel.clone());
-        let (in_flight, obs) = (Arc::clone(in_flight), obs.map(Arc::clone));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("scan-watchdog".into())
-            .spawn(move || {
-                let mut ticks = 0u32;
-                while !stop_flag.load(Ordering::SeqCst) {
-                    if external.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        trip.cancel();
-                    }
-                    let mut remaining_ms = None;
-                    if let Some(at) = deadline_at {
-                        let now = Instant::now();
-                        if now >= at {
-                            trip.cancel();
-                        }
-                        let remaining = at.saturating_duration_since(now).as_millis() as u64;
-                        remaining_ms = Some(remaining);
-                        if let Some(hub) = &obs {
-                            hub.set_deadline_remaining_ms(remaining);
-                        }
-                    }
-                    ticks += 1;
-                    if ticks.is_multiple_of(Self::HEARTBEAT) {
-                        if let Some(hub) = &obs {
-                            hub.emit(|| ObsEvent::WatchdogTick {
-                                in_flight: in_flight.load(Ordering::SeqCst) as u64,
-                                deadline_remaining_ms: remaining_ms,
-                            });
-                        }
-                    }
-                    std::thread::park_timeout(Self::TICK);
-                }
-            })
-            .map_err(|e| DetectError::Internal(format!("failed to spawn scan watchdog: {e}")))?;
-        Ok(Some(Watchdog {
-            stop,
-            handle: Some(handle),
-        }))
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Per-worker scratch reused across tiles, like [`EvalScratch`] but for
 /// the whole of `process_tile_with`: the split-piece buffer, the anchor-dedup
 /// set, the extracted patterns, and the evaluation scratch itself. Buffers
@@ -806,43 +722,42 @@ impl HotspotDetector {
             cache: self.open_cache(scan, layer, threshold),
             scan,
         };
-        // `trip` is the scan's internal stop token: the executor polls it
-        // per task and the tile body at stage boundaries. The watchdog
-        // forwards the external token and an expired deadline into it, so
-        // one flag stops everything; the loop below re-derives the *reason*
-        // from the sources directly (external cancel wins over the
-        // deadline).
-        let runner = TileRunner::new(self, &index, scan, threshold, threads);
+        // The scan's one stop token: the caller's flag bounded by the
+        // deadline. The loop below, the executor and every tile poll it.
         let deadline_at = scan.deadline.and_then(|d| started.checked_add(d));
-        let watchdog = Watchdog::arm(
-            scan,
-            deadline_at,
-            &runner.trip,
-            &runner.in_flight,
-            self.obs(),
-        )?;
+        let stop = scan
+            .cancel
+            .clone()
+            .unwrap_or_default()
+            .with_deadline(deadline_at);
+        if let Some(hub) = obs {
+            hub.set_deadline(deadline_at);
+        }
+        let runner = TileRunner::new(self, &index, scan, threshold, threads, stop);
 
         let mut tally = ScanTally::default();
-        let aborted = loop {
+        let batches: Result<_, DetectError> = (|| loop {
             // Abort point: stop admitting tiles at the batch boundary. The
             // cache already holds every completed batch (fsync'd by the
             // sink), so everything up to here is resumable.
-            if scan.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                break Some(AbortReason::Interrupted);
-            }
-            if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                break Some(AbortReason::DeadlineExceeded);
+            if let Some(reason) = runner.stop.abort_reason() {
+                break Ok(Some(reason));
             }
             // Backpressure: pull at most one window's worth of tiles, run
             // them, then drain before pulling more.
             let mut slots = source.next_batch(window_cap, sink.cache.as_ref(), obs);
             if slots.is_empty() {
-                break None;
+                break Ok(None);
             }
             let stats = runner.run(&mut slots, tally.report.failed_tiles.len())?;
             sink.write_batch(&slots)?;
             tally.fold(slots, &stats, &mut recorder, obs);
-        };
+        })();
+        // The gauge goes with the scan, failed or not.
+        if let Some(hub) = obs {
+            hub.set_deadline(None);
+        }
+        let aborted = batches?;
 
         let flagged_cores = std::mem::take(&mut tally.flagged_cores);
         let flagged_count = flagged_cores.len();
@@ -870,14 +785,10 @@ impl HotspotDetector {
             sink.finish()?;
         }
 
-        // Stop the watchdog before the terminal event, so no heartbeat can
-        // trail a ScanAborted/ScanCompleted in the event stream.
-        drop(watchdog);
         if let Some(reason) = aborted {
             recorder.set_aborted(reason.name());
         }
         if let Some(hub) = obs {
-            hub.clear_deadline_remaining();
             let tiles_scanned = tally.report.tiles_scanned;
             match aborted {
                 Some(reason) => hub.emit(|| ObsEvent::ScanAborted {
@@ -908,7 +819,7 @@ impl HotspotDetector {
     /// `tile_id` is the stable grid id and `attempt` the attempt number
     /// (0 = first, 1 = retry); both exist only to key the deterministic
     /// fault-injection hooks, which compile down to an `is_empty` check on
-    /// production scans. `trip` is the scan's internal stop token, polled
+    /// production scans. `stop` is the scan's stop token, polled
     /// at stage boundaries together with the soft tile budget. `memo` is
     /// the scan's shared decision memo and `scratch` the worker's reusable
     /// buffers.
@@ -923,14 +834,14 @@ impl HotspotDetector {
         memo: &EvalMemo,
         tile_id: usize,
         attempt: u32,
-        trip: &CancelToken,
+        stop: &CancelToken,
         scratch: &mut TileScratch,
     ) -> TileOutcome {
         let shape = config.clip_shape;
         let fault = &scan.fault_plan;
         let budget = scan.tile_timeout;
         let tile_started = Instant::now();
-        let checkpoint = || poll_stop(trip, budget, tile_started);
+        let checkpoint = || poll_stop(stop, budget, tile_started);
         let mut work = TileWork::default();
 
         // Density prefilter. `covered` double-counts overlapping pattern
@@ -1100,8 +1011,8 @@ impl HotspotDetector {
 /// quarantine reasons (digest content) stay deterministic across machines,
 /// runs, and thread counts. The panic releases the scratch borrow on
 /// unwind, like any other tile panic.
-fn poll_stop(trip: &CancelToken, budget: Option<Duration>, tile_started: Instant) {
-    if trip.is_cancelled() {
+fn poll_stop(stop: &CancelToken, budget: Option<Duration>, tile_started: Instant) {
+    if stop.is_cancelled() {
         panic_any(CancelPanic);
     }
     if let Some(b) = budget {
@@ -1192,8 +1103,8 @@ struct TileRunner<'a> {
     /// worker and dropped with the scan.
     memo: EvalMemo,
     executor: Executor,
-    trip: CancelToken,
-    in_flight: Arc<AtomicUsize>,
+    stop: CancelToken,
+    in_flight: AtomicUsize,
     peak: AtomicUsize,
     obs: Option<&'a ObsHub>,
 }
@@ -1205,6 +1116,7 @@ impl<'a> TileRunner<'a> {
         scan: &'a ScanConfig,
         threshold: f64,
         threads: usize,
+        stop: CancelToken,
     ) -> Self {
         TileRunner {
             detector,
@@ -1213,8 +1125,8 @@ impl<'a> TileRunner<'a> {
             threshold,
             memo: EvalMemo::new(),
             executor: Executor::new(threads),
-            trip: CancelToken::new(),
-            in_flight: Arc::new(AtomicUsize::new(0)),
+            stop,
+            in_flight: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             obs: detector.obs().map(Arc::as_ref),
         }
@@ -1249,7 +1161,7 @@ impl<'a> TileRunner<'a> {
                 self.progress(Counter::TilesStarted);
                 self.process(&batch[pos], 0)
             },
-            Some(&self.trip),
+            Some(&self.stop),
         );
         if let Some(hub) = self.obs {
             hub.emit(|| ObsEvent::StageEnd {
@@ -1268,7 +1180,7 @@ impl<'a> TileRunner<'a> {
                 // is stopping: no retry burns wall time mid-abort; the tile
                 // stays pending and a re-run computes it.
                 TaskResult::Skipped => continue,
-                TaskResult::Failed(_) if self.trip.is_cancelled() => continue,
+                TaskResult::Failed(_) if self.stop.is_cancelled() => continue,
                 TaskResult::Failed(failure) => failure,
             };
             let slot = &mut slots[pos];
@@ -1338,7 +1250,7 @@ impl<'a> TileRunner<'a> {
                 &self.memo,
                 slot.id,
                 attempt,
-                &self.trip,
+                &self.stop,
                 &mut cell.borrow_mut(),
             )
         })

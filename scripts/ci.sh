@@ -293,6 +293,30 @@ cmp "$DL_DIR/report_ref.json" "$DL_DIR/report_rerun.json"
 cmp "$DL_DIR/report_bm2_ref.json" "$DL_DIR/report_bm2_rerun.json"
 echo "SIGINT smoke: interrupted at exit 8, re-runs byte-identical under both models"
 
+echo "==> --deadline smoke (stalled cached scan outlives its deadline: exit 8, re-run cmp-identical)"
+# Every tile stalls 150 ms, so the scan cannot finish inside 500 ms: the
+# binary must stop at the deadline, keep the finished tiles cached, and
+# a re-run with the same cache must match the uninterrupted report.
+set +e
+"$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$DL_DIR/report_dl.json" --threads 2 --tile-cores 2 \
+  --cache "$DL_DIR/dl.cache" --deadline 500ms \
+  --fault-stall-per-mille 1000 --fault-stall-ms 150 \
+  > "$DL_DIR/out_dl.txt" 2> "$DL_DIR/err_dl.txt"
+status=$?
+set -e
+if [ "$status" -ne 8 ]; then
+  echo "--deadline smoke: expected exit 8 (aborted-but-resumable), got $status"
+  cat "$DL_DIR/out_dl.txt" "$DL_DIR/err_dl.txt"
+  exit 1
+fi
+grep -q 'scan aborted (deadline_exceeded)' "$DL_DIR/out_dl.txt"
+"$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+  --out "$DL_DIR/report_dl_rerun.json" --threads 2 --tile-cores 2 \
+  --cache "$DL_DIR/dl.cache" > "$DL_DIR/out_dl_rerun.txt"
+cmp "$DL_DIR/report_ref.json" "$DL_DIR/report_dl_rerun.json"
+echo "--deadline smoke: $(grep -o 'after [0-9]* of [0-9]* tiles' "$DL_DIR/out_dl.txt"), re-run byte-identical"
+
 echo "==> observability smoke (NDJSON events + live /metrics + digest equality)"
 OBS_DIR=target/obs_smoke
 rm -rf "$OBS_DIR"

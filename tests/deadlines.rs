@@ -1,7 +1,7 @@
-//! Deadline, watchdog, and cancellation integration tests.
+//! Deadline, tile-budget, and cancellation integration tests.
 //!
 //! The headline invariant pinned here: a cached scan stopped early — by
-//! its wall-clock deadline, by a per-tile watchdog quarantine, or by a
+//! its wall-clock deadline, by a per-tile budget quarantine, or by a
 //! caller's cancel token — and then re-run with the same tile cache
 //! produces a report whose deterministic content ([`ScanReport::digest`])
 //! is bit-identical to an uninterrupted run's, at 1, 2, and 4 threads.
@@ -297,14 +297,23 @@ fn precancelled_token_aborts_as_interrupted_and_outranks_the_deadline() {
 #[test]
 fn generous_budgets_leave_the_scan_bit_identical() {
     // Deadline, tile budget, and cancel token all armed but never
-    // tripped: the watchdog machinery must be purely observational.
+    // tripped: polling the stop token and the budget must be purely
+    // observational.
     let scan = ScanConfig {
         deadline: Some(Duration::from_secs(3600)),
         tile_timeout: Some(Duration::from_secs(600)),
         cancel: Some(CancelToken::new()),
         ..base_scan()
     };
-    let report = run(&scan, 2);
+    let hub = ObsHub::new();
+    let bm = benchmark();
+    let report = trained(bm)
+        .clone()
+        .with_obs(hub.clone())
+        .scan_layout(&bm.layout, bm.layer, &scan)
+        .expect("scan");
+    // The deadline gauge goes with the scan that armed it.
+    assert_eq!(hub.snapshot().deadline_remaining_ms, None);
     assert_eq!(report.aborted, None);
     assert_eq!(report.retries, 0);
     assert_eq!(eval_timeouts(&report), 0);

@@ -56,7 +56,9 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Io(_) => 3,
-            CliError::Json(_) | CliError::Pipeline(DetectError::InvalidModel(_)) => 4,
+            CliError::Json(_)
+            | CliError::Pipeline(DetectError::InvalidModel(_))
+            | CliError::Pipeline(DetectError::InvalidPattern { .. }) => 4,
             CliError::Gds(_) => 5,
             CliError::Pipeline(_) => 6,
         }
@@ -69,8 +71,10 @@ impl fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Io(e) => write!(f, "i/o error: {e}"),
             CliError::Json(e) => write!(f, "json error: {e}"),
-            // Exits 4 like malformed JSON, so it carries that class's prefix.
-            CliError::Pipeline(e @ DetectError::InvalidModel(_)) => write!(f, "json error: {e}"),
+            // Exit 4 like malformed JSON, so they carry that class's prefix.
+            CliError::Pipeline(
+                e @ (DetectError::InvalidModel(_) | DetectError::InvalidPattern { .. }),
+            ) => write!(f, "json error: {e}"),
             CliError::Gds(e) => write!(f, "gdsii error: {e}"),
             CliError::Pipeline(e) => write!(f, "pipeline error: {e}"),
         }
@@ -171,7 +175,9 @@ event exits 3.
 Exit codes: 0 ok, 2 usage, 3 i/o, 4 json (malformed JSON, or an
 inconsistent model: feature lengths off their SVMs, support vectors,
 coefficients, scaler or centroids of the wrong size, or the retired
-eval_mode \"reference\"; the message starts `json error:`),
+eval_mode \"reference\"; or a training pattern whose core or clip window
+is empty or whose core lies outside its clip; the message starts
+`json error:`),
 5 gdsii, 6 pipeline (also a layer extent too large to tile), 7 completed
 with quarantined tiles, 8 aborted by deadline or Ctrl-C (finished tiles cached; re-run with the
 same --cache <path>).";
@@ -1235,6 +1241,47 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.exit_code(), 3);
+    }
+
+    #[test]
+    fn train_rejects_a_pattern_with_an_empty_core_window() {
+        let dir = workdir("empty_core");
+        run(&argv(&[
+            "generate",
+            "--name",
+            "array_benchmark1",
+            "--scale",
+            "tiny",
+            "--out",
+            dir.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let path = dir.join("training.json");
+        let mut training: TrainingSet =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let core = &mut training.hotspots[1].window.core;
+        *core = hotspot_geom::Rect::from_extents(
+            core.min().x,
+            core.min().y,
+            core.min().x,
+            core.max().y,
+        );
+        std::fs::write(&path, serde_json::to_string(&training).unwrap()).unwrap();
+        let err = run(&argv(&[
+            "train",
+            "--training",
+            path.to_str().unwrap(),
+            "--out",
+            dir.join("model.json").to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 4);
+        assert_eq!(
+            err.to_string(),
+            "json error: training hotspot pattern 1: empty core window"
+        );
+        assert!(!dir.join("model.json").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

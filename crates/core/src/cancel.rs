@@ -173,6 +173,15 @@ impl TimeoutPanic {
     }
 }
 
+/// `true` for the payload of a tile that unwound on purpose: cancelled
+/// mid-tile or over its soft per-tile budget
+/// ([`crate::ScanConfig::tile_timeout`]). The scan catches both and reports the tile as
+/// skipped or timed out, so a binary's panic hook can stay quiet for them;
+/// any other payload, an injected fault or a bug, is a real panic.
+pub fn is_stop_marker(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.is::<CancelPanic>() || payload.is::<TimeoutPanic>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +243,14 @@ mod tests {
         // serde variant names.
         assert_eq!(AbortReason::DeadlineExceeded.name(), "deadline_exceeded");
         assert_eq!(AbortReason::Interrupted.to_string(), "interrupted");
+    }
+
+    #[test]
+    fn only_the_two_markers_are_stop_markers() {
+        assert!(is_stop_marker(&CancelPanic));
+        assert!(is_stop_marker(&TimeoutPanic { budget_ms: 50 }));
+        assert!(!is_stop_marker(&"injected fault"));
+        assert!(!is_stop_marker(&String::from("index out of bounds")));
     }
 
     #[test]

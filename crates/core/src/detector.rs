@@ -5,7 +5,7 @@ use crate::config::{AdmissionParams, DetectorConfig, DistributionFilter};
 use crate::engine::{Executor, PipelineTelemetry, StageId, StageRecorder, TaskFailure};
 use crate::feedback::{train_feedback, CompiledKernels, EvalEngine, EvalScratch, FeedbackKernel};
 use crate::obs::ObsHub;
-use crate::pattern::{Pattern, TrainingSet};
+use crate::pattern::{Label, Pattern, TrainingSet};
 use crate::scan::{ScanConfig, ScanReport, MAX_SCAN_TILES};
 use crate::tile_cache;
 use crate::training::{
@@ -59,6 +59,16 @@ pub enum DetectError {
     /// A loaded model cannot score the vectors its kernels would be
     /// given (see [`HotspotDetector::validate`]).
     InvalidModel(String),
+    /// A training pattern's window cannot be classified (see
+    /// [`Pattern::window_fault`]).
+    InvalidPattern {
+        /// The pattern's class.
+        label: Label,
+        /// Its index among the training set's patterns of that class.
+        index: usize,
+        /// What is wrong with its window.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for DetectError {
@@ -85,6 +95,11 @@ impl fmt::Display for DetectError {
                 "{failed} tile(s) failed, exceeding the quarantine bound of {max}"
             ),
             DetectError::InvalidModel(msg) => write!(f, "inconsistent model: {msg}"),
+            DetectError::InvalidPattern {
+                label,
+                index,
+                reason,
+            } => write!(f, "training {label} pattern {index}: {reason}"),
         }
     }
 }
@@ -226,7 +241,8 @@ impl HotspotDetector {
     /// # Errors
     ///
     /// Returns [`DetectError`] for invalid configurations, an empty
-    /// hotspot set, or SVM failures.
+    /// hotspot set, a pattern whose window cannot be classified, or SVM
+    /// failures.
     pub fn train(
         training: &TrainingSet,
         config: DetectorConfig,
@@ -234,6 +250,20 @@ impl HotspotDetector {
         config.validate().map_err(DetectError::Config)?;
         if training.hotspots.is_empty() {
             return Err(DetectError::NoHotspots);
+        }
+        for (label, patterns) in [
+            (Label::Hotspot, &training.hotspots),
+            (Label::NonHotspot, &training.nonhotspots),
+        ] {
+            for (index, pattern) in patterns.iter().enumerate() {
+                if let Some(reason) = pattern.window_fault() {
+                    return Err(DetectError::InvalidPattern {
+                        label,
+                        index,
+                        reason,
+                    });
+                }
+            }
         }
         let start = Instant::now();
         let threads = config.effective_threads().max(1);
@@ -788,6 +818,36 @@ mod tests {
         assert!(!det.kernels().is_empty());
         assert!(det.classify(&pattern_at(Point::new(0, 0), &hs_rects(80))));
         assert!(!det.classify(&pattern_at(Point::new(0, 0), &safe_rects(500))));
+    }
+
+    #[test]
+    fn patterns_with_unclassifiable_windows_are_rejected() {
+        let mut ts = training_set();
+        ts.hotspots[2].window.core = Rect::from_extents(0, 0, 0, 1200);
+        let err = HotspotDetector::train(&ts, fast_config()).unwrap_err();
+        assert!(matches!(
+            err,
+            DetectError::InvalidPattern {
+                label: Label::Hotspot,
+                index: 2,
+                reason: "empty core window",
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "training hotspot pattern 2: empty core window"
+        );
+
+        let mut ts = training_set();
+        ts.nonhotspots[5].window.core = ts.nonhotspots[5].window.clip.translate(Point::new(1, 0));
+        assert!(matches!(
+            HotspotDetector::train(&ts, fast_config()),
+            Err(DetectError::InvalidPattern {
+                label: Label::NonHotspot,
+                index: 5,
+                reason: "core window outside its clip window",
+            })
+        ));
     }
 
     #[test]

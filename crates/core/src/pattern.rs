@@ -70,6 +70,22 @@ impl Pattern {
         Pattern::new(window, &index.query(&window.clip))
     }
 
+    /// Why this pattern's window cannot be classified, or `None` when it
+    /// can: both the core and the clip window must have positive width and
+    /// height, and the core must lie inside the clip.
+    pub fn window_fault(&self) -> Option<&'static str> {
+        let positive = |r: &Rect| r.width() > 0 && r.height() > 0;
+        if !positive(&self.window.core) {
+            Some("empty core window")
+        } else if !positive(&self.window.clip) {
+            Some("empty clip window")
+        } else if !self.window.clip.contains_rect(&self.window.core) {
+            Some("core window outside its clip window")
+        } else {
+            None
+        }
+    }
+
     /// The rectangles clipped to the core region.
     pub fn core_rects(&self) -> Vec<Rect> {
         self.rects
@@ -205,6 +221,25 @@ mod tests {
         let p = sample();
         assert_eq!(p.rects.len(), 2);
         assert!(p.rects.iter().all(|r| p.window.clip.contains_rect(r)));
+    }
+
+    #[test]
+    fn window_fault_names_empty_and_misplaced_windows() {
+        let p = sample();
+        assert_eq!(p.window_fault(), None);
+        let with = |core: Rect, clip: Rect| Pattern {
+            window: ClipWindow { clip, core },
+            rects: Vec::new(),
+        };
+        let (core, clip) = (p.window.core, p.window.clip);
+        let flat = Rect::from_extents(core.min().x, core.min().y, core.min().x, core.max().y);
+        assert_eq!(with(flat, clip).window_fault(), Some("empty core window"));
+        let flat = Rect::from_extents(clip.min().x, clip.min().y, clip.max().x, clip.min().y);
+        assert_eq!(with(core, flat).window_fault(), Some("empty clip window"));
+        assert_eq!(
+            with(core.translate(Point::new(1000, 0)), clip).window_fault(),
+            Some("core window outside its clip window")
+        );
     }
 
     #[test]

@@ -18,10 +18,25 @@
 //! through them instead of materialising transformed grids. Each
 //! orientation's L1 is summed in [`DensityGrid::l1_distance`]'s pixel
 //! order, so every value is bit-identical to [`DensityGrid::distance`].
-//! The quadratic eq. (2) pass stops a pair's orientation loop at the first
-//! orientation within the running maximum: that pair's minimum cannot
-//! raise it. Only a pair whose every orientation exceeds the maximum needs
-//! its exact minimum.
+//!
+//! The eq. (2) maximum is found without comparing every pair. Eq. (1) is a
+//! metric on orientation classes: the shape-preserving orientations form a
+//! group and L1 is invariant under a common pixel permutation, so
+//! `ρ(i, j) ≤ ρ(p, i) + ρ(p, j)` for any pivot `p`. The pass computes the
+//! exact distance of every member to two farthest-first pivots (member 0,
+//! then the member farthest from it), visits the other pairs in descending
+//! order of their distance to the second pivot, and skips a pair whose
+//! bound `min_p(ρ(p, i) + ρ(p, j)) · (1 + 1e-9)` is within the running
+//! maximum; an outer member's sweep ends at the first pair whose
+//! second-pivot bound alone is within it. The `1e-9` slack covers the
+//! rounding of the computed sums (at most about `cells · 2⁻⁵³` relative,
+//! `7·10⁻¹⁵` for 64 cells), so a skipped pair's computed distance cannot
+//! exceed the maximum. A visited pair stops its orientation loop at the
+//! first orientation within the running maximum, as its minimum then
+//! cannot raise it. Every distance is computed with the `(min, max)`
+//! argument order of the all-pairs loop, and a maximum of floats does not
+//! depend on visiting order, so the radius is bit-identical to the
+//! all-pairs pass.
 
 use hotspot_geom::{DensityGrid, Rect, D8};
 use serde::{Deserialize, Serialize};
@@ -87,6 +102,9 @@ pub struct DensityClustering {
     pub clusters: Vec<Cluster>,
     /// The density grid of every input pattern.
     pub grids: Vec<DensityGrid>,
+    /// Pair distances the eq. (2) radius pass computed, pivot rows
+    /// included: a deterministic work count.
+    pub pair_distances: usize,
 }
 
 impl DensityClustering {
@@ -112,21 +130,13 @@ impl DensityClustering {
                 radius: params.radius_floor,
                 clusters: Vec::new(),
                 grids,
+                pair_distances: 0,
             };
         }
         let perms = D8Perms::new(grids[0].nx(), grids[0].ny());
 
         // Eq. (2): R = max(R0, max pairwise distance / K).
-        let mut max_pair = 0.0f64;
-        for i in 0..grids.len() {
-            for j in (i + 1)..grids.len() {
-                if let Some(d) = perms.distance_above(&grids[i], &grids[j], max_pair) {
-                    if d > max_pair {
-                        max_pair = d;
-                    }
-                }
-            }
-        }
+        let (max_pair, pair_distances) = max_pair_distance(&grids, &perms);
         let k = params.expected_count.max(1) as f64;
         let radius = params.radius_floor.max(max_pair / k);
 
@@ -158,6 +168,7 @@ impl DensityClustering {
             radius,
             clusters,
             grids,
+            pair_distances,
         }
     }
 
@@ -175,6 +186,70 @@ impl DensityClustering {
     pub fn cluster_of(&self, idx: usize) -> Option<usize> {
         self.clusters.iter().position(|c| c.members.contains(&idx))
     }
+}
+
+/// Relative slack on the pivot bound. A computed L1 over `c` cells is
+/// within `c · 2⁻⁵³` of the exact sum (relative), far below `1e-9` for any
+/// grid up to a million cells, so a computed pair distance never exceeds
+/// its slackened bound.
+const PIVOT_SLACK: f64 = 1.0 + 1e-9;
+
+/// The largest eq. (1) distance over all pairs of `grids`, bit-identical
+/// to comparing every pair, and the number of pair distances computed.
+///
+/// The pivot rows hold every member's exact distance to member 0 (`near`)
+/// and to the member farthest from it (`far`). The other pairs are
+/// visited in descending order of `far`: a pair is skipped when its
+/// triangle bound through either pivot is within the running maximum, and
+/// an outer member's sweep ends at the first pair whose `far` bound is,
+/// since that bound only shrinks further down the order.
+fn max_pair_distance(grids: &[DensityGrid], perms: &D8Perms) -> (f64, usize) {
+    let n = grids.len();
+    if n < 2 {
+        return (0.0, 0);
+    }
+    // Every distance takes the all-pairs loop's argument order: the lower
+    // index first.
+    let exact = |i: usize, j: usize| perms.distance(&grids[i.min(j)], &grids[i.max(j)]);
+    let near: Vec<f64> = (0..n)
+        .map(|i| if i == 0 { 0.0 } else { exact(0, i) })
+        .collect();
+    let far_pivot = (2..n).fold(1, |best, i| if near[i] > near[best] { i } else { best });
+    let far: Vec<f64> = (0..n)
+        .map(|i| match i {
+            0 => near[far_pivot],
+            i if i == far_pivot => 0.0,
+            i => exact(far_pivot, i),
+        })
+        .collect();
+    let mut computed = 2 * n - 3;
+    let mut max = 0.0f64;
+    for &d in near.iter().chain(&far) {
+        if d > max {
+            max = d;
+        }
+    }
+
+    let mut order: Vec<usize> = (1..n).filter(|&i| i != far_pivot).collect();
+    order.sort_by(|&a, &b| far[b].total_cmp(&far[a]));
+    for (s, &i) in order.iter().enumerate() {
+        for &j in &order[s + 1..] {
+            if (far[i] + far[j]) * PIVOT_SLACK <= max {
+                break;
+            }
+            if (near[i] + near[j]) * PIVOT_SLACK <= max {
+                continue;
+            }
+            computed += 1;
+            let (a, b) = (&grids[i.min(j)], &grids[i.max(j)]);
+            if let Some(d) = perms.distance_above(a, b, max) {
+                if d > max {
+                    max = d;
+                }
+            }
+        }
+    }
+    (max, computed)
 }
 
 /// The D8 pixel permutations of one grid shape, in [`D8`] order, keeping
@@ -335,6 +410,29 @@ mod tests {
         assert_eq!(c.cluster_of(0), Some(0));
         assert_eq!(c.cluster_of(1), Some(1));
         assert_eq!(c.cluster_of(99), None);
+    }
+
+    #[test]
+    fn pivot_bounds_skip_most_pairs_of_a_one_dimensional_family() {
+        // 300 scalings `t·v` of one grid in a scrambled order: the farthest
+        // pair spans the family, and the pivot rows bound nearly every
+        // other pair below it.
+        let v: Vec<f64> = (0..64).map(|k| f64::from(k % 7) / 6.0).collect();
+        let n = 300;
+        let grids: Vec<DensityGrid> = (0..n)
+            .map(|i| {
+                let t = ((i * 97) % n) as f64 / n as f64;
+                DensityGrid::from_cells(8, 8, v.iter().map(|x| t * x).collect())
+            })
+            .collect();
+        let c = DensityClustering::run_on_grids(grids, &ClusterParams::default());
+        let all_pairs = n * (n - 1) / 2;
+        assert!(
+            c.pair_distances < all_pairs / 20,
+            "{} of {all_pairs} pair distances computed",
+            c.pair_distances
+        );
+        assert!(c.pair_distances >= 2 * n - 3, "pivot rows are counted");
     }
 
     #[test]

@@ -114,6 +114,13 @@ for run in 1 2; do
     cat "$DL_DIR/out_to_$run.txt"
     exit 1
   fi
+  # Timed-out tiles unwind with a stop marker the binary's panic hook
+  # keeps quiet: the quarantine list reports them.
+  if grep -q 'panicked at' "$DL_DIR/err_to_$run.txt"; then
+    echo "deadline smoke run $run: a timed-out tile printed a panic"
+    head -5 "$DL_DIR/err_to_$run.txt"
+    exit 1
+  fi
 done
 t1=$(grep -c 'soft time budget' "$DL_DIR/out_to_1.txt")
 t2=$(grep -c 'soft time budget' "$DL_DIR/out_to_2.txt")
@@ -185,7 +192,21 @@ for crafted in short_features feedback_mismatch short_support short_centroid \
     exit 1
   fi
 done
-echo "hostile-JSON smoke: nested, truncated, inconsistent and retired-engine models exit 4"
+# A training pattern whose core has zero width cannot be classified: the
+# training set is rejected (exit 4) before any stage runs, never by a panic.
+sed 's/"core":{"min":{"x":\([-0-9]*\),\("y":[-0-9]*}\),"max":{"x":[-0-9]*,/"core":{"min":{"x":\1,\2,"max":{"x":\1,/' \
+  "$FAULT_DIR/training.json" > "$JSON_DIR/empty_core.json"
+if cmp -s "$FAULT_DIR/training.json" "$JSON_DIR/empty_core.json"; then
+  echo "hostile-JSON smoke (empty_core): the training set has no core to flatten"
+  exit 1
+fi
+expect_json_error train --training "$JSON_DIR/empty_core.json" --out "$JSON_DIR/model.json"
+if grep -q panicked "$JSON_DIR/err.txt"; then
+  echo "hostile-JSON smoke (empty_core): training panicked"
+  cat "$JSON_DIR/err.txt"
+  exit 1
+fi
+echo "hostile-JSON smoke: nested, truncated, inconsistent and retired-engine models and an empty-core training set exit 4"
 
 echo "==> unknown-flag smoke (a retired or misspelt flag: exit 2)"
 # `--eval-mode` was retired; an unknown flag must be a usage error, not
@@ -271,6 +292,11 @@ if [ "$status" -ne 8 ]; then
   exit 1
 fi
 grep -q 'scan aborted (interrupted)' "$DL_DIR/out_int.txt"
+if grep -q 'panicked at' "$DL_DIR/err_int.txt"; then
+  echo "SIGINT smoke: a cancelled tile printed a panic"
+  head -5 "$DL_DIR/err_int.txt"
+  exit 1
+fi
 cp "$DL_DIR/int.cache" "$DL_DIR/int_bm2.cache"
 # The interrupted cache is valid: a re-run with it (without the stalls)
 # finishes the scan and the report is byte-identical to the uninterrupted
@@ -311,6 +337,11 @@ if [ "$status" -ne 8 ]; then
   exit 1
 fi
 grep -q 'scan aborted (deadline_exceeded)' "$DL_DIR/out_dl.txt"
+if grep -q 'panicked at' "$DL_DIR/err_dl.txt"; then
+  echo "--deadline smoke: a cancelled tile printed a panic"
+  head -5 "$DL_DIR/err_dl.txt"
+  exit 1
+fi
 "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
   --out "$DL_DIR/report_dl_rerun.json" --threads 2 --tile-cores 2 \
   --cache "$DL_DIR/dl.cache" > "$DL_DIR/out_dl_rerun.txt"

@@ -56,6 +56,11 @@ fn bench_dirstrings(c: &mut Criterion) {
     c.bench_function("topo_signature", |b| {
         b.iter(|| TopoSignature::of(black_box(&window), black_box(&rects)))
     });
+    // The feedback kernel orients every flagged clip by its clip region.
+    let (clip, clip_rects) = (clip_window(), clip_rects());
+    c.bench_function("topo_signature_clip", |b| {
+        b.iter(|| TopoSignature::with_orientation(black_box(&clip), black_box(&clip_rects)))
+    });
 }
 
 fn bench_density(c: &mut Criterion) {

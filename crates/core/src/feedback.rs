@@ -40,6 +40,8 @@ pub struct EvalScratch {
     decisions: Vec<(usize, f64)>,
     /// The current clip's packed [`EvalMemo`] key.
     key: Vec<[u16; 4]>,
+    /// The current clip's core rects, relative to its core window.
+    core: Vec<Rect>,
     /// Padded subtile summed-area tables over the current scan tile's
     /// dissected rects, rebuilt in place by the tile loop (allocations
     /// persist across tiles). When live, every clip of the tile rasterises
@@ -268,22 +270,29 @@ impl<'d> EvalEngine<'d> {
     /// returns the router rows pruned for it.
     fn admitted_decisions(&self, pattern: &Pattern, scratch: &mut EvalScratch) -> usize {
         let window = pattern.window.core;
-        let rects: Vec<_> = pattern
-            .rects
-            .iter()
-            .filter_map(|r| r.intersection(&window))
-            .map(|r| r.translate(-window.min()))
-            .collect();
+        let mut rects = std::mem::take(&mut scratch.core);
+        rects.clear();
+        rects.extend(
+            pattern
+                .rects
+                .iter()
+                .filter_map(|r| r.intersection(&window))
+                .map(|r| r.translate(-window.min())),
+        );
         let memo = self
             .memo
             .filter(|_| EvalMemo::pack_key(&window, &rects, &mut scratch.key));
-        if let Some(rows_pruned) = memo.and_then(|m| m.get(&scratch.key, &mut scratch.decisions)) {
-            return rows_pruned;
-        }
-        let rows_pruned = self.evaluate(pattern, &window, &rects, scratch);
-        if let Some(memo) = memo {
-            memo.insert(&scratch.key, &scratch.decisions, rows_pruned);
-        }
+        let rows_pruned = match memo.and_then(|m| m.get(&scratch.key, &mut scratch.decisions)) {
+            Some(rows_pruned) => rows_pruned,
+            None => {
+                let rows_pruned = self.evaluate(pattern, &window, &rects, scratch);
+                if let Some(memo) = memo {
+                    memo.insert(&scratch.key, &scratch.decisions, rows_pruned);
+                }
+                rows_pruned
+            }
+        };
+        scratch.core = rects;
         rows_pruned
     }
 

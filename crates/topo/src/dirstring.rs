@@ -41,12 +41,28 @@
 //! | `MxR180`    | 2, 1, 0, 3                | reversed |
 //! | `MxR270`    | 3, 2, 1, 0                | reversed |
 //!
-//! So a signature costs four bottom strings, not thirty-two.
-//! `crates/topo/tests/signature_oracle.rs` checks it against the
-//! re-slicing of every orientation.
+//! So a signature needs only the four base side strings, and those come
+//! from two sweeps, not four slicings. A half turn (`R180`) reverses the
+//! order of the vertical slices and mirrors each slice's blocks, so one
+//! sweep over the vertical slices yields the bottom side, each slice read
+//! upward, and the top side, each slice read downward with the slices
+//! reversed. Likewise one sweep over the horizontal slices yields east,
+//! read right to left, and west, read left to right with the slices
+//! reversed. Collapsing identical adjacent slices commutes with the mirror,
+//! and both readings of a slice hold the same blocks, so a slice of more
+//! than 127 blocks overflows in both.
+//!
+//! The eight composites are compared in place, side by side through the
+//! table, and only the minimal one is written out. The separator outranks
+//! every slice code, so of two sides sharing a common prefix the longer one
+//! is the smaller. `crates/topo/tests/signature_oracle.rs` checks the side
+//! strings against a naive slicing of each rotated pattern, and the
+//! signature against the re-slicing of every orientation.
 
 use hotspot_geom::{Coord, Orientation, Rect, D8};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Sentinel separating side strings inside composite strings, so a match
@@ -104,23 +120,9 @@ impl DirectionalStrings {
     ///
     /// Panics if the window is empty.
     pub fn of(window: &Rect, rects: &[Rect]) -> DirectionalStrings {
-        assert!(!window.is_empty(), "window must be non-empty");
-        // Normalise to local coordinates with the window at the origin.
-        let local: Vec<Rect> = rects
-            .iter()
-            .filter_map(|r| r.intersection(window))
-            .map(|r| r.translate(-window.min()))
-            .collect();
-        let (w, h) = (window.width(), window.height());
-        // side k faces down after rotating by the inverse of R(90k)… i.e.
-        // bottom: R0, east: R270, top: R180, west: R90 (see module tests).
-        let sides = [
-            bottom_string(&local, w, h, Orientation::R0),
-            bottom_string(&local, w, h, Orientation::R270),
-            bottom_string(&local, w, h, Orientation::R180),
-            bottom_string(&local, w, h, Orientation::R90),
-        ];
-        DirectionalStrings { sides }
+        with_sides(window, rects, |sides| DirectionalStrings {
+            sides: sides.clone(),
+        })
     }
 
     /// Side string `k` in counterclockwise order (0 = bottom, 1 = east,
@@ -137,34 +139,14 @@ impl DirectionalStrings {
     /// separators, with the beginning side repeated at the end (as the paper
     /// prescribes) so cyclic matches succeed.
     pub fn ccw_composite(&self) -> Vec<u128> {
-        let mut out = Vec::new();
-        self.composite_into(&[0, 1, 2, 3], false, &mut out);
-        out
+        composite(&self.sides, 0)
     }
 
     /// The clockwise composite string (side order reversed and each side's
     /// slices reversed) — this is the counterclockwise composite of the
     /// mirrored pattern.
     pub fn cw_composite(&self) -> Vec<u128> {
-        let mut out = Vec::new();
-        self.composite_into(&SIDES[4], true, &mut out);
-        out
-    }
-
-    /// Writes into `out` the composite whose side `k` is `self`'s side
-    /// `order[k]`, each side's slices reversed when `reverse_each`; the
-    /// first side is repeated at the end.
-    fn composite_into(&self, order: &[usize; 4], reverse_each: bool, out: &mut Vec<u128>) {
-        out.clear();
-        for &k in order.iter().chain(&order[..1]) {
-            out.push(SIDE_SEPARATOR);
-            if reverse_each {
-                out.extend(self.sides[k].iter().rev());
-            } else {
-                out.extend(&self.sides[k]);
-            }
-        }
-        out.push(SIDE_SEPARATOR);
+        composite(&self.sides, 4)
     }
 
     /// The query string for Theorem 1: two adjacent sides (bottom then
@@ -203,6 +185,75 @@ impl fmt::Display for DirectionalStrings {
     }
 }
 
+/// Side `k` of the pattern with base side strings `sides` after
+/// orientation `D8[i]`: base side `SIDES[i][k]`, read backwards when
+/// `D8[i]` mirrors.
+fn oriented_side(sides: &[Vec<u128>; 4], i: usize, k: usize) -> SideView<'_> {
+    SideView {
+        codes: &sides[SIDES[i][k]],
+        reversed: D8[i].is_mirrored(),
+    }
+}
+
+/// The counterclockwise composite of the pattern with base side strings
+/// `sides` after orientation `D8[i]`; its first side is repeated at the
+/// end.
+fn composite(sides: &[Vec<u128>; 4], i: usize) -> Vec<u128> {
+    let len = 6 + sides.iter().map(Vec::len).sum::<usize>() + sides[SIDES[i][0]].len();
+    let mut out = Vec::with_capacity(len);
+    for k in [0, 1, 2, 3, 0] {
+        out.push(SIDE_SEPARATOR);
+        let side = oriented_side(sides, i, k);
+        if side.reversed {
+            out.extend(side.codes.iter().rev());
+        } else {
+            out.extend(side.codes);
+        }
+    }
+    out.push(SIDE_SEPARATOR);
+    out
+}
+
+/// Orders the composites of orientations `D8[i]` and `D8[j]` as their
+/// flattened strings order, without writing either. The fifth side repeats
+/// the first, so four sides decide.
+fn cmp_composites(sides: &[Vec<u128>; 4], i: usize, j: usize) -> Ordering {
+    (0..4)
+        .map(|k| oriented_side(sides, i, k).cmp_segment(oriented_side(sides, j, k)))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// One side of an oriented composite: a base side string, read forwards
+/// or backwards.
+#[derive(Clone, Copy)]
+struct SideView<'a> {
+    codes: &'a [u128],
+    reversed: bool,
+}
+
+impl SideView<'_> {
+    fn at(self, t: usize) -> u128 {
+        if self.reversed {
+            self.codes[self.codes.len() - 1 - t]
+        } else {
+            self.codes[t]
+        }
+    }
+
+    /// Orders two sides as they order inside flattened composites, where
+    /// each is followed by [`SIDE_SEPARATOR`]: code by code, and on a
+    /// common prefix the *longer* side is the smaller, since its next code
+    /// is below the separator that ends the shorter one.
+    fn cmp_segment(self, other: SideView<'_>) -> Ordering {
+        let common = self.codes.len().min(other.codes.len());
+        (0..common)
+            .map(|t| self.at(t).cmp(&other.at(t)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| other.codes.len().cmp(&self.codes.len()))
+    }
+}
+
 /// Canonical topology key: the lexicographically smallest flattened side
 /// tuple over all eight orientations.
 ///
@@ -223,21 +274,20 @@ impl TopoSignature {
     /// lexicographic minimum. Aligning every cluster member by its canonical
     /// orientation puts their critical features in a common frame.
     ///
-    /// The pattern is sliced once per side; the composites of the eight
-    /// orientations come from the side table (see the [module docs](self)).
+    /// The pattern is swept once per axis; the eight orientations'
+    /// composites are compared in place through the side table (see the
+    /// [module docs](self)) and only the minimal one is written out.
     pub fn with_orientation(window: &Rect, rects: &[Rect]) -> (TopoSignature, Orientation) {
-        let base = DirectionalStrings::of(window, rects);
-        let mut best = Vec::new();
-        let mut best_o = Orientation::R0;
-        let mut candidate = Vec::new();
-        for (o, order) in D8.into_iter().zip(&SIDES) {
-            base.composite_into(order, o.is_mirrored(), &mut candidate);
-            if best.is_empty() || candidate < best {
-                std::mem::swap(&mut best, &mut candidate);
-                best_o = o;
-            }
-        }
-        (TopoSignature(best), best_o)
+        with_sides(window, rects, |sides| {
+            let best = (1..D8.len()).fold(0, |best, i| {
+                if cmp_composites(sides, i, best).is_lt() {
+                    i
+                } else {
+                    best
+                }
+            });
+            (TopoSignature(composite(sides, best)), D8[best])
+        })
     }
 
     /// The flattened canonical string (for diagnostics).
@@ -257,71 +307,164 @@ fn contains(haystack: &[u128], needle: &[u128]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 
-/// The bottom string of the pattern after orienting by `o`: slice vertically
-/// along polygon x-edges; per slice, emit the boundary bit then the
-/// bottom-to-top block sequence (polygon = 1, space = 0), read as a number
-/// ([`SLICE_OVERFLOW`] when it needs more than 128 bits).
-fn bottom_string(rects: &[Rect], w: Coord, h: Coord, o: Orientation) -> Vec<u128> {
-    let oriented = o.apply_rects(rects, w, h);
-    let (ow, oh) = o.window(w, h);
+/// The direction a sweep cuts the pattern: [`Axis::Vertical`] slices lie
+/// between x-edges and stack their blocks in y, [`Axis::Horizontal`]
+/// slices the other way.
+#[derive(Clone, Copy)]
+enum Axis {
+    Vertical,
+    Horizontal,
+}
 
-    // Slice boundaries at every vertical edge plus the window sides.
-    let mut xs: Vec<Coord> = vec![0, ow];
-    for r in &oriented {
-        xs.push(r.min().x);
-        xs.push(r.max().x);
-    }
-    xs.sort_unstable();
-    xs.dedup();
-
-    // Collect the merged y-interval set of each slice first; adjacent slices
-    // with *identical* interval sets are one topological slice (abutting
-    // rectangles of the same union create spurious edge events), so they
-    // collapse before bit encoding.
-    let mut slice_intervals: Vec<Vec<(Coord, Coord)>> = Vec::new();
-    for slice in xs.windows(2) {
-        let (x0, x1) = (slice[0], slice[1]);
-        if x0 >= x1 {
-            continue;
+impl Axis {
+    /// The rect's extent across the slices (where its slice edges lie) and
+    /// along them (the block interval it adds to every slice it spans).
+    fn extents(self, r: &Rect) -> ((Coord, Coord), (Coord, Coord)) {
+        let (x, y) = ((r.min().x, r.max().x), (r.min().y, r.max().y));
+        match self {
+            Axis::Vertical => (x, y),
+            Axis::Horizontal => (y, x),
         }
-        // Rects spanning the slice (slice boundaries are at all edges, so
-        // any overlapping rect spans the whole slice horizontally).
-        let mut intervals: Vec<(Coord, Coord)> = oriented
-            .iter()
-            .filter(|r| r.min().x <= x0 && r.max().x >= x1)
-            .map(|r| (r.min().y, r.max().y))
-            .collect();
-        intervals.sort_unstable();
-        // Merge touching/overlapping y-intervals.
-        let mut merged: Vec<(Coord, Coord)> = Vec::new();
-        for (a, b) in intervals {
-            if let Some(last) = merged.last_mut() {
-                if a <= last.1 {
-                    last.1 = last.1.max(b);
-                    continue;
+    }
+}
+
+/// The buffers of one pattern's slicing, reused across patterns: the
+/// rects in window-local coordinates, the buffers both sweeps share, and
+/// the four base side strings.
+#[derive(Default)]
+struct Slicer {
+    rects: Vec<Rect>,
+    sweep: Sweep,
+    sides: [Vec<u128>; 4], // bottom, east, top, west
+}
+
+thread_local! {
+    static SLICER: RefCell<Slicer> = RefCell::new(Slicer::default());
+}
+
+/// Slices the pattern `rects` inside `window` (rects are clipped to the
+/// window) into its four base side strings and hands them to `f`.
+///
+/// # Panics
+///
+/// Panics if the window is empty.
+fn with_sides<T>(window: &Rect, rects: &[Rect], f: impl FnOnce(&[Vec<u128>; 4]) -> T) -> T {
+    assert!(!window.is_empty(), "window must be non-empty");
+    SLICER.with(|slicer| {
+        let Slicer {
+            rects: local,
+            sweep,
+            sides,
+        } = &mut *slicer.borrow_mut();
+        // Normalise to local coordinates with the window at the origin.
+        local.clear();
+        local.extend(
+            rects
+                .iter()
+                .filter_map(|r| r.intersection(window))
+                .map(|r| r.translate(-window.min())),
+        );
+        let (w, h) = (window.width(), window.height());
+        // Bottom reads the vertical slices upward, top (`R180`) downward
+        // in reverse; east (`R270`) reads the horizontal slices right to
+        // left, west (`R90`) left to right in reverse.
+        let [bottom, east, top, west] = sides;
+        sweep.run(local, Axis::Vertical, w, h, bottom, top);
+        sweep.run(local, Axis::Horizontal, h, w, west, east);
+        top.reverse();
+        west.reverse();
+        f(sides)
+    })
+}
+
+/// The buffers a sweep reuses: the sorted slice edges, the intervals of
+/// the rects spanning the current slice, and the merged interval sets of
+/// the previous and current slice.
+#[derive(Default)]
+struct Sweep {
+    edges: Vec<Coord>,
+    spans: Vec<(Coord, Coord)>,
+    prev: Vec<(Coord, Coord)>,
+    cur: Vec<(Coord, Coord)>,
+}
+
+impl Sweep {
+    /// Slices `rects` along `axis` across `[0, span)`, each slice `height`
+    /// long, and writes the code of every slice to `up` (blocks read from
+    /// 0 to `height`) and to `down` (read from `height` to 0), in slice
+    /// order. Adjacent slices with *identical* merged interval sets are one
+    /// topological slice (abutting rectangles of one union create spurious
+    /// edge events), so they collapse before encoding.
+    fn run(
+        &mut self,
+        rects: &[Rect],
+        axis: Axis,
+        span: Coord,
+        height: Coord,
+        up: &mut Vec<u128>,
+        down: &mut Vec<u128>,
+    ) {
+        let Sweep {
+            edges,
+            spans,
+            prev,
+            cur,
+        } = self;
+        up.clear();
+        down.clear();
+        // Slice boundaries at every edge across the axis plus the window
+        // sides.
+        edges.clear();
+        edges.extend([0, span]);
+        for r in rects {
+            let ((lo, hi), _) = axis.extents(r);
+            edges.extend([lo, hi]);
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        for slice in edges.windows(2) {
+            let (s0, s1) = (slice[0], slice[1]);
+            // Slice boundaries are at all edges, so any rect overlapping
+            // the slice spans it whole.
+            spans.clear();
+            spans.extend(
+                rects
+                    .iter()
+                    .map(|r| axis.extents(r))
+                    .filter(|&((lo, hi), _)| lo <= s0 && hi >= s1)
+                    .map(|(_, interval)| interval),
+            );
+            spans.sort_unstable();
+            // Merge touching/overlapping intervals.
+            cur.clear();
+            for &(a, b) in spans.iter() {
+                if let Some(last) = cur.last_mut() {
+                    if a <= last.1 {
+                        last.1 = last.1.max(b);
+                        continue;
+                    }
                 }
+                cur.push((a, b));
             }
-            merged.push((a, b));
-        }
-        if slice_intervals.last() != Some(&merged) {
-            slice_intervals.push(merged);
+            if up.is_empty() || cur != prev {
+                let mirrored = cur.iter().rev().map(|&(a, b)| (height - b, height - a));
+                up.push(encode_slice(cur.iter().copied(), height).unwrap_or(SLICE_OVERFLOW));
+                down.push(encode_slice(mirrored, height).unwrap_or(SLICE_OVERFLOW));
+                std::mem::swap(prev, cur);
+            }
         }
     }
-
-    slice_intervals
-        .iter()
-        .map(|merged| encode_slice(merged, oh).unwrap_or(SLICE_OVERFLOW))
-        .collect()
 }
 
 /// The code of one slice of height `h` with merged polygon intervals
-/// `merged`: the boundary bit, then one bit per bottom-to-top block
-/// (polygon = 1, space = 0). `None` when the bits exceed 128.
-fn encode_slice(merged: &[(Coord, Coord)], h: Coord) -> Option<u128> {
+/// `merged`, in increasing order: the boundary bit, then one bit per
+/// block from 0 to `h` (polygon = 1, space = 0). `None` when the bits
+/// exceed 128.
+fn encode_slice(merged: impl IntoIterator<Item = (Coord, Coord)>, h: Coord) -> Option<u128> {
     let push_bit = |v: u128, bit: u128| (v.leading_zeros() > 0).then_some((v << 1) | bit);
     let mut value: u128 = 1;
     let mut cursor = 0;
-    for &(a, b) in merged {
+    for (a, b) in merged {
         if a > cursor {
             value = push_bit(value, 0)?;
         }
@@ -527,6 +670,16 @@ mod tests {
         assert_eq!(s.side(2), &[SLICE_OVERFLOW]);
         // East and west sides slice across the bars one at a time.
         assert_eq!(s.side(1).len(), 141);
+        // Transposed, the horizontal sweep's slices cross all 70 bars.
+        let (tw, th) = (window.height(), window.width());
+        let transposed: Vec<Rect> = rects
+            .iter()
+            .map(|r| Rect::from_extents(r.min().y, r.min().x, r.max().y, r.max().x))
+            .collect();
+        let t = DirectionalStrings::of(&Rect::from_extents(0, 0, tw, th), &transposed);
+        assert_eq!(t.side(1), &[SLICE_OVERFLOW]);
+        assert_eq!(t.side(3), &[SLICE_OVERFLOW]);
+        assert_eq!(t.side(0).len(), 141);
         let base = TopoSignature::of(&window, &rects);
         let (w, h) = (window.width(), window.height());
         for o in D8 {

@@ -60,16 +60,11 @@ impl SingleKernelSvm {
         })
     }
 
-    /// Classifies one clip pattern.
+    /// Classifies one clip pattern at the config's decision threshold.
     pub fn classify(&self, pattern: &Pattern) -> bool {
-        self.classify_with_threshold(pattern, self.config.decision_threshold)
-    }
-
-    /// Classification at an explicit decision threshold.
-    pub fn classify_with_threshold(&self, pattern: &Pattern, threshold: f64) -> bool {
         self.model
             .decision_value(&grid_features(pattern, self.grid))
-            > threshold
+            > self.config.decision_threshold
     }
 
     /// Scans a testing layout: same clip extraction as the framework, but a
@@ -135,10 +130,16 @@ mod tests {
 
     #[test]
     fn threshold_shifts_decision() {
-        let b = SingleKernelSvm::train(&training(), DetectorConfig::default()).unwrap();
+        let at = |decision_threshold| {
+            let config = DetectorConfig {
+                decision_threshold,
+                ..Default::default()
+            };
+            SingleKernelSvm::train(&training(), config).unwrap()
+        };
         let p = pattern(&hs(75));
-        assert!(b.classify_with_threshold(&p, -10.0));
-        assert!(!b.classify_with_threshold(&p, 10.0));
+        assert!(at(-10.0).classify(&p));
+        assert!(!at(10.0).classify(&p));
     }
 
     #[test]

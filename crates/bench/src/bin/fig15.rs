@@ -36,13 +36,12 @@ fn main() {
     for threshold in [
         -0.4, -0.2, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
     ] {
+        let at = detector.clone().with_decision_threshold(threshold);
         let mut hits = 0usize;
         let mut actual = 0usize;
         let mut extras = 0usize;
         for bm in &suite {
-            let report = detector
-                .detect_with_threshold(&bm.layout, bm.layer, threshold)
-                .expect("evaluation");
+            let report = at.detect(&bm.layout, bm.layer).expect("evaluation");
             let eval = report.score_against(&bm.actual, 0.2, bm.area_um2());
             hits += eval.hits;
             actual += eval.actual;

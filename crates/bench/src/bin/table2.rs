@@ -16,26 +16,25 @@ fn main() {
     );
     for bm in generate_suite(scale) {
         let base = DetectorConfig::default();
+        // Table II's operating points differ only in the decision
+        // threshold: `ours_med` trades hits for a medium hit/extra ratio,
+        // `ours_low` for a high one.
+        let at = |decision_threshold| DetectorConfig {
+            decision_threshold,
+            ..base.clone()
+        };
         let rows = vec![
             run_matcher(&bm, base.clone()),
-            run_ours(&bm, base.clone(), "ours", base.decision_threshold),
+            run_ours(&bm, base.clone(), "ours"),
+            run_ours(&bm, at(0.3), "ours_med"),
+            run_ours(&bm, at(0.6), "ours_low"),
             run_ours(
                 &bm,
-                base.clone().medium_accuracy(),
-                "ours_med",
-                base.clone().medium_accuracy().decision_threshold,
-            ),
-            run_ours(
-                &bm,
-                base.clone().low_accuracy(),
-                "ours_low",
-                base.clone().low_accuracy().decision_threshold,
-            ),
-            run_ours(
-                &bm,
-                base.clone().sequential(),
+                DetectorConfig {
+                    threads: 1,
+                    ..base.clone()
+                },
                 "ours_nopara",
-                base.decision_threshold,
             ),
         ];
         for r in &rows {

@@ -40,7 +40,6 @@ fn main() {
                         ..Default::default()
                     },
                     "+topology",
-                    0.0,
                 ),
             ),
             (
@@ -56,12 +55,11 @@ fn main() {
                         ..Default::default()
                     },
                     "+removal",
-                    0.0,
                 ),
             ),
             (
                 format!("{ratio:.2}"),
-                run_ours(&bm, DetectorConfig::default(), "ours", 0.0),
+                run_ours(&bm, DetectorConfig::default(), "ours"),
             ),
         ];
         for (ratio, r) in &rows {

@@ -15,7 +15,7 @@ fn main() {
         for fraction in [1.0, 0.65, 0.25, 0.10, 0.05] {
             let mut sub = bm.clone();
             sub.training = subsample_training(&bm.training, fraction);
-            let r = run_ours(&sub, DetectorConfig::default(), "ours", 0.0);
+            let r = run_ours(&sub, DetectorConfig::default(), "ours");
             println!(
                 "{:<22} {:>6.0}% {:>5} {:>7} {:>8.2}% {:>8.1}s",
                 bm.spec.name,

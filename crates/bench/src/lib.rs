@@ -70,18 +70,13 @@ pub fn generate_suite(scale: SuiteScale) -> Vec<Benchmark> {
     benchmarks
 }
 
-/// Trains and evaluates the full framework at a decision threshold.
-pub fn run_ours(
-    benchmark: &Benchmark,
-    config: DetectorConfig,
-    method: &str,
-    threshold: f64,
-) -> MethodResult {
+/// Trains and evaluates the full framework at `config`.
+pub fn run_ours(benchmark: &Benchmark, config: DetectorConfig, method: &str) -> MethodResult {
     let t0 = Instant::now();
     let detector = HotspotDetector::train(&benchmark.training, config).expect("framework training");
     let train_time = t0.elapsed();
     let report = detector
-        .detect_with_threshold(&benchmark.layout, benchmark.layer, threshold)
+        .detect(&benchmark.layout, benchmark.layer)
         .expect("framework evaluation");
     let eval = report.score_against(
         &benchmark.actual,
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn method_result_row_formats_all_columns() {
         let bm = tiny_benchmark();
-        let r = run_ours(&bm, DetectorConfig::default(), "ours", 0.0);
+        let r = run_ours(&bm, DetectorConfig::default(), "ours");
         let row = r.row();
         assert!(row.contains("ours"), "{row}");
         assert!(row.contains("clips"), "{row}");
@@ -202,7 +197,7 @@ mod tests {
     fn all_three_method_runners_score() {
         let bm = tiny_benchmark();
         for r in [
-            run_ours(&bm, DetectorConfig::default(), "ours", 0.0),
+            run_ours(&bm, DetectorConfig::default(), "ours"),
             run_matcher(&bm, DetectorConfig::default()),
             run_basic(&bm, DetectorConfig::default()),
         ] {

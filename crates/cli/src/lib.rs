@@ -452,6 +452,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
     let out = PathBuf::from(opts.require("out")?);
     let layer = LayerId::new(opts.parse("layer", 1u16)?);
     let threshold = opts.parse("threshold", detector.config().decision_threshold)?;
+    detector = detector.with_decision_threshold(threshold);
     if let Some(threads) = opts.get("threads") {
         let threads: usize = threads
             .parse()
@@ -535,7 +536,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
     }
     let metrics_local = server.as_ref().map(MetricsServer::local_addr);
 
-    let report = detector.scan_layout_with_threshold(&layout, layer, &scan, threshold)?;
+    let report = detector.scan_layout(&layout, layer, &scan)?;
 
     // Final snapshot first, then give scrapers a chance to read the
     // totals before the listener goes away.

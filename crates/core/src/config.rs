@@ -132,6 +132,9 @@ pub struct DetectorConfig {
     pub min_hit_clip_overlap: f64,
     /// SVM decision threshold at evaluation; raising it trades hits for
     /// fewer extras (`ours_med` ≈ 0.3, `ours_low` ≈ 0.6 operating points).
+    /// Training's feedback self-evaluation flags at this threshold too;
+    /// [`crate::HotspotDetector::with_decision_threshold`] moves only the
+    /// evaluation of a trained detector.
     pub decision_threshold: f64,
     /// Kernel-admission parameters (fuzziness factor and radius floor).
     ///
@@ -185,26 +188,6 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// The paper's `ours_med` operating point: medium hit rate, medium
-    /// hit/extra ratio.
-    pub fn medium_accuracy(mut self) -> Self {
-        self.decision_threshold = 0.3;
-        self
-    }
-
-    /// The paper's `ours_low` operating point: lower hit rate, high
-    /// hit/extra ratio.
-    pub fn low_accuracy(mut self) -> Self {
-        self.decision_threshold = 0.6;
-        self
-    }
-
-    /// Disables multithreading (`ours_nopara`).
-    pub fn sequential(mut self) -> Self {
-        self.threads = 1;
-        self
-    }
-
     /// Validates internal consistency (e.g. `l_s < l_c`).
     ///
     /// # Errors
@@ -219,6 +202,7 @@ impl DetectorConfig {
                     .into(),
             );
         }
+        check_clip_shape(self.clip_shape)?;
         if self.reframe_separation >= self.clip_shape.core_side() {
             return Err(format!(
                 "reframe separation {} must be below the core side {}",
@@ -262,6 +246,20 @@ impl DetectorConfig {
     }
 }
 
+/// Checks `shape` as [`ClipShape::new`] does: a deserialised shape skips
+/// that constructor, so every config and model path re-checks it here.
+pub(crate) fn check_clip_shape(shape: ClipShape) -> Result<(), String> {
+    ClipShape::new(shape.core_side(), shape.clip_side())
+        .map(drop)
+        .map_err(|e| {
+            format!(
+                "invalid clip shape {}/{}: {e}",
+                shape.core_side(),
+                shape.clip_side()
+            )
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,20 +276,6 @@ mod tests {
         assert_eq!(c.reframe_separation, 1150);
         assert_eq!(c.clip_shape.core_side(), 1200);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn operating_points() {
-        assert!(
-            DetectorConfig::default()
-                .medium_accuracy()
-                .decision_threshold
-                > 0.0
-        );
-        let low = DetectorConfig::default().low_accuracy();
-        let med = DetectorConfig::default().medium_accuracy();
-        assert!(low.decision_threshold > med.decision_threshold);
-        assert_eq!(DetectorConfig::default().sequential().threads, 1);
     }
 
     #[test]
@@ -319,6 +303,20 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+
+        // A deserialised clip shape bypasses `ClipShape::new`.
+        for (core, clip) in [(4800, 1200), (1200, 4801), (-100, 4800)] {
+            let json = serde_json::to_string(&DetectorConfig::default())
+                .unwrap()
+                .replace(
+                    r#""clip_shape":{"core_side":1200,"clip_side":4800}"#,
+                    &format!(r#""clip_shape":{{"core_side":{core},"clip_side":{clip}}}"#),
+                );
+            let c: DetectorConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(c.clip_shape.clip_side(), clip);
+            let err = c.validate().unwrap_err();
+            assert!(err.starts_with("invalid clip shape"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The end-to-end hotspot detector (Fig. 3).
 
 use crate::balance::upsample_hotspots;
-use crate::config::{AdmissionParams, DetectorConfig, DistributionFilter};
+use crate::config::{check_clip_shape, DetectorConfig};
 use crate::engine::{Executor, PipelineTelemetry, StageId, StageRecorder, TaskFailure};
 use crate::feedback::{train_feedback, CompiledKernels, EvalEngine, EvalScratch, FeedbackKernel};
 use crate::obs::ObsHub;
@@ -12,7 +12,7 @@ use crate::training::{
     classify_patterns, train_oriented_kernels, ClusterKernel, PatternCluster, Region,
 };
 use hotspot_geom::{Orientation, Rect};
-use hotspot_layout::{ClipShape, LayerId, Layout};
+use hotspot_layout::{LayerId, Layout};
 use hotspot_svm::{CompiledModel, TrainError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -193,47 +193,6 @@ pub struct HotspotDetector {
 }
 
 impl HotspotDetector {
-    /// Starts a [`DetectorBuilder`] with the default (paper) configuration.
-    ///
-    /// This is the preferred way to configure a detector; constructing a
-    /// [`DetectorConfig`] by struct literal is deprecated in favour of the
-    /// builder's validated setters.
-    ///
-    /// # Examples
-    ///
-    /// Train a tiny detector on synthetic bar pairs:
-    ///
-    /// ```
-    /// use hotspot_core::{HotspotDetector, Label, Pattern, TrainingSet};
-    /// use hotspot_geom::{Point, Rect};
-    /// use hotspot_layout::ClipShape;
-    ///
-    /// // Two bars separated by `gap` nm inside an ICCAD-2012 clip window.
-    /// let clip = |gap: i64| {
-    ///     let window = ClipShape::ICCAD2012.window_from_core_corner(Point::new(0, 0));
-    ///     let rects = [
-    ///         Rect::from_extents(0, 0, 300, 300),
-    ///         Rect::from_extents(300 + gap, 0, 600 + gap, 300),
-    ///     ];
-    ///     Pattern::new(window, &rects)
-    /// };
-    /// let mut training = TrainingSet::new();
-    /// for i in 0..4 {
-    ///     training.push(clip(60 + 10 * i), Label::Hotspot);
-    /// }
-    /// for i in 0..8 {
-    ///     training.push(clip(480 + 10 * i), Label::NonHotspot);
-    /// }
-    ///
-    /// let config = HotspotDetector::builder().max_learning_rounds(2).build()?;
-    /// let detector = HotspotDetector::train(&training, config)?;
-    /// assert!(!detector.kernels().is_empty());
-    /// # Ok::<(), hotspot_core::DetectError>(())
-    /// ```
-    pub fn builder() -> DetectorBuilder {
-        DetectorBuilder::new()
-    }
-
     /// Runs the full training phase of Fig. 3: upsampling, topological
     /// classification, population balancing, multiple-kernel learning, and
     /// feedback-kernel learning.
@@ -370,8 +329,9 @@ impl HotspotDetector {
         Ok(detector)
     }
 
-    /// Checks that every kernel, and the feedback kernel, can score the
-    /// vectors it will be given: its `feature_len` holds the five
+    /// Checks that the config's clip shape is one [`ClipShape::new`]
+    /// accepts, and that every kernel, and the feedback kernel, can score
+    /// the vectors it will be given: its `feature_len` holds the five
     /// nontopological features and equals its SVM's dimension, and the SVM's
     /// stored parts have that dimension ([`SvmModel::check_shape`]). Also
     /// checks that every kernel centroid holds `nx × ny` cells, which the
@@ -380,13 +340,19 @@ impl HotspotDetector {
     /// not, and scanning it would panic in every worker or misalign every
     /// later row. Scans run this check before their first tile.
     ///
+    /// Of the config it checks only the clip shape: the rest of
+    /// [`DetectorConfig::validate`] (its `topology: false` rule) would
+    /// stop older model files from loading.
+    ///
     /// [`SvmModel::check_shape`]: hotspot_svm::SvmModel::check_shape
+    /// [`ClipShape::new`]: hotspot_layout::ClipShape::new
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::InvalidModel`] naming the first inconsistent
-    /// kernel.
+    /// Returns [`DetectError::InvalidModel`] naming the clip shape or the
+    /// first inconsistent kernel.
     pub fn validate(&self) -> Result<(), DetectError> {
+        check_clip_shape(self.config.clip_shape).map_err(DetectError::InvalidModel)?;
         let kernels = self
             .kernels
             .iter()
@@ -453,31 +419,29 @@ impl HotspotDetector {
     /// handle borrows the detector; pair it with an [`EvalScratch`] per
     /// worker.
     pub fn eval_engine(&self) -> EvalEngine<'_> {
-        self.eval_engine_with_threshold(self.config.decision_threshold)
-    }
-
-    /// [`eval_engine`](Self::eval_engine) at an explicit decision
-    /// threshold (for the Fig. 15 trade-off sweep).
-    pub fn eval_engine_with_threshold(&self, threshold: f64) -> EvalEngine<'_> {
         let set = self.compiled_set();
         let feedback = self
             .feedback
             .as_ref()
             .filter(|_| self.config.ablation.feedback)
             .zip(set.feedback.as_ref());
-        EvalEngine::new(
-            &self.kernels,
-            &set.kernels,
-            feedback,
-            &self.config,
-            threshold,
-        )
+        EvalEngine::new(&self.kernels, &set.kernels, feedback, &self.config)
     }
 
     /// Returns this detector with its worker-thread count overridden
     /// (0 = one per core), e.g. to re-parallelise a deserialised model.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
+        self
+    }
+
+    /// Returns this detector evaluating at another
+    /// [`decision_threshold`](DetectorConfig::decision_threshold), e.g.
+    /// for the Fig. 15 trade-off sweep. Evaluation only: the feedback
+    /// kernel stays as training's self-evaluation at the trained threshold
+    /// left it. The threshold is part of the tile-cache fingerprint.
+    pub fn with_decision_threshold(mut self, threshold: f64) -> Self {
+        self.config.decision_threshold = threshold;
         self
     }
 
@@ -521,7 +485,10 @@ impl HotspotDetector {
 
     /// Classifies a single clip pattern (multiple kernels, then feedback).
     pub fn classify(&self, pattern: &Pattern) -> bool {
-        self.classify_with_threshold(pattern, self.config.decision_threshold)
+        let engine = self.eval_engine();
+        let (flagged, reclaimed) =
+            Self::flag_with_engine(&engine, pattern, &mut EvalScratch::new());
+        flagged && !reclaimed
     }
 
     /// Calibrated hotspot probability of a clip: the maximum Platt
@@ -540,13 +507,6 @@ impl HotspotDetector {
         best
     }
 
-    /// Classification at an explicit decision threshold (for the Fig. 15
-    /// trade-off sweep).
-    pub fn classify_with_threshold(&self, pattern: &Pattern, threshold: f64) -> bool {
-        let (flagged, reclaimed) = self.flag_pattern(pattern, threshold);
-        flagged && !reclaimed
-    }
-
     /// Runs the full evaluation phase of Fig. 3 on a testing layout: clip
     /// extraction, multiple-kernel and feedback evaluation, then redundant
     /// clip removal. This is [`scan_layout`](Self::scan_layout) at the
@@ -559,33 +519,11 @@ impl HotspotDetector {
     /// on `layer`, and otherwise fails as
     /// [`scan_layout`](Self::scan_layout) does.
     pub fn detect(&self, layout: &Layout, layer: LayerId) -> Result<ScanReport, DetectError> {
-        self.detect_with_threshold(layout, layer, self.config.decision_threshold)
-    }
-
-    /// Evaluation with an explicit decision threshold: the streaming scan
-    /// at the default [`ScanConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`scan_layout`](Self::scan_layout).
-    pub fn detect_with_threshold(
-        &self,
-        layout: &Layout,
-        layer: LayerId,
-        threshold: f64,
-    ) -> Result<ScanReport, DetectError> {
-        self.scan_layout_with_threshold(layout, layer, &ScanConfig::default(), threshold)
-    }
-
-    /// [`flag_with_engine`](Self::flag_with_engine) on throwaway scratch,
-    /// for single-clip entry points.
-    pub(crate) fn flag_pattern(&self, pattern: &Pattern, threshold: f64) -> (bool, bool) {
-        let engine = self.eval_engine_with_threshold(threshold);
-        Self::flag_with_engine(&engine, pattern, &mut EvalScratch::new())
+        self.scan_layout(layout, layer, &ScanConfig::default())
     }
 
     /// `(flagged_by_kernels, reclaimed_by_feedback)` for one clip. Shared
-    /// by the single-clip entry points and the scan's tile loop; `scratch`
+    /// by [`classify`](Self::classify) and the scan's tile loop; `scratch`
     /// carries the buffers one tile's clips reuse across calls.
     pub(crate) fn flag_with_engine(
         engine: &EvalEngine<'_>,
@@ -598,151 +536,6 @@ impl HotspotDetector {
         }
         let reclaimed = matches!(engine.feedback_confirms(pattern, scratch), Some(false));
         (true, reclaimed)
-    }
-}
-
-/// Validated, fluent construction of a [`DetectorConfig`] — and from there a
-/// trained [`HotspotDetector`] — starting from the paper's defaults.
-///
-/// Unlike filling a [`DetectorConfig`] struct literal, the builder checks
-/// every setting at [`build`](DetectorBuilder::build) time and reports the
-/// first violation as [`DetectError::Config`]:
-///
-/// ```
-/// use hotspot_core::HotspotDetector;
-///
-/// let config = HotspotDetector::builder()
-///     .threads(2)
-///     .decision_threshold(0.3)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.threads, 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DetectorBuilder {
-    config: DetectorConfig,
-    threads: Option<usize>,
-    clip_sides: Option<(i64, i64)>,
-}
-
-impl DetectorBuilder {
-    /// Starts from the paper's default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from an existing configuration (still validated at build).
-    pub fn from_config(config: DetectorConfig) -> Self {
-        DetectorBuilder {
-            config,
-            threads: None,
-            clip_sides: None,
-        }
-    }
-
-    /// Sets an explicit worker-thread count. Must be at least 1; use
-    /// [`auto_threads`](Self::auto_threads) for one thread per core.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Uses one worker thread per available core (the default).
-    pub fn auto_threads(mut self) -> Self {
-        self.threads = None;
-        self.config.threads = 0;
-        self
-    }
-
-    /// Sets the core and clip side lengths in nanometres; validated at
-    /// build time (`0 < core < clip`, even difference).
-    pub fn clip_shape(mut self, core_side: i64, clip_side: i64) -> Self {
-        self.clip_sides = Some((core_side, clip_side));
-        self
-    }
-
-    /// Sets the initial SVM penalty `C`.
-    pub fn initial_c(mut self, c: f64) -> Self {
-        self.config.initial_c = c;
-        self
-    }
-
-    /// Sets the initial RBF width `γ`.
-    pub fn initial_gamma(mut self, gamma: f64) -> Self {
-        self.config.initial_gamma = gamma;
-        self
-    }
-
-    /// Bounds the iterative `(C, γ)` adaptation rounds.
-    pub fn max_learning_rounds(mut self, rounds: usize) -> Self {
-        self.config.max_learning_rounds = rounds;
-        self
-    }
-
-    /// Sets the SVM decision threshold at evaluation.
-    pub fn decision_threshold(mut self, threshold: f64) -> Self {
-        self.config.decision_threshold = threshold;
-        self
-    }
-
-    /// Sets the kernel-admission parameters (fuzziness factor and radius
-    /// floor); validated at build time.
-    pub fn admission(mut self, params: AdmissionParams) -> Self {
-        self.config.admission = params;
-        self
-    }
-
-    /// Sets the data-shifting distance for hotspot upsampling.
-    pub fn data_shift(mut self, shift: i64) -> Self {
-        self.config.data_shift = shift;
-        self
-    }
-
-    /// Sets the polygon-distribution filter for clip extraction.
-    pub fn distribution(mut self, filter: DistributionFilter) -> Self {
-        self.config.distribution = filter;
-        self
-    }
-
-    /// Sets the ablation switches (Table III rows).
-    pub fn ablation(mut self, switches: crate::AblationSwitches) -> Self {
-        self.config.ablation = switches;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::Config`] describing the first violated
-    /// constraint — a zero thread count, an invalid clip shape, or anything
-    /// [`DetectorConfig::validate`] rejects.
-    pub fn build(self) -> Result<DetectorConfig, DetectError> {
-        let mut config = self.config;
-        if let Some(threads) = self.threads {
-            if threads == 0 {
-                return Err(DetectError::Config(
-                    "worker threads must be at least 1; use auto_threads() for one per core".into(),
-                ));
-            }
-            config.threads = threads;
-        }
-        if let Some((core, clip)) = self.clip_sides {
-            config.clip_shape = ClipShape::new(core, clip)
-                .map_err(|e| DetectError::Config(format!("invalid clip shape: {e}")))?;
-        }
-        config.validate().map_err(DetectError::Config)?;
-        Ok(config)
-    }
-
-    /// Validates the configuration and trains a detector on `training`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError`] for invalid settings, an empty hotspot set,
-    /// or SVM failures.
-    pub fn train(self, training: &TrainingSet) -> Result<HotspotDetector, DetectError> {
-        HotspotDetector::train(training, self.build()?)
     }
 }
 
@@ -873,49 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_settings() {
-        // Zero threads is rejected with a pointer at auto_threads().
-        let err = HotspotDetector::builder().threads(0).build().unwrap_err();
-        assert!(matches!(&err, DetectError::Config(msg) if msg.contains("auto_threads")));
-
-        // Core must not exceed the clip.
-        assert!(matches!(
-            HotspotDetector::builder().clip_shape(4800, 1200).build(),
-            Err(DetectError::Config(_))
-        ));
-        // Negative (asymmetric / non-positive) geometry is rejected too.
-        assert!(matches!(
-            HotspotDetector::builder().clip_shape(-100, 4800).build(),
-            Err(DetectError::Config(_))
-        ));
-        assert!(matches!(
-            HotspotDetector::builder().clip_shape(1200, 4801).build(),
-            Err(DetectError::Config(_))
-        ));
-
-        // Settings flow through validation into the config.
-        let cfg = HotspotDetector::builder()
-            .threads(3)
-            .clip_shape(1200, 4800)
-            .decision_threshold(0.3)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.clip_shape, ClipShape::ICCAD2012);
-        assert_eq!(cfg.decision_threshold, 0.3);
-    }
-
-    #[test]
-    fn builder_trains_a_detector() {
-        let det = DetectorBuilder::from_config(fast_config())
-            .threads(2)
-            .train(&training_set())
-            .unwrap();
-        assert!(!det.kernels().is_empty());
-        assert_eq!(det.config().threads, 2);
-    }
-
-    #[test]
     fn detect_rejects_empty_layer() {
         let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
         let layout = Layout::new("empty");
@@ -1031,6 +781,19 @@ mod tests {
     }
 
     #[test]
+    fn a_deserialised_bad_clip_shape_is_rejected_before_any_tile() {
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        for (sides, needle) in [
+            ("4800,\"clip_side\":1200", "clip side must exceed core side"),
+            ("1200,\"clip_side\":4801", "differ by an even amount"),
+        ] {
+            let bad: HotspotDetector =
+                edited(&det, |j| j.replacen("1200,\"clip_side\":4800", sides, 1));
+            assert_rejected(bad, needle);
+        }
+    }
+
+    #[test]
     fn a_short_support_vector_is_rejected() {
         let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
         let mut bad = det.clone();
@@ -1109,8 +872,11 @@ mod tests {
                 layout.add_rect(layer, r.translate(Point::new(20_000 * (i + 1), 20_000)));
             }
         }
-        let lo = det.detect_with_threshold(&layout, layer, 0.0).unwrap();
-        let hi = det.detect_with_threshold(&layout, layer, 2.0).unwrap();
+        let lo = det.detect(&layout, layer).unwrap();
+        let hi = det
+            .with_decision_threshold(2.0)
+            .detect(&layout, layer)
+            .unwrap();
         assert!(hi.clips_flagged <= lo.clips_flagged);
     }
 

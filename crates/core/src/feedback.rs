@@ -139,8 +139,9 @@ impl CompiledKernels {
 }
 
 /// A borrowing evaluation handle: kernels with their compiled SVMs and
-/// admission router, the feedback kernel, and the decision threshold bound
-/// together so callers cannot mix mismatched config + threshold pairs.
+/// admission router, the feedback kernel, and the config whose
+/// [`decision_threshold`](DetectorConfig::decision_threshold) it flags
+/// above, bound together so callers cannot mix mismatched pairs.
 ///
 /// Obtain one from [`crate::HotspotDetector::eval_engine`]. The naive
 /// per-kernel search it is pinned against lives in the integration tests'
@@ -154,7 +155,6 @@ pub struct EvalEngine<'d> {
     /// trained or the ablation disables it.
     pub(crate) feedback: Option<(&'d FeedbackKernel, &'d CompiledModel)>,
     pub(crate) config: &'d DetectorConfig,
-    pub(crate) threshold: f64,
     pub(crate) memo: Option<&'d EvalMemo>,
 }
 
@@ -165,7 +165,6 @@ impl<'d> EvalEngine<'d> {
         compiled: &'d CompiledKernels,
         feedback: Option<(&'d FeedbackKernel, &'d CompiledModel)>,
         config: &'d DetectorConfig,
-        threshold: f64,
     ) -> Self {
         EvalEngine {
             kernels,
@@ -173,7 +172,6 @@ impl<'d> EvalEngine<'d> {
             router: &compiled.router,
             feedback,
             config,
-            threshold,
             memo: None,
         }
     }
@@ -188,11 +186,6 @@ impl<'d> EvalEngine<'d> {
         }
     }
 
-    /// The SVM decision threshold this engine flags above.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// The kernels of the multiple-kernel stage that flag `pattern` as a
     /// hotspot (empty = classified nonhotspot everywhere).
     ///
@@ -205,7 +198,7 @@ impl<'d> EvalEngine<'d> {
     /// length ([`FeatureMemo`]).
     ///
     /// ```
-    /// use hotspot_core::{EvalScratch, HotspotDetector, Label, Pattern, TrainingSet};
+    /// use hotspot_core::{DetectorConfig, EvalScratch, HotspotDetector, Label, Pattern, TrainingSet};
     /// use hotspot_geom::{Point, Rect};
     /// use hotspot_layout::ClipShape;
     ///
@@ -225,7 +218,10 @@ impl<'d> EvalEngine<'d> {
     /// for i in 0..8 {
     ///     training.push(clip(480 + 10 * i), Label::NonHotspot);
     /// }
-    /// let config = HotspotDetector::builder().max_learning_rounds(2).build()?;
+    /// let config = DetectorConfig {
+    ///     max_learning_rounds: 2,
+    ///     ..Default::default()
+    /// };
     /// let detector = HotspotDetector::train(&training, config)?;
     ///
     /// // Reuse one scratch across clips: queries are allocation-free once
@@ -238,9 +234,10 @@ impl<'d> EvalEngine<'d> {
     /// # Ok::<(), hotspot_core::DetectError>(())
     /// ```
     pub fn flagging_kernels(&self, pattern: &Pattern, scratch: &mut EvalScratch) -> Vec<usize> {
+        let threshold = self.config.decision_threshold;
         let mut out = Vec::new();
         self.for_each_admitted(pattern, scratch, |idx, decision| {
-            if decision > self.threshold {
+            if decision > threshold {
                 out.push(idx);
             }
         });
@@ -397,7 +394,7 @@ pub fn train_feedback(
     // Self-evaluation: push every nonhotspot medoid through the kernels,
     // compiled as a trained detector compiles them (no feedback kernel yet).
     let compiled = CompiledKernels::new(kernels, config);
-    let engine = EvalEngine::new(kernels, &compiled, None, config, config.decision_threshold);
+    let engine = EvalEngine::new(kernels, &compiled, None, config);
     let mut scratch = EvalScratch::new();
     let mut offending_kernels: BTreeSet<usize> = BTreeSet::new();
     let mut extra_cluster_ids: BTreeSet<usize> = BTreeSet::new();
@@ -542,8 +539,8 @@ mod tests {
         let cfg = config();
         let compiled = CompiledKernels::new(&kernels, &cfg);
         let mut scratch = EvalScratch::new();
-        let flags = EvalEngine::new(&kernels, &compiled, None, &cfg, 0.0)
-            .flagging_kernels(&hs, &mut scratch);
+        let flags =
+            EvalEngine::new(&kernels, &compiled, None, &cfg).flagging_kernels(&hs, &mut scratch);
         assert!(!flags.is_empty(), "hotspot-like clip should be flagged");
         assert!(scratch.admissions() >= flags.len() as u64);
     }
@@ -554,7 +551,7 @@ mod tests {
         let safe = pattern(&safe_core(720));
         let cfg = config();
         let compiled = CompiledKernels::new(&kernels, &cfg);
-        let flags = EvalEngine::new(&kernels, &compiled, None, &cfg, 0.0)
+        let flags = EvalEngine::new(&kernels, &compiled, None, &cfg)
             .flagging_kernels(&safe, &mut EvalScratch::new());
         assert!(flags.is_empty(), "safe clip should pass, got {flags:?}");
     }

@@ -26,19 +26,22 @@
 //! Prometheus `/metrics` endpoint and an NDJSON event log — without
 //! changing a single output bit.
 //!
-//! The one-stop API is [`HotspotDetector`], configured through its builder:
+//! The one-stop API is [`HotspotDetector`], configured by one
+//! [`DetectorConfig`] (the paper's settings by default):
 //!
 //! ```no_run
-//! use hotspot_core::{HotspotDetector, TrainingSet};
+//! use hotspot_core::{DetectorConfig, HotspotDetector, TrainingSet};
 //! use hotspot_layout::{LayerId, Layout};
 //!
 //! # fn get_training_set() -> TrainingSet { unimplemented!() }
 //! # fn get_layout() -> Layout { unimplemented!() }
 //! let training: TrainingSet = get_training_set();
 //! let layout: Layout = get_layout();
-//! let detector = HotspotDetector::builder()
-//!     .threads(4)
-//!     .train(&training)?;
+//! let config = DetectorConfig {
+//!     threads: 4,
+//!     ..Default::default()
+//! };
+//! let detector = HotspotDetector::train(&training, config)?;
 //! let report = detector.detect(&layout, LayerId::METAL1)?;
 //! println!("{} hotspots reported", report.reported.len());
 //! # Ok::<(), hotspot_core::DetectError>(())
@@ -68,7 +71,7 @@ pub mod training;
 
 pub use cancel::{AbortReason, CancelToken};
 pub use config::{AblationSwitches, AdmissionParams, DetectorConfig, DistributionFilter, EvalMode};
-pub use detector::{DetectError, DetectorBuilder, HotspotDetector};
+pub use detector::{DetectError, HotspotDetector};
 pub use engine::{
     FaultPlan, FaultSite, PipelineTelemetry, StageTelemetry, TaskFailure, TELEMETRY_SCHEMA_VERSION,
 };

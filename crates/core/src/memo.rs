@@ -151,7 +151,9 @@ fn pack(x0: i64, y0: i64, x1: i64, y1: i64) -> Option<Cell> {
 mod tests {
     use super::*;
     use crate::feedback::EvalEngine;
-    use crate::{AdmissionParams, EvalScratch, HotspotDetector, Label, Pattern, TrainingSet};
+    use crate::{
+        AdmissionParams, DetectorConfig, EvalScratch, HotspotDetector, Label, Pattern, TrainingSet,
+    };
     use hotspot_geom::Point;
     use hotspot_layout::{ClipShape, ClipWindow};
     use proptest::prelude::*;
@@ -172,14 +174,15 @@ mod tests {
             for i in 0..8 {
                 training.push(bars(Point::new(0, 0), 480 + 10 * i), Label::NonHotspot);
             }
-            HotspotDetector::builder()
-                .max_learning_rounds(2)
-                .admission(AdmissionParams {
+            let config = DetectorConfig {
+                max_learning_rounds: 2,
+                admission: AdmissionParams {
                     fuzziness: 3.0,
                     ..Default::default()
-                })
-                .train(&training)
-                .expect("toy training")
+                },
+                ..Default::default()
+            };
+            HotspotDetector::train(&training, config).expect("toy training")
         })
     }
 

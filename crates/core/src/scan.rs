@@ -68,7 +68,7 @@
 //! # Example
 //!
 //! ```
-//! use hotspot_core::{HotspotDetector, Label, Pattern, ScanConfig, TrainingSet};
+//! use hotspot_core::{DetectorConfig, HotspotDetector, Label, Pattern, ScanConfig, TrainingSet};
 //! use hotspot_geom::{Point, Rect};
 //! use hotspot_layout::{ClipShape, LayerId, Layout};
 //!
@@ -88,15 +88,16 @@
 //! for i in 0..8 {
 //!     training.push(clip(480 + 10 * i), Label::NonHotspot);
 //! }
-//! let config = HotspotDetector::builder()
-//!     .threads(2)
-//!     .max_learning_rounds(2)
-//!     .distribution(hotspot_core::DistributionFilter {
+//! let config = DetectorConfig {
+//!     threads: 2,
+//!     max_learning_rounds: 2,
+//!     distribution: hotspot_core::DistributionFilter {
 //!         min_core_density: 0.001,
 //!         min_polygon_count: 1,
 //!         max_boundary_bbox_distance: 4800,
-//!     })
-//!     .build()?;
+//!     },
+//!     ..Default::default()
+//! };
 //! let detector = HotspotDetector::train(&training, config)?;
 //!
 //! // Plant the hotspot motif in a layout and stream-scan it.
@@ -115,7 +116,6 @@
 //! ```
 
 use crate::cancel::{AbortReason, CancelPanic, CancelToken, TimeoutPanic};
-use crate::config::DetectorConfig;
 use crate::detector::{DetectError, HotspotDetector};
 use crate::engine::executor::panic_payload_to_string;
 use crate::engine::{
@@ -569,7 +569,7 @@ impl Drop for InFlightGuard<'_> {
 }
 
 /// Per-worker scratch reused across tiles, like [`EvalScratch`] but for
-/// the whole of `process_tile_with`: the split-piece buffer, the anchor-dedup
+/// the whole of [`TileRunner::process`]: the split-piece buffer, the anchor-dedup
 /// set, the extracted patterns, and the evaluation scratch itself. Buffers
 /// grow to their high-water marks once and are cleared — not freed — at
 /// the start of every tile, so outcomes never depend on what ran before.
@@ -612,7 +612,9 @@ impl HotspotDetector {
     /// unobserved run:
     ///
     /// ```
-    /// use hotspot_core::{HotspotDetector, Label, ObsHub, Pattern, ScanConfig, TrainingSet};
+    /// use hotspot_core::{
+    ///     DetectorConfig, HotspotDetector, Label, ObsHub, Pattern, ScanConfig, TrainingSet,
+    /// };
     /// use hotspot_geom::{Point, Rect};
     /// use hotspot_layout::{ClipShape, LayerId, Layout};
     ///
@@ -631,7 +633,10 @@ impl HotspotDetector {
     /// for i in 0..8 {
     ///     training.push(clip(480 + 10 * i), Label::NonHotspot);
     /// }
-    /// let config = HotspotDetector::builder().max_learning_rounds(2).build()?;
+    /// let config = DetectorConfig {
+    ///     max_learning_rounds: 2,
+    ///     ..Default::default()
+    /// };
     /// let hub = ObsHub::new();
     /// let detector = HotspotDetector::train(&training, config)?.with_obs(hub.clone());
     ///
@@ -661,22 +666,6 @@ impl HotspotDetector {
         layout: &Layout,
         layer: LayerId,
         scan: &ScanConfig,
-    ) -> Result<ScanReport, DetectError> {
-        self.scan_layout_with_threshold(layout, layer, scan, self.config().decision_threshold)
-    }
-
-    /// [`scan_layout`](Self::scan_layout) with an explicit decision
-    /// threshold (for the Fig. 15 trade-off sweep).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`scan_layout`](Self::scan_layout).
-    pub fn scan_layout_with_threshold(
-        &self,
-        layout: &Layout,
-        layer: LayerId,
-        scan: &ScanConfig,
-        threshold: f64,
     ) -> Result<ScanReport, DetectError> {
         scan.validate().map_err(DetectError::Config)?;
         self.validate()?;
@@ -719,7 +708,7 @@ impl HotspotDetector {
             cache_verify: scan.cache_verify,
         };
         let mut sink = TileSink {
-            cache: self.open_cache(scan, layer, threshold),
+            cache: self.open_cache(scan, layer),
             scan,
         };
         // The scan's one stop token: the caller's flag bounded by the
@@ -733,7 +722,7 @@ impl HotspotDetector {
         if let Some(hub) = obs {
             hub.set_deadline(deadline_at);
         }
-        let runner = TileRunner::new(self, &index, scan, threshold, threads, stop);
+        let runner = TileRunner::new(self, &index, scan, threads, stop);
 
         let mut tally = ScanTally::default();
         let batches: Result<_, DetectError> = (|| loop {
@@ -814,160 +803,16 @@ impl HotspotDetector {
         })
     }
 
-    /// Prefilters, extracts, and classifies the clips one tile owns.
-    ///
-    /// `tile_id` is the stable grid id and `attempt` the attempt number
-    /// (0 = first, 1 = retry); both exist only to key the deterministic
-    /// fault-injection hooks, which compile down to an `is_empty` check on
-    /// production scans. `stop` is the scan's stop token, polled
-    /// at stage boundaries together with the soft tile budget. `memo` is
-    /// the scan's shared decision memo and `scratch` the worker's reusable
-    /// buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn process_tile_with(
-        &self,
-        tile: &Tile,
-        index: &RectIndex,
-        config: &DetectorConfig,
-        scan: &ScanConfig,
-        threshold: f64,
-        memo: &EvalMemo,
-        tile_id: usize,
-        attempt: u32,
-        stop: &CancelToken,
-        scratch: &mut TileScratch,
-    ) -> TileOutcome {
-        let shape = config.clip_shape;
-        let fault = &scan.fault_plan;
-        let budget = scan.tile_timeout;
-        let tile_started = Instant::now();
-        let checkpoint = || poll_stop(stop, budget, tile_started);
-        let mut work = TileWork::default();
-
-        // Density prefilter. `covered` double-counts overlapping pattern
-        // rectangles, so it upper-bounds the pattern area over any core the
-        // tile owns: skipping only below `min_core_density × core_area`
-        // can never drop a clip that extraction would keep.
-        if !fault.is_empty() {
-            fault.inject(FaultSite::Prefilter, tile_id, attempt);
-        }
-        checkpoint();
-        let t0 = Instant::now();
-        // Cleared up front (set again below for surviving Sat tiles) so
-        // tables never leak from one tile into the next on this worker's
-        // scratch.
-        scratch.eval.clear_raster_tables();
-        let covered = covered_area(&tile.rects, &tile.window);
-        let core_area = (shape.core_side() * shape.core_side()) as f64;
-        let conservative_cut = (covered as f64) < config.distribution.min_core_density * core_area;
-        let aggressive_cut = scan
-            .tile_density
-            .is_some_and(|min_cov| (covered as f64) < min_cov * tile.window.area() as f64);
-        work.prefilter_time = t0.elapsed();
-        if conservative_cut || aggressive_cut {
-            return TileOutcome {
-                record: TileOutcomeRecord::Prefiltered,
-                work,
-            };
-        }
-
-        // Clip extraction, restricted to the anchors this tile owns. Tile
-        // regions partition the plane, so per-tile dedup over owned anchors
-        // equals the global anchor dedup of `extract_clips_indexed`.
-        if !fault.is_empty() {
-            fault.inject(FaultSite::Extraction, tile_id, attempt);
-        }
-        checkpoint();
-        let t1 = Instant::now();
-        let TileScratch {
-            eval,
-            pieces,
-            seen,
-            patterns,
-            windows,
-        } = scratch;
-        split_oversized_into(&tile.rects, shape.core_side(), pieces);
-        seen.clear();
-        patterns.clear();
-        for piece in pieces.iter() {
-            let anchor = piece.min();
-            if !tile.region.contains_point(anchor) || !seen.insert(anchor) {
-                continue;
-            }
-            let window = shape.window_from_core_corner(anchor);
-            let pattern = Pattern::new(window, &index.query(&window.clip));
-            if passes_filter(&pattern, &config.distribution) {
-                patterns.push(pattern);
-            }
-        }
-        work.extract_time = t1.elapsed();
-
-        // Multiple-kernel (and feedback) evaluation: the tile's clips form
-        // one batch sharing the worker's `EvalScratch` buffers; only its
-        // telemetry counters are reset per tile.
-        if !fault.is_empty() {
-            fault.inject(FaultSite::Evaluation, tile_id, attempt);
-        }
-        checkpoint();
-        let t2 = Instant::now();
-        // Padded subtile summed-area tables over the tile's dissected rects
-        // serve the whole eval loop: every owned clip's core grid is
-        // rasterised from its subtile's table. Built only for tiles the
-        // prefilter kept, after extraction, and only for the subtiles the
-        // extracted clip windows anchor in. Subtiles over the cell cap (or
-        // outside the anchored set) have no table and their clips sweep
-        // their own rects — bit-identical either way.
-        if !patterns.is_empty() {
-            windows.clear();
-            windows.extend(patterns.iter().map(|p| p.window.core));
-            eval.rebuild_raster_tables(
-                &tile.region,
-                shape.core_side() * RASTER_SUBTILE_CORES,
-                shape.core_side(),
-                &tile.rects,
-                AreaTable::DEFAULT_MAX_CELLS,
-                windows,
-            );
-        }
-        let engine = self.eval_engine_with_threshold(threshold).with_memo(memo);
-        eval.reset_counters();
-        let (mut flagged, mut reclaimed, mut flagged_cores) = (0, 0, Vec::new());
-        for pattern in patterns.iter() {
-            checkpoint();
-            let (flag, reclaim) = Self::flag_with_engine(&engine, pattern, eval);
-            if flag {
-                flagged += 1;
-                if reclaim {
-                    reclaimed += 1;
-                } else {
-                    flagged_cores.push(pattern.window.core);
-                }
-            }
-        }
-        work.admissions = eval.admissions();
-        work.admission_skips = eval.admission_skips();
-        work.eval_time = t2.elapsed();
-        TileOutcome {
-            record: TileOutcomeRecord::Evaluated {
-                clips: patterns.len(),
-                flagged,
-                reclaimed,
-                flagged_cores,
-            },
-            work,
-        }
-    }
-
     /// Opens the scan's tile cache, when one is configured. Opening never
     /// fails: a corrupt or mismatched store is discarded, not trusted, and
     /// the hub hears what was thrown away.
-    fn open_cache(&self, scan: &ScanConfig, layer: LayerId, threshold: f64) -> Option<TileCache> {
+    fn open_cache(&self, scan: &ScanConfig, layer: LayerId) -> Option<TileCache> {
         let path = scan.cache.as_deref()?;
         let header = CacheHeader::new(
             self.model_fingerprint(),
             scan.tile_cores,
             layer,
-            threshold,
+            self.config().decision_threshold,
             scan.tile_density,
         );
         let mut cache = TileCache::open(path, header);
@@ -1098,7 +943,6 @@ struct TileRunner<'a> {
     detector: &'a HotspotDetector,
     index: &'a RectIndex,
     scan: &'a ScanConfig,
-    threshold: f64,
     /// Admitted kernel decisions per distinct clip core, shared by every
     /// worker and dropped with the scan.
     memo: EvalMemo,
@@ -1114,7 +958,6 @@ impl<'a> TileRunner<'a> {
         detector: &'a HotspotDetector,
         index: &'a RectIndex,
         scan: &'a ScanConfig,
-        threshold: f64,
         threads: usize,
         stop: CancelToken,
     ) -> Self {
@@ -1122,7 +965,6 @@ impl<'a> TileRunner<'a> {
             detector,
             index,
             scan,
-            threshold,
             memo: EvalMemo::new(),
             executor: Executor::new(threads),
             stop,
@@ -1159,7 +1001,7 @@ impl<'a> TileRunner<'a> {
                 let _guard = InFlightGuard(&self.in_flight, self.obs);
                 self.peak.fetch_max(current, Ordering::SeqCst);
                 self.progress(Counter::TilesStarted);
-                self.process(&batch[pos], 0)
+                TILE_SCRATCH.with_borrow_mut(|scratch| self.process(&batch[pos], 0, scratch))
             },
             Some(&self.stop),
         );
@@ -1185,7 +1027,8 @@ impl<'a> TileRunner<'a> {
             };
             let slot = &mut slots[pos];
             slot.retried = true;
-            let payload = match catch_unwind(AssertUnwindSafe(|| self.process(slot, 1))) {
+            let retry = || TILE_SCRATCH.with_borrow_mut(|scratch| self.process(slot, 1, scratch));
+            let payload = match catch_unwind(AssertUnwindSafe(retry)) {
                 Ok(outcome) => {
                     slot.state = TileState::Done(outcome);
                     continue;
@@ -1237,23 +1080,137 @@ impl<'a> TileRunner<'a> {
         Ok(stats)
     }
 
-    /// One attempt (0 = first, 1 = retry) at a tile, on this worker's
-    /// scratch.
-    fn process(&self, slot: &Slot, attempt: u32) -> TileOutcome {
-        TILE_SCRATCH.with(|cell| {
-            self.detector.process_tile_with(
-                &slot.tile,
-                self.index,
-                self.detector.config(),
-                self.scan,
-                self.threshold,
-                &self.memo,
-                slot.id,
-                attempt,
-                &self.stop,
-                &mut cell.borrow_mut(),
-            )
-        })
+    /// One attempt (0 = first, 1 = retry) at prefiltering, extracting and
+    /// classifying the clips a tile owns, on the worker's reusable
+    /// `scratch`.
+    ///
+    /// The slot's stable grid id and `attempt` exist only to key the
+    /// deterministic fault-injection hooks, which compile down to an
+    /// `is_empty` check on production scans. The scan's stop token is
+    /// polled at stage boundaries together with the soft tile budget.
+    fn process(&self, slot: &Slot, attempt: u32, scratch: &mut TileScratch) -> TileOutcome {
+        let (tile, tile_id) = (&slot.tile, slot.id);
+        let config = self.detector.config();
+        let shape = config.clip_shape;
+        let fault = &self.scan.fault_plan;
+        let budget = self.scan.tile_timeout;
+        let tile_started = Instant::now();
+        let checkpoint = || poll_stop(&self.stop, budget, tile_started);
+        let mut work = TileWork::default();
+
+        // Density prefilter. `covered` double-counts overlapping pattern
+        // rectangles, so it upper-bounds the pattern area over any core the
+        // tile owns: skipping only below `min_core_density × core_area`
+        // can never drop a clip that extraction would keep.
+        if !fault.is_empty() {
+            fault.inject(FaultSite::Prefilter, tile_id, attempt);
+        }
+        checkpoint();
+        let t0 = Instant::now();
+        // Cleared up front (set again below for surviving Sat tiles) so
+        // tables never leak from one tile into the next on this worker's
+        // scratch.
+        scratch.eval.clear_raster_tables();
+        let covered = covered_area(&tile.rects, &tile.window);
+        let core_area = (shape.core_side() * shape.core_side()) as f64;
+        let conservative_cut = (covered as f64) < config.distribution.min_core_density * core_area;
+        let aggressive_cut = self
+            .scan
+            .tile_density
+            .is_some_and(|min_cov| (covered as f64) < min_cov * tile.window.area() as f64);
+        work.prefilter_time = t0.elapsed();
+        if conservative_cut || aggressive_cut {
+            return TileOutcome {
+                record: TileOutcomeRecord::Prefiltered,
+                work,
+            };
+        }
+
+        // Clip extraction, restricted to the anchors this tile owns. Tile
+        // regions partition the plane, so per-tile dedup over owned anchors
+        // equals the global anchor dedup of `extract_clips_indexed`.
+        if !fault.is_empty() {
+            fault.inject(FaultSite::Extraction, tile_id, attempt);
+        }
+        checkpoint();
+        let t1 = Instant::now();
+        let TileScratch {
+            eval,
+            pieces,
+            seen,
+            patterns,
+            windows,
+        } = scratch;
+        split_oversized_into(&tile.rects, shape.core_side(), pieces);
+        seen.clear();
+        patterns.clear();
+        for piece in pieces.iter() {
+            let anchor = piece.min();
+            if !tile.region.contains_point(anchor) || !seen.insert(anchor) {
+                continue;
+            }
+            let window = shape.window_from_core_corner(anchor);
+            let pattern = Pattern::new(window, &self.index.query(&window.clip));
+            if passes_filter(&pattern, &config.distribution) {
+                patterns.push(pattern);
+            }
+        }
+        work.extract_time = t1.elapsed();
+
+        // Multiple-kernel (and feedback) evaluation: the tile's clips form
+        // one batch sharing the worker's `EvalScratch` buffers; only its
+        // telemetry counters are reset per tile.
+        if !fault.is_empty() {
+            fault.inject(FaultSite::Evaluation, tile_id, attempt);
+        }
+        checkpoint();
+        let t2 = Instant::now();
+        // Padded subtile summed-area tables over the tile's dissected rects
+        // serve the whole eval loop: every owned clip's core grid is
+        // rasterised from its subtile's table. Built only for tiles the
+        // prefilter kept, after extraction, and only for the subtiles the
+        // extracted clip windows anchor in. Subtiles over the cell cap (or
+        // outside the anchored set) have no table and their clips sweep
+        // their own rects — bit-identical either way.
+        if !patterns.is_empty() {
+            windows.clear();
+            windows.extend(patterns.iter().map(|p| p.window.core));
+            eval.rebuild_raster_tables(
+                &tile.region,
+                shape.core_side() * RASTER_SUBTILE_CORES,
+                shape.core_side(),
+                &tile.rects,
+                AreaTable::DEFAULT_MAX_CELLS,
+                windows,
+            );
+        }
+        let engine = self.detector.eval_engine().with_memo(&self.memo);
+        eval.reset_counters();
+        let (mut flagged, mut reclaimed, mut flagged_cores) = (0, 0, Vec::new());
+        for pattern in patterns.iter() {
+            checkpoint();
+            let (flag, reclaim) = HotspotDetector::flag_with_engine(&engine, pattern, eval);
+            if flag {
+                flagged += 1;
+                if reclaim {
+                    reclaimed += 1;
+                } else {
+                    flagged_cores.push(pattern.window.core);
+                }
+            }
+        }
+        work.admissions = eval.admissions();
+        work.admission_skips = eval.admission_skips();
+        work.eval_time = t2.elapsed();
+        TileOutcome {
+            record: TileOutcomeRecord::Evaluated {
+                clips: patterns.len(),
+                flagged,
+                reclaimed,
+                flagged_cores,
+            },
+            work,
+        }
     }
 
     /// Worker-side progress: one relaxed add per transition.
@@ -1748,10 +1705,11 @@ mod tests {
             training.push(pattern(false, i), Label::Hotspot);
             training.push(pattern(true, i), Label::NonHotspot);
         }
-        let det = HotspotDetector::builder()
-            .max_learning_rounds(2)
-            .train(&training)
-            .unwrap();
+        let config = crate::DetectorConfig {
+            max_learning_rounds: 2,
+            ..Default::default()
+        };
+        let det = HotspotDetector::train(&training, config).unwrap();
         assert!(
             det.feedback().is_some(),
             "the toy model has a feedback kernel"

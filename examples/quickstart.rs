@@ -6,7 +6,7 @@
 //! ```
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
-use hotspot_suite::core::HotspotDetector;
+use hotspot_suite::core::{DetectorConfig, HotspotDetector};
 use hotspot_suite::layout::ClipShape;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,11 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Train the full framework of the paper: topological classification,
     //    population balancing, per-cluster SVM kernels with iterative
-    //    (C, γ) learning, and the feedback kernel. The builder validates
-    //    every setting before training starts.
-    let detector = HotspotDetector::builder()
-        .auto_threads()
-        .train(&benchmark.training)?;
+    //    (C, γ) learning, and the feedback kernel. The default config holds
+    //    the paper's settings (one worker per core); `train` validates it
+    //    before training starts.
+    let detector = HotspotDetector::train(&benchmark.training, DetectorConfig::default())?;
     let summary = detector.summary();
     println!(
         "trained {} kernels from {} upsampled hotspots / {} nonhotspot medoids (feedback: {})",

@@ -8,7 +8,7 @@
 //! ```
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
-use hotspot_suite::core::{HotspotDetector, ScanConfig};
+use hotspot_suite::core::{DetectorConfig, HotspotDetector, ScanConfig};
 use hotspot_suite::layout::ClipShape;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,9 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ambit_filler: true,
     });
 
-    let detector = HotspotDetector::builder()
-        .auto_threads()
-        .train(&benchmark.training)?;
+    let detector = HotspotDetector::train(&benchmark.training, DetectorConfig::default())?;
     println!("trained {} kernels", detector.kernels().len());
 
     // 2. Stream the layout: 4-core tiles (19.2 µm stride at ICCAD-2012

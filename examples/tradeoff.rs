@@ -6,7 +6,7 @@
 //! ```
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
-use hotspot_suite::core::HotspotDetector;
+use hotspot_suite::core::{DetectorConfig, HotspotDetector};
 use hotspot_suite::layout::ClipShape;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,15 +25,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ambit_filler: true,
     });
 
-    let detector = HotspotDetector::builder().train(&benchmark.training)?;
+    // The feedback kernel is trained once, at the default threshold; each
+    // operating point only moves the evaluation threshold.
+    let detector = HotspotDetector::train(&benchmark.training, DetectorConfig::default())?;
 
     println!(
         "{:>10} {:>9} {:>7} {:>8} {:>11}",
         "threshold", "hit rate", "#hit", "#extra", "hit/extra"
     );
     for threshold in [-0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2] {
-        let report =
-            detector.detect_with_threshold(&benchmark.layout, benchmark.layer, threshold)?;
+        let report = detector
+            .clone()
+            .with_decision_threshold(threshold)
+            .detect(&benchmark.layout, benchmark.layer)?;
         let eval = report.score_against(&benchmark.actual, 0.2, benchmark.area_um2());
         println!(
             "{:>10.2} {:>8.2}% {:>7} {:>8} {:>11.3e}",

@@ -178,8 +178,17 @@ for mode in reference Reference; do
   sed "s/\"eval_mode\":\"[A-Za-z_]*\"/\"eval_mode\":\"$mode\"/" "$FAULT_DIR/model.json" \
     > "$JSON_DIR/eval_mode_$mode.json"
 done
+# A clip shape `ClipShape::new` rejects, which deserialisation lets
+# through: core and clip sides swapped, or the clip side one nanometre
+# longer (an odd ambit). The model check names it before any tile runs.
+sed 's/"clip_shape":{"core_side":\([0-9]*\),"clip_side":\([0-9]*\)}/"clip_shape":{"core_side":\2,"clip_side":\1}/' \
+  "$FAULT_DIR/model.json" > "$JSON_DIR/inverted_clip_shape.json"
+clip_side=$(grep -o '"clip_shape":{"core_side":[0-9]*,"clip_side":[0-9]*' "$FAULT_DIR/model.json" \
+  | head -n 1 | grep -o '[0-9]*$')
+sed "s/\"clip_side\":$clip_side}/\"clip_side\":$((clip_side + 1))}/" \
+  "$FAULT_DIR/model.json" > "$JSON_DIR/odd_ambit.json"
 for crafted in short_features feedback_mismatch short_support short_centroid \
-  eval_mode_reference eval_mode_Reference; do
+  eval_mode_reference eval_mode_Reference inverted_clip_shape odd_ambit; do
   if cmp -s "$FAULT_DIR/model.json" "$JSON_DIR/$crafted.json"; then
     echo "hostile-JSON smoke ($crafted): the model has no field to corrupt"
     exit 1
@@ -206,7 +215,7 @@ if grep -q panicked "$JSON_DIR/err.txt"; then
   cat "$JSON_DIR/err.txt"
   exit 1
 fi
-echo "hostile-JSON smoke: nested, truncated, inconsistent and retired-engine models and an empty-core training set exit 4"
+echo "hostile-JSON smoke: nested, truncated, inconsistent, bad-clip-shape and retired-engine models and an empty-core training set exit 4"
 
 echo "==> unknown-flag smoke (a retired or misspelt flag: exit 2)"
 # `--eval-mode` was retired; an unknown flag must be a usage error, not

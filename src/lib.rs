@@ -21,11 +21,11 @@
 //!
 //! ```no_run
 //! use hotspot_suite::benchgen::{Benchmark, iccad_suite, SuiteScale};
-//! use hotspot_suite::core::HotspotDetector;
+//! use hotspot_suite::core::{DetectorConfig, HotspotDetector};
 //!
 //! let spec = iccad_suite(SuiteScale::Tiny).remove(0);
 //! let bm = Benchmark::generate(spec);
-//! let detector = HotspotDetector::builder().auto_threads().train(&bm.training)?;
+//! let detector = HotspotDetector::train(&bm.training, DetectorConfig::default())?;
 //! let report = detector.detect(&bm.layout, bm.layer)?;
 //! println!("{} hotspots reported", report.reported.len());
 //! # Ok::<(), hotspot_suite::core::DetectError>(())

@@ -13,8 +13,8 @@
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::{
-    AbortReason, CacheEntry, CancelToken, FailureKind, FailurePolicy, FaultPlan, FaultSite,
-    HotspotDetector, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport,
+    AbortReason, CacheEntry, CancelToken, DetectorConfig, FailureKind, FailurePolicy, FaultPlan,
+    FaultSite, HotspotDetector, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport,
 };
 use hotspot_suite::layout::scan::{TileScanner, TileSpec};
 use hotspot_suite::layout::ClipShape;
@@ -47,10 +47,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 

@@ -109,7 +109,9 @@ fn raising_threshold_never_raises_flag_count() {
     let mut last = usize::MAX;
     for threshold in [-0.5, 0.0, 0.5, 1.0, 2.0] {
         let report = detector
-            .detect_with_threshold(&bm.layout, bm.layer, threshold)
+            .clone()
+            .with_decision_threshold(threshold)
+            .detect(&bm.layout, bm.layer)
             .expect("evaluation");
         assert!(
             report.clips_flagged <= last,

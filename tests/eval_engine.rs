@@ -7,7 +7,7 @@
 
 use hotspot_suite::benchgen::{iccad_suite, Benchmark, BenchmarkSpec, LithoOracle, SuiteScale};
 use hotspot_suite::core::engine::StageId;
-use hotspot_suite::core::{HotspotDetector, ScanConfig};
+use hotspot_suite::core::{DetectorConfig, HotspotDetector, ScanConfig};
 use hotspot_suite::layout::ClipShape;
 use std::sync::OnceLock;
 
@@ -36,10 +36,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 
@@ -55,10 +59,14 @@ fn compiled_detect_matches_reference_across_thread_counts() {
         .find(|s| s.name == "array_benchmark1")
         .expect("suite benchmark");
     let array = Benchmark::generate(spec);
-    let detector = HotspotDetector::builder()
-        .threads(2)
-        .train(&array.training)
-        .expect("training");
+    let detector = HotspotDetector::train(
+        &array.training,
+        DetectorConfig {
+            threads: 2,
+            ..Default::default()
+        },
+    )
+    .expect("training");
     assert_engines_match_across_thread_counts(&array, &detector);
 }
 
@@ -126,18 +134,21 @@ fn compiled_scan_matches_reference_engine() {
 fn classify_agrees_between_engines() {
     let bm = benchmark();
     let detector = trained(bm);
-    let threshold = detector.config().decision_threshold;
+    let at: Vec<HotspotDetector> = [-0.5, 0.0, 0.5]
+        .map(|threshold| detector.clone().with_decision_threshold(threshold))
+        .into();
 
     for pattern in bm.training.hotspots.iter().chain(&bm.training.nonhotspots) {
         assert_eq!(
             detector.classify(pattern),
-            support::evaluate_clip(detector, pattern, threshold).is_hotspot(),
+            support::evaluate_clip(detector, pattern).is_hotspot(),
             "engines disagree on a training clip"
         );
-        for threshold in [-0.5, 0.0, 0.5] {
+        for detector in &at {
+            let threshold = detector.config().decision_threshold;
             assert_eq!(
-                detector.classify_with_threshold(pattern, threshold),
-                support::evaluate_clip(detector, pattern, threshold).is_hotspot(),
+                detector.classify(pattern),
+                support::evaluate_clip(detector, pattern).is_hotspot(),
                 "engines disagree at threshold {threshold}"
             );
         }

@@ -13,8 +13,8 @@
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::{
-    CacheEntry, DetectError, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, ObsHub,
-    ScanConfig, ScanReport,
+    CacheEntry, DetectError, DetectorConfig, FailurePolicy, FaultPlan, FaultSite, HotspotDetector,
+    ObsHub, ScanConfig, ScanReport,
 };
 use hotspot_suite::geom::Point;
 use hotspot_suite::layout::scan::{TileScanner, TileSpec};
@@ -45,10 +45,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 

@@ -13,7 +13,7 @@
 //! deliberate.
 
 use hotspot_suite::benchgen::{iccad_suite, Benchmark, SuiteScale};
-use hotspot_suite::core::HotspotDetector;
+use hotspot_suite::core::{DetectorConfig, HotspotDetector};
 
 const RECORD: &str = include_str!("golden/tiny_suite.txt");
 
@@ -36,10 +36,14 @@ fn model_hash(detector: &HotspotDetector) -> u64 {
 }
 
 fn train(bm: &Benchmark) -> HotspotDetector {
-    HotspotDetector::builder()
-        .threads(2)
-        .train(&bm.training)
-        .expect("training")
+    HotspotDetector::train(
+        &bm.training,
+        DetectorConfig {
+            threads: 2,
+            ..Default::default()
+        },
+    )
+    .expect("training")
 }
 
 fn record_line(bm: &Benchmark) -> String {

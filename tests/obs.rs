@@ -8,8 +8,9 @@ use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::obs::read_events;
 use hotspot_suite::core::{
-    AbortReason, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, MetricsServer,
-    NdjsonSink, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport, OBS_SCHEMA_VERSION,
+    AbortReason, DetectorConfig, FailureKind, FailurePolicy, FaultPlan, FaultSite, HotspotDetector,
+    MetricsServer, NdjsonSink, ObsEvent, ObsHub, ObsRecord, ObsSink, ScanConfig, ScanReport,
+    OBS_SCHEMA_VERSION,
 };
 use hotspot_suite::layout::ClipShape;
 use proptest::prelude::*;
@@ -42,10 +43,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 

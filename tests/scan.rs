@@ -6,7 +6,7 @@
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::engine::StageId;
 use hotspot_suite::core::scan::MAX_SCAN_TILES;
-use hotspot_suite::core::{DetectError, HotspotDetector, ScanConfig};
+use hotspot_suite::core::{DetectError, DetectorConfig, HotspotDetector, ScanConfig};
 use hotspot_suite::geom::Rect;
 use hotspot_suite::layout::{gdsii, ClipShape, LayerId, Layout};
 use std::sync::OnceLock;
@@ -36,10 +36,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 

@@ -41,8 +41,9 @@ impl ClipVerdict {
     }
 }
 
-/// Evaluates one clip naively at decision threshold `threshold`.
-pub fn evaluate_clip(detector: &HotspotDetector, clip: &Pattern, threshold: f64) -> ClipVerdict {
+/// Evaluates one clip naively at the detector's configured decision
+/// threshold.
+pub fn evaluate_clip(detector: &HotspotDetector, clip: &Pattern) -> ClipVerdict {
     let config = detector.config();
     let (signature, grid) = core_signature_and_grid(clip, config);
     let mut verdict = ClipVerdict {
@@ -58,7 +59,7 @@ pub fn evaluate_clip(detector: &HotspotDetector, clip: &Pattern, threshold: f64)
         }
         verdict.admissions += 1;
         let features = feature_vector_padded(clip, Region::Core, config, k.feature_len);
-        verdict.flagged |= k.model.decision_value(&features) > threshold;
+        verdict.flagged |= k.model.decision_value(&features) > config.decision_threshold;
     }
     let feedback = detector.feedback().filter(|_| config.ablation.feedback);
     if let (true, Some(fb)) = (verdict.flagged, feedback) {
@@ -93,7 +94,7 @@ pub fn whole_layout_reference(
     let (mut clips_flagged, mut feedback_reclaimed, mut admissions) = (0, 0, 0);
     let mut cores = Vec::new();
     for clip in &clips {
-        let verdict = evaluate_clip(detector, clip, config.decision_threshold);
+        let verdict = evaluate_clip(detector, clip);
         admissions += verdict.admissions as u64;
         clips_flagged += usize::from(verdict.flagged);
         feedback_reclaimed += usize::from(verdict.reclaimed);

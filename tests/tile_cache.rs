@@ -15,7 +15,8 @@
 
 use hotspot_suite::benchgen::{Benchmark, BenchmarkSpec, LithoOracle};
 use hotspot_suite::core::{
-    AbortReason, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, ScanConfig, ScanReport,
+    AbortReason, DetectorConfig, FailurePolicy, FaultPlan, FaultSite, HotspotDetector, ScanConfig,
+    ScanReport,
 };
 use hotspot_suite::geom::Rect;
 use hotspot_suite::layout::scan::{TileScanner, TileSpec};
@@ -48,10 +49,14 @@ fn benchmark() -> &'static Benchmark {
 fn trained(bm: &Benchmark) -> &'static HotspotDetector {
     static DET: OnceLock<HotspotDetector> = OnceLock::new();
     DET.get_or_init(|| {
-        HotspotDetector::builder()
-            .threads(2)
-            .train(&bm.training)
-            .expect("training")
+        HotspotDetector::train(
+            &bm.training,
+            DetectorConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .expect("training")
     })
 }
 
@@ -248,6 +253,26 @@ fn grid_or_threshold_change_discards_the_whole_cache() {
     let back = run(&cached_scan(&cache), 2);
     assert_eq!(back.cache_hits, 0);
     assert_eq!(back.digest(), clean_report().digest());
+
+    // Same cache and grid, another decision threshold: the model
+    // fingerprint hashes the threshold, so nothing is served, and the
+    // recomputed report is an uncached scan's at that threshold.
+    let raised = |scan: &ScanConfig| {
+        let bm = benchmark();
+        trained(bm)
+            .clone()
+            .with_threads(2)
+            .with_decision_threshold(0.5)
+            .scan_layout(&bm.layout, bm.layer, scan)
+            .expect("scan")
+    };
+    let report = raised(&cached_scan(&cache));
+    assert_eq!(
+        report.cache_hits, 0,
+        "a threshold change discards the cache"
+    );
+    assert!(report.cache_misses > 0);
+    assert_eq!(report.digest(), raised(&base_scan()).digest());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -39,6 +39,48 @@ fn bench_smo_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// SMO's slow regime in detector training: a first-round fit (C = 1000,
+/// γ = 0.01) of a topology cluster with a few near-duplicate hotspots, as
+/// upsampling leaves them, against about 50 non-hotspots, over 40
+/// features in `[0, 1]`.
+fn tail_problem() -> (Vec<Vec<f64>>, Vec<f64>) {
+    const DIM: usize = 40;
+    let unit = |seed: usize, k: usize| ((seed * DIM + k) as f64 * 0.6180339887).fract();
+    let base: Vec<f64> = (0..DIM).map(|k| unit(0, k)).collect();
+    let mut x: Vec<Vec<f64>> = (0..4)
+        .map(|p| {
+            base.iter()
+                .enumerate()
+                .map(|(k, b)| b + 1e-4 * ((p * DIM + k) as f64).sin())
+                .collect()
+        })
+        .collect();
+    let mut y = vec![1.0; x.len()];
+    x.extend((1..=50).map(|s| (0..DIM).map(|k| unit(s, k)).collect()));
+    y.resize(x.len(), -1.0);
+    (x, y)
+}
+
+fn bench_smo_tail(c: &mut Criterion) {
+    let (x, y) = tail_problem();
+    let trainer = SvmTrainer::new(Kernel::rbf(0.01)).c(1000.0);
+    let mut group = c.benchmark_group("smo_tail");
+    group.bench_function("c1000_gamma0.01", |b| {
+        let model = trainer.train(&x, &y).expect("training");
+        println!(
+            "smo_tail: {} vectors, {} SMO iterations per fit",
+            x.len(),
+            model.iterations()
+        );
+        b.iter(|| {
+            trainer
+                .train(black_box(&x), black_box(&y))
+                .expect("training")
+        })
+    });
+    group.finish();
+}
+
 fn bench_predict(c: &mut Criterion) {
     let (x, y) = problem(200);
     let model = SvmTrainer::new(Kernel::rbf(1.0))
@@ -51,5 +93,5 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_smo_scaling, bench_predict);
+criterion_group!(benches, bench_smo_scaling, bench_smo_tail, bench_predict);
 criterion_main!(benches);

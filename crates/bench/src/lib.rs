@@ -31,10 +31,11 @@ pub struct MethodResult {
 
 impl MethodResult {
     /// Formats the row like Table II: `#hit #extra accuracy hit/extra
-    /// runtime`.
+    /// runtime`. Runtimes have millisecond resolution, so tiny-scale runs
+    /// do not all read zero.
     pub fn row(&self) -> String {
         format!(
-            "{:<12} {:>5} {:>7} {:>8.2}% {:>10.3e} {:>8.1}s (train {:>6.1}s, {} clips)",
+            "{:<12} {:>5} {:>7} {:>8.2}% {:>10.3e} {:>8.3}s (train {:>7.3}s, {} clips)",
             self.method,
             self.eval.hits,
             self.eval.extras,
@@ -191,6 +192,8 @@ mod tests {
         assert!(row.contains("ours"), "{row}");
         assert!(row.contains("clips"), "{row}");
         assert!(row.contains('%'), "{row}");
+        let runtime = format!("{:.3}s", r.eval.runtime.as_secs_f64());
+        assert!(row.contains(&runtime), "{row}");
     }
 
     #[test]

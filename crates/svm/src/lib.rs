@@ -10,9 +10,9 @@
 //!       k(xₙ, xₘ) = exp(−γ ‖xₙ − xₘ‖²)
 //! ```
 //!
-//! using SMO with maximal-violating-pair working-set selection, a kernel row
-//! cache, per-class penalty weights (for imbalanced data), and optional
-//! min-max feature scaling.
+//! using SMO with LIBSVM's second-order working-set selection (WSS2), a
+//! kernel row cache, per-class penalty weights (for imbalanced data), and
+//! optional min-max feature scaling.
 //!
 //! For the clip-evaluation hot loop, a trained model can be
 //! [compiled](SvmModel::compile) into a flattened [`CompiledModel`] and

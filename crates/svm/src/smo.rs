@@ -6,11 +6,21 @@
 //! min  ½ αᵀQα − eᵀα     s.t.  yᵀα = 0,  0 ≤ αᵢ ≤ C_{yᵢ}
 //! ```
 //!
-//! where `Q_ij = y_i y_j K(x_i, x_j)`, by repeatedly optimising the maximal
-//! violating pair (working-set selection WSS1 of Fan, Chen & Lin). This is
+//! where `Q_ij = y_i y_j K(x_i, x_j)`, by repeatedly optimising a pair
+//! chosen by the second-order working-set selection WSS2 of Fan, Chen &
+//! Lin (LIBSVM's default): `i` is the maximal violator in `I_up`, `j` the
+//! violating member of `I_low` with the largest second-order gain. This is
 //! the optimiser behind eq. (3) of the paper. Kernel rows come from a
 //! per-solve [`KernelCache`]; RBF rows are built from a [`DistanceTable`]
 //! the caller may share across solves on the same vectors.
+//!
+//! An iteration costs two passes over the `n` vectors. The index sets are
+//! kept in step with α (only `i` and `j` move), the solver keeps
+//! `mg_t = −y_t G_t` rather than the gradient `G`, and the pass that
+//! updates `mg` also selects the next iteration's `i`. Labels are exactly
+//! ±1, so every sign folded into `mg` is exact and the solution is the
+//! one a plain loop over `G` computes, bit for bit (DESIGN.md, "SMO
+//! iterations").
 
 use crate::{DistanceTable, Kernel, KernelCache};
 
@@ -91,17 +101,20 @@ pub fn solve_with_cache(
     let mut cache = KernelCache::new(kernel, x, distances);
     let qd: Vec<f64> = (0..n).map(|i| cache.diagonal(i)).collect();
 
-    let c_of = |i: usize| {
-        if y[i] > 0.0 {
-            params.c_pos
-        } else {
-            params.c_neg
-        }
-    };
-
+    // C_t and the index-set memberships, refreshed only for the two
+    // multipliers a step moves.
+    let c: Vec<f64> = y
+        .iter()
+        .map(|&t| if t > 0.0 { params.c_pos } else { params.c_neg })
+        .collect();
     let mut alpha = vec![0.0f64; n];
-    // G_i = (Qα)_i − 1; starts at −1 since α = 0.
-    let mut grad = vec![-1.0f64; n];
+    let mut status: Vec<Status> = y
+        .iter()
+        .zip(&c)
+        .map(|(&t, &c_t)| Status::of(t, 0.0, c_t))
+        .collect();
+    // mg_t = −y_t G_t, where G_t = (Qα)_t − 1 starts at −1 since α = 0.
+    let mut mg: Vec<f64> = y.to_vec();
 
     let max_iter = if params.max_iter == 0 {
         10_000_000u64.max(100 * n as u64)
@@ -109,48 +122,37 @@ pub fn solve_with_cache(
         params.max_iter
     };
 
+    let mut sel = Selection::default();
+    for (t, (&m, &s)) in mg.iter().zip(&status).enumerate() {
+        sel.visit(t, m, s);
+    }
     let mut iterations = 0u64;
     let mut converged = false;
     while iterations < max_iter {
         // Working-set selection WSS2 (Fan, Chen & Lin 2005 — LIBSVM's
-        // default): i maximises the violation over I_up; j minimises the
-        // second-order gain −b²/a over the violating members of I_low.
-        let mut g_max = f64::NEG_INFINITY; // max over I_up of −y G
-        let mut g_min = f64::INFINITY; // min over I_low of −y G
-        let mut i_sel = usize::MAX;
-        for t in 0..n {
-            let minus_yg = -y[t] * grad[t];
-            let in_up = (y[t] > 0.0 && alpha[t] < c_of(t)) || (y[t] < 0.0 && alpha[t] > 0.0);
-            let in_low = (y[t] < 0.0 && alpha[t] < c_of(t)) || (y[t] > 0.0 && alpha[t] > 0.0);
-            if in_up && minus_yg > g_max {
-                g_max = minus_yg;
-                i_sel = t;
-            }
-            if in_low && minus_yg < g_min {
-                g_min = minus_yg;
-            }
-        }
-        if g_max - g_min < params.eps || i_sel == usize::MAX || !g_min.is_finite() {
+        // default): i maximises the violation over I_up (chosen by the
+        // previous pass over mg); j minimises the second-order gain −b²/a
+        // over the violating members of I_low.
+        let Selection { g_max, g_min, i } = sel;
+        if g_max - g_min < params.eps || i == usize::MAX || !g_min.is_finite() {
             converged = true;
             break;
         }
-        let i = i_sel;
         let row_i_for_select = cache.row(i);
         let mut j_sel = usize::MAX;
         let mut best_gain = f64::INFINITY; // minimising −b²/a
-        for t in 0..n {
-            let in_low = (y[t] < 0.0 && alpha[t] < c_of(t)) || (y[t] > 0.0 && alpha[t] > 0.0);
-            if !in_low {
+        let candidates = status.iter().zip(&mg).zip(qd.iter().zip(row_i_for_select));
+        for (t, ((s, &m), (&qd_t, &k_it))) in candidates.enumerate() {
+            if !s.low {
                 continue;
             }
-            let minus_yg = -y[t] * grad[t];
-            let b = g_max - minus_yg;
+            let b = g_max - m;
             if b <= 0.0 {
                 continue; // not a violating pair with i
             }
             // a = K_ii + K_tt − 2 K_it: the curvature along the feasible
             // update direction (label factors cancel), floored at τ.
-            let a = (qd[i] + qd[t] - 2.0 * row_i_for_select[t]).max(TAU);
+            let a = (qd[i] + qd_t - 2.0 * k_it).max(TAU);
             let gain = -(b * b) / a;
             if gain < best_gain {
                 best_gain = gain;
@@ -166,11 +168,14 @@ pub fn solve_with_cache(
         let j = j_sel;
         let k_ij = row_i_for_select[j];
         let (old_ai, old_aj) = (alpha[i], alpha[j]);
-        let (ci, cj) = (c_of(i), c_of(j));
+        let (ci, cj) = (c[i], c[j]);
+        // G_i and G_j, but for the sign of a zero: each step's numerator
+        // below is ±b ≠ 0, so it has the bits it would have from G.
+        let (grad_i, grad_j) = (-y[i] * mg[i], -y[j] * mg[j]);
 
         if y[i] != y[j] {
             let quad = (qd[i] + qd[j] + 2.0 * k_ij).max(TAU);
-            let delta = (-grad[i] - grad[j]) / quad;
+            let delta = (-grad_i - grad_j) / quad;
             let diff = alpha[i] - alpha[j];
             alpha[i] += delta;
             alpha[j] += delta;
@@ -194,7 +199,7 @@ pub fn solve_with_cache(
             }
         } else {
             let quad = (qd[i] + qd[j] - 2.0 * k_ij).max(TAU);
-            let delta = (grad[i] - grad[j]) / quad;
+            let delta = (grad_i - grad_j) / quad;
             let sum = alpha[i] + alpha[j];
             alpha[i] -= delta;
             alpha[j] += delta;
@@ -217,18 +222,35 @@ pub fn solve_with_cache(
                 alpha[j] = sum;
             }
         }
+        status[i] = Status::of(y[i], alpha[i], ci);
+        status[j] = Status::of(y[j], alpha[j], cj);
 
-        // Gradient update: G_t += Q_ti Δα_i + Q_tj Δα_j.
+        // Gradient update G_t += Q_ti Δα_i + Q_tj Δα_j, as
+        // mg_t += K_ti (−y_i Δα_i) + K_tj (−y_j Δα_j), fused with the next
+        // iteration's i-selection. With α unchanged, so are mg and the
+        // index sets, and the selection just made stands.
         let dai = alpha[i] - old_ai;
         let daj = alpha[j] - old_aj;
         if dai != 0.0 || daj != 0.0 {
+            let (wi, wj) = (-y[i] * dai, -y[j] * daj);
             let (row_i, row_j) = cache.rows(i, j);
-            for t in 0..n {
-                grad[t] += y[t] * y[i] * row_i[t] * dai + y[t] * y[j] * row_j[t] * daj;
+            sel = Selection::default();
+            let columns = mg.iter_mut().zip(&status).zip(row_i.iter().zip(row_j));
+            for (t, ((m, &s), (&k_ti, &k_tj))) in columns.enumerate() {
+                *m += k_ti * wi + k_tj * wj;
+                sel.visit(t, *m, s);
             }
         }
     }
 
+    // G_t = −y_t mg_t. G starts at −1 and only ever has terms added, and
+    // a sum is −0 only when both terms are, so an exact zero of G is +0:
+    // a zero mg maps to +0, not to −y_t · 0.
+    let grad: Vec<f64> = mg
+        .iter()
+        .zip(y)
+        .map(|(&m, &t)| if m == 0.0 { 0.0 } else { -t * m })
+        .collect();
     let rho = compute_rho(&alpha, &grad, y, params);
     let objective = 0.5
         * alpha
@@ -243,6 +265,64 @@ pub fn solve_with_cache(
         iterations,
         converged,
         objective,
+    }
+}
+
+/// One multiplier's index-set memberships, LIBSVM's `alpha_status`:
+/// `t ∈ I_up` when α_t can move to raise `y_t α_t`, `t ∈ I_low` when it
+/// can move to lower it.
+#[derive(Debug, Clone, Copy)]
+struct Status {
+    up: bool,
+    low: bool,
+}
+
+impl Status {
+    fn of(y: f64, alpha: f64, c: f64) -> Self {
+        Status {
+            up: (y > 0.0 && alpha < c) || (y < 0.0 && alpha > 0.0),
+            low: (y < 0.0 && alpha < c) || (y > 0.0 && alpha > 0.0),
+        }
+    }
+}
+
+/// The first half of a WSS2 selection: `i` is the first index of I_up
+/// with the largest `mg`, `g_max` that value, and `g_min` the smallest
+/// `mg` over I_low.
+#[derive(Debug, Clone, Copy)]
+struct Selection {
+    g_max: f64,
+    g_min: f64,
+    i: usize,
+}
+
+impl Default for Selection {
+    fn default() -> Self {
+        Selection {
+            g_max: f64::NEG_INFINITY,
+            g_min: f64::INFINITY,
+            i: usize::MAX,
+        }
+    }
+}
+
+impl Selection {
+    /// Folds in index `t`, visited in increasing order: strict
+    /// comparisons keep the first of tied candidates. A vector outside
+    /// `I_up` competes as −∞, which never beats `g_max`, and one outside
+    /// `I_low` as +∞: a select in place of an unpredictable branch on the
+    /// membership flags.
+    #[inline(always)]
+    fn visit(&mut self, t: usize, mg: f64, s: Status) {
+        let up = if s.up { mg } else { f64::NEG_INFINITY };
+        if up > self.g_max {
+            self.g_max = up;
+            self.i = t;
+        }
+        let low = if s.low { mg } else { f64::INFINITY };
+        if low < self.g_min {
+            self.g_min = low;
+        }
     }
 }
 

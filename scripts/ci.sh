@@ -232,6 +232,41 @@ if [ "$status" -ne 2 ] || ! grep -q 'unknown flag --eval-mode' "$JSON_DIR/err.tx
 fi
 echo "unknown-flag smoke: --eval-mode rejected with exit 2"
 
+echo "==> closed-stdout smoke (a scan piped into \`true\`: its own exit code, no panic)"
+# The reader exits before the summary is written, so the write fails with
+# a broken pipe. The report file is already written: a clean scan still
+# exits 0 and a degraded one 7, and neither prints a panic.
+PIPE_DIR=target/pipe_smoke
+rm -rf "$PIPE_DIR"
+mkdir -p "$PIPE_DIR"
+for case in clean:0 degraded:7; do
+  name=${case%%:*}
+  want=${case##*:}
+  extra=()
+  if [ "$name" = degraded ]; then
+    extra=(--max-failed-tiles 10000 --fault-seed 42 --fault-panic-per-mille 1000)
+  fi
+  set +e
+  "$BIN" scan --model "$FAULT_DIR/model.json" --layout "$FAULT_DIR/layout.gds" \
+    --out "$PIPE_DIR/report_$name.json" --threads 2 "${extra[@]}" \
+    2> "$PIPE_DIR/err_$name.txt" | true
+  status=${PIPESTATUS[0]}
+  set -e
+  if [ "$status" -ne "$want" ]; then
+    echo "closed-stdout smoke ($name): expected exit $want, got $status"
+    cat "$PIPE_DIR/err_$name.txt"
+    exit 1
+  fi
+done
+# Injected fault panics print by design; the clean scan prints nothing.
+if grep -q 'panicked at' "$PIPE_DIR/err_clean.txt"; then
+  echo "closed-stdout smoke: the clean scan panicked"
+  head -5 "$PIPE_DIR/err_clean.txt"
+  exit 1
+fi
+cmp "$PIPE_DIR/report_clean.json" "$FAULT_DIR/report_detect.json"
+echo "closed-stdout smoke: clean scan exited 0, degraded scan 7, report written"
+
 echo "==> hostile-extent smoke (GDSII spanning the i32 range: exit 6 within 1 s)"
 # One boundary over the whole coordinate range, and two 1 um squares at
 # its opposite corners: the scan must reject the extent before it builds

@@ -128,13 +128,44 @@ fn mx_blind_partial_matches_the_record() {
 /// `cargo test --release --test golden -- --ignored`.
 const SMALL_BM2_MODEL: u64 = 0x7493_4be6_2b64_c648;
 
+/// The SMO work behind [`SMALL_BM2_MODEL`]: the count, sum, median and
+/// maximum of the kernels' `SvmModel::iterations` (each kernel's final
+/// round), and the feedback kernel's. A solver change that alters the work
+/// fails here with readable counts, not only a hash; a change meant to
+/// alter it re-pins this line on purpose.
+const SMALL_BM2_ITERATIONS: &str = "kernels=113 sum=101553 median=116 max=18366 feedback=597";
+
+/// [`SMALL_BM2_ITERATIONS`]'s line for `detector`.
+fn iteration_stats(detector: &HotspotDetector) -> String {
+    let mut per_kernel: Vec<u64> = detector
+        .kernels()
+        .iter()
+        .map(|k| k.model.iterations())
+        .collect();
+    per_kernel.sort_unstable();
+    format!(
+        "kernels={} sum={} median={} max={} feedback={}",
+        per_kernel.len(),
+        per_kernel.iter().sum::<u64>(),
+        per_kernel[per_kernel.len() / 2],
+        per_kernel.last().expect("at least one kernel"),
+        detector.feedback().map_or(0, |f| f.model.iterations()),
+    )
+}
+
 #[test]
 #[ignore = "small-scale training; run in release with --ignored"]
 fn array_benchmark2_small_model_matches_the_pin() {
-    let computed = model_hash(&train(&generate(SuiteScale::Small, "array_benchmark2")));
+    let detector = train(&generate(SuiteScale::Small, "array_benchmark2"));
+    let computed = model_hash(&detector);
     assert!(
         computed == SMALL_BM2_MODEL,
         "small array_benchmark2 model hash mismatch; computed {computed:#018x}"
+    );
+    let work = iteration_stats(&detector);
+    assert!(
+        work == SMALL_BM2_ITERATIONS,
+        "small array_benchmark2 SMO work mismatch; computed line:\n{work}"
     );
 }
 
